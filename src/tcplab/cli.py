@@ -267,7 +267,7 @@ def _dispatch(args) -> int:
         inst = _load_instance(args)
         sol = solve(inst, cfg)
         _emit(sol.to_json(), args.out)
-        witness = lsc_witness(inst, cfg)
+        witness = lsc_witness(sol)
         print(f"status: {sol.status}; lsc: {witness.verdict}", file=sys.stderr)
         return 0
 

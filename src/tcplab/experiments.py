@@ -2,8 +2,7 @@
 
 Every experiment draws each sample from its own PCG64 stream keyed by
 (seed, experiment salt, sample index), so reports are byte-identical for
-identical parameters and independent of worker count.  TCP_LAB_THREADS > 1
-runs per-sample solves in a thread pool; the default is serial.
+identical parameters.
 
 Row records share one stable column set:
 
@@ -19,8 +18,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,20 +50,8 @@ USC_VIOLATION_FLOOR = 0.1
 USC_VIOLATION_FACTOR = 100.0
 
 
-def _worker_count() -> int:
-    try:
-        w = int(os.environ.get("TCP_LAB_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, min(w, 32))
-
-
 def _map_samples(fn, ids):
-    w = _worker_count()
-    if w <= 1:
-        return [fn(i) for i in ids]
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(fn, ids))
+    return [fn(i) for i in ids]
 
 
 def _json_safe(v):

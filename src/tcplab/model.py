@@ -16,7 +16,15 @@ from typing import Iterator
 
 import numpy as np
 
-from .tensors import Tensor, as_vector, contract, contract_jacobian, tensor_from_dict, tensor_to_dict
+from .tensors import (
+    Tensor,
+    as_vector,
+    contract,
+    contract_rows,
+    jacobian_rows,
+    tensor_from_dict,
+    tensor_to_dict,
+)
 
 # coefficient magnitude below which a reduced equation counts as identically zero
 ZERO_ROW_TOL = 1e-14
@@ -191,11 +199,9 @@ class FaceSystem:
         if self.k > 0:
             self._block = arr[np.ix_(*([free] * inst.m))]
             self._a_free = inst.a[free]
-            self._jac_views = [np.moveaxis(self._block, p, 1) for p in range(1, inst.m)]
         else:
             self._block = np.zeros((0,) * inst.m)
             self._a_free = np.zeros(0)
-            self._jac_views = []
 
         zero_rows, infeasible_rows = [], []
         if self.k > 0:
@@ -218,21 +224,13 @@ class FaceSystem:
         return x
 
     def residual_vec(self, z) -> np.ndarray:
-        """F restricted to the free rows, evaluated on the reduced block."""
-        out = self._block
-        for _ in range(self.instance.m - 1):
-            out = out @ z
-        return out + self._a_free
+        """F restricted to the free rows, at z of shape (k,) or at every row
+        of z of shape (S, k)."""
+        return contract_rows(self._block, z) + self._a_free
 
     def jacobian(self, z) -> np.ndarray:
-        reps = self.instance.m - 2
-        J = np.zeros((self.k, self.k))
-        for view in self._jac_views:
-            out = view
-            for _ in range(reps):
-                out = out @ z
-            J += out
-        return J
+        """Jacobian of residual_vec, shape (k, k) or (S, k, k)."""
+        return jacobian_rows(self._block, z)
 
     def pinned_slack(self, x) -> float:
         """min F_i(x) over pinned rows (+inf when alpha is empty)."""

@@ -18,6 +18,7 @@ from .solver import (
     STATUS_EMPTY,
     SolverConfig,
     SolutionSet,
+    _simplex_starts,
     homogeneous_solve,
     solve,
 )
@@ -84,23 +85,6 @@ def check_r0(A: Tensor, cfg: SolverConfig) -> PropertyReport:
 # copositivity
 
 
-def _simplex_grid(n: int, resolution: int) -> np.ndarray:
-    """Lattice points of the probability simplex at the given resolution."""
-    if n == 2:
-        t = np.linspace(0.0, 1.0, resolution + 1)
-        return np.stack([t, 1.0 - t], axis=1)
-    pts = []
-    for cuts in itertools.combinations(range(resolution + n - 1), n - 1):
-        prev = -1
-        comp = []
-        for c in cuts:
-            comp.append(c - prev - 1)
-            prev = c
-        comp.append(resolution + n - 2 - prev)
-        pts.append(comp)
-    return np.asarray(pts, dtype=float) / resolution
-
-
 def _project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex."""
     u = np.sort(v)[::-1]
@@ -140,7 +124,7 @@ def check_copositive(A: Tensor, cfg: SolverConfig, resolution: int | None = None
     n = A.dim
     if resolution is None:
         resolution = 200 if n <= 3 else 100
-    grid = _simplex_grid(n, resolution)
+    grid = _simplex_starts(n, resolution)
     if A.order <= 12:
         letters = "abcdefghijkl"[: A.order]
         subs = letters + "," + ",".join("p" + c for c in letters) + "->p"
@@ -280,13 +264,13 @@ class LscWitness:
         }
 
 
-def lsc_witness(inst: TcpInstance, cfg: SolverConfig) -> LscWitness:
+def lsc_witness(sol: SolutionSet) -> LscWitness:
     """Positive-dimensional faces obstruct lower semicontinuity at (A, a).
 
-    A solution map that is lsc at a point has a finite solution set there,
-    so any posdim_suspect face is an obstruction witness.
+    sol is solve's result for (A, a).  A solution map that is lsc at a point
+    has a finite solution set there, so any posdim_suspect face is an
+    obstruction witness.
     """
-    sol = solve(inst, cfg)
     if sol.posdim_suspect:
         return LscWitness("not-lsc", list(sol.posdim_suspect), sol)
     return LscWitness("no-obstruction", [], sol)

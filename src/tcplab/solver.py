@@ -30,7 +30,7 @@ from .model import (
     face_system,
     max_residual,
 )
-from .tensors import Tensor, as_vector, contract, contract_jacobian, frobenius, scale
+from .tensors import Tensor, as_vector, contract, contract_rows, jacobian_rows, pair_norm
 
 STATUS_EMPTY = "exact-empty"
 STATUS_FINITE = "finite"
@@ -66,6 +66,14 @@ class BudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Solver settings.
+
+    tol is relative to the pair norm |(A, a)| = sqrt(|A|_F^2 + |a|_2^2): solve
+    divides (A, a) by that norm on entry, which leaves the solution set
+    unchanged, so Sol(tA, ta) is computed exactly as Sol(A, a) for every
+    t > 0.  dedup_radius and start_box_radius are distances in x.
+    """
+
     tol: float = 1e-8
     dedup_radius: float = 1e-5
     newton_max_iter: int = 100
@@ -131,60 +139,103 @@ class SolutionSet:
 # Newton engine
 
 
-def _newton_polish(fun, jac, z0, max_iter, face: FaceMask):
-    """Damped Newton with Armijo backtracking on the squared residual.
+# Armijo step lengths 1, 1/2, .., 2^-30, tried in order
+_ARMIJO_STEPS = 2.0 ** -np.arange(31)
 
-    Rectangular or singular Jacobians fall back to least-squares steps, so
-    the same loop serves square face systems and the simplex-augmented
-    homogeneous systems.  Returns (z, residual_inf, iterations).
+
+def _newton_steps(J: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Newton steps for a stack of Jacobians J (S, M, k) and residuals f (S, M).
+
+    Square systems take the LU solution; rectangular ones (the
+    simplex-augmented homogeneous systems) take the minimum-norm
+    least-squares step.  Only the rows whose Jacobian is singular or
+    non-finite, or whose LU step is not finite, fall back to lstsq one by one.
     """
-    z = np.asarray(z0, dtype=float)
-    f = fun(z)
-    # a single squared-norm scalar doubles as the finiteness probe: any
-    # nan/inf in f makes phi non-finite
-    phi0 = float(f @ f) if f.size else 0.0
-    if not math.isfinite(phi0):
+    S, M, k = J.shape
+    step = np.full((S, k), np.nan)
+    rhs = -f[:, :, None]
+    ok = np.isfinite(J).all(axis=(1, 2))
+    if M == k:
+        try:
+            step[ok] = np.linalg.solve(J[ok], rhs[ok])[:, :, 0]
+        except np.linalg.LinAlgError:
+            # the LU of a singular row hits an exact zero pivot, which
+            # slogdet reports as sign 0 without raising
+            ok[ok] = np.linalg.slogdet(J[ok])[0] != 0.0
+            step[ok] = np.linalg.solve(J[ok], rhs[ok])[:, :, 0]
+        ok &= np.isfinite(step).all(axis=1)
+    elif ok.any():
+        pinv = np.linalg.pinv(J[ok], rcond=np.finfo(float).eps * max(M, k))
+        step[ok] = (pinv @ rhs[ok])[:, :, 0]
+    for r in np.flatnonzero(~ok):
+        step[r] = np.linalg.lstsq(J[r], -f[r], rcond=None)[0]
+    return step
+
+
+def _newton(fun, jac, Z0, max_iter: int, face: FaceMask):
+    """Damped Newton with Armijo backtracking on the squared residual, run on
+    every row of Z0 (S, k) together.
+
+    fun maps rows (S, k) to residual rows (S, M) and jac to Jacobians
+    (S, M, k); M > k for the simplex-augmented homogeneous systems.  Each row
+    keeps its own step length, stall count and iteration count, and every
+    operation acts row by row, so a start's result does not depend on the
+    other rows of the batch.  Returns (Z, residual_inf, iterations), one
+    entry per row.
+    """
+    Z = np.array(Z0, dtype=float)
+    F = fun(Z)
+    phi = np.sum(F * F, axis=1)
+    if not np.all(np.isfinite(phi)):
         raise FaceSolveError(face, "non-finite residual at a finite start point")
-    iters = 0
-    stalled = 0
+    iters = np.zeros(Z.shape[0], dtype=int)
+    stalled = np.zeros(Z.shape[0], dtype=int)
+    live = np.arange(Z.shape[0])
     for it in range(max_iter):
-        ninf = float(np.max(np.abs(f))) if f.size else 0.0
-        if ninf <= NEWTON_ATOL:
+        live = live[np.max(np.abs(F[live]), axis=1) > NEWTON_ATOL]
+        if not live.size:
             break
-        J = jac(z)
-        step = None
-        if J.shape[0] == J.shape[1]:
-            try:
-                step = np.linalg.solve(J, -f)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None and not math.isfinite(float(step @ step)):
-                step = None
-        if step is None:
-            step = np.linalg.lstsq(J, -f, rcond=None)[0]
-        snorm = float(step @ step)
-        if not math.isfinite(snorm) or snorm == 0.0:
+        step = _newton_steps(jac(Z[live]), F[live])
+        snorm = np.sum(step * step, axis=1)
+        keep = np.isfinite(snorm) & (snorm != 0.0)
+        live, step = live[keep], step[keep]
+        if not live.size:
             break
-        t = 1.0
-        moved = False
-        while t >= 2.0**-30:
-            zt = z + t * step
-            ft = fun(zt)
-            phit = float(ft @ ft)
-            if math.isfinite(phit) and phit <= (1.0 - 1e-4 * t) * phi0:
+        iters[live] = it + 1
+        moved = np.zeros(live.size, dtype=bool)
+        pending = np.arange(live.size)
+        for t in _ARMIJO_STEPS:
+            rows = live[pending]
+            Zt = Z[rows] + t * step[pending]
+            Ft = fun(Zt)
+            phit = np.sum(Ft * Ft, axis=1)
+            acc = np.isfinite(phit) & (phit <= (1.0 - 1e-4 * t) * phi[rows])
+            if acc.any():
                 # converging to a root of any multiplicity q contracts phi by
                 # at least (1-1/q)^(2q) < 0.14 per full step; sustained ratios
                 # near 1 mean a positive-residual floor with no root below
-                stalled = stalled + 1 if phit > 0.5 * phi0 else 0
-                z, f, phi0 = zt, ft, phit
-                moved = True
-                break
-            t *= 0.5
-        iters = it + 1
-        if not moved or stalled >= 12:
-            break
-    ninf = float(np.max(np.abs(f))) if f.size else 0.0
-    return z, ninf, iters
+                r = rows[acc]
+                stalled[r] = np.where(phit[acc] > 0.5 * phi[r], stalled[r] + 1, 0)
+                Z[r], F[r], phi[r] = Zt[acc], Ft[acc], phit[acc]
+                moved[pending[acc]] = True
+                pending = pending[~acc]
+                if not pending.size:
+                    break
+        live = live[moved & (stalled[live] < 12)]
+    return Z, np.max(np.abs(F), axis=1), iters
+
+
+def _simplex_system(fs: FaceSystem):
+    """A face system with sum(z) = 1 appended, for one z or rows of z."""
+
+    def fun(z):
+        return np.concatenate([fs.residual_vec(z), np.sum(z, axis=-1, keepdims=True) - 1.0], axis=-1)
+
+    def jac(z):
+        J = fs.jacobian(z)
+        return np.concatenate([J, np.ones(J.shape[:-2] + (1, fs.k))], axis=-2)
+
+    return fun, jac
 
 
 def _grid_starts(k: int, box: float, per_axis: int) -> np.ndarray:
@@ -357,26 +408,16 @@ def _solve_face_roots(fs: FaceSystem, cfg: SolverConfig, homogeneous: bool) -> _
             _random_starts(fs.k, cfg.start_box_radius, cfg.seed, fs.alpha.mask, 0),
         ])
     out.starts = start_arr.shape[0]
-
-    if homogeneous:
-
-        def fun(z):
-            return np.append(fs.residual_vec(z), np.sum(z) - 1.0)
-
-        def jac(z):
-            return np.vstack([fs.jacobian(z), np.ones(fs.k)])
-
-    else:
-        fun, jac = fs.residual_vec, fs.jacobian
+    fun, jac = _simplex_system(fs) if homogeneous else (fs.residual_vec, fs.jacobian)
 
     accepted: list[tuple[np.ndarray, float]] = []
     # degenerate components (multiplicity q) stall Newton near
     # NEWTON_ATOL**(1/q), above tol; roots that collapse onto a smaller face
     # once such components are zeroed are that face's solutions, not ours
     snap = max(cfg.dedup_radius, 10.0 * NEWTON_ATOL ** (1.0 / max(2, inst.m - 1)))
-    for z0 in start_arr:
-        z, resid, iters = _newton_polish(fun, jac, z0, cfg.newton_max_iter, fs.alpha)
-        out.newton_iters += iters
+    Z, resids, iters = _newton(fun, jac, start_arr, cfg.newton_max_iter, fs.alpha)
+    out.newton_iters = int(iters.sum())
+    for z, resid in zip(Z, resids):
         if resid > tol / 10:
             continue
         if float(np.min(z)) <= tol:
@@ -440,8 +481,26 @@ def _meta(cfg: SolverConfig, **extra) -> dict:
     return d
 
 
-def _sorted_points(inst: TcpInstance, xs: list[np.ndarray], cfg: SolverConfig) -> list[SolutionPoint]:
-    ranked = _dedup([(x, max_residual(inst, x)) for x in xs], cfg.dedup_radius)
+def _unit_pair(A: Tensor, a: np.ndarray) -> TcpInstance:
+    """(A, a) divided by its pair norm, which leaves every solution set unchanged.
+
+    The norm is taken after dividing by the largest entry, so it neither
+    overflows nor underflows.  The zero pair is returned as it is.
+    """
+    big = max(float(np.max(np.abs(A.array))), float(np.max(np.abs(a))))
+    if big == 0.0:
+        return TcpInstance(A, a)
+    B, b = Tensor(A.array / big), a / big
+    nrm = pair_norm(B, b)
+    return TcpInstance(Tensor(B.array / nrm), b / nrm)
+
+
+def _sorted_points(
+    unit: TcpInstance, inst: TcpInstance, xs: list[np.ndarray], cfg: SolverConfig
+) -> list[SolutionPoint]:
+    """Deduplicated points ranked on the normalized pair; kkt_res is reported
+    against the caller's instance."""
+    ranked = _dedup([(x, max_residual(unit, x)) for x in xs], cfg.dedup_radius)
     ranked.sort(key=lambda x: tuple(x))
     return [
         SolutionPoint(x=x, face=face_of(x, cfg.tol), kkt_res=max_residual(inst, x))
@@ -456,10 +515,13 @@ def _sorted_rays(directions: list[np.ndarray], tol: float, radius: float) -> lis
 
 
 def solve_face(inst: TcpInstance, alpha: FaceMask, cfg: SolverConfig) -> SolutionSet:
-    """Solve the square system of a single face and filter by its signs."""
-    fs = face_system(inst, alpha)
-    out = _solve_face_roots(fs, cfg, homogeneous=False)
-    points = _sorted_points(inst, out.points, cfg)
+    """Solve the square system of a single face and filter by its signs.
+
+    Like solve, this works on (A, a) divided by its pair norm.
+    """
+    unit = _unit_pair(inst.tensor, inst.a)
+    out = _solve_face_roots(face_system(unit, alpha), cfg, homogeneous=False)
+    points = _sorted_points(unit, inst, out.points, cfg)
     rays = _sorted_rays(out.rays, cfg.tol, cfg.dedup_radius)
     posdim = [alpha] if out.posdim else []
     return SolutionSet(
@@ -491,22 +553,16 @@ def _certified_ray(inst0: TcpInstance, direction, cfg: SolverConfig) -> np.ndarr
     fs = face_system(inst0, face_of(np.maximum(r, 0.0), cfg.tol))
     if fs.k == 0:
         return None
-
-    def fun(z):
-        return np.append(fs.residual_vec(z), np.sum(z) - 1.0)
-
-    def jac(z):
-        return np.vstack([fs.jacobian(z), np.ones(fs.k)])
-
     z0 = r[list(fs.free)]
     s = float(np.sum(z0))
     if s <= 0.0:
         return None
+    fun, jac = _simplex_system(fs)
     try:
-        z, _, _ = _newton_polish(fun, jac, z0 / s, cfg.newton_max_iter, fs.alpha)
+        Z, _, _ = _newton(fun, jac, (z0 / s)[None], cfg.newton_max_iter, fs.alpha)
     except FaceSolveError:
         return None
-    x = fs.embed(z)
+    x = fs.embed(Z[0])
     nrm = float(np.linalg.norm(x))
     if not math.isfinite(nrm) or nrm <= 0.0 or float(np.min(x)) < 0.0:
         return None
@@ -527,11 +583,9 @@ def homogeneous_solve(A: Tensor, cfg: SolverConfig) -> SolutionSet:
     The search runs on the Frobenius-normalized tensor: Sol(tA, 0) equals
     Sol(A, 0) for every t > 0, and normalizing makes the computation, and in
     particular the representative chosen for a positive-dimensional cone,
-    literally identical across rescalings of A.
+    the same across rescalings of A.
     """
-    nrm = frobenius(A)
-    B = scale(1.0 / nrm, A) if nrm > 1e-12 else A
-    inst = TcpInstance(B, np.zeros(A.dim))
+    inst = _unit_pair(A, np.zeros(A.dim))
     directions: list[np.ndarray] = []
     posdim: list[FaceMask] = []
     starts = iters = 0
@@ -569,13 +623,18 @@ def solve(inst: TcpInstance, cfg: SolverConfig, hom: SolutionSet | None = None) 
     Callers sweeping many right-hand sides against one tensor can pass the
     precomputed homogeneous_solve(A, cfg) result as hom; it depends only on
     the tensor, not on a.
+
+    The faces are solved for (A, a) divided by its pair norm, so every
+    tolerance in cfg is relative to |(A, a)| and the points do not depend on
+    the units of (A, a); each kkt_res is reported against the caller's (A, a).
     """
+    unit = _unit_pair(inst.tensor, inst.a)
     xs: list[np.ndarray] = []
     face_rays: list[np.ndarray] = []
     posdim: list[FaceMask] = []
     starts = iters = 0
     for face in enumerate_faces(inst.n):
-        out = _solve_face_roots(face_system(inst, face), cfg, homogeneous=False)
+        out = _solve_face_roots(face_system(unit, face), cfg, homogeneous=False)
         xs.extend(out.points)
         face_rays.extend(out.rays)
         if out.posdim:
@@ -586,9 +645,9 @@ def solve(inst: TcpInstance, cfg: SolverConfig, hom: SolutionSet | None = None) 
     if hom is None:
         hom = homogeneous_solve(inst.tensor, cfg)
     candidates = [r.direction for r in hom.rays] + face_rays
-    active = [d for d in candidates if ray_active(inst, d, cfg.tol)]
+    active = [d for d in candidates if ray_active(unit, d, cfg.tol)]
 
-    points = _sorted_points(inst, xs, cfg)
+    points = _sorted_points(unit, inst, xs, cfg)
     rays = _sorted_rays(active, cfg.tol, cfg.dedup_radius)
     posdim = sorted(posdim)
     return SolutionSet(
@@ -666,27 +725,8 @@ class OracleResult:
     meta: dict
 
 
-def _einsum_batch_contract(A: Tensor, X: np.ndarray) -> np.ndarray:
-    letters = "abcdefghijkl"[: A.order]
-    subs = letters + "," + ",".join("p" + c for c in letters[1:]) + "->p" + letters[0]
-    operands = [A.array] + [X] * (A.order - 1)
-    return np.einsum(subs, *operands)
-
-
-def _einsum_batch_jacobian(A: Tensor, X: np.ndarray) -> np.ndarray:
-    """Jacobian of x -> A x^{m-1} at every row of X, shape (len(X), n, n)."""
-    n, m = A.dim, A.order
-    xpow = np.ones((X.shape[0], 1))
-    for _ in range(m - 2):
-        xpow = (xpow[:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
-    J = np.zeros((X.shape[0], n, n))
-    for p in range(1, m):
-        V = np.moveaxis(A.array, p, 1).reshape(n, n, -1)
-        J += np.einsum("ijk,pk->pij", V, xpow)
-    return J
-
-
-_ORACLE_CHUNK = 1 << 18
+# grid points per chunk times n^m, the size of the kernels' temporaries
+_ORACLE_CHUNK = 1 << 21
 _ORACLE_SEED_CAP = 16
 _ORACLE_SAFETY = 1.5
 
@@ -712,9 +752,8 @@ def _oracle_polish(inst: TcpInstance, seed: np.ndarray, pin_tol: float, tol: flo
         elif len(fs.zero_rows) == fs.k:
             continue
         else:
-            z, _, _ = _newton_polish(
-                fs.residual_vec, fs.jacobian, seed[list(fs.free)], 100, face
-            )
+            Z, _, _ = _newton(fs.residual_vec, fs.jacobian, seed[list(fs.free)][None], 100, face)
+            z = Z[0]
             if float(np.min(z)) < -1e-12:
                 continue
             cand = fs.embed(np.maximum(z, 0.0))
@@ -759,11 +798,12 @@ def brute_force_oracle(
     accept = np.zeros(total, dtype=bool)
     score = np.full(total, np.inf)
     theta_F_max = 0.0
-    for s in range(0, total, _ORACLE_CHUNK):
-        idx = np.arange(s, min(s + _ORACLE_CHUNK, total))
+    chunk = max(1, _ORACLE_CHUNK // n**inst.m)
+    for s in range(0, total, chunk):
+        idx = np.arange(s, min(s + chunk, total))
         Xc = np.stack(np.unravel_index(idx, shape), axis=1) * grid_step
-        FX = _einsum_batch_contract(inst.tensor, Xc) + inst.a
-        J = _einsum_batch_jacobian(inst.tensor, Xc)
+        FX = contract_rows(inst.tensor.array, Xc) + inst.a
+        J = jacobian_rows(inst.tensor.array, Xc)
         row_norms = np.linalg.norm(J, axis=2)
         theta_F = _ORACLE_SAFETY * half_diag * row_norms + tol
         grad_comp = FX + np.einsum("pij,pi->pj", J, Xc)

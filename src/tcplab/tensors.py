@@ -118,10 +118,47 @@ def _contract_all_but(arr: np.ndarray, x: np.ndarray, keep: int) -> np.ndarray:
     return out
 
 
+def _powers(X: np.ndarray, d: int) -> np.ndarray:
+    """Rows of the d-fold outer powers x (x) .. (x) x, shape (S, k**d)."""
+    S, k = X.shape
+    P = np.ones((S, 1))
+    for _ in range(d):
+        P = (P[:, :, None] * X[:, None, :]).reshape(S, P.shape[1] * k)
+    return P
+
+
+def contract_rows(arr: np.ndarray, X) -> np.ndarray:
+    """arr x^{m-1} for one x of shape (k,) or for every row of X, shape (S, k).
+
+    arr is any order-m array of shape (k,)*m.  The work is elementwise
+    products and a sum along one axis, so each row's result does not depend
+    on how many rows share the call.
+    """
+    X = np.asarray(X, dtype=float)
+    k, m = arr.shape[0], arr.ndim
+    P = _powers(np.atleast_2d(X), m - 1)
+    out = np.sum(P[:, None, :] * arr.reshape(k, k ** (m - 1)), axis=2)
+    return out.reshape(X.shape)
+
+
+def jacobian_rows(arr: np.ndarray, X) -> np.ndarray:
+    """Jacobian of x -> contract_rows(arr, x) at one x, shape (k, k), or at
+    every row of X, shape (S, k, k).
+
+    Differentiating the monomial in slot p leaves arr with slot p moved next
+    to the row index; the slot sum is contracted with x^{m-2}.
+    """
+    X = np.asarray(X, dtype=float)
+    k, m = arr.shape[0], arr.ndim
+    W = sum(np.moveaxis(arr, p, 1) for p in range(1, m)).reshape(k * k, k ** (m - 2))
+    P = _powers(np.atleast_2d(X), m - 2)
+    J = np.sum(P[:, None, :] * W, axis=2)
+    return J.reshape(X.shape + (k,))
+
+
 def contract(A: Tensor, x) -> np.ndarray:
     """A x^{m-1}: contract x into all modes but the first."""
-    x = as_vector(x, A.dim)
-    return _contract_all_but(A.array, x, 0)
+    return contract_rows(A.array, as_vector(x, A.dim))
 
 
 def form(A: Tensor, x) -> float:
@@ -136,17 +173,9 @@ def form(A: Tensor, x) -> float:
 
 
 def contract_jacobian(A: Tensor, x) -> np.ndarray:
-    """Jacobian of x -> contract(A, x), by differentiating each monomial slot."""
-    x = as_vector(x, A.dim)
-    m, n = A.order, A.dim
-    J = np.zeros((n, n))
-    for p in range(1, m):
-        moved = np.moveaxis(A.array, p, 1)
-        out = moved
-        for _ in range(m - 2):
-            out = out @ x
-        J += out
-    return J
+    """Jacobian of x -> contract(A, x)."""
+    return jacobian_rows(A.array, as_vector(x, A.dim))
+
 
 def form_gradient(A: Tensor, x) -> np.ndarray:
     """Gradient of x -> form(A, x)."""

@@ -52,15 +52,6 @@ def test_usc_report_is_byte_reproducible():
     assert r1.json_bytes() != r3.json_bytes()
 
 
-def test_threaded_run_matches_serial(monkeypatch):
-    serial = usc_probe(GUS, 0.05, 8, CFG).json_bytes()
-    monkeypatch.setenv("TCP_LAB_THREADS", "4")
-    threaded = usc_probe(GUS, 0.05, 8, CFG).json_bytes()
-    assert serial == threaded
-    monkeypatch.setenv("TCP_LAB_THREADS", "not a number")
-    assert usc_probe(GUS, 0.05, 8, CFG).json_bytes() == serial
-
-
 def test_usc_small_perturbations_stay_close():
     report = usc_probe(GUS, 0.05, 12, CFG)
     assert report.summary["violation_count"] == 0

@@ -131,6 +131,16 @@ def test_face_system_jacobian_matches_finite_differences():
             e[j] = h
             fd = (fs.residual_vec(z + e) - fs.residual_vec(z - e)) / (2 * h)
             assert np.abs(J[:, j] - fd).max() <= 1e-4 * max(1.0, np.abs(fd).max())
+        # a stack of rows (S, k) gives one residual and one Jacobian per row
+        Z = np.vstack([z, rng.uniform(0.2, 1.5, size=(2, fs.k))])
+        R, JS = fs.residual_vec(Z), fs.jacobian(Z)
+        assert R.shape == (3, fs.k) and JS.shape == (3, fs.k, fs.k)
+        assert np.array_equal(R[0], fs.residual_vec(z)) and np.array_equal(JS[0], J)
+        for j in range(fs.k):
+            E = np.zeros(fs.k)
+            E[j] = h
+            FD = (fs.residual_vec(Z + E) - fs.residual_vec(Z - E)) / (2 * h)
+            assert np.abs(JS[:, :, j] - FD).max() <= 1e-4 * max(1.0, np.abs(FD).max())
 
 
 def test_face_system_hand_case_single_free_coordinate():

@@ -18,6 +18,7 @@ from tcplab import (
     max_residual,
     non_r0_witness,
     probe_gus,
+    solve,
     with_rhs,
 )
 
@@ -132,7 +133,7 @@ def test_gus_probe_rejects_zero_tensor():
 
 
 def test_lsc_witness_flags_positive_dimensional_faces():
-    wit = lsc_witness(with_rhs(builtin_example("ex1"), [1.0, 1.0]), CFG)
+    wit = lsc_witness(solve(with_rhs(builtin_example("ex1"), [1.0, 1.0]), CFG))
     assert wit.verdict == "not-lsc"
     assert wit.faces and wit.faces[0].mask == 0
     d = wit.to_json()
@@ -140,7 +141,7 @@ def test_lsc_witness_flags_positive_dimensional_faces():
 
 
 def test_lsc_witness_clean_case():
-    wit = lsc_witness(builtin_example("gus"), CFG)
+    wit = lsc_witness(solve(builtin_example("gus"), CFG))
     assert wit.verdict == "no-obstruction"
     assert wit.faces == []
 

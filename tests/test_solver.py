@@ -27,6 +27,8 @@ from tcplab import (
     solve_face,
     with_rhs,
 )
+from tcplab.model import face_system
+from tcplab.solver import NEWTON_ATOL, _newton, _simplex_system
 
 CFG = SolverConfig()
 
@@ -203,6 +205,74 @@ def test_homogeneous_scaling_invariance():
         assert len(d1) == len(d2)
         for u, v in zip(d1, d2):
             assert np.abs(np.array(u) - v).max() <= 1e-8
+
+
+def _assert_points(sol, want, tol):
+    got = _points(sol)
+    assert len(got) == len(want)
+    if got:
+        assert np.abs(np.array(got) - np.array(sorted(want))).max() <= tol
+
+
+def test_solution_set_does_not_depend_on_units():
+    # Sol(tA, ta) = Sol(A, a) for every t > 0, down to 1e-12 and up to 1e200
+    for name in ("gus", "ex1"):
+        inst = builtin_example(name)
+        base = solve(inst, CFG)
+        assert base.status == STATUS_FINITE
+        for t in (1e-12, 1e-8, 1e200):
+            scaled = TcpInstance(scale(t, inst.tensor), t * inst.a)
+            sol = solve(scaled, CFG)
+            assert sol.status == STATUS_FINITE and not sol.rays and not sol.posdim_suspect
+            _assert_points(sol, _points(base), 1e-9)
+            for p in sol.points:
+                # kkt_res is measured against the caller's (tA, ta)
+                assert p.kkt_res == max_residual(scaled, p.x)
+
+
+def _random_m3_n2(count):
+    rng = np.random.default_rng(31)
+    return [TcpInstance(random_gaussian(3, 2, rng), rng.normal(size=2)) for _ in range(count)]
+
+
+def test_rhs_homogeneity_scales_solutions():
+    # x solves (A, a) iff t x solves (A, t^{m-1} a)
+    for inst in _random_m3_n2(4):
+        base = solve(inst, CFG)
+        for t in (0.25, 4.0):
+            sol = solve(TcpInstance(inst.tensor, t**2 * inst.a), CFG)
+            assert sol.status == base.status
+            _assert_points(sol, [[t * v for v in x] for x in _points(base)], 1e-8)
+
+
+def test_coordinate_permutation_permutes_solutions():
+    perm = [1, 0]
+    for inst in _random_m3_n2(4):
+        swapped = TcpInstance(Tensor(inst.tensor.array[np.ix_(perm, perm, perm)]), inst.a[perm])
+        base, sol = solve(inst, CFG), solve(swapped, CFG)
+        assert sol.status == base.status
+        _assert_points(sol, [np.array(x)[perm].tolist() for x in _points(base)], 1e-9)
+
+
+def test_batched_newton_rows_match_one_row_batches():
+    # open face of a Gaussian m=3, n=3 instance on a start grid: z = 0 has
+    # J = 0 exactly, several starts stall at a positive residual, and the
+    # rest converge after different numbers of iterations.  The
+    # simplex-augmented system runs the rectangular steps on the same starts.
+    rng = np.random.default_rng(8)
+    fs = face_system(TcpInstance(random_gaussian(3, 3, rng), rng.normal(size=3)), FaceMask(3, 0))
+    g = np.linspace(0.0, 3.0, 4)
+    starts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    max_iter = CFG.newton_max_iter
+    for fun, jac in ((fs.residual_vec, fs.jacobian), _simplex_system(fs)):
+        Z, res, its = _newton(fun, jac, starts, max_iter, fs.alpha)
+        for z0, z, r, it in zip(starts, Z, res, its):
+            z1, r1, it1 = _newton(fun, jac, z0[None], max_iter, fs.alpha)
+            assert np.array_equal(z1[0], z) and r1[0] == r and it1[0] == it
+    Z, res, its = _newton(fs.residual_vec, fs.jacobian, starts, max_iter, fs.alpha)
+    assert its[0] == 0 and np.array_equal(Z[0], starts[0])
+    assert np.any((res > 1e-3) & (its > 0) & (its < max_iter))
+    assert len(set(its[res <= NEWTON_ATOL].tolist())) > 1
 
 
 def test_solve_is_deterministic_including_order():
