@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the requested property holds or the run succeeded, 1 when
 a property fails or a violation was found, 2 on errors, malformed input, or
-inconclusive/vacuous outcomes.  Human-readable numbers print with 12
+inconclusive/vacuous outcomes, 141 when the reader of standard output closed
+the pipe before the output was written.  Human-readable numbers print with 12
 significant digits; JSON payloads keep full round-trip precision.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,6 +40,9 @@ from .properties import (
 )
 from .solver import BudgetError, FaceSolveError, SolverConfig, chi_bound, solve
 from .tensors import Tensor, tensor_from_dict
+
+# 128 + SIGPIPE, the status a shell reports for a writer stopped by a closed pipe
+EXIT_BROKEN_PIPE = 141
 
 COMMANDS = (
     "solve",
@@ -321,7 +326,7 @@ def _dispatch(args) -> int:
     raise ValueError(f"unknown command {cmd!r}")
 
 
-def main(argv=None) -> int:
+def _main(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -333,6 +338,27 @@ def main(argv=None) -> int:
     except (ValueError, BudgetError, FaceSolveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        # a reader that closes the pipe early fails this flush, not the one
+        # Python makes at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe (`tcplab solve ... | head -1`): stop
+        # quietly; what is still buffered goes to devnull, since flushing it
+        # at exit would raise again
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return EXIT_BROKEN_PIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

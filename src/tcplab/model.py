@@ -19,7 +19,6 @@ import numpy as np
 from .tensors import (
     Tensor,
     as_vector,
-    contract,
     contract_rows,
     jacobian_rows,
     tensor_from_dict,
@@ -122,7 +121,8 @@ class TcpInstance:
         return self.tensor.order
 
     def F(self, x) -> np.ndarray:
-        return contract(self.tensor, x) + self.a
+        """F at one x of shape (n,) or at every row of x of shape (S, n)."""
+        return contract_rows(self.tensor.array, _as_points(x, self.n)) + self.a
 
     def to_json(self) -> dict:
         return {"tensor": tensor_to_dict(self.tensor), "a": self.a.tolist()}
@@ -137,18 +137,46 @@ class TcpInstance:
         return cls(tensor, as_vector(a, tensor.dim))
 
 
-def residual(inst: TcpInstance, x) -> tuple[float, float, float]:
-    """Infeasibility split (feas_x, feas_F, comp); all <= tol means solution."""
-    x = as_vector(x, inst.n)
-    Fx = inst.F(x)
-    feas_x = max(0.0, float(-np.min(x)))
-    feas_F = max(0.0, float(-np.min(Fx)))
-    comp = abs(float(x @ Fx))
+def _as_points(x, n: int) -> np.ndarray:
+    """Validate one point of shape (n,) or a stack of points of shape (S, n)."""
+    X = np.asarray(x, dtype=float)
+    if X.ndim == 1:
+        return as_vector(X, n)
+    if X.ndim != 2 or X.shape[1] != n:
+        raise ValueError(f"expected a point of length {n} or rows of shape (S, {n}), got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("points have non-finite entries")
+    return X
+
+
+def residual(inst: TcpInstance, x, Fx=None):
+    """Infeasibility split (feas_x, feas_F, comp); all <= tol means solution.
+
+    x is one point (n,), giving three floats, or a stack (S, n), giving three
+    arrays of S values.  Fx is inst.F(x) when the caller already has it.
+    """
+    x = _as_points(x, inst.n)
+    X = np.atleast_2d(x)
+    F = np.atleast_2d(inst.F(x) if Fx is None else Fx)
+    # v if v > 0 else +0.0, as the builtin max(0.0, v), also for v = -0.0 or NaN
+    feas_x = -np.min(X, axis=1)
+    feas_x = np.where(feas_x > 0.0, feas_x, 0.0)
+    feas_F = -np.min(F, axis=1)
+    feas_F = np.where(feas_F > 0.0, feas_F, 0.0)
+    # the stacked matmul is the 1-d dot x @ F(x) of each row, to the bit
+    comp = np.abs(np.matmul(X[:, None, :], F[:, :, None])[:, 0, 0])
+    if x.ndim == 1:
+        return float(feas_x[0]), float(feas_F[0]), float(comp[0])
     return feas_x, feas_F, comp
 
 
-def max_residual(inst: TcpInstance, x) -> float:
-    return max(residual(inst, x))
+def max_residual(inst: TcpInstance, x, Fx=None):
+    """max(residual(inst, x)): a float for one point, an array for a stack."""
+    feas_x, feas_F, comp = residual(inst, x, Fx)
+    # the builtin max, row by row: a later part wins only when it is larger
+    worst = np.where(feas_F > feas_x, feas_F, feas_x)
+    worst = np.where(comp > worst, comp, worst)
+    return float(worst) if worst.ndim == 0 else worst
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,10 +245,11 @@ class FaceSystem:
         self.underdetermined = bool(zero_rows)
 
     def embed(self, z) -> np.ndarray:
-        """Lift free coordinates z to the full space, zeros on alpha."""
+        """Lift free coordinates z (k,) or rows of z (S, k) to the full space,
+        zeros on alpha."""
         z = np.asarray(z, dtype=float)
-        x = np.zeros(self.instance.n)
-        x[list(self.free)] = z
+        x = np.zeros(z.shape[:-1] + (self.instance.n,))
+        x[..., list(self.free)] = z
         return x
 
     def residual_vec(self, z) -> np.ndarray:
@@ -232,12 +261,18 @@ class FaceSystem:
         """Jacobian of residual_vec, shape (k, k) or (S, k, k)."""
         return jacobian_rows(self._block, z)
 
-    def pinned_slack(self, x) -> float:
-        """min F_i(x) over pinned rows (+inf when alpha is empty)."""
-        pinned = self.alpha.zero_indices
+    def pinned_slack(self, x, Fx=None):
+        """min F_i(x) over pinned rows (+inf when alpha is empty), a float for
+        one x (n,), an array for rows of x (S, n).  Fx is F(x) when the
+        caller already has it."""
+        x = _as_points(x, self.instance.n)
+        pinned = list(self.alpha.zero_indices)
         if not pinned:
-            return float("inf")
-        return float(np.min(self.instance.F(x)[list(pinned)]))
+            slack = np.full(x.shape[:-1], np.inf)
+        else:
+            F = self.instance.F(x) if Fx is None else np.asarray(Fx)
+            slack = np.min(F[..., pinned], axis=-1)
+        return float(slack) if slack.ndim == 0 else slack
 
 
 def face_system(inst: TcpInstance, alpha: FaceMask) -> FaceSystem:

@@ -141,6 +141,8 @@ class SolutionSet:
 
 # Armijo step lengths 1, 1/2, .., 2^-30, tried in order
 _ARMIJO_STEPS = 2.0 ** -np.arange(31)
+# a blocked Armijo evaluation holds at most max(live rows, this) points
+_ARMIJO_BLOCK_ROWS = 1024
 
 
 def _newton_steps(J: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -204,23 +206,33 @@ def _newton(fun, jac, Z0, max_iter: int, face: FaceMask):
         iters[live] = it + 1
         moved = np.zeros(live.size, dtype=bool)
         pending = np.arange(live.size)
-        for t in _ARMIJO_STEPS:
+        cap = max(live.size, _ARMIJO_BLOCK_ROWS)
+        j = 0
+        while pending.size and j < _ARMIJO_STEPS.size:
+            # t = 1 over every live row, then blocks of the next step lengths
+            # for the rows still pending: block b holds every pending row at
+            # ts[b].  A pending row's Z and phi do not change, so taking its
+            # first accepted t in the block is the step the one-t-at-a-time
+            # search takes.
+            ts = _ARMIJO_STEPS[j:j + (1 if j == 0 else cap // pending.size)]
+            j += ts.size
             rows = live[pending]
-            Zt = Z[rows] + t * step[pending]
+            Zt = (Z[rows] + ts[:, None, None] * step[pending]).reshape(-1, Z.shape[1])
             Ft = fun(Zt)
             phit = np.sum(Ft * Ft, axis=1)
-            acc = np.isfinite(phit) & (phit <= (1.0 - 1e-4 * t) * phi[rows])
-            if acc.any():
+            acc = phit.reshape(ts.size, rows.size)
+            acc = np.isfinite(acc) & (acc <= (1.0 - 1e-4 * ts)[:, None] * phi[rows])
+            hit = acc.any(axis=0)
+            if hit.any():
+                sel = np.argmax(acc, axis=0)[hit] * rows.size + np.flatnonzero(hit)
                 # converging to a root of any multiplicity q contracts phi by
                 # at least (1-1/q)^(2q) < 0.14 per full step; sustained ratios
                 # near 1 mean a positive-residual floor with no root below
-                r = rows[acc]
-                stalled[r] = np.where(phit[acc] > 0.5 * phi[r], stalled[r] + 1, 0)
-                Z[r], F[r], phi[r] = Zt[acc], Ft[acc], phit[acc]
-                moved[pending[acc]] = True
-                pending = pending[~acc]
-                if not pending.size:
-                    break
+                r = rows[hit]
+                stalled[r] = np.where(phit[sel] > 0.5 * phi[r], stalled[r] + 1, 0)
+                Z[r], F[r], phi[r] = Zt[sel], Ft[sel], phit[sel]
+                moved[pending[hit]] = True
+                pending = pending[~hit]
         live = live[moved & (stalled[live] < 12)]
     return Z, np.max(np.abs(F), axis=1), iters
 
@@ -271,12 +283,26 @@ def _simplex_starts(k: int, resolution: int = 6) -> np.ndarray:
 
 
 def _dedup(candidates: list[tuple[np.ndarray, float]], radius: float) -> list[np.ndarray]:
-    """Greedy dedup in inf-norm, best residual first; deterministic order."""
-    ranked = sorted(candidates, key=lambda c: (c[1], tuple(c[0])))
+    """Greedy dedup in inf-norm, best residual first; deterministic order.
+
+    Candidates are ranked by (residual, coordinates).  The first candidate
+    left is kept and every candidate within radius of it dropped, so a
+    candidate is kept exactly when it is farther than radius from every kept
+    candidate ranked before it.
+    """
+    if not candidates:
+        return []
+    Z = np.array([z for z, _ in candidates])
+    res = np.array([r for _, r in candidates], dtype=float)
+    # lexsort sorts by its last key first: the residual, then z[0], z[1], ..
+    order = np.lexsort(np.vstack([Z.T[::-1], res]))
+    Z = Z[order]
+    left = np.ones(len(order), dtype=bool)
     kept: list[np.ndarray] = []
-    for z, _ in ranked:
-        if all(float(np.max(np.abs(z - w))) > radius for w in kept):
-            kept.append(z)
+    while left.any():
+        i = int(np.argmax(left))
+        kept.append(candidates[order[i]][0])
+        left &= np.max(np.abs(Z - Z[i]), axis=1) > radius
     return kept
 
 
@@ -337,8 +363,31 @@ class _FaceOutcome:
     newton_iters: int = 0
 
 
-def _feasible_on_face(fs: FaceSystem, x: np.ndarray, tol: float) -> bool:
-    return fs.pinned_slack(x) >= -tol
+def _filter_roots(fs: FaceSystem, Z: np.ndarray, resids: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+    """Indices of the Newton end points Z (S, k) that are roots on this face.
+
+    A row is kept when its residual is below tol/10, it lies strictly inside
+    the face, it does not snap onto a smaller face, the pinned rows of F are
+    nonnegative and the KKT residual is within tol.  Homogeneous faces come
+    from homogeneous_solve, whose instance has a = 0, so fs.instance is the
+    instance to check on every face.
+    """
+    inst, tol = fs.instance, cfg.tol
+    # boundary roots belong to a larger face and are found there
+    keep = (resids <= tol / 10) & (np.min(Z, axis=1) > tol)
+    # degenerate components (multiplicity q) stall Newton near
+    # NEWTON_ATOL**(1/q), above tol; roots that collapse onto a smaller face
+    # once such components are zeroed are that face's solutions, not ours
+    snap = max(cfg.dedup_radius, 10.0 * NEWTON_ATOL ** (1.0 / max(2, inst.m - 1)))
+    small = (Z <= snap) & keep[:, None]
+    snapped = np.flatnonzero(small.any(axis=1))
+    if snapped.size:
+        ZS = np.where(small[snapped], 0.0, Z[snapped])
+        keep[snapped] = max_residual(inst, fs.embed(ZS)) > tol
+    idx = np.flatnonzero(keep)
+    X = fs.embed(Z[idx])
+    FX = inst.F(X)
+    return idx[(fs.pinned_slack(X, FX) >= -tol) & (max_residual(inst, X, FX) <= tol)]
 
 
 def _solve_face_roots(fs: FaceSystem, cfg: SolverConfig, homogeneous: bool) -> _FaceOutcome:
@@ -355,8 +404,6 @@ def _solve_face_roots(fs: FaceSystem, cfg: SolverConfig, homogeneous: bool) -> _
             out.points.append(np.zeros(inst.n))
         return out
 
-    check_inst = inst if not homogeneous else TcpInstance(inst.tensor, np.zeros(inst.n))
-
     if len(fs.zero_rows) == fs.k:
         # every equation vanishes identically: the face is cut out by the
         # pinned-row sign conditions alone
@@ -365,13 +412,13 @@ def _solve_face_roots(fs: FaceSystem, cfg: SolverConfig, homogeneous: bool) -> _
             e = np.zeros(inst.n)
             e[i] = 1.0
             if homogeneous:
-                if _feasible_on_face(fs, e, tol):
+                if fs.pinned_slack(e) >= -tol:
                     out.rays.append(e)
             elif coordinate_ray_solves(inst, i, tol):
                 out.rays.append(e)
             else:
                 ts = np.linspace(0.1, cfg.start_box_radius, 8)
-                if any(_feasible_on_face(fs, t * e, tol) for t in ts):
+                if np.any(fs.pinned_slack(np.outer(ts, e)) >= -tol):
                     out.posdim = True
         else:
             if homogeneous:
@@ -386,7 +433,7 @@ def _solve_face_roots(fs: FaceSystem, cfg: SolverConfig, homogeneous: bool) -> _
                 candidates.extend(z for z in _grid_starts(fs.k, box, 4) if np.min(z) > 0)
             for z in candidates:
                 x = fs.embed(z)
-                if np.min(z) > tol and _feasible_on_face(fs, x, tol):
+                if np.min(z) > tol and fs.pinned_slack(x) >= -tol:
                     out.posdim = True
                     if homogeneous:
                         out.rays.append(x / float(np.linalg.norm(x)))
@@ -410,42 +457,17 @@ def _solve_face_roots(fs: FaceSystem, cfg: SolverConfig, homogeneous: bool) -> _
     out.starts = start_arr.shape[0]
     fun, jac = _simplex_system(fs) if homogeneous else (fs.residual_vec, fs.jacobian)
 
-    accepted: list[tuple[np.ndarray, float]] = []
-    # degenerate components (multiplicity q) stall Newton near
-    # NEWTON_ATOL**(1/q), above tol; roots that collapse onto a smaller face
-    # once such components are zeroed are that face's solutions, not ours
-    snap = max(cfg.dedup_radius, 10.0 * NEWTON_ATOL ** (1.0 / max(2, inst.m - 1)))
     Z, resids, iters = _newton(fun, jac, start_arr, cfg.newton_max_iter, fs.alpha)
     out.newton_iters = int(iters.sum())
-    for z, resid in zip(Z, resids):
-        if resid > tol / 10:
-            continue
-        if float(np.min(z)) <= tol:
-            # boundary roots belong to a larger face and are found there
-            continue
-        small = z <= snap
-        if bool(small.any()):
-            zs = np.where(small, 0.0, z)
-            if max_residual(check_inst, fs.embed(zs)) <= tol:
-                continue
-        x = fs.embed(z)
-        if not _feasible_on_face(fs, x, tol):
-            continue
-        if max_residual(check_inst, x) > tol:
-            continue
-        accepted.append((z, resid))
-
+    accepted = [(Z[i], resids[i]) for i in _filter_roots(fs, Z, resids, cfg)]
     roots = _dedup(accepted, cfg.dedup_radius)
     if not roots:
         return out
 
     posdim = len(roots) > POSDIM_ROOT_LIMIT
     if not posdim:
-        for z in roots:
-            sig = np.linalg.svd(jac(z), compute_uv=False)
-            if sig[0] == 0.0 or sig[-1] < SIGMA_RATIO * sig[0]:
-                posdim = True
-                break
+        sig = np.linalg.svd(jac(np.array(roots)), compute_uv=False)
+        posdim = bool(np.any((sig[:, 0] == 0.0) | (sig[:, -1] < SIGMA_RATIO * sig[:, 0])))
     out.posdim = posdim
 
     if homogeneous:
@@ -500,12 +522,12 @@ def _sorted_points(
 ) -> list[SolutionPoint]:
     """Deduplicated points ranked on the normalized pair; kkt_res is reported
     against the caller's instance."""
-    ranked = _dedup([(x, max_residual(unit, x)) for x in xs], cfg.dedup_radius)
+    if not xs:
+        return []
+    ranked = _dedup(list(zip(xs, max_residual(unit, np.array(xs)))), cfg.dedup_radius)
     ranked.sort(key=lambda x: tuple(x))
-    return [
-        SolutionPoint(x=x, face=face_of(x, cfg.tol), kkt_res=max_residual(inst, x))
-        for x in ranked
-    ]
+    kkt = max_residual(inst, np.array(ranked)).tolist()
+    return [SolutionPoint(x=x, face=face_of(x, cfg.tol), kkt_res=r) for x, r in zip(ranked, kkt)]
 
 
 def _sorted_rays(directions: list[np.ndarray], tol: float, radius: float) -> list[Ray]:
@@ -533,7 +555,12 @@ def solve_face(inst: TcpInstance, alpha: FaceMask, cfg: SolverConfig) -> Solutio
     )
 
 
-_CONE_TS = (0.5, 1.0, 2.0, 10.0)
+_CONE_TS = np.array([0.5, 1.0, 2.0, 10.0])
+
+
+def _cone_holds(inst0: TcpInstance, r: np.ndarray, tol: float) -> bool:
+    """Whether t * r solves TCP(A, 0) within tol at every t in _CONE_TS."""
+    return bool(np.all(max_residual(inst0, np.outer(_CONE_TS, r)) <= tol))
 
 
 def _certified_ray(inst0: TcpInstance, direction, cfg: SolverConfig) -> np.ndarray | None:
@@ -548,7 +575,7 @@ def _certified_ray(inst0: TcpInstance, direction, cfg: SolverConfig) -> np.ndarr
     """
     r = np.asarray(direction, dtype=float)
     r = r / float(np.linalg.norm(r))
-    if all(max_residual(inst0, t * r) <= cfg.tol for t in _CONE_TS):
+    if _cone_holds(inst0, r, cfg.tol):
         return r
     fs = face_system(inst0, face_of(np.maximum(r, 0.0), cfg.tol))
     if fs.k == 0:
@@ -567,7 +594,7 @@ def _certified_ray(inst0: TcpInstance, direction, cfg: SolverConfig) -> np.ndarr
     if not math.isfinite(nrm) or nrm <= 0.0 or float(np.min(x)) < 0.0:
         return None
     r = x / nrm
-    if all(max_residual(inst0, t * r) <= cfg.tol for t in _CONE_TS):
+    if _cone_holds(inst0, r, cfg.tol):
         return r
     return None
 

@@ -1,11 +1,13 @@
+import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from tcplab import builtin_example, tensor_to_dict
-from tcplab.cli import CliConfig, _num, build_parser, main, run
+from tcplab.cli import EXIT_BROKEN_PIPE, CliConfig, _num, build_parser, main, run
 
 
 def _main(capsys, *argv):
@@ -185,3 +187,21 @@ def test_parser_covers_published_command_list():
     parser = build_parser()
     sub = next(a for a in parser._actions if hasattr(a, "choices") and a.choices)
     assert set(COMMANDS) == set(sub.choices)
+
+
+class _ClosedPipe(io.StringIO):
+    """A standard output whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_reader_stops_quietly(monkeypatch, capsys):
+    # `tcplab solve --example ex1 | head -1`: the reader may close the pipe
+    # before the JSON is written; the command stops with no traceback
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["solve", "--example", "ex1"])
+    monkeypatch.undo()
+    assert code == EXIT_BROKEN_PIPE == 141
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == ""

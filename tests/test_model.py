@@ -208,3 +208,37 @@ def test_exact_kkt_points_are_solutions():
         inst = TcpInstance(A, a)
         assert kkt_residual(inst, KktPoint(x, lam)) <= 1e-12
         assert max_residual(inst, x) <= 1e-12 * (1.0 + float(np.abs(x).sum()))
+
+
+def test_residuals_of_a_stack_equal_per_row_calls():
+    # residual, max_residual and pinned_slack take one point or a stack of
+    # rows; each row of a stack must give the per-point value to the bit, and
+    # the per-point value must be the scalar formula it replaced (the builtin
+    # max, so the sign of a zero part is +0.0)
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        inst = _random_instance(rng, m=int(rng.integers(2, 5)), n=int(rng.integers(2, 5)))
+        X = rng.uniform(-0.5, 2.0, size=(64, inst.n))
+        X[::3, 0] = 0.0
+        X[1::4] = np.abs(X[1::4])
+        X[2::5, -1] = -0.0
+        parts = residual(inst, X)
+        worst = max_residual(inst, X)
+        assert all(p.shape == (64,) for p in parts) and worst.shape == (64,)
+        for s, x in enumerate(X):
+            one = residual(inst, x)
+            Fx = contract(inst.tensor, x) + inst.a
+            old = (max(0.0, float(-np.min(x))), max(0.0, float(-np.min(Fx))), abs(float(x @ Fx)))
+            assert [float(p).hex() for p in one] == [p.hex() for p in old]
+            assert [float(p[s]).hex() for p in parts] == [p.hex() for p in old]
+            assert max_residual(inst, x).hex() == max(old).hex() == float(worst[s]).hex()
+        for face in enumerate_faces(inst.n):
+            fs = face_system(inst, face)
+            slack = fs.pinned_slack(X)
+            assert slack.shape == (64,)
+            assert np.array_equal(slack, [fs.pinned_slack(x) for x in X])
+            assert np.array_equal(slack, fs.pinned_slack(X, inst.F(X)))
+    with pytest.raises(ValueError):
+        residual(inst, np.full((2, inst.n), np.nan))
+    with pytest.raises(ValueError):
+        max_residual(inst, np.zeros((2, inst.n + 1)))

@@ -27,8 +27,9 @@ from tcplab import (
     solve_face,
     with_rhs,
 )
+import tcplab.solver as solver_mod
 from tcplab.model import face_system
-from tcplab.solver import NEWTON_ATOL, _newton, _simplex_system
+from tcplab.solver import _ARMIJO_STEPS, NEWTON_ATOL, _newton, _newton_steps, _simplex_system
 
 CFG = SolverConfig()
 
@@ -273,6 +274,163 @@ def test_batched_newton_rows_match_one_row_batches():
     assert its[0] == 0 and np.array_equal(Z[0], starts[0])
     assert np.any((res > 1e-3) & (its > 0) & (its < max_iter))
     assert len(set(its[res <= NEWTON_ATOL].tolist())) > 1
+
+
+def _sequential_newton(fun, jac, Z0, max_iter, accepted_at):
+    """Damped Newton with the Armijo search run one step length at a time:
+    the reference for _newton's blocked search.  Appends, per accepted
+    step, its number of halvings to accepted_at (-1 when every step length
+    failed)."""
+    Z = np.array(Z0, dtype=float)
+    F = fun(Z)
+    phi = np.sum(F * F, axis=1)
+    iters = np.zeros(Z.shape[0], dtype=int)
+    stalled = np.zeros(Z.shape[0], dtype=int)
+    live = np.arange(Z.shape[0])
+    for it in range(max_iter):
+        live = live[np.max(np.abs(F[live]), axis=1) > NEWTON_ATOL]
+        if not live.size:
+            break
+        step = _newton_steps(jac(Z[live]), F[live])
+        snorm = np.sum(step * step, axis=1)
+        keep = np.isfinite(snorm) & (snorm != 0.0)
+        live, step = live[keep], step[keep]
+        if not live.size:
+            break
+        iters[live] = it + 1
+        moved = np.zeros(live.size, dtype=bool)
+        pending = np.arange(live.size)
+        for h, t in enumerate(_ARMIJO_STEPS):
+            rows = live[pending]
+            Zt = Z[rows] + t * step[pending]
+            Ft = fun(Zt)
+            phit = np.sum(Ft * Ft, axis=1)
+            acc = np.isfinite(phit) & (phit <= (1.0 - 1e-4 * t) * phi[rows])
+            if acc.any():
+                accepted_at.extend([h] * int(acc.sum()))
+                r = rows[acc]
+                stalled[r] = np.where(phit[acc] > 0.5 * phi[r], stalled[r] + 1, 0)
+                Z[r], F[r], phi[r] = Zt[acc], Ft[acc], phit[acc]
+                moved[pending[acc]] = True
+                pending = pending[~acc]
+                if not pending.size:
+                    break
+        accepted_at.extend([-1] * pending.size)
+        live = live[moved & (stalled[live] < 12)]
+    return Z, np.max(np.abs(F), axis=1), iters
+
+
+def _counted(fun, jac, calls):
+    def counted_fun(Z):
+        calls.append(("fun", Z.shape[0]))
+        return fun(Z)
+
+    def counted_jac(Z):
+        calls.append(("jac", Z.shape[0]))
+        return jac(Z)
+
+    return counted_fun, counted_jac
+
+
+@pytest.mark.parametrize("block_rows", [solver_mod._ARMIJO_BLOCK_ROWS, 50])
+def test_blocked_armijo_matches_sequential_search(monkeypatch, block_rows):
+    # 216 grid starts on the open face of a Gaussian m=3, n=3 instance: on
+    # the square system many steps are accepted only after more than 15
+    # halvings, on both systems some rows exhaust all 31 step lengths.  Each
+    # row's z, residual and iteration count must equal the sequential
+    # search's, and no residual call may hold more than max(live rows,
+    # _ARMIJO_BLOCK_ROWS) points (the live rows are the rows of the
+    # iteration's Jacobian call).
+    monkeypatch.setattr(solver_mod, "_ARMIJO_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(8)
+    fs = face_system(TcpInstance(random_gaussian(3, 3, rng), rng.normal(size=3)), FaceMask(3, 0))
+    g = np.linspace(0.0, 3.0, 6)
+    starts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    exhausted = 0
+    for system, (fun, jac) in (("square", (fs.residual_vec, fs.jacobian)), ("simplex", _simplex_system(fs))):
+        accepted_at: list[int] = []
+        ref_calls: list[tuple[str, int]] = []
+        want = _sequential_newton(*_counted(fun, jac, ref_calls), starts, CFG.newton_max_iter, accepted_at)
+        calls: list[tuple[str, int]] = []
+        got = _newton(*_counted(fun, jac, calls), starts, CFG.newton_max_iter, fs.alpha)
+        for w, v in zip(want, got):
+            assert w.dtype == v.dtype and np.array_equal(w, v), system
+        if system == "square":
+            assert max(accepted_at) > 15
+        exhausted += accepted_at.count(-1)
+        live = len(starts)
+        for kind, rows in calls:
+            if kind == "jac":
+                live = rows
+            else:
+                assert rows <= max(live, block_rows), (system, rows, live)
+        assert len(calls) < len(ref_calls)
+    assert exhausted > 0
+
+
+_REJECT_REASONS = ("residual", "boundary", "snapped", "pinned", "kkt")
+
+
+def _per_start_filter(fs, Z, resids, cfg):
+    """The root filter run one start at a time: the reference for
+    _filter_roots.  Returns the reason each start is rejected, or "kept"."""
+    inst = fs.instance
+    # the homogeneous faces are checked against a = 0
+    check_inst = TcpInstance(inst.tensor, np.zeros(inst.n)) if not inst.a.any() else inst
+    tol = cfg.tol
+    snap = max(cfg.dedup_radius, 10.0 * NEWTON_ATOL ** (1.0 / max(2, inst.m - 1)))
+    reasons = []
+    for z, resid in zip(Z, resids):
+        x = fs.embed(z)
+        small = z <= snap
+        if resid > tol / 10:
+            reasons.append("residual")
+        elif float(np.min(z)) <= tol:
+            reasons.append("boundary")
+        elif small.any() and max_residual(check_inst, fs.embed(np.where(small, 0.0, z))) <= tol:
+            reasons.append("snapped")
+        elif not fs.pinned_slack(x) >= -tol:
+            reasons.append("pinned")
+        elif max_residual(check_inst, x) > tol:
+            reasons.append("kkt")
+        else:
+            reasons.append("kept")
+    return reasons
+
+
+def test_array_root_filter_matches_per_start_filter(monkeypatch):
+    # every face that solve and homogeneous_solve visit on three Gaussian
+    # m=3, n=3 instances, plus the degenerate instance whose full-face roots
+    # snap onto a smaller face; the array filter must keep exactly the starts
+    # the per-start filter keeps, and every rejection reason but the last
+    # (a KKT residual above tol after the other tests pass) must occur
+    real = solver_mod._filter_roots
+    seen = {}
+
+    def checked(fs, Z, resids, cfg):
+        got = real(fs, Z, resids, cfg)
+        reasons = _per_start_filter(fs, Z, resids, cfg)
+        assert got.tolist() == [i for i, r in enumerate(reasons) if r == "kept"]
+        for r in reasons:
+            seen[r] = seen.get(r, 0) + 1
+        return got
+
+    monkeypatch.setattr(solver_mod, "_filter_roots", checked)
+    rng = np.random.default_rng(1)
+    insts = [TcpInstance(random_gaussian(3, 3, rng), rng.normal(size=3)) for _ in range(3)]
+    insts.append(with_rhs(builtin_example("gus"), [-1.0, 0.0]))
+    for inst in insts:
+        solve(inst, CFG)
+    assert all(seen.get(r, 0) > 0 for r in _REJECT_REASONS[:-1] + ("kept",)), seen
+
+
+def test_work_counters_are_pinned():
+    # the Newton trajectory of every start shows in these totals: a change to
+    # the starts, the step or the stopping rules has to update them
+    rng = np.random.default_rng(31)
+    inst = TcpInstance(random_gaussian(3, 3, rng), rng.normal(size=3))
+    sol = solve(inst, CFG)
+    assert (sol.meta["starts"], sol.meta["newton_iters"]) == (1111, 8285)
 
 
 def test_solve_is_deterministic_including_order():
