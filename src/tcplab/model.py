@@ -21,6 +21,7 @@ from .tensors import (
     as_vector,
     contract_rows,
     jacobian_rows,
+    slot_sum,
     tensor_from_dict,
     tensor_to_dict,
 )
@@ -149,22 +150,27 @@ def _as_points(x, n: int) -> np.ndarray:
     return X
 
 
+def _positive_part(v: np.ndarray) -> np.ndarray:
+    """v where v > 0, else +0.0 as the builtin max(0.0, v) gives, also for
+    v = -0.0; +inf where v is NaN."""
+    return np.where(v > 0.0, v, np.where(np.isnan(v), np.inf, 0.0))
+
+
 def residual(inst: TcpInstance, x, Fx=None):
     """Infeasibility split (feas_x, feas_F, comp); all <= tol means solution.
 
     x is one point (n,), giving three floats, or a stack (S, n), giving three
-    arrays of S values.  Fx is inst.F(x) when the caller already has it.
+    arrays of S values.  Fx is inst.F(x) when the caller already has it.  A
+    part that is NaN, because F(x) overflowed, is reported as +inf.
     """
     x = _as_points(x, inst.n)
     X = np.atleast_2d(x)
     F = np.atleast_2d(inst.F(x) if Fx is None else Fx)
-    # v if v > 0 else +0.0, as the builtin max(0.0, v), also for v = -0.0 or NaN
-    feas_x = -np.min(X, axis=1)
-    feas_x = np.where(feas_x > 0.0, feas_x, 0.0)
-    feas_F = -np.min(F, axis=1)
-    feas_F = np.where(feas_F > 0.0, feas_F, 0.0)
+    feas_x = _positive_part(-np.min(X, axis=1))
+    feas_F = _positive_part(-np.min(F, axis=1))
     # the stacked matmul is the 1-d dot x @ F(x) of each row, to the bit
     comp = np.abs(np.matmul(X[:, None, :], F[:, :, None])[:, 0, 0])
+    comp = np.where(np.isnan(comp), np.inf, comp)
     if x.ndim == 1:
         return float(feas_x[0]), float(feas_F[0]), float(comp[0])
     return feas_x, feas_F, comp
@@ -221,15 +227,17 @@ class FaceSystem:
         self.k = len(self.free)
 
         # every monomial with a pinned index vanishes on the face, so the
-        # reduced system is exactly the contraction of the free sub-block
+        # reduced system is exactly the contraction of the free sub-block;
+        # block, its slot sum and a_free are what the row kernels evaluate
         free = list(self.free)
         arr = inst.tensor.array
         if self.k > 0:
-            self._block = arr[np.ix_(*([free] * inst.m))]
-            self._a_free = inst.a[free]
+            self.block = arr[np.ix_(*([free] * inst.m))]
+            self.a_free = inst.a[free]
         else:
-            self._block = np.zeros((0,) * inst.m)
-            self._a_free = np.zeros(0)
+            self.block = np.zeros((0,) * inst.m)
+            self.a_free = np.zeros(0)
+        self.slots = slot_sum(self.block)
 
         zero_rows, infeasible_rows = [], []
         if self.k > 0:
@@ -255,11 +263,11 @@ class FaceSystem:
     def residual_vec(self, z) -> np.ndarray:
         """F restricted to the free rows, at z of shape (k,) or at every row
         of z of shape (S, k)."""
-        return contract_rows(self._block, z) + self._a_free
+        return contract_rows(self.block, z) + self.a_free
 
     def jacobian(self, z) -> np.ndarray:
         """Jacobian of residual_vec, shape (k, k) or (S, k, k)."""
-        return jacobian_rows(self._block, z)
+        return jacobian_rows(self.slots, z)
 
     def pinned_slack(self, x, Fx=None):
         """min F_i(x) over pinned rows (+inf when alpha is empty), a float for

@@ -3,6 +3,10 @@
 Every face of the nonnegative orthant contributes a square polynomial
 system (model.FaceSystem); the solver runs a multistart damped Newton on
 each, filters roots by the face sign conditions, and merges the survivors.
+The starts of all faces with the same number k of free coordinates run as
+one Newton batch: the faces' blocks are stacked and each row is evaluated
+on its own face's block, so a face gets the roots it gets when solved alone
+while the per-call overhead is paid once per face size, not once per face.
 Unboundedness is probed through the homogeneous problem TCP(A, 0): its
 nonzero solutions on the probability simplex are the candidate recession
 directions, and a direction is kept for a concrete right-hand side only
@@ -19,7 +23,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .model import (
     FaceMask,
@@ -30,7 +33,7 @@ from .model import (
     face_system,
     max_residual,
 )
-from .tensors import Tensor, as_vector, contract, contract_rows, jacobian_rows, pair_norm
+from .tensors import Tensor, as_vector, contract, contract_rows, jacobian_rows, pair_norm, slot_sum
 
 STATUS_EMPTY = "exact-empty"
 STATUS_FINITE = "finite"
@@ -174,22 +177,25 @@ def _newton_steps(J: np.ndarray, f: np.ndarray) -> np.ndarray:
     return step
 
 
-def _newton(fun, jac, Z0, max_iter: int, face: FaceMask):
+def _newton(fun, jac, Z0, max_iter: int, faces):
     """Damped Newton with Armijo backtracking on the squared residual, run on
     every row of Z0 (S, k) together.
 
-    fun maps rows (S, k) to residual rows (S, M) and jac to Jacobians
-    (S, M, k); M > k for the simplex-augmented homogeneous systems.  Each row
-    keeps its own step length, stall count and iteration count, and every
-    operation acts row by row, so a start's result does not depend on the
-    other rows of the batch.  Returns (Z, residual_inf, iterations), one
-    entry per row.
+    fun(rows, Z) maps points Z (R, k) to residual rows (R, M) and jac(rows, Z)
+    to Jacobians (R, M, k), where rows[i] is the row of Z0 whose system is
+    evaluated at Z[i]; M > k for the simplex-augmented homogeneous systems.
+    faces[r] is the face of row r, named by the FaceSolveError raised when a
+    start's residual is not finite.  Each row keeps its own step length,
+    stall count and iteration count, and every operation acts row by row, so
+    a start's result does not depend on the other rows of the batch.
+    Returns (Z, residual_inf, iterations), one entry per row.
     """
     Z = np.array(Z0, dtype=float)
-    F = fun(Z)
+    F = fun(np.arange(Z.shape[0]), Z)
     phi = np.sum(F * F, axis=1)
-    if not np.all(np.isfinite(phi)):
-        raise FaceSolveError(face, "non-finite residual at a finite start point")
+    bad = np.flatnonzero(~np.isfinite(phi))
+    if bad.size:
+        raise FaceSolveError(faces[bad[0]], "non-finite residual at a finite start point")
     iters = np.zeros(Z.shape[0], dtype=int)
     stalled = np.zeros(Z.shape[0], dtype=int)
     live = np.arange(Z.shape[0])
@@ -197,7 +203,7 @@ def _newton(fun, jac, Z0, max_iter: int, face: FaceMask):
         live = live[np.max(np.abs(F[live]), axis=1) > NEWTON_ATOL]
         if not live.size:
             break
-        step = _newton_steps(jac(Z[live]), F[live])
+        step = _newton_steps(jac(live, Z[live]), F[live])
         snorm = np.sum(step * step, axis=1)
         keep = np.isfinite(snorm) & (snorm != 0.0)
         live, step = live[keep], step[keep]
@@ -218,7 +224,7 @@ def _newton(fun, jac, Z0, max_iter: int, face: FaceMask):
             j += ts.size
             rows = live[pending]
             Zt = (Z[rows] + ts[:, None, None] * step[pending]).reshape(-1, Z.shape[1])
-            Ft = fun(Zt)
+            Ft = fun(np.tile(rows, ts.size), Zt)
             phit = np.sum(Ft * Ft, axis=1)
             acc = phit.reshape(ts.size, rows.size)
             acc = np.isfinite(acc) & (acc <= (1.0 - 1e-4 * ts)[:, None] * phi[rows])
@@ -237,15 +243,34 @@ def _newton(fun, jac, Z0, max_iter: int, face: FaceMask):
     return Z, np.max(np.abs(F), axis=1), iters
 
 
-def _simplex_system(fs: FaceSystem):
-    """A face system with sum(z) = 1 appended, for one z or rows of z."""
+def _face_functions(systems: list[FaceSystem], owner: np.ndarray | None, simplex: bool):
+    """fun and jac for _newton over face systems of one size k.
 
-    def fun(z):
-        return np.concatenate([fs.residual_vec(z), np.sum(z, axis=-1, keepdims=True) - 1.0], axis=-1)
+    Row r of the batch solves systems[owner[r]]; with one system owner is
+    not read.  The simplex systems append sum(z) = 1, the normalization of
+    the homogeneous search.
+    """
+    if len(systems) == 1:
+        (fs,) = systems
+        blocks, slots, a_free = fs.block, fs.slots, fs.a_free
+    else:
+        blocks = np.stack([fs.block for fs in systems])
+        slots = np.stack([fs.slots for fs in systems])
+        a_free = np.stack([fs.a_free for fs in systems])
+    k = systems[0].k
 
-    def jac(z):
-        J = fs.jacobian(z)
-        return np.concatenate([J, np.ones(J.shape[:-2] + (1, fs.k))], axis=-2)
+    def fun(rows, Z):
+        b = None if len(systems) == 1 else owner[rows]
+        F = contract_rows(blocks, Z, b) + (a_free if b is None else a_free[b])
+        if simplex:
+            F = np.concatenate([F, np.sum(Z, axis=-1, keepdims=True) - 1.0], axis=-1)
+        return F
+
+    def jac(rows, Z):
+        J = jacobian_rows(slots, Z, None if len(systems) == 1 else owner[rows])
+        if simplex:
+            J = np.concatenate([J, np.ones(J.shape[:-2] + (1, k))], axis=-2)
+        return J
 
     return fun, jac
 
@@ -390,8 +415,9 @@ def _filter_roots(fs: FaceSystem, Z: np.ndarray, resids: np.ndarray, cfg: Solver
     return idx[(fs.pinned_slack(X, FX) >= -tol) & (max_residual(inst, X, FX) <= tol)]
 
 
-def _solve_face_roots(fs: FaceSystem, cfg: SolverConfig, homogeneous: bool) -> _FaceOutcome:
-    """Roots of one face system with sign filtering and posdim detection."""
+def _degenerate_face(fs: FaceSystem, cfg: SolverConfig, homogeneous: bool) -> _FaceOutcome | None:
+    """The outcome of a face that needs no Newton run, or None for a general
+    face."""
     inst = fs.instance
     out = _FaceOutcome()
     tol = cfg.tol
@@ -439,26 +465,32 @@ def _solve_face_roots(fs: FaceSystem, cfg: SolverConfig, homogeneous: bool) -> _
                         out.rays.append(x / float(np.linalg.norm(x)))
                     break
         return out
+    return None
 
-    # general face: multistart damped Newton on the (possibly augmented) system
+
+def _face_starts(fs: FaceSystem, cfg: SolverConfig, homogeneous: bool) -> np.ndarray:
+    """Newton starts of a general face, shape (S, k)."""
     if homogeneous:
         # the search lives on the probability simplex, so start there
         rng = np.random.default_rng([cfg.seed, fs.alpha.mask, 1])
-        start_arr = np.vstack([
+        return np.vstack([
             _simplex_starts(fs.k),
             np.full((1, fs.k), 1.0 / fs.k),
             rng.dirichlet(np.ones(fs.k), size=RANDOM_STARTS),
         ])
-    else:
-        start_arr = np.vstack([
-            _grid_starts(fs.k, cfg.start_box_radius, cfg.grid_starts_per_axis),
-            _random_starts(fs.k, cfg.start_box_radius, cfg.seed, fs.alpha.mask, 0),
-        ])
-    out.starts = start_arr.shape[0]
-    fun, jac = _simplex_system(fs) if homogeneous else (fs.residual_vec, fs.jacobian)
+    return np.vstack([
+        _grid_starts(fs.k, cfg.start_box_radius, cfg.grid_starts_per_axis),
+        _random_starts(fs.k, cfg.start_box_radius, cfg.seed, fs.alpha.mask, 0),
+    ])
 
-    Z, resids, iters = _newton(fun, jac, start_arr, cfg.newton_max_iter, fs.alpha)
-    out.newton_iters = int(iters.sum())
+
+def _face_outcome(
+    fs: FaceSystem, Z, resids, iters, jac, row: int, cfg: SolverConfig, homogeneous: bool
+) -> _FaceOutcome:
+    """Roots of a general face from its Newton end points Z, with sign
+    filtering and posdim detection.  jac is the batch's Jacobian function and
+    row one of the face's rows in the batch."""
+    out = _FaceOutcome(starts=Z.shape[0], newton_iters=int(iters.sum()))
     accepted = [(Z[i], resids[i]) for i in _filter_roots(fs, Z, resids, cfg)]
     roots = _dedup(accepted, cfg.dedup_radius)
     if not roots:
@@ -466,7 +498,7 @@ def _solve_face_roots(fs: FaceSystem, cfg: SolverConfig, homogeneous: bool) -> _
 
     posdim = len(roots) > POSDIM_ROOT_LIMIT
     if not posdim:
-        sig = np.linalg.svd(jac(np.array(roots)), compute_uv=False)
+        sig = np.linalg.svd(jac(np.full(len(roots), row), np.array(roots)), compute_uv=False)
         posdim = bool(np.any((sig[:, 0] == 0.0) | (sig[:, -1] < SIGMA_RATIO * sig[:, 0])))
     out.posdim = posdim
 
@@ -477,6 +509,45 @@ def _solve_face_roots(fs: FaceSystem, cfg: SolverConfig, homogeneous: bool) -> _
     elif not posdim:
         out.points.extend(fs.embed(z) for z in roots)
     return out
+
+
+def _solve_faces(systems: list[FaceSystem], cfg: SolverConfig, homogeneous: bool) -> list[_FaceOutcome]:
+    """Roots of each face system, with sign filtering and posdim detection,
+    one outcome per system.
+
+    The starts of all general faces with the same number k of free
+    coordinates run as one Newton batch; filtering, deduplication and the
+    posdim test then run face by face.  Rows do not interact, so every face
+    gets the roots it gets when solved alone.  When a start's residual is not
+    finite, FaceSolveError names the lowest such face, the one a loop over
+    the faces in mask order stops at.
+    """
+    outcomes = [_degenerate_face(fs, cfg, homogeneous) for fs in systems]
+    by_size: dict[int, list[int]] = {}
+    for i, out in enumerate(outcomes):
+        if out is None:
+            by_size.setdefault(systems[i].k, []).append(i)
+    failures: list[FaceSolveError] = []
+    for members in by_size.values():
+        group = [systems[i] for i in members]
+        starts = [_face_starts(fs, cfg, homogeneous) for fs in group]
+        owner = np.repeat(np.arange(len(group)), [len(z) for z in starts])
+        fun, jac = _face_functions(group, owner, homogeneous)
+        try:
+            Z, resids, iters = _newton(
+                fun, jac, np.vstack(starts), cfg.newton_max_iter, [group[g].alpha for g in owner]
+            )
+        except FaceSolveError as exc:
+            failures.append(exc)
+            continue
+        lo = 0
+        for i, fs, z in zip(members, group, starts):
+            hi = lo + len(z)
+            outcomes[i] = _face_outcome(fs, Z[lo:hi], resids[lo:hi], iters[lo:hi], jac, lo, cfg, homogeneous)
+            lo = hi
+    if failures:
+        raise min(failures, key=lambda exc: exc.face)
+    return outcomes
 
 
 def _status(points, rays, posdim) -> str:
@@ -542,7 +613,7 @@ def solve_face(inst: TcpInstance, alpha: FaceMask, cfg: SolverConfig) -> Solutio
     Like solve, this works on (A, a) divided by its pair norm.
     """
     unit = _unit_pair(inst.tensor, inst.a)
-    out = _solve_face_roots(face_system(unit, alpha), cfg, homogeneous=False)
+    (out,) = _solve_faces([face_system(unit, alpha)], cfg, homogeneous=False)
     points = _sorted_points(unit, inst, out.points, cfg)
     rays = _sorted_rays(out.rays, cfg.tol, cfg.dedup_radius)
     posdim = [alpha] if out.posdim else []
@@ -584,9 +655,9 @@ def _certified_ray(inst0: TcpInstance, direction, cfg: SolverConfig) -> np.ndarr
     s = float(np.sum(z0))
     if s <= 0.0:
         return None
-    fun, jac = _simplex_system(fs)
+    fun, jac = _face_functions([fs], None, simplex=True)
     try:
-        Z, _, _ = _newton(fun, jac, (z0 / s)[None], cfg.newton_max_iter, fs.alpha)
+        Z, _, _ = _newton(fun, jac, (z0 / s)[None], cfg.newton_max_iter, [fs.alpha])
     except FaceSolveError:
         return None
     x = fs.embed(Z[0])
@@ -616,13 +687,12 @@ def homogeneous_solve(A: Tensor, cfg: SolverConfig) -> SolutionSet:
     directions: list[np.ndarray] = []
     posdim: list[FaceMask] = []
     starts = iters = 0
-    for face in enumerate_faces(A.dim):
-        if face.mask == 2**A.dim - 1:
-            continue  # the face {0} holds only the trivial solution
-        out = _solve_face_roots(face_system(inst, face), cfg, homogeneous=True)
+    # the face {0}, the last one, holds only the trivial solution
+    systems = [face_system(inst, face) for face in enumerate_faces(A.dim)[:-1]]
+    for fs, out in zip(systems, _solve_faces(systems, cfg, homogeneous=True)):
         directions.extend(out.rays)
         if out.posdim:
-            posdim.append(face)
+            posdim.append(fs.alpha)
         starts += out.starts
         iters += out.newton_iters
     certified = [r for r in (_certified_ray(inst, d, cfg) for d in directions) if r is not None]
@@ -660,12 +730,12 @@ def solve(inst: TcpInstance, cfg: SolverConfig, hom: SolutionSet | None = None) 
     face_rays: list[np.ndarray] = []
     posdim: list[FaceMask] = []
     starts = iters = 0
-    for face in enumerate_faces(inst.n):
-        out = _solve_face_roots(face_system(unit, face), cfg, homogeneous=False)
+    systems = [face_system(unit, face) for face in enumerate_faces(inst.n)]
+    for fs, out in zip(systems, _solve_faces(systems, cfg, homogeneous=False)):
         xs.extend(out.points)
         face_rays.extend(out.rays)
         if out.posdim:
-            posdim.append(face)
+            posdim.append(fs.alpha)
         starts += out.starts
         iters += out.newton_iters
 
@@ -779,7 +849,8 @@ def _oracle_polish(inst: TcpInstance, seed: np.ndarray, pin_tol: float, tol: flo
         elif len(fs.zero_rows) == fs.k:
             continue
         else:
-            Z, _, _ = _newton(fs.residual_vec, fs.jacobian, seed[list(fs.free)][None], 100, face)
+            fun, jac = _face_functions([fs], None, simplex=False)
+            Z, _, _ = _newton(fun, jac, seed[list(fs.free)][None], 100, [face])
             z = Z[0]
             if float(np.min(z)) < -1e-12:
                 continue
@@ -810,6 +881,9 @@ def brute_force_oracle(
     clusters.  Valid only inside the box: clusters touching the outer
     boundary are flagged, the exterior is unobserved.
     """
+    # scipy loads only here, so importing tcplab does not pay for it
+    from scipy import ndimage
+
     if box_radius <= 0 or grid_step <= 0 or tol <= 0:
         raise ValueError("box_radius, grid_step and tol must be positive")
     n = inst.n
@@ -825,12 +899,13 @@ def brute_force_oracle(
     accept = np.zeros(total, dtype=bool)
     score = np.full(total, np.inf)
     theta_F_max = 0.0
+    W = slot_sum(inst.tensor.array)
     chunk = max(1, _ORACLE_CHUNK // n**inst.m)
     for s in range(0, total, chunk):
         idx = np.arange(s, min(s + chunk, total))
         Xc = np.stack(np.unravel_index(idx, shape), axis=1) * grid_step
         FX = contract_rows(inst.tensor.array, Xc) + inst.a
-        J = jacobian_rows(inst.tensor.array, Xc)
+        J = jacobian_rows(W, Xc)
         row_norms = np.linalg.norm(J, axis=2)
         theta_F = _ORACLE_SAFETY * half_diag * row_norms + tol
         grad_comp = FX + np.einsum("pij,pi->pj", J, Xc)

@@ -127,32 +127,52 @@ def _powers(X: np.ndarray, d: int) -> np.ndarray:
     return P
 
 
-def contract_rows(arr: np.ndarray, X) -> np.ndarray:
+def _row_sums(arr: np.ndarray, R: int, P: np.ndarray, block) -> np.ndarray:
+    """Row s of P (S, L) times the (R, L) matrix of arr, summed along L.
+
+    arr holds R * L entries, or a stack of G such arrays when block gives the
+    index of row s's array; shape (S, R).
+    """
+    if block is None:
+        return np.sum(P[:, None, :] * arr.reshape(R, P.shape[1]), axis=2)
+    prod = arr.reshape(arr.shape[0], R, P.shape[1])[block]
+    prod *= P[:, None, :]
+    return np.sum(prod, axis=2)
+
+
+def contract_rows(arr: np.ndarray, X, block=None) -> np.ndarray:
     """arr x^{m-1} for one x of shape (k,) or for every row of X, shape (S, k).
 
-    arr is any order-m array of shape (k,)*m.  The work is elementwise
-    products and a sum along one axis, so each row's result does not depend
-    on how many rows share the call.
+    arr is any order-m array of shape (k,)*m or, with block, a stack of G of
+    them, shape (G,) + (k,)*m, and row s of X is contracted with
+    arr[block[s]].  The work is elementwise products and a sum along one
+    axis, so each row's result does not depend on how many rows share the
+    call or on the other arrays of the stack.
     """
     X = np.asarray(X, dtype=float)
-    k, m = arr.shape[0], arr.ndim
-    P = _powers(np.atleast_2d(X), m - 1)
-    out = np.sum(P[:, None, :] * arr.reshape(k, k ** (m - 1)), axis=2)
+    k, m = arr.shape[-1], arr.ndim - (block is not None)
+    out = _row_sums(arr, k, _powers(np.atleast_2d(X), m - 1), block)
     return out.reshape(X.shape)
 
 
-def jacobian_rows(arr: np.ndarray, X) -> np.ndarray:
+def slot_sum(arr: np.ndarray) -> np.ndarray:
+    """The sum over slots p = 2..m of the order-m array arr with slot p moved
+    next to the row index: the tensor jacobian_rows contracts with x^{m-2}."""
+    return np.ascontiguousarray(sum(np.moveaxis(arr, p, 1) for p in range(1, arr.ndim)))
+
+
+def jacobian_rows(W: np.ndarray, X, block=None) -> np.ndarray:
     """Jacobian of x -> contract_rows(arr, x) at one x, shape (k, k), or at
-    every row of X, shape (S, k, k).
+    every row of X, shape (S, k, k), from W = slot_sum(arr).
 
     Differentiating the monomial in slot p leaves arr with slot p moved next
-    to the row index; the slot sum is contracted with x^{m-2}.
+    to the row index; the slot sum is contracted with x^{m-2}.  As in
+    contract_rows, W may be a stack of G slot sums with block giving each
+    row's.
     """
     X = np.asarray(X, dtype=float)
-    k, m = arr.shape[0], arr.ndim
-    W = sum(np.moveaxis(arr, p, 1) for p in range(1, m)).reshape(k * k, k ** (m - 2))
-    P = _powers(np.atleast_2d(X), m - 2)
-    J = np.sum(P[:, None, :] * W, axis=2)
+    k, m = W.shape[-1], W.ndim - (block is not None)
+    J = _row_sums(W, k * k, _powers(np.atleast_2d(X), m - 2), block)
     return J.reshape(X.shape + (k,))
 
 
@@ -174,7 +194,7 @@ def form(A: Tensor, x) -> float:
 
 def contract_jacobian(A: Tensor, x) -> np.ndarray:
     """Jacobian of x -> contract(A, x)."""
-    return jacobian_rows(A.array, as_vector(x, A.dim))
+    return jacobian_rows(slot_sum(A.array), as_vector(x, A.dim))
 
 
 def form_gradient(A: Tensor, x) -> np.ndarray:

@@ -1,11 +1,14 @@
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import tcplab
 from tcplab import builtin_example, tensor_to_dict
 from tcplab.cli import EXIT_BROKEN_PIPE, CliConfig, _num, build_parser, main, run
 
@@ -205,3 +208,19 @@ def test_closed_reader_stops_quietly(monkeypatch, capsys):
     assert code == EXIT_BROKEN_PIPE == 141
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == ""
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy serves only the grid oracle: importing the package and the CLI
+    # must not load it, and the oracle must still load it when it runs
+    code = (
+        "import sys, tcplab, tcplab.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "inst = tcplab.with_rhs(tcplab.builtin_example('gus'), [-1.0, -4.0])\n"
+        "orc = tcplab.brute_force_oracle(inst, box_radius=3.0, grid_step=0.05, tol=1e-8)\n"
+        "print(len(orc.representatives), 'scipy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(tcplab.__file__))))
+    p = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.splitlines() == ["[]", "1 True"]

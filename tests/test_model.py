@@ -242,3 +242,21 @@ def test_residuals_of_a_stack_equal_per_row_calls():
         residual(inst, np.full((2, inst.n), np.nan))
     with pytest.raises(ValueError):
         max_residual(inst, np.zeros((2, inst.n + 1)))
+
+
+def test_overflowing_residual_counts_as_infinite():
+    # F(x) = (1e300 (x1^2 - x2^2), 1) is inf - inf = NaN in its first entry
+    # at x = (1e10, 1e10); a NaN part must read as +inf, not as an exact
+    # solution, for one point and for the row of a stack
+    arr = np.zeros((2, 2, 2))
+    arr[0, 0, 0], arr[0, 1, 1] = 1e300, -1e300
+    inst = TcpInstance(Tensor(arr), [0.0, 1.0])
+    x = np.array([1e10, 1e10])
+    X = np.vstack([x, [1.0, 1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(inst.F(x)[0])
+        assert residual(inst, x) == (0.0, np.inf, np.inf)
+        assert max_residual(inst, x) == np.inf
+        parts = residual(inst, X)
+        assert [p.tolist() for p in parts] == [[0.0, 0.0], [np.inf, 0.0], [np.inf, 1.0]]
+        assert max_residual(inst, X).tolist() == [np.inf, 1.0]

@@ -6,6 +6,7 @@ import pytest
 from tcplab import (
     BudgetError,
     FaceMask,
+    FaceSolveError,
     STATUS_EMPTY,
     STATUS_FINITE,
     STATUS_NON_ISOLATED,
@@ -16,6 +17,7 @@ from tcplab import (
     builtin_example,
     chi_bound,
     coordinate_ray_solves,
+    enumerate_faces,
     hausdorff_excess,
     homogeneous_solve,
     max_residual,
@@ -29,7 +31,7 @@ from tcplab import (
 )
 import tcplab.solver as solver_mod
 from tcplab.model import face_system
-from tcplab.solver import _ARMIJO_STEPS, NEWTON_ATOL, _newton, _newton_steps, _simplex_system
+from tcplab.solver import _ARMIJO_STEPS, NEWTON_ATOL, _face_functions, _newton, _newton_steps
 
 CFG = SolverConfig()
 
@@ -265,12 +267,14 @@ def test_batched_newton_rows_match_one_row_batches():
     g = np.linspace(0.0, 3.0, 4)
     starts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
     max_iter = CFG.newton_max_iter
-    for fun, jac in ((fs.residual_vec, fs.jacobian), _simplex_system(fs)):
-        Z, res, its = _newton(fun, jac, starts, max_iter, fs.alpha)
+    faces = [fs.alpha] * len(starts)
+    for simplex in (False, True):
+        fun, jac = _face_functions([fs], None, simplex)
+        Z, res, its = _newton(fun, jac, starts, max_iter, faces)
         for z0, z, r, it in zip(starts, Z, res, its):
-            z1, r1, it1 = _newton(fun, jac, z0[None], max_iter, fs.alpha)
+            z1, r1, it1 = _newton(fun, jac, z0[None], max_iter, faces[:1])
             assert np.array_equal(z1[0], z) and r1[0] == r and it1[0] == it
-    Z, res, its = _newton(fs.residual_vec, fs.jacobian, starts, max_iter, fs.alpha)
+    Z, res, its = _newton(*_face_functions([fs], None, False), starts, max_iter, faces)
     assert its[0] == 0 and np.array_equal(Z[0], starts[0])
     assert np.any((res > 1e-3) & (its > 0) & (its < max_iter))
     assert len(set(its[res <= NEWTON_ATOL].tolist())) > 1
@@ -282,7 +286,7 @@ def _sequential_newton(fun, jac, Z0, max_iter, accepted_at):
     step, its number of halvings to accepted_at (-1 when every step length
     failed)."""
     Z = np.array(Z0, dtype=float)
-    F = fun(Z)
+    F = fun(np.arange(len(Z)), Z)
     phi = np.sum(F * F, axis=1)
     iters = np.zeros(Z.shape[0], dtype=int)
     stalled = np.zeros(Z.shape[0], dtype=int)
@@ -291,7 +295,7 @@ def _sequential_newton(fun, jac, Z0, max_iter, accepted_at):
         live = live[np.max(np.abs(F[live]), axis=1) > NEWTON_ATOL]
         if not live.size:
             break
-        step = _newton_steps(jac(Z[live]), F[live])
+        step = _newton_steps(jac(live, Z[live]), F[live])
         snorm = np.sum(step * step, axis=1)
         keep = np.isfinite(snorm) & (snorm != 0.0)
         live, step = live[keep], step[keep]
@@ -303,7 +307,7 @@ def _sequential_newton(fun, jac, Z0, max_iter, accepted_at):
         for h, t in enumerate(_ARMIJO_STEPS):
             rows = live[pending]
             Zt = Z[rows] + t * step[pending]
-            Ft = fun(Zt)
+            Ft = fun(rows, Zt)
             phit = np.sum(Ft * Ft, axis=1)
             acc = np.isfinite(phit) & (phit <= (1.0 - 1e-4 * t) * phi[rows])
             if acc.any():
@@ -321,13 +325,13 @@ def _sequential_newton(fun, jac, Z0, max_iter, accepted_at):
 
 
 def _counted(fun, jac, calls):
-    def counted_fun(Z):
+    def counted_fun(rows, Z):
         calls.append(("fun", Z.shape[0]))
-        return fun(Z)
+        return fun(rows, Z)
 
-    def counted_jac(Z):
+    def counted_jac(rows, Z):
         calls.append(("jac", Z.shape[0]))
-        return jac(Z)
+        return jac(rows, Z)
 
     return counted_fun, counted_jac
 
@@ -347,12 +351,13 @@ def test_blocked_armijo_matches_sequential_search(monkeypatch, block_rows):
     g = np.linspace(0.0, 3.0, 6)
     starts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
     exhausted = 0
-    for system, (fun, jac) in (("square", (fs.residual_vec, fs.jacobian)), ("simplex", _simplex_system(fs))):
+    for system, simplex in (("square", False), ("simplex", True)):
+        fun, jac = _face_functions([fs], None, simplex)
         accepted_at: list[int] = []
         ref_calls: list[tuple[str, int]] = []
         want = _sequential_newton(*_counted(fun, jac, ref_calls), starts, CFG.newton_max_iter, accepted_at)
         calls: list[tuple[str, int]] = []
-        got = _newton(*_counted(fun, jac, calls), starts, CFG.newton_max_iter, fs.alpha)
+        got = _newton(*_counted(fun, jac, calls), starts, CFG.newton_max_iter, [fs.alpha] * len(starts))
         for w, v in zip(want, got):
             assert w.dtype == v.dtype and np.array_equal(w, v), system
         if system == "square":
@@ -422,6 +427,58 @@ def test_array_root_filter_matches_per_start_filter(monkeypatch):
     for inst in insts:
         solve(inst, CFG)
     assert all(seen.get(r, 0) > 0 for r in _REJECT_REASONS[:-1] + ("kept",)), seen
+
+
+def test_face_size_batches_match_one_face_runs(monkeypatch):
+    # every face of a Gaussian m=3, n=4 instance with solutions on faces of
+    # sizes 1, 3 and 4, point and homogeneous mode: the faces of one size
+    # share a Newton batch on the stacked kernel, and each face's end points,
+    # residuals and iteration counts, and its outcome, must equal those of
+    # the face solved alone
+    real = solver_mod._face_outcome
+    ends = {}
+
+    def recording(fs, Z, resids, iters, *rest):
+        ends[fs.alpha.mask] = (Z.copy(), resids.copy(), iters.copy())
+        return real(fs, Z, resids, iters, *rest)
+
+    monkeypatch.setattr(solver_mod, "_face_outcome", recording)
+    rng = np.random.default_rng(2)
+    A, a = random_gaussian(3, 4, rng), rng.normal(size=4)
+    found = 0
+    for homogeneous in (False, True):
+        inst = TcpInstance(A, np.zeros(4) if homogeneous else a)
+        systems = [face_system(inst, face) for face in enumerate_faces(4)[:-1]]
+        ends.clear()
+        grouped = solver_mod._solve_faces(systems, CFG, homogeneous)
+        batch = dict(ends)
+        assert sorted(batch) == list(range(15))
+        for fs, out in zip(systems, grouped):
+            ends.clear()
+            (alone,) = solver_mod._solve_faces([fs], CFG, homogeneous)
+            for u, v in zip(batch[fs.alpha.mask], ends[fs.alpha.mask]):
+                assert u.dtype == v.dtype and np.array_equal(u, v), fs.alpha
+            assert (out.starts, out.newton_iters, out.posdim) == (alone.starts, alone.newton_iters, alone.posdim)
+            for got, want in ((out.points, alone.points), (out.rays, alone.rays)):
+                assert len(got) == len(want) and all(np.array_equal(u, v) for u, v in zip(got, want))
+            found += len(out.points) + len(out.rays)
+    assert found > 0
+
+
+def test_non_finite_start_names_the_lowest_face():
+    # starts near 1e200 overflow the residual on every face; the error names
+    # the open face, the first one a loop over the faces in mask order meets,
+    # whatever order the faces are passed in
+    inst = TcpInstance(random_gaussian(3, 3, 1), [1.0, -1.0, 0.5])
+    cfg = SolverConfig(start_box_radius=1e200)
+    systems = [face_system(inst, face) for face in enumerate_faces(3)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FaceSolveError) as err:
+            solve(inst, cfg)
+        assert err.value.face == FaceMask(3, 0)
+        with pytest.raises(FaceSolveError) as err:
+            solver_mod._solve_faces(systems[::-1], cfg, homogeneous=False)
+        assert err.value.face == FaceMask(3, 0)
 
 
 def test_work_counters_are_pinned():

@@ -20,6 +20,7 @@ from tcplab import (
     tensor_from_dict,
     tensor_to_dict,
 )
+from tcplab.tensors import contract_rows, jacobian_rows, slot_sum
 
 
 def _cube_example():
@@ -107,6 +108,22 @@ def test_contract_jacobian_matches_finite_differences():
             e[j] = h
             fd = (contract(A, x + e) - contract(A, x - e)) / (2 * h)
             assert np.abs(J[:, j] - fd).max() <= 1e-4 * max(1.0, np.abs(fd).max())
+
+
+def test_stacked_kernels_equal_one_array_calls():
+    # with a stack of arrays and a per-row index, every row gets the bits of
+    # a call on its own array alone, for orders 2 to 4
+    rng = np.random.default_rng(23)
+    for m in (2, 3, 4):
+        arrs = rng.standard_normal(size=(5,) + (3,) * m)
+        block = rng.integers(0, 5, size=40)
+        X = rng.uniform(-2.0, 2.0, size=(40, 3))
+        W = np.stack([slot_sum(a) for a in arrs])
+        F, J = contract_rows(arrs, X, block), jacobian_rows(W, X, block)
+        assert F.shape == (40, 3) and J.shape == (40, 3, 3)
+        for s in range(40):
+            assert np.array_equal(F[s], contract_rows(arrs[block[s]], X[s]))
+            assert np.array_equal(J[s], contract_jacobian(Tensor(arrs[block[s]]), X[s]))
 
 
 def test_form_gradient_matches_finite_differences():
