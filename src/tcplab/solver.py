@@ -293,18 +293,12 @@ def _random_starts(k: int, box: float, seed: int, mask: int, salt: int) -> np.nd
 
 
 def _simplex_starts(k: int, resolution: int = 6) -> np.ndarray:
-    """Lattice of the probability simplex: compositions of resolution into k."""
-    if k == 1:
-        return np.ones((1, 1))
-    pts = []
-    for bars in itertools.combinations(range(resolution + k - 1), k - 1):
-        parts, prev = [], -1
-        for b in bars:
-            parts.append(b - prev - 1)
-            prev = b
-        parts.append(resolution + k - 2 - prev)
-        pts.append(parts)
-    return np.asarray(pts, dtype=float) / resolution
+    """Lattice of the probability simplex: compositions of resolution into k,
+    the gaps between the k - 1 bars of each stars-and-bars arrangement."""
+    bars = list(itertools.combinations(range(resolution + k - 1), k - 1))
+    edges = np.pad(np.array(bars, dtype=int).reshape(len(bars), k - 1), ((0, 0), (1, 1)),
+                   constant_values=(-1, resolution + k - 1))
+    return (np.diff(edges, axis=1) - 1) / resolution
 
 
 def _dedup(candidates: list[tuple[np.ndarray, float]], radius: float) -> list[np.ndarray]:

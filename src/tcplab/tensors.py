@@ -110,14 +110,6 @@ def multi_index(flat: int, m: int, n: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _contract_all_but(arr: np.ndarray, x: np.ndarray, keep: int) -> np.ndarray:
-    # contract x into every mode except `keep`; result is a vector
-    out = np.moveaxis(arr, keep, 0)
-    for _ in range(arr.ndim - 1):
-        out = out @ x
-    return out
-
-
 def _powers(X: np.ndarray, d: int) -> np.ndarray:
     """Rows of the d-fold outer powers x (x) .. (x) x, shape (S, k**d)."""
     S, k = X.shape
@@ -161,6 +153,11 @@ def slot_sum(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(sum(np.moveaxis(arr, p, 1) for p in range(1, arr.ndim)))
 
 
+def gradient_sum(arr: np.ndarray) -> np.ndarray:
+    """Sum over p of arr with slot p moved first: its contraction is the gradient of arr x^m."""
+    return np.ascontiguousarray(sum(np.moveaxis(arr, p, 0) for p in range(arr.ndim)))
+
+
 def jacobian_rows(W: np.ndarray, X, block=None) -> np.ndarray:
     """Jacobian of x -> contract_rows(arr, x) at one x, shape (k, k), or at
     every row of X, shape (S, k, k), from W = slot_sum(arr).
@@ -199,11 +196,7 @@ def contract_jacobian(A: Tensor, x) -> np.ndarray:
 
 def form_gradient(A: Tensor, x) -> np.ndarray:
     """Gradient of x -> form(A, x)."""
-    x = as_vector(x, A.dim)
-    g = np.zeros(A.dim)
-    for p in range(A.order):
-        g += _contract_all_but(A.array, x, p)
-    return g
+    return contract_rows(gradient_sum(A.array), as_vector(x, A.dim))
 
 
 def frobenius(A: Tensor) -> float:

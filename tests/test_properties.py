@@ -1,7 +1,11 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
 from tcplab import (
+    VERDICT_INCONCLUSIVE,
     SolverConfig,
     TcpInstance,
     Tensor,
@@ -18,6 +22,8 @@ from tcplab import (
     max_residual,
     non_r0_witness,
     probe_gus,
+    random_gaussian,
+    scale,
     solve,
     with_rhs,
 )
@@ -69,6 +75,109 @@ def test_copositive_respects_resolution_override():
     report = check_copositive(builtin_example("gus").tensor, CFG, resolution=10)
     assert report.holds
     assert report.effort["resolution"] == 10
+
+
+def _simplex_grid(n: int, resolution: int) -> np.ndarray:
+    """Every point of the simplex with coordinates in multiples of 1/resolution."""
+    head = [p for p in itertools.product(range(resolution + 1), repeat=n - 1) if sum(p) <= resolution]
+    pts = np.array([p + (resolution - sum(p),) for p in head], dtype=float)
+    return pts / resolution
+
+
+def _grid_forms(arr: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    letters = "abcdefghijkl"[: arr.ndim]
+    subs = letters + "," + ",".join("p" + c for c in letters) + "->p"
+    return np.einsum(subs, arr, *([grid] * arr.ndim))
+
+
+def _shifted_gaussians():
+    # a diagonal shift in [-0.5, 2.5] makes both verdicts occur at every (m, n)
+    rng = np.random.default_rng(2024)
+    for m, n in itertools.product((2, 3, 4), (2, 3, 4)):
+        for _ in range(14):
+            arr = rng.standard_normal((n,) * m)
+            shift = rng.uniform(-0.5, 2.5)
+            for i in range(n):
+                arr[(i,) * m] += shift
+            yield arr
+
+
+def test_copositive_minimum_is_below_an_independent_grid():
+    grids = {n: _simplex_grid(n, 40 if n <= 3 else 20) for n in (2, 3, 4)}
+    verdicts = []
+    for arr in _shifted_gaussians():
+        A = Tensor(arr)
+        report = check_copositive(A, CFG)
+        grid_min = float(np.min(_grid_forms(arr, grids[A.dim])))
+        big = float(np.max(np.abs(arr)))
+        min_form = report.effort["min_form"]
+        # every grid point is feasible, so the minimum cannot lie above it
+        assert min_form <= grid_min + 1e-12 * big, (arr.shape, min_form, grid_min)
+        if grid_min < -CFG.tol * big:
+            assert report.verdict == VERDICT_FAILS
+        x = np.array(report.effort["argmin"])
+        assert np.min(x) >= 0.0 and abs(np.sum(x) - 1.0) <= 1e-12
+        assert form(A, x) == min_form
+        assert float(_grid_forms(arr, x[None])[0]) == pytest.approx(min_form, rel=1e-12, abs=1e-14)
+        if report.verdict == VERDICT_FAILS:
+            assert report.certificate == {"x": x.tolist(), "form": min_form}
+            assert min_form < -CFG.tol * big
+        verdicts.append(report.verdict)
+    assert len(verdicts) >= 112
+    assert verdicts.count(VERDICT_FAILS) >= 30 and verdicts.count(VERDICT_HOLDS) >= 30
+    assert VERDICT_INCONCLUSIVE not in verdicts
+
+
+def test_copositive_closed_forms():
+    # the zero tensor: every face is positive-dimensional, the minimum is 0
+    for m, n in ((2, 2), (3, 2), (3, 3), (4, 4)):
+        report = check_copositive(Tensor.zeros(m, n), CFG)
+        assert report.holds and report.effort["min_form"] == 0.0
+    # ex1: form = -(x1 + x2)(x1^2 + x2^2), minimum -1 at either vertex
+    report = check_copositive(builtin_example("ex1").tensor, CFG)
+    assert report.effort["min_form"] == -1.0
+    assert sorted(report.effort["argmin"]) == [0.0, 1.0]
+    # m = 2: on x = (t, 1 - t), x'Mx = a t^2 + 2 b t (1 - t) + c (1 - t)^2
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        M = rng.standard_normal((2, 2))
+        a, b, c = M[0, 0], (M[0, 1] + M[1, 0]) / 2, M[1, 1]
+        best = min(a, c)
+        curv = a - 2 * b + c
+        if curv > 0 and 0 < (c - b) / curv < 1:
+            best = min(best, (a * c - b * b) / curv)
+        report = check_copositive(Tensor(M), CFG)
+        assert report.effort["min_form"] == pytest.approx(best, abs=1e-13)
+        assert report.verdict == (VERDICT_FAILS if best < -CFG.tol else VERDICT_HOLDS)
+
+
+def test_copositive_verdict_ignores_the_units_of_the_tensor():
+    neg = np.random.default_rng(8).uniform(0.1, 1.0, (3, 3, 3))
+    neg[1, 1, 1] = -0.7
+    cases = [builtin_example("ex1").tensor, builtin_example("gus").tensor, Tensor(neg)]
+    for A in cases:
+        ref = check_copositive(A, CFG)
+        for t in (1e-12, 1e-8, 1.0, 1e200):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = check_copositive(scale(t, A), CFG)
+            assert report.verdict == ref.verdict, t
+            assert np.allclose(report.effort["argmin"], ref.effort["argmin"], rtol=0, atol=1e-12)
+            assert report.effort["min_form"] == pytest.approx(t * ref.effort["min_form"], rel=1e-12)
+            if report.verdict == VERDICT_FAILS:
+                assert report.certificate["form"] == report.effort["min_form"]
+    assert [check_copositive(A, CFG).verdict for A in cases] == [VERDICT_FAILS, VERDICT_HOLDS, VERDICT_FAILS]
+
+
+def test_copositive_effort_counters_are_pinned():
+    # the starts and the KKT points found show in these counts: a change to
+    # the starts, the system or the Newton stopping rules has to update them
+    arr = random_gaussian(3, 3, 41).array.copy()
+    for i in range(3):
+        arr[i, i, i] += 1.0
+    effort = check_copositive(Tensor(arr), CFG).effort
+    counts = (effort["faces"], effort["grid_points"], effort["kkt_points"], effort["newton_iters"])
+    assert counts == (7, 113, 4, 938)
 
 
 def test_monotone_holds_for_decoupled_squares():

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -31,7 +32,7 @@ from tcplab import (
 )
 import tcplab.solver as solver_mod
 from tcplab.model import face_system
-from tcplab.solver import _ARMIJO_STEPS, NEWTON_ATOL, _face_functions, _newton, _newton_steps
+from tcplab.solver import _ARMIJO_STEPS, NEWTON_ATOL, _face_functions, _newton, _newton_steps, _simplex_starts
 
 CFG = SolverConfig()
 
@@ -479,6 +480,14 @@ def test_non_finite_start_names_the_lowest_face():
         with pytest.raises(FaceSolveError) as err:
             solver_mod._solve_faces(systems[::-1], cfg, homogeneous=False)
         assert err.value.face == FaceMask(3, 0)
+
+
+def test_simplex_starts_are_the_lattice_compositions():
+    # every point of {0, .., r}^k summing to r, in lexicographic order, over r
+    for k, r in itertools.product(range(1, 5), range(1, 9)):
+        ref = np.array([p for p in itertools.product(range(r + 1), repeat=k) if sum(p) == r]) / r
+        got = _simplex_starts(k, r)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), (k, r)
 
 
 def test_work_counters_are_pinned():
