@@ -13,8 +13,6 @@ right-hand side, which makes them the regression anchor for the solver:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .model import TcpInstance

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -60,16 +59,6 @@ COMMANDS = (
     "example",
     "golden",
 )
-
-
-@dataclass
-class CliConfig:
-    command: str
-    instance_path: str | None = None
-    out_path: str | None = None
-    seed: int = 0
-    tol: float = 1e-8
-    extras: dict = field(default_factory=dict)
 
 
 def _num(v: float) -> str:
@@ -222,19 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("golden", help="run the closed-form regression table")
     return p
-
-
-def run(cfg: CliConfig) -> int:
-    """Dispatch a parsed CLI configuration; returns the exit code."""
-    argv = [cfg.command]
-    if cfg.instance_path:
-        argv += ["--instance", cfg.instance_path]
-    if cfg.out_path:
-        argv += ["--out", cfg.out_path]
-    argv += ["--seed", str(cfg.seed), "--tol", str(cfg.tol)]
-    for k, v in cfg.extras.items():
-        argv += [f"--{k}", str(v)]
-    return main(argv)
 
 
 def _dispatch(args) -> int:

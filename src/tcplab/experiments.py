@@ -25,6 +25,7 @@ import numpy as np
 from .model import TcpInstance
 from .properties import VERDICT_HOLDS, check_copositive, check_r0, int_dual_cone_member
 from .solver import (
+    START_BOX_RADIUS,
     STATUS_UNBOUNDED,
     SolverConfig,
     brute_force_oracle,
@@ -221,6 +222,8 @@ def r0_openness_probe(A: Tensor, radii, samples_per_radius: int, cfg: SolverConf
     radii = [float(r) for r in radii]
     if not radii or any(r <= 0 for r in radii):
         raise ValueError("radii must be a nonempty list of positive numbers")
+    if samples_per_radius < 0:
+        raise ValueError("samples must be nonnegative")
     base_r0 = check_r0(A, cfg)
     vacuous = base_r0.verdict != VERDICT_HOLDS
 
@@ -293,7 +296,7 @@ def _reference_points(inst: TcpInstance, sol, cfg: SolverConfig) -> list[np.ndar
     """
     pts = [p.x for p in sol.points]
     if sol.posdim_suspect:
-        oracle = brute_force_oracle(inst, cfg.start_box_radius, 0.01, cfg.tol)
+        oracle = brute_force_oracle(inst, START_BOX_RADIUS, 0.01, cfg.tol)
         for cluster in oracle.clusters:
             if cluster.verified:
                 pts.extend(cluster.members)
@@ -392,6 +395,8 @@ def hoelder_fit(A: Tensor, a, radii, samples_per_radius: int, cfg: SolverConfig)
     radii = sorted(float(r) for r in radii)
     if not radii or radii[0] <= 0:
         raise ValueError("radii must be a nonempty list of positive numbers")
+    if samples_per_radius < 0:
+        raise ValueError("samples must be nonnegative")
     hom = homogeneous_solve(A, cfg)  # the tensor is fixed across the sweep
     base = solve(TcpInstance(A, a), cfg, hom=hom)
     if not base.points or base.posdim_suspect:

@@ -239,18 +239,13 @@ class FaceSystem:
             self.a_free = np.zeros(0)
         self.slots = slot_sum(self.block)
 
-        zero_rows, infeasible_rows = [], []
-        if self.k > 0:
-            for r, i in enumerate(self.free):
-                block = arr[i][np.ix_(*([free] * (inst.m - 1)))]
-                if np.max(np.abs(block)) < ZERO_ROW_TOL:
-                    if abs(inst.a[i]) < ZERO_ROW_TOL:
-                        zero_rows.append(r)
-                    else:
-                        infeasible_rows.append(r)
-        self.zero_rows = tuple(zero_rows)
-        self.infeasible_rows = tuple(infeasible_rows)
-        self.underdetermined = bool(zero_rows)
+        # block[r] holds the coefficients of row r
+        coeffs = np.abs(self.block.reshape(self.k, self.k ** (inst.m - 1)))
+        vanishing = np.max(coeffs, axis=1, initial=0.0) < ZERO_ROW_TOL
+        a_zero = np.abs(self.a_free) < ZERO_ROW_TOL
+        self.zero_rows = tuple(np.flatnonzero(vanishing & a_zero).tolist())
+        self.infeasible_rows = tuple(np.flatnonzero(vanishing & ~a_zero).tolist())
+        self.underdetermined = bool(self.zero_rows)
 
     def embed(self, z) -> np.ndarray:
         """Lift free coordinates z (k,) or rows of z (S, k) to the full space,

@@ -19,6 +19,8 @@ import numpy as np
 
 from .model import FaceMask, TcpInstance, enumerate_faces, max_residual
 from .solver import (
+    DEDUP_RADIUS,
+    NEWTON_MAX_ITER,
     RANDOM_STARTS,
     SolverConfig,
     SolutionSet,
@@ -36,6 +38,13 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 
 # certificates are re-validated at this looser tolerance before reporting
 CERT_TOL = 1e-6
+
+# check_monotone's sample: a grid of MONOTONE_GRID_PER_AXIS points per axis
+# over [0, MONOTONE_BOX]^n and MONOTONE_RANDOM_PAIRS seeded pairs
+MONOTONE_BOX = 2.0
+MONOTONE_GRID_PER_AXIS = 6
+MONOTONE_RANDOM_PAIRS = 200
+MONOTONE_CHUNK = 1 << 18
 
 
 @dataclass(eq=False)
@@ -138,7 +147,7 @@ def check_copositive(A: Tensor, cfg: SolverConfig, resolution: int = 6) -> Prope
         owner = np.repeat(np.arange(len(faces)), len(Z0) // len(faces))
         fun, jac = _kkt_functions(blocks, np.stack([slot_sum(b) for b in blocks]), owner)
         Y0 = np.column_stack([Z0, np.sum(Z0 * contract_rows(blocks, Z0, owner), axis=1)])
-        Y, resids, its = _newton(fun, jac, Y0, cfg.newton_max_iter, [faces[g] for g in owner])
+        Y, resids, its = _newton(fun, jac, Y0, NEWTON_MAX_ITER, [faces[g] for g in owner])
         iters += int(its.sum())
         ok = (resids <= cfg.tol / 10) & (np.min(Y[:, :-1], axis=1) >= -cfg.tol)
         X = np.zeros((2, len(Z0), n))  # the starts and the Newton end points
@@ -154,7 +163,7 @@ def check_copositive(A: Tensor, cfg: SolverConfig, resolution: int = 6) -> Prope
         "resolution": resolution,
         "faces": 2**n - 1,
         "newton_iters": iters,
-        "kkt_points": len(_dedup([(p, 0.0) for p in np.vstack(kkt)], cfg.dedup_radius)),
+        "kkt_points": len(_dedup([(p, 0.0) for p in np.vstack(kkt)], DEDUP_RADIUS)),
         "min_form": form(A, x),
         "argmin": x.tolist(),
     }
@@ -170,48 +179,57 @@ def check_copositive(A: Tensor, cfg: SolverConfig, resolution: int = 6) -> Prope
 # monotonicity
 
 
-def check_monotone(
-    A: Tensor,
-    a,
-    cfg: SolverConfig,
-    box: float = 2.0,
-    grid_per_axis: int = 6,
-    random_pairs: int = 200,
-) -> PropertyReport:
+def _monotone_pairs(A: Tensor, seed: int):
+    """Blocks (X, F(X), Y, F(Y)) of the pairs check_monotone tests.
+
+    First every pair i < j of a grid over [0, MONOTONE_BOX]^n, in
+    itertools.combinations order, a block of rows i at a time so that no
+    block holds more than MONOTONE_CHUNK entries of the pair mask; then
+    MONOTONE_RANDOM_PAIRS seeded pairs.  F omits a, which cancels.
+    """
+    axes = np.linspace(0.0, MONOTONE_BOX, MONOTONE_GRID_PER_AXIS)
+    mesh = np.meshgrid(*([axes] * A.dim), indexing="ij")
+    grid = np.stack([m.ravel() for m in mesh], axis=1)
+    F = contract_rows(A.array, grid)
+    N = len(grid)
+    rows = max(1, MONOTONE_CHUNK // N)
+    for lo in range(0, N - 1, rows):
+        I, J = np.triu_indices(min(rows, N - 1 - lo), lo + 1, N)
+        I += lo
+        yield grid[I], F[I], grid[J], F[J]
+    rng = np.random.default_rng([seed, 2])
+    X, Y = rng.uniform(0.0, MONOTONE_BOX, size=(MONOTONE_RANDOM_PAIRS, 2, A.dim)).transpose(1, 0, 2)
+    yield X, contract_rows(A.array, X), Y, contract_rows(A.array, Y)
+
+
+def check_monotone(A: Tensor, a, cfg: SolverConfig) -> PropertyReport:
     """Monotonicity of F on the orthant: <F(y) - F(x), y - x> >= 0 on pairs.
 
     The constant a cancels in the difference, so the verdict depends on the
     tensor alone; a is accepted to keep the instance signature uniform.
-    Pairs come from a deterministic grid plus seeded random draws.  When the
-    sampled test holds, copositivity is re-checked for consistency (monotone
-    maps have copositive tensors); disagreement downgrades to inconclusive.
+    Pairs come from a deterministic grid plus seeded random draws, and the
+    first least pairing (NaN counting as +inf) is the candidate certificate.
+    When the sampled test holds, copositivity is re-checked for consistency
+    (monotone maps have copositive tensors); disagreement downgrades to
+    inconclusive.
     """
     a = as_vector(a, A.dim)
-    n = A.dim
 
     def pairing(x, y):
         d = y - x
         return float((contract(A, y) - contract(A, x)) @ d)
 
-    axes = np.linspace(0.0, box, grid_per_axis)
-    mesh = np.meshgrid(*([axes] * n), indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=1)
-    rng = np.random.default_rng([cfg.seed, 2])
     checked = 0
     worst = (np.inf, None, None)
-    for i, j in itertools.combinations(range(len(grid)), 2):
-        v = pairing(grid[i], grid[j])
-        checked += 1
-        if v < worst[0]:
-            worst = (v, grid[i], grid[j])
-    for _ in range(random_pairs):
-        x = rng.uniform(0.0, box, n)
-        y = rng.uniform(0.0, box, n)
-        v = pairing(x, y)
-        checked += 1
-        if v < worst[0]:
-            worst = (v, x, y)
-    effort = {"pairs": checked, "box": box, "min_pairing": worst[0]}
+    for X, FX, Y, FY in _monotone_pairs(A, cfg.seed):
+        # the stacked matmul is the 1-d dot of each row, to the bit
+        v = np.matmul((FY - FX)[:, None, :], (Y - X)[:, :, None])[:, 0, 0]
+        v = np.where(np.isnan(v), np.inf, v)
+        i = int(np.argmin(v))
+        checked += len(v)
+        if v[i] < worst[0]:
+            worst = (float(v[i]), X[i], Y[i])
+    effort = {"pairs": checked, "box": MONOTONE_BOX, "min_pairing": worst[0]}
     if worst[0] < -cfg.tol:
         v = pairing(worst[1], worst[2])
         if v < -cfg.tol:
@@ -237,6 +255,8 @@ def probe_gus(A: Tensor, cfg: SolverConfig, samples: int = 200) -> PropertyRepor
     (the zero vector makes the probe subsume an R0 check).  Any sample with
     zero or multiple solutions, rays, or a posdim face is a counterexample.
     """
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
     n = A.dim
     rhs: list[np.ndarray] = [np.array(p, dtype=float) for p in itertools.product((-1.0, 0.0, 1.0), repeat=n)]
     rng = np.random.default_rng([cfg.seed, 3])

@@ -12,15 +12,16 @@ nonzero solutions on the probability simplex are the candidate recession
 directions, and a direction is kept for a concrete right-hand side only
 when the far tail of its ray actually solves the instance.
 
-The brute-force grid oracle at the bottom is an independent check path:
-it never reuses Newton roots, only polishes grid clusters.
+The brute-force grid oracle at the bottom is a separate check path: it
+never reuses the solver's roots and only polishes its own grid clusters,
+but it runs on the same kernels and Newton engine.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +47,12 @@ STATUS_UNBOUNDED = "unbounded-suspect"
 POSDIM_ROOT_LIMIT = 25
 SIGMA_RATIO = 1e-6
 
+# fixed solver constants, echoed in every SolutionSet's meta; DEDUP_RADIUS
+# and START_BOX_RADIUS are distances in x on the normalized pair
+DEDUP_RADIUS = 1e-5
+NEWTON_MAX_ITER = 100
+GRID_STARTS_PER_AXIS = 9
+START_BOX_RADIUS = 5.0
 RANDOM_STARTS = 16
 GRID_START_BUDGET = 3200
 NEWTON_ATOL = 1e-14
@@ -69,28 +76,23 @@ class BudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver settings.
+    """Solver settings: the tolerance tol and the seed of the random starts.
 
     tol is relative to the pair norm |(A, a)| = sqrt(|A|_F^2 + |a|_2^2): solve
     divides (A, a) by that norm on entry, which leaves the solution set
     unchanged, so Sol(tA, ta) is computed exactly as Sol(A, a) for every
-    t > 0.  dedup_radius and start_box_radius are distances in x.
+    t > 0.  Everything else the solver uses is a module constant (DEDUP_RADIUS,
+    NEWTON_MAX_ITER, GRID_STARTS_PER_AXIS, START_BOX_RADIUS, RANDOM_STARTS),
+    echoed with tol and seed in each result's meta.
     """
 
     tol: float = 1e-8
-    dedup_radius: float = 1e-5
-    newton_max_iter: int = 100
-    grid_starts_per_axis: int = 9
-    start_box_radius: float = 5.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.tol <= 0 or self.dedup_radius <= 0 or self.start_box_radius <= 0:
-            raise ValueError("tolerances and the start box must be positive")
-        if self.tol >= self.dedup_radius:
-            raise ValueError("tol must be smaller than dedup_radius")
-        if self.newton_max_iter < 1 or self.grid_starts_per_axis < 2:
-            raise ValueError("iteration and start counts must be positive")
+        # written so that a NaN tol fails it
+        if not 0 < self.tol < DEDUP_RADIUS:
+            raise ValueError(f"tol must lie in (0, {DEDUP_RADIUS:g}), got {self.tol}")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 
@@ -287,11 +289,6 @@ def _grid_starts(k: int, box: float, per_axis: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _random_starts(k: int, box: float, seed: int, mask: int, salt: int) -> np.ndarray:
-    rng = np.random.default_rng([seed, mask, salt])
-    return rng.uniform(0.0, box, size=(RANDOM_STARTS, k))
-
-
 def _simplex_starts(k: int, resolution: int = 6) -> np.ndarray:
     """Lattice of the probability simplex: compositions of resolution into k,
     the gaps between the k - 1 bars of each stars-and-bars arrangement."""
@@ -397,7 +394,7 @@ def _filter_roots(fs: FaceSystem, Z: np.ndarray, resids: np.ndarray, cfg: Solver
     # degenerate components (multiplicity q) stall Newton near
     # NEWTON_ATOL**(1/q), above tol; roots that collapse onto a smaller face
     # once such components are zeroed are that face's solutions, not ours
-    snap = max(cfg.dedup_radius, 10.0 * NEWTON_ATOL ** (1.0 / max(2, inst.m - 1)))
+    snap = max(DEDUP_RADIUS, 10.0 * NEWTON_ATOL ** (1.0 / max(2, inst.m - 1)))
     small = (Z <= snap) & keep[:, None]
     snapped = np.flatnonzero(small.any(axis=1))
     if snapped.size:
@@ -437,7 +434,7 @@ def _degenerate_face(fs: FaceSystem, cfg: SolverConfig, homogeneous: bool) -> _F
             elif coordinate_ray_solves(inst, i, tol):
                 out.rays.append(e)
             else:
-                ts = np.linspace(0.1, cfg.start_box_radius, 8)
+                ts = np.linspace(0.1, START_BOX_RADIUS, 8)
                 if np.any(fs.pinned_slack(np.outer(ts, e)) >= -tol):
                     out.posdim = True
         else:
@@ -448,9 +445,8 @@ def _degenerate_face(fs: FaceSystem, cfg: SolverConfig, homogeneous: bool) -> _F
                     if s > 0.1:
                         candidates.append(z / s)
             else:
-                box = cfg.start_box_radius
-                candidates = [np.full(fs.k, 0.5 * box)]
-                candidates.extend(z for z in _grid_starts(fs.k, box, 4) if np.min(z) > 0)
+                candidates = [np.full(fs.k, 0.5 * START_BOX_RADIUS)]
+                candidates.extend(z for z in _grid_starts(fs.k, START_BOX_RADIUS, 4) if np.min(z) > 0)
             for z in candidates:
                 x = fs.embed(z)
                 if np.min(z) > tol and fs.pinned_slack(x) >= -tol:
@@ -472,9 +468,10 @@ def _face_starts(fs: FaceSystem, cfg: SolverConfig, homogeneous: bool) -> np.nda
             np.full((1, fs.k), 1.0 / fs.k),
             rng.dirichlet(np.ones(fs.k), size=RANDOM_STARTS),
         ])
+    rng = np.random.default_rng([cfg.seed, fs.alpha.mask, 0])
     return np.vstack([
-        _grid_starts(fs.k, cfg.start_box_radius, cfg.grid_starts_per_axis),
-        _random_starts(fs.k, cfg.start_box_radius, cfg.seed, fs.alpha.mask, 0),
+        _grid_starts(fs.k, START_BOX_RADIUS, GRID_STARTS_PER_AXIS),
+        rng.uniform(0.0, START_BOX_RADIUS, size=(RANDOM_STARTS, fs.k)),
     ])
 
 
@@ -486,7 +483,7 @@ def _face_outcome(
     row one of the face's rows in the batch."""
     out = _FaceOutcome(starts=Z.shape[0], newton_iters=int(iters.sum()))
     accepted = [(Z[i], resids[i]) for i in _filter_roots(fs, Z, resids, cfg)]
-    roots = _dedup(accepted, cfg.dedup_radius)
+    roots = _dedup(accepted, DEDUP_RADIUS)
     if not roots:
         return out
 
@@ -529,7 +526,7 @@ def _solve_faces(systems: list[FaceSystem], cfg: SolverConfig, homogeneous: bool
         fun, jac = _face_functions(group, owner, homogeneous)
         try:
             Z, resids, iters = _newton(
-                fun, jac, np.vstack(starts), cfg.newton_max_iter, [group[g].alpha for g in owner]
+                fun, jac, np.vstack(starts), NEWTON_MAX_ITER, [group[g].alpha for g in owner]
             )
         except FaceSolveError as exc:
             failures.append(exc)
@@ -557,11 +554,11 @@ def _status(points, rays, posdim) -> str:
 def _meta(cfg: SolverConfig, **extra) -> dict:
     d = {
         "tol": cfg.tol,
-        "dedup_radius": cfg.dedup_radius,
-        "newton_max_iter": cfg.newton_max_iter,
-        "grid_starts_per_axis": cfg.grid_starts_per_axis,
+        "dedup_radius": DEDUP_RADIUS,
+        "newton_max_iter": NEWTON_MAX_ITER,
+        "grid_starts_per_axis": GRID_STARTS_PER_AXIS,
         "random_starts": RANDOM_STARTS,
-        "start_box_radius": cfg.start_box_radius,
+        "start_box_radius": START_BOX_RADIUS,
         "seed": cfg.seed,
     }
     d.update(extra)
@@ -589,14 +586,14 @@ def _sorted_points(
     against the caller's instance."""
     if not xs:
         return []
-    ranked = _dedup(list(zip(xs, max_residual(unit, np.array(xs)))), cfg.dedup_radius)
+    ranked = _dedup(list(zip(xs, max_residual(unit, np.array(xs)))), DEDUP_RADIUS)
     ranked.sort(key=lambda x: tuple(x))
     kkt = max_residual(inst, np.array(ranked)).tolist()
     return [SolutionPoint(x=x, face=face_of(x, cfg.tol), kkt_res=r) for x, r in zip(ranked, kkt)]
 
 
-def _sorted_rays(directions: list[np.ndarray], tol: float, radius: float) -> list[Ray]:
-    kept = _dedup([(d, 0.0) for d in directions], radius)
+def _sorted_rays(directions: list[np.ndarray], tol: float) -> list[Ray]:
+    kept = _dedup([(d, 0.0) for d in directions], DEDUP_RADIUS)
     kept.sort(key=lambda d: tuple(d))
     return [Ray(direction=d, face=face_of(d, tol)) for d in kept]
 
@@ -609,7 +606,7 @@ def solve_face(inst: TcpInstance, alpha: FaceMask, cfg: SolverConfig) -> Solutio
     unit = _unit_pair(inst.tensor, inst.a)
     (out,) = _solve_faces([face_system(unit, alpha)], cfg, homogeneous=False)
     points = _sorted_points(unit, inst, out.points, cfg)
-    rays = _sorted_rays(out.rays, cfg.tol, cfg.dedup_radius)
+    rays = _sorted_rays(out.rays, cfg.tol)
     posdim = [alpha] if out.posdim else []
     return SolutionSet(
         points=points,
@@ -651,7 +648,7 @@ def _certified_ray(inst0: TcpInstance, direction, cfg: SolverConfig) -> np.ndarr
         return None
     fun, jac = _face_functions([fs], None, simplex=True)
     try:
-        Z, _, _ = _newton(fun, jac, (z0 / s)[None], cfg.newton_max_iter, [fs.alpha])
+        Z, _, _ = _newton(fun, jac, (z0 / s)[None], NEWTON_MAX_ITER, [fs.alpha])
     except FaceSolveError:
         return None
     x = fs.embed(Z[0])
@@ -690,7 +687,7 @@ def homogeneous_solve(A: Tensor, cfg: SolverConfig) -> SolutionSet:
         starts += out.starts
         iters += out.newton_iters
     certified = [r for r in (_certified_ray(inst, d, cfg) for d in directions) if r is not None]
-    rays = _sorted_rays(certified, cfg.tol, cfg.dedup_radius)
+    rays = _sorted_rays(certified, cfg.tol)
     posdim = sorted(posdim)
     return SolutionSet(
         points=[],
@@ -739,7 +736,7 @@ def solve(inst: TcpInstance, cfg: SolverConfig, hom: SolutionSet | None = None) 
     active = [d for d in candidates if ray_active(unit, d, cfg.tol)]
 
     points = _sorted_points(unit, inst, xs, cfg)
-    rays = _sorted_rays(active, cfg.tol, cfg.dedup_radius)
+    rays = _sorted_rays(active, cfg.tol)
     posdim = sorted(posdim)
     return SolutionSet(
         points=points,
@@ -844,7 +841,7 @@ def _oracle_polish(inst: TcpInstance, seed: np.ndarray, pin_tol: float, tol: flo
             continue
         else:
             fun, jac = _face_functions([fs], None, simplex=False)
-            Z, _, _ = _newton(fun, jac, seed[list(fs.free)][None], 100, [face])
+            Z, _, _ = _newton(fun, jac, seed[list(fs.free)][None], NEWTON_MAX_ITER, [face])
             z = Z[0]
             if float(np.min(z)) < -1e-12:
                 continue

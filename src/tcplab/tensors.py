@@ -12,7 +12,7 @@ the C-order flat layout coincides with lexicographic order of multi-indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np

@@ -10,7 +10,7 @@ import pytest
 
 import tcplab
 from tcplab import builtin_example, tensor_to_dict
-from tcplab.cli import EXIT_BROKEN_PIPE, CliConfig, _num, build_parser, main, run
+from tcplab.cli import EXIT_BROKEN_PIPE, _num, build_parser, main
 
 
 def _main(capsys, *argv):
@@ -97,6 +97,31 @@ def test_verdict_exit_codes(capsys):
     assert code == 1
 
 
+def test_nan_tol_exits_2(capsys):
+    # NaN fails every comparison, so an unchecked NaN tol let each of these
+    # report a confident verdict
+    for argv in (
+        ("solve", "--example", "gus"),
+        ("check-r0", "--example", "zero"),
+        ("check-copositive", "--example", "ex1"),
+        ("check-monotone", "--example", "ex1"),
+    ):
+        code, out, err = _main(capsys, *argv, "--tol", "nan")
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and "tol" in err, argv
+
+
+def test_negative_sample_counts_exit_2(capsys):
+    for argv in (
+        ("probe-gus", "--example", "gus", "--samples", "-5"),
+        ("hoelder", "--example", "gus", "--samples", "-3"),
+        ("openness", "--example", "ex1", "--samples", "-2"),
+    ):
+        code, out, err = _main(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and "samples" in err, argv
+
+
 def test_boundedness_vacuous_exit_code(capsys):
     code, out, _ = _main(
         capsys, "boundedness", "--example", "zero", "--samples", "2"
@@ -175,13 +200,6 @@ def test_example_command_round_trips(tmp_path, capsys):
 def test_numbers_print_with_twelve_significant_digits():
     assert _num(math.pi) == "3.14159265359"
     assert _num(118098.0) == "118098"
-
-
-def test_run_wrapper_dispatches_like_main(capsys):
-    code = run(CliConfig(command="chi", extras={"m": 3, "n": 2}))
-    out = capsys.readouterr().out
-    assert code == 0
-    assert out.strip() == "118098"
 
 
 def test_parser_covers_published_command_list():

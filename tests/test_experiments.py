@@ -142,6 +142,16 @@ def test_hoelder_fit_preconditions():
         hoelder_fit(GUS.tensor, [-1.0, -1.0], [], 3, CFG)
 
 
+def test_hoelder_fit_rejects_negative_sample_counts():
+    with pytest.raises(ValueError, match="samples"):
+        hoelder_fit(GUS.tensor, [-1.0, -1.0], [0.1, 0.05], -3, CFG)
+
+
+def test_openness_probe_rejects_negative_sample_counts():
+    with pytest.raises(ValueError, match="samples"):
+        r0_openness_probe(builtin_example("ex1").tensor, [0.1, 0.05], -2, CFG)
+
+
 def test_stability_check_on_strictly_positive_rhs():
     report = stability_inclusion_check(GUS.tensor, [1.0, 1.0], 0.05, 5, CFG)
     assert report.summary["violations"] == 0

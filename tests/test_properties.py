@@ -27,6 +27,7 @@ from tcplab import (
     solve,
     with_rhs,
 )
+from tcplab.properties import MONOTONE_BOX, MONOTONE_GRID_PER_AXIS, MONOTONE_RANDOM_PAIRS
 
 CFG = SolverConfig()
 
@@ -216,6 +217,54 @@ def test_monotone_ignores_the_rhs():
     r1 = check_monotone(A, [0.0, 0.0], CFG)
     r2 = check_monotone(A, [7.0, -3.0], CFG)
     assert r1.verdict == r2.verdict == VERDICT_HOLDS
+
+
+def _monotone_reference(A, seed):
+    """check_monotone's sample one pair at a time: the grid pairs in
+    combinations order, then the seeded pairs, keeping the first least
+    pairing.  Returns (min_pairing, x, y, pairs)."""
+    n = A.dim
+    axes = np.linspace(0.0, MONOTONE_BOX, MONOTONE_GRID_PER_AXIS)
+    grid = np.stack([m.ravel() for m in np.meshgrid(*([axes] * n), indexing="ij")], axis=1)
+    rng = np.random.default_rng([seed, 2])
+    pairs = list(itertools.combinations(grid, 2))
+    for _ in range(MONOTONE_RANDOM_PAIRS):
+        x = rng.uniform(0.0, MONOTONE_BOX, n)
+        pairs.append((x, rng.uniform(0.0, MONOTONE_BOX, n)))
+    worst = (np.inf, None, None)
+    for x, y in pairs:
+        v = float((contract(A, y) - contract(A, x)) @ (y - x))
+        if v < worst[0]:
+            worst = (v, x, y)
+    return worst + (len(pairs),)
+
+
+def test_monotone_search_equals_a_per_pair_loop():
+    rng = np.random.default_rng(41)
+    tensors = [builtin_example(name).tensor for name in ("ex1", "gus", "monotone", "zero")]
+    tensors += [random_gaussian(m, 2, rng) for m in (2, 3, 4) for _ in range(3)]
+    tensors += [scale(-1.0, builtin_example("gus").tensor), random_gaussian(3, 3, rng)]
+    # F overflows on much of the grid, and inf - inf makes NaN pairings,
+    # which count as +inf
+    tensors += [Tensor(np.full((2,) * 4, 1e307)), scale(1e307, random_gaussian(4, 2, rng))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, A in enumerate(tensors):
+            for seed in (0, 5):
+                cfg = SolverConfig(seed=seed)
+                v, x, y, pairs = _monotone_reference(A, seed)
+                report = check_monotone(A, np.zeros(A.dim), cfg)
+                assert report.effort["pairs"] == pairs, i
+                assert report.effort["min_pairing"] == v, i
+                if report.verdict == VERDICT_FAILS:
+                    assert report.certificate["x"] == x.tolist(), i
+                    assert report.certificate["y"] == y.tolist(), i
+                else:
+                    assert v >= -CFG.tol, i
+
+
+def test_gus_probe_rejects_negative_sample_counts():
+    with pytest.raises(ValueError, match="samples"):
+        probe_gus(builtin_example("gus").tensor, CFG, samples=-5)
 
 
 def test_gus_probe_on_decoupled_squares():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -32,7 +33,16 @@ from tcplab import (
 )
 import tcplab.solver as solver_mod
 from tcplab.model import face_system
-from tcplab.solver import _ARMIJO_STEPS, NEWTON_ATOL, _face_functions, _newton, _newton_steps, _simplex_starts
+from tcplab.solver import (
+    _ARMIJO_STEPS,
+    DEDUP_RADIUS,
+    NEWTON_ATOL,
+    NEWTON_MAX_ITER,
+    _face_functions,
+    _newton,
+    _newton_steps,
+    _simplex_starts,
+)
 
 CFG = SolverConfig()
 
@@ -45,11 +55,30 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol=-1.0)
     with pytest.raises(ValueError):
-        SolverConfig(tol=1e-3, dedup_radius=1e-5)  # dedup must dominate tol
+        SolverConfig(tol=1e-3)  # DEDUP_RADIUS must dominate tol
     with pytest.raises(ValueError):
-        SolverConfig(newton_max_iter=0)
+        SolverConfig(tol=float("nan"))
     with pytest.raises(ValueError):
         SolverConfig(seed=-1)
+
+
+def test_meta_echoes_tol_seed_and_the_fixed_constants():
+    # the config holds tol and seed only; meta also echoes the solver's
+    # module constants, so solution JSON keeps every key it had
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["tol", "seed"]
+    assert solve(builtin_example("ex1"), SolverConfig()).to_json()["meta"] == {
+        "tol": 1e-08,
+        "dedup_radius": 1e-05,
+        "newton_max_iter": 100,
+        "grid_starts_per_axis": 9,
+        "random_starts": 16,
+        "start_box_radius": 5.0,
+        "seed": 0,
+        "starts": 147,
+        "newton_iters": 660,
+        "hom_candidates": 0,
+        "faces": 4,
+    }
 
 
 def test_two_ball_instance_closed_forms():
@@ -267,7 +296,7 @@ def test_batched_newton_rows_match_one_row_batches():
     fs = face_system(TcpInstance(random_gaussian(3, 3, rng), rng.normal(size=3)), FaceMask(3, 0))
     g = np.linspace(0.0, 3.0, 4)
     starts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
-    max_iter = CFG.newton_max_iter
+    max_iter = NEWTON_MAX_ITER
     faces = [fs.alpha] * len(starts)
     for simplex in (False, True):
         fun, jac = _face_functions([fs], None, simplex)
@@ -356,9 +385,9 @@ def test_blocked_armijo_matches_sequential_search(monkeypatch, block_rows):
         fun, jac = _face_functions([fs], None, simplex)
         accepted_at: list[int] = []
         ref_calls: list[tuple[str, int]] = []
-        want = _sequential_newton(*_counted(fun, jac, ref_calls), starts, CFG.newton_max_iter, accepted_at)
+        want = _sequential_newton(*_counted(fun, jac, ref_calls), starts, NEWTON_MAX_ITER, accepted_at)
         calls: list[tuple[str, int]] = []
-        got = _newton(*_counted(fun, jac, calls), starts, CFG.newton_max_iter, [fs.alpha] * len(starts))
+        got = _newton(*_counted(fun, jac, calls), starts, NEWTON_MAX_ITER, [fs.alpha] * len(starts))
         for w, v in zip(want, got):
             assert w.dtype == v.dtype and np.array_equal(w, v), system
         if system == "square":
@@ -384,7 +413,7 @@ def _per_start_filter(fs, Z, resids, cfg):
     # the homogeneous faces are checked against a = 0
     check_inst = TcpInstance(inst.tensor, np.zeros(inst.n)) if not inst.a.any() else inst
     tol = cfg.tol
-    snap = max(cfg.dedup_radius, 10.0 * NEWTON_ATOL ** (1.0 / max(2, inst.m - 1)))
+    snap = max(DEDUP_RADIUS, 10.0 * NEWTON_ATOL ** (1.0 / max(2, inst.m - 1)))
     reasons = []
     for z, resid in zip(Z, resids):
         x = fs.embed(z)
@@ -466,19 +495,19 @@ def test_face_size_batches_match_one_face_runs(monkeypatch):
     assert found > 0
 
 
-def test_non_finite_start_names_the_lowest_face():
+def test_non_finite_start_names_the_lowest_face(monkeypatch):
     # starts near 1e200 overflow the residual on every face; the error names
     # the open face, the first one a loop over the faces in mask order meets,
     # whatever order the faces are passed in
     inst = TcpInstance(random_gaussian(3, 3, 1), [1.0, -1.0, 0.5])
-    cfg = SolverConfig(start_box_radius=1e200)
+    monkeypatch.setattr(solver_mod, "START_BOX_RADIUS", 1e200)
     systems = [face_system(inst, face) for face in enumerate_faces(3)]
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FaceSolveError) as err:
-            solve(inst, cfg)
+            solve(inst, CFG)
         assert err.value.face == FaceMask(3, 0)
         with pytest.raises(FaceSolveError) as err:
-            solver_mod._solve_faces(systems[::-1], cfg, homogeneous=False)
+            solver_mod._solve_faces(systems[::-1], CFG, homogeneous=False)
         assert err.value.face == FaceMask(3, 0)
 
 
