@@ -819,6 +819,61 @@ _ORACLE_SEED_CAP = 16
 _ORACLE_SAFETY = 1.5
 
 
+def _neighbour_shifts(ndim: int):
+    """The 3^ndim offsets in {-1, 0, 1}^ndim of a grid point's neighbourhood."""
+    return itertools.product((-1, 0, 1), repeat=ndim)
+
+
+def _min_filter3(field: np.ndarray) -> np.ndarray:
+    """Minimum over each point's 3^d neighbourhood, +inf outside the grid."""
+    padded = np.pad(field, 1, constant_values=np.inf)
+    out = np.full(field.shape, np.inf)
+    for shift in _neighbour_shifts(field.ndim):
+        np.minimum(out, padded[tuple(slice(1 + s, 1 + s + g) for s, g in zip(shift, field.shape))], out=out)
+    return out
+
+
+def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """Connected components of a boolean grid under 3^d connectivity.
+
+    Returns (labels, count): labels is 0 off the mask and 1..count on it,
+    components numbered in the order of their first point in C order.  Each
+    point starts as its own tree; every round hooks the larger root of each
+    neighbouring pair onto the smaller, then jumps pointers to the roots, so
+    a component's root ends as its first point.
+    """
+    idx = np.flatnonzero(mask)
+    # ids: each point's position in idx, -1 off the mask and on the padding
+    ids = np.full(tuple(g + 2 for g in mask.shape), -1)
+    core = ids[(slice(1, -1),) * mask.ndim]
+    core[mask] = np.arange(idx.size)
+    pairs = []
+    for shift in _neighbour_shifts(mask.ndim):
+        if shift <= (0,) * mask.ndim:
+            continue  # each pair once, from its earlier point
+        other = ids[tuple(slice(1 + s, 1 + s + g) for s, g in zip(shift, mask.shape))]
+        both = (core >= 0) & (other >= 0)
+        pairs.append((core[both], other[both]))
+    u = np.concatenate([p[0] for p in pairs]) if pairs else np.zeros(0, dtype=int)
+    v = np.concatenate([p[1] for p in pairs]) if pairs else np.zeros(0, dtype=int)
+    root = np.arange(idx.size)
+    while True:
+        ru, rv = root[u], root[v]
+        cross = ru != rv
+        if not cross.any():
+            break
+        np.minimum.at(root, np.maximum(ru, rv)[cross], np.minimum(ru, rv)[cross])
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    firsts, comp = np.unique(root, return_inverse=True)
+    labels = np.zeros(mask.size, dtype=int)
+    labels[idx] = comp + 1
+    return labels.reshape(mask.shape), int(firsts.size)
+
+
 def _oracle_polish(inst: TcpInstance, seed: np.ndarray, pin_tol: float, tol: float):
     """Polish one grid seed; yields verified candidate points.
 
@@ -872,9 +927,6 @@ def brute_force_oracle(
     clusters.  Valid only inside the box: clusters touching the outer
     boundary are flagged, the exterior is unobserved.
     """
-    # scipy loads only here, so importing tcplab does not pay for it
-    from scipy import ndimage
-
     if box_radius <= 0 or grid_step <= 0 or tol <= 0:
         raise ValueError("box_radius, grid_step and tol must be positive")
     n = inst.n
@@ -908,7 +960,7 @@ def brute_force_oracle(
         if idx.size:
             theta_F_max = max(theta_F_max, float(np.max(theta_F)))
 
-    labels, ncl = ndimage.label(accept.reshape(shape), structure=np.ones((3,) * n, dtype=int))
+    labels, ncl = _label(accept.reshape(shape))
     labels = labels.reshape(-1)
 
     # polish seeds: local minima of the violation score within the captured
@@ -928,7 +980,7 @@ def brute_force_oracle(
                 continue
             coords = np.zeros((1, n), dtype=int)
         else:
-            filt = ndimage.minimum_filter(sub, size=3, mode="constant", cval=np.inf)
+            filt = _min_filter3(sub)
             mask = (sub <= filt) & np.isfinite(sub)
             if not mask.any():
                 continue

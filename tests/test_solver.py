@@ -619,6 +619,25 @@ def test_oracle_budget_guard():
         brute_force_oracle(inst, box_radius=-1.0, grid_step=0.01, tol=1e-8)
 
 
+def test_oracle_grid_helpers_match_scipy_ndimage():
+    # the oracle's component labels and neighbourhood minima are numpy
+    # rewrites of ndimage.label (3^n connectivity) and
+    # ndimage.minimum_filter(size=3, mode="constant", cval=inf): labels,
+    # their numbering, the count and the minima must all be equal
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n = int(rng.integers(1, 4))
+        shape = tuple(int(g) for g in rng.integers(1, 12, size=n))
+        mask = rng.uniform(size=shape) < rng.uniform(0.1, 0.9)
+        want, count = ndimage.label(mask, structure=np.ones((3,) * n, dtype=int))
+        got, got_count = solver_mod._label(mask)
+        assert got_count == count and np.array_equal(got, want), (shape, mask)
+        field = np.where(mask, rng.uniform(size=shape), np.inf)
+        want = ndimage.minimum_filter(field, size=3, mode="constant", cval=np.inf)
+        assert np.array_equal(solver_mod._min_filter3(field), want), (shape, field)
+
+
 def test_oracle_meta_reports_grid_parameters():
     inst = with_rhs(builtin_example("gus"), [-1.0, -4.0])
     orc = brute_force_oracle(inst, box_radius=3.0, grid_step=0.05, tol=1e-8)
