@@ -2,7 +2,10 @@
 
 Every experiment draws each sample from its own PCG64 stream keyed by
 (seed, experiment salt, sample index), so reports are byte-identical for
-identical parameters.
+identical parameters.  The samples are all drawn first, then solved in one
+solve_many (or homogeneous_solve_many) call, which runs the faces of one
+size across all samples as one Newton batch, and the rows are built in
+sample order from the results.
 
 Row records share one stable column set:
 
@@ -31,7 +34,9 @@ from .solver import (
     brute_force_oracle,
     hausdorff_excess,
     homogeneous_solve,
+    homogeneous_solve_many,
     solve,
+    solve_many,
 )
 from .tensors import Tensor, as_vector, frobenius, pair_norm
 
@@ -52,6 +57,7 @@ USC_VIOLATION_FACTOR = 100.0
 
 
 def _map_samples(fn, ids):
+    """The rows fn(i) of the samples ids, built in order once they are solved."""
     return [fn(i) for i in ids]
 
 
@@ -175,16 +181,21 @@ def local_boundedness_probe(
     unbounded flags appear is the point of the negative control.
     """
     a = as_vector(a, A.dim)
-    if eps < 0 or delta < 0 or samples < 0:
-        raise ValueError("eps, delta and samples must be nonnegative")
+    if eps < 0 or delta < 0:
+        raise ValueError("eps and delta must be nonnegative")
+    if samples <= 0:
+        raise ValueError("samples must be positive")
     base_r0 = check_r0(A, cfg)
     vacuous = base_r0.verdict != VERDICT_HOLDS
 
-    def one(s: int) -> dict:
+    perts = []
+    for s in range(samples):
         rng = np.random.default_rng([cfg.seed, _SALT_BOUNDEDNESS, s])
-        dT = tensor_ball(A.order, A.dim, eps, rng)
-        db = vec_ball(A.dim, delta, rng)
-        sol = solve(TcpInstance(A + dT, a + db), cfg)
+        perts.append((tensor_ball(A.order, A.dim, eps, rng), vec_ball(A.dim, delta, rng)))
+    sols = solve_many([TcpInstance(A + dT, a + db) for dT, db in perts], cfg)
+
+    def one(s: int) -> dict:
+        (dT, db), sol = perts[s], sols[s]
         return _row(
             s,
             pt=frobenius(dT),
@@ -222,22 +233,25 @@ def r0_openness_probe(A: Tensor, radii, samples_per_radius: int, cfg: SolverConf
     radii = [float(r) for r in radii]
     if not radii or any(r <= 0 for r in radii):
         raise ValueError("radii must be a nonempty list of positive numbers")
-    if samples_per_radius < 0:
-        raise ValueError("samples must be nonnegative")
+    if samples_per_radius <= 0:
+        raise ValueError("samples must be positive")
     base_r0 = check_r0(A, cfg)
     vacuous = base_r0.verdict != VERDICT_HOLDS
 
-    jobs = [(i, r, j) for i, r in enumerate(radii) for j in range(samples_per_radius)]
-
-    def one(job) -> dict:
-        i, r, j = job
-        sid = i * samples_per_radius + j
+    # sample sid = i * samples_per_radius + j is the j-th at radius i
+    sample_radii = [r for r in radii for _ in range(samples_per_radius)]
+    tensors = []
+    for sid, r in enumerate(sample_radii):
         rng = np.random.default_rng([cfg.seed, _SALT_OPENNESS, sid])
-        B = A + Tensor(r * _tensor_direction(A.order, A.dim, rng).array)
-        rep = check_r0(B, cfg)
+        tensors.append(A + Tensor(r * _tensor_direction(A.order, A.dim, rng).array))
+    homs = homogeneous_solve_many(tensors, cfg)
+
+    def one(sid: int) -> dict:
+        r = sample_radii[sid]
+        rep = check_r0(tensors[sid], cfg, hom=homs[sid])
         return _row(sid, pt=r, flags=[f"radius={r:.12g}", rep.verdict])
 
-    rows = _map_samples(one, jobs)
+    rows = _map_samples(one, range(len(sample_radii)))
     fractions = {}
     for i, r in enumerate(radii):
         sub = rows[i * samples_per_radius : (i + 1) * samples_per_radius]
@@ -264,11 +278,12 @@ def genericity_sample(m: int, n: int, samples: int, cfg: SolverConfig) -> Experi
     if samples < 0:
         raise ValueError("samples must be nonnegative")
 
+    tensors = [Tensor(np.random.default_rng([cfg.seed, _SALT_GENERICITY, s]).standard_normal(size=(n,) * m))
+               for s in range(samples)]
+    homs = homogeneous_solve_many(tensors, cfg)
+
     def one(s: int) -> dict:
-        rng_seed = [cfg.seed, _SALT_GENERICITY, s]
-        A = Tensor(np.random.default_rng(rng_seed).standard_normal(size=(n,) * m))
-        rep = check_r0(A, cfg)
-        return _row(s, flags=[rep.verdict])
+        return _row(s, flags=[check_r0(tensors[s], cfg, hom=homs[s]).verdict])
 
     rows = _map_samples(one, range(samples))
     hits = sum(VERDICT_HOLDS in r["flags"] for r in rows)
@@ -311,19 +326,23 @@ def usc_probe(inst: TcpInstance, radius: float, samples: int, cfg: SolverConfig)
     perturbation norm is flagged usc-violation; samples whose solution set is
     certified unbounded carry the +inf sentinel.
     """
-    if radius <= 0 or samples < 0:
-        raise ValueError("radius must be positive and samples nonnegative")
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    if samples <= 0:
+        raise ValueError("samples must be positive")
     base = solve(inst, cfg)
     if not (base.points or base.rays or base.posdim_suspect):
         raise ValueError("usc probe needs a nonempty base solution set")
     reference = _reference_points(inst, base, cfg)
     n_shells = 5
 
+    perts = [pair_ball(inst.m, inst.n, radius, np.random.default_rng([cfg.seed, _SALT_USC, s]))
+             for s in range(samples)]
+    sols = solve_many([TcpInstance(inst.tensor + dT, inst.a + db) for dT, db in perts], cfg)
+
     def one(s: int) -> dict:
-        rng = np.random.default_rng([cfg.seed, _SALT_USC, s])
-        dT, db = pair_ball(inst.m, inst.n, radius, rng)
+        (dT, db), sol = perts[s], sols[s]
         rho = pair_norm(dT, db)
-        sol = solve(TcpInstance(inst.tensor + dT, inst.a + db), cfg)
         flags = _sol_flags(sol)
         shell = min(n_shells, int(math.ceil(rho / (radius / n_shells))))
         flags.append(f"shell={shell}")
@@ -395,22 +414,22 @@ def hoelder_fit(A: Tensor, a, radii, samples_per_radius: int, cfg: SolverConfig)
     radii = sorted(float(r) for r in radii)
     if not radii or radii[0] <= 0:
         raise ValueError("radii must be a nonempty list of positive numbers")
-    if samples_per_radius < 0:
-        raise ValueError("samples must be nonnegative")
+    if samples_per_radius <= 0:
+        raise ValueError("samples must be positive")
     hom = homogeneous_solve(A, cfg)  # the tensor is fixed across the sweep
     base = solve(TcpInstance(A, a), cfg, hom=hom)
     if not base.points or base.posdim_suspect:
         raise ValueError("hoelder fit needs a nonempty finite base solution set")
     reference = [p.x for p in base.points]
 
-    jobs = [(i, r, j) for i, r in enumerate(radii) for j in range(samples_per_radius)]
+    # sample sid = i * samples_per_radius + j is the j-th at radius i
+    sample_radii = [r for r in radii for _ in range(samples_per_radius)]
+    rhs = [a + vec_sphere(A.dim, r, np.random.default_rng([cfg.seed, _SALT_HOELDER, sid]))
+           for sid, r in enumerate(sample_radii)]
+    sols = solve_many([TcpInstance(A, b) for b in rhs], cfg, hom=hom)
 
-    def one(job) -> dict:
-        i, r, j = job
-        sid = i * samples_per_radius + j
-        rng = np.random.default_rng([cfg.seed, _SALT_HOELDER, sid])
-        b = a + vec_sphere(A.dim, r, rng)
-        sol = solve(TcpInstance(A, b), cfg, hom=hom)
+    def one(sid: int) -> dict:
+        r, sol = sample_radii[sid], sols[sid]
         if sol.status == STATUS_UNBOUNDED:
             excess = math.inf
         else:
@@ -424,7 +443,7 @@ def hoelder_fit(A: Tensor, a, radii, samples_per_radius: int, cfg: SolverConfig)
             flags=_sol_flags(sol),
         )
 
-    rows = _map_samples(one, jobs)
+    rows = _map_samples(one, range(len(sample_radii)))
     e_by_radius = {}
     for i, r in enumerate(radii):
         sub = rows[i * samples_per_radius : (i + 1) * samples_per_radius]
@@ -461,8 +480,10 @@ def stability_inclusion_check(
     flags and fits excess against ||B - A|| + ||b - a||.
     """
     a = as_vector(a, A.dim)
-    if eps <= 0 or samples < 0:
-        raise ValueError("eps must be positive and samples nonnegative")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if samples <= 0:
+        raise ValueError("samples must be positive")
     hom = homogeneous_solve(A, cfg)
     member = int_dual_cone_member([r.direction for r in hom.rays], a, cfg.tol)
     params = {"eps": eps, "samples": samples, "seed": cfg.seed, "a": a.tolist()}
@@ -476,12 +497,10 @@ def stability_inclusion_check(
     base = solve(TcpInstance(A, a), cfg, hom=hom)
     reference = [p.x for p in base.points]
 
+    # rejection sampling runs in sample order: its attempt budget is shared
     budget = 20 * samples
     attempts = 0
-    rows: list[dict] = []
-    pert_sizes: list[float] = []
-    excesses: list[float] = []
-    violations = 0
+    drawn: list[tuple[Tensor, np.ndarray, int]] = []
     for s in range(samples):
         rng = np.random.default_rng([cfg.seed, _SALT_STABILITY, s])
         B = None
@@ -495,9 +514,19 @@ def stability_inclusion_check(
             rejected += 1
         if B is None:
             break
-        b = a + vec_ball(A.dim, eps, rng)
-        sol_a = solve(TcpInstance(B, a), cfg)
-        sol_b = solve(TcpInstance(B, b), cfg)
+        drawn.append((B, a + vec_ball(A.dim, eps, rng), rejected))
+    # Sol(B, a) and Sol(B, b) of every sample in one call; both share B's
+    # homogeneous part
+    homs = homogeneous_solve_many([B for B, _, _ in drawn], cfg)
+    sols = solve_many([TcpInstance(B, rhs) for B, b, _ in drawn for rhs in (a, b)], cfg,
+                      hom=[h for h in homs for _ in range(2)])
+
+    rows: list[dict] = []
+    pert_sizes: list[float] = []
+    excesses: list[float] = []
+    violations = 0
+    for s, (B, b, rejected) in enumerate(drawn):
+        sol_a, sol_b = sols[2 * s], sols[2 * s + 1]
         flags = []
         bad = False
         for tag, sol in (("a", sol_a), ("b", sol_b)):

@@ -27,8 +27,8 @@ from .solver import (
     _dedup,
     _newton,
     _simplex_starts,
+    _solve_stream,
     homogeneous_solve,
-    solve,
 )
 from .tensors import Tensor, as_vector, contract, contract_rows, form, gradient_sum, jacobian_rows, slot_sum
 
@@ -67,13 +67,16 @@ class PropertyReport:
         }
 
 
-def check_r0(A: Tensor, cfg: SolverConfig) -> PropertyReport:
+def check_r0(A: Tensor, cfg: SolverConfig, hom: SolutionSet | None = None) -> PropertyReport:
     """R0: the homogeneous problem has no nonzero solution.
 
     Fails with a certificate ray when homogeneous_solve finds one; the ray is
-    re-checked against the zero right-hand side at CERT_TOL.
+    re-checked against the zero right-hand side at CERT_TOL.  Callers that
+    already hold homogeneous_solve(A, cfg), for example from
+    homogeneous_solve_many, can pass it as hom.
     """
-    hom = homogeneous_solve(A, cfg)
+    if hom is None:
+        hom = homogeneous_solve(A, cfg)
     effort = {
         "starts": hom.meta.get("starts", 0),
         "newton_iters": hom.meta.get("newton_iters", 0),
@@ -253,7 +256,10 @@ def probe_gus(A: Tensor, cfg: SolverConfig, samples: int = 200) -> PropertyRepor
 
     Samples are Gaussian vectors plus the full sign-pattern grid {-1, 0, 1}^n
     (the zero vector makes the probe subsume an R0 check).  Any sample with
-    zero or multiple solutions, rays, or a posdim face is a counterexample.
+    zero or multiple solutions, rays, or a posdim face is a counterexample;
+    the first one in sample order is reported.  The right-hand sides are
+    solved in solve_many's chunks, and the probe stops at the end of the
+    chunk holding the first counterexample.
     """
     if samples < 0:
         raise ValueError("samples must be nonnegative")
@@ -263,8 +269,7 @@ def probe_gus(A: Tensor, cfg: SolverConfig, samples: int = 200) -> PropertyRepor
     rhs.extend(rng.standard_normal(n) for _ in range(samples))
     hom = homogeneous_solve(A, cfg)  # shared across all right-hand sides
     tried = 0
-    for a in rhs:
-        sol = solve(TcpInstance(A, a), cfg, hom=hom)
+    for a, sol in zip(rhs, _solve_stream([TcpInstance(A, a) for a in rhs], cfg, hom)):
         tried += 1
         unique = len(sol.points) == 1 and not sol.rays and not sol.posdim_suspect
         if not unique:

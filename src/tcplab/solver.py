@@ -12,6 +12,13 @@ nonzero solutions on the probability simplex are the candidate recession
 directions, and a direction is kept for a concrete right-hand side only
 when the far tail of its ray actually solves the instance.
 
+solve_many and homogeneous_solve_many take many instances of one (m, n) and
+hand the face systems of all of them to the face solver at once, in chunks
+under a budget of Newton starts, so the faces of one size across a chunk
+run as one Newton batch; each instance still gets, bit for bit, what solve
+or homogeneous_solve gives it alone, and those two are one-instance calls
+into them.
+
 The brute-force grid oracle at the bottom is a separate check path: it
 never reuses the solver's roots and only polishes its own grid clusters,
 but it runs on the same kernels and Newton engine.
@@ -19,6 +26,7 @@ but it runs on the same kernels and Newton engine.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -65,9 +73,11 @@ ORACLE_MEMBER_CAP = 10_000
 class FaceSolveError(RuntimeError):
     """Numeric failure (non-finite evaluation) on a specific face."""
 
-    def __init__(self, face: FaceMask, message: str):
+    def __init__(self, face: FaceMask, message: str, row: int | None = None):
         super().__init__(f"face {face.to_json()}: {message}")
         self.face = face
+        # the batch row of the failing Newton start, when there is one
+        self.row = row
 
 
 class BudgetError(RuntimeError):
@@ -186,10 +196,11 @@ def _newton(fun, jac, Z0, max_iter: int, faces):
     fun(rows, Z) maps points Z (R, k) to residual rows (R, M) and jac(rows, Z)
     to Jacobians (R, M, k), where rows[i] is the row of Z0 whose system is
     evaluated at Z[i]; M > k for the simplex-augmented homogeneous systems.
-    faces[r] is the face of row r, named by the FaceSolveError raised when a
-    start's residual is not finite.  Each row keeps its own step length,
-    stall count and iteration count, and every operation acts row by row, so
-    a start's result does not depend on the other rows of the batch.
+    faces[r] is the face of row r, named by the FaceSolveError raised for the
+    first row whose start residual is not finite.  Each row keeps its own
+    step length, stall count and iteration count, and every operation acts
+    row by row, so a start's result does not depend on the other rows of the
+    batch.
     Returns (Z, residual_inf, iterations), one entry per row.
     """
     Z = np.array(Z0, dtype=float)
@@ -197,7 +208,7 @@ def _newton(fun, jac, Z0, max_iter: int, faces):
     phi = np.sum(F * F, axis=1)
     bad = np.flatnonzero(~np.isfinite(phi))
     if bad.size:
-        raise FaceSolveError(faces[bad[0]], "non-finite residual at a finite start point")
+        raise FaceSolveError(faces[bad[0]], "non-finite residual at a finite start point", row=int(bad[0]))
     iters = np.zeros(Z.shape[0], dtype=int)
     stalled = np.zeros(Z.shape[0], dtype=int)
     live = np.arange(Z.shape[0])
@@ -507,18 +518,29 @@ def _solve_faces(systems: list[FaceSystem], cfg: SolverConfig, homogeneous: bool
     one outcome per system.
 
     The starts of all general faces with the same number k of free
-    coordinates run as one Newton batch; filtering, deduplication and the
-    posdim test then run face by face.  Rows do not interact, so every face
-    gets the roots it gets when solved alone.  When a start's residual is not
-    finite, FaceSolveError names the lowest such face, the one a loop over
-    the faces in mask order stops at.
+    coordinates run as one Newton batch, whichever instances they belong to;
+    filtering, deduplication and the posdim test then run face by face.
+    Rows do not interact, so every face gets the roots it gets when solved
+    alone.  When a start's residual is not finite, each batch reports its
+    first failing row, and the FaceSolveError raised is the lowest of those
+    by (instance, face), instances ranked by their first system: with the
+    systems passed instance by instance, as solve_many passes them, that is
+    the face a loop over the instances and their faces in mask order stops
+    at.
     """
     outcomes = [_degenerate_face(fs, cfg, homogeneous) for fs in systems]
+    rank: dict[int, int] = {}
+    for fs in systems:
+        rank.setdefault(id(fs.instance), len(rank))
+
+    def order(i: int):
+        return rank[id(systems[i].instance)], systems[i].alpha
+
     by_size: dict[int, list[int]] = {}
     for i, out in enumerate(outcomes):
         if out is None:
             by_size.setdefault(systems[i].k, []).append(i)
-    failures: list[FaceSolveError] = []
+    failures: list[tuple[tuple, FaceSolveError]] = []
     for members in by_size.values():
         group = [systems[i] for i in members]
         starts = [_face_starts(fs, cfg, homogeneous) for fs in group]
@@ -529,7 +551,7 @@ def _solve_faces(systems: list[FaceSystem], cfg: SolverConfig, homogeneous: bool
                 fun, jac, np.vstack(starts), NEWTON_MAX_ITER, [group[g].alpha for g in owner]
             )
         except FaceSolveError as exc:
-            failures.append(exc)
+            failures.append((order(members[owner[exc.row]]), exc))
             continue
         lo = 0
         for i, fs, z in zip(members, group, starts):
@@ -537,7 +559,7 @@ def _solve_faces(systems: list[FaceSystem], cfg: SolverConfig, homogeneous: bool
             outcomes[i] = _face_outcome(fs, Z[lo:hi], resids[lo:hi], iters[lo:hi], jac, lo, cfg, homogeneous)
             lo = hi
     if failures:
-        raise min(failures, key=lambda exc: exc.face)
+        raise min(failures, key=lambda f: f[0])[1]
     return outcomes
 
 
@@ -661,6 +683,86 @@ def _certified_ray(inst0: TcpInstance, direction, cfg: SolverConfig) -> np.ndarr
     return None
 
 
+# Newton starts per chunk of solve_many or homogeneous_solve_many times n^m,
+# the size of the stacked kernels' gathers
+_MANY_CHUNK = 1 << 21
+
+
+@functools.lru_cache(maxsize=None)
+def _starts_bound(n: int, homogeneous: bool) -> int:
+    """Newton starts of one instance when every face is general."""
+
+    def starts(k: int) -> int:
+        if homogeneous:
+            return len(_simplex_starts(k)) + 1 + RANDOM_STARTS
+        return len(_grid_starts(k, START_BOX_RADIUS, GRID_STARTS_PER_AXIS)) + RANDOM_STARTS
+
+    return sum(math.comb(n, k) * starts(k) for k in range(1, n + 1))
+
+
+def _chunks(tensors: list[Tensor], homogeneous: bool) -> list[range]:
+    """Consecutive runs of instance indices, each holding as many instances as
+    fit in _MANY_CHUNK Newton starts times n^m, and at least one."""
+    shapes = sorted({A.array.shape for A in tensors})
+    if len(shapes) > 1:
+        raise ValueError(f"the instances of one call must share (m, n); got tensor shapes {shapes}")
+    if not tensors:
+        return []
+    m, n = tensors[0].order, tensors[0].dim
+    size = max(1, _MANY_CHUNK // (_starts_bound(n, homogeneous) * n**m))
+    return [range(lo, min(lo + size, len(tensors))) for lo in range(0, len(tensors), size)]
+
+
+def _face_results(systems: list[FaceSystem], outcomes: list[_FaceOutcome]):
+    """One instance's face outcomes, merged: points, rays, posdim faces
+    (sorted), Newton starts and iterations."""
+    points, rays, posdim = [], [], []
+    for fs, out in zip(systems, outcomes):
+        points.extend(out.points)
+        rays.extend(out.rays)
+        if out.posdim:
+            posdim.append(fs.alpha)
+    return (points, rays, sorted(posdim), sum(out.starts for out in outcomes),
+            sum(out.newton_iters for out in outcomes))
+
+
+def _solve_chunk(units: list[TcpInstance], faces: list[FaceMask], cfg: SolverConfig, homogeneous: bool):
+    """_face_results of every instance, all faces of all instances solved in
+    one _solve_faces call.  The systems run instance by instance, so a
+    FaceSolveError names the lowest face of the lowest failing instance."""
+    systems = [face_system(unit, face) for unit in units for face in faces]
+    outcomes = _solve_faces(systems, cfg, homogeneous)
+    F = len(faces)
+    return [_face_results(systems[j * F:(j + 1) * F], outcomes[j * F:(j + 1) * F]) for j in range(len(units))]
+
+
+def homogeneous_solve_many(tensors, cfg: SolverConfig) -> list[SolutionSet]:
+    """homogeneous_solve of every tensor, all of one (m, n).
+
+    The face systems of all tensors go to the face solver together, in
+    chunks of consecutive tensors under a budget of Newton starts, so the
+    faces of one size across a chunk run as one Newton batch.  Rows do not
+    interact: each result is the one homogeneous_solve gives alone.
+    """
+    tensors = list(tensors)
+    results = []
+    for chunk in _chunks(tensors, homogeneous=True):
+        # the face {0}, the last one, holds only the trivial solution
+        units = [_unit_pair(tensors[i], np.zeros(tensors[i].dim)) for i in chunk]
+        faces = enumerate_faces(tensors[chunk[0]].dim)[:-1]
+        for unit, (_, directions, posdim, starts, iters) in zip(units, _solve_chunk(units, faces, cfg, True)):
+            certified = [r for r in (_certified_ray(unit, d, cfg) for d in directions) if r is not None]
+            rays = _sorted_rays(certified, cfg.tol)
+            results.append(SolutionSet(
+                points=[],
+                rays=rays,
+                posdim_suspect=posdim,
+                status=_status([], rays, posdim),
+                meta=_meta(cfg, homogeneous=True, starts=starts, newton_iters=iters),
+            ))
+    return results
+
+
 def homogeneous_solve(A: Tensor, cfg: SolverConfig) -> SolutionSet:
     """Nonzero solutions of TCP(A, 0), searched on the probability simplex.
 
@@ -674,28 +776,53 @@ def homogeneous_solve(A: Tensor, cfg: SolverConfig) -> SolutionSet:
     particular the representative chosen for a positive-dimensional cone,
     the same across rescalings of A.
     """
-    inst = _unit_pair(A, np.zeros(A.dim))
-    directions: list[np.ndarray] = []
-    posdim: list[FaceMask] = []
-    starts = iters = 0
-    # the face {0}, the last one, holds only the trivial solution
-    systems = [face_system(inst, face) for face in enumerate_faces(A.dim)[:-1]]
-    for fs, out in zip(systems, _solve_faces(systems, cfg, homogeneous=True)):
-        directions.extend(out.rays)
-        if out.posdim:
-            posdim.append(fs.alpha)
-        starts += out.starts
-        iters += out.newton_iters
-    certified = [r for r in (_certified_ray(inst, d, cfg) for d in directions) if r is not None]
-    rays = _sorted_rays(certified, cfg.tol)
-    posdim = sorted(posdim)
-    return SolutionSet(
-        points=[],
-        rays=rays,
-        posdim_suspect=posdim,
-        status=_status([], rays, posdim),
-        meta=_meta(cfg, homogeneous=True, starts=starts, newton_iters=iters),
-    )
+    return homogeneous_solve_many([A], cfg)[0]
+
+
+def _solve_stream(instances, cfg: SolverConfig, hom=None):
+    """The solutions of solve_many, yielded one by one; a chunk is solved when
+    its first solution is asked for, so a caller that stops early stops at
+    the end of that chunk."""
+    instances = list(instances)
+    homs = hom if isinstance(hom, list) else [hom] * len(instances)
+    if len(homs) != len(instances):
+        raise ValueError(f"hom holds {len(homs)} results for {len(instances)} instances")
+    for chunk in _chunks([inst.tensor for inst in instances], homogeneous=False):
+        insts = [instances[i] for i in chunk]
+        units = [_unit_pair(inst.tensor, inst.a) for inst in insts]
+        faced = _solve_chunk(units, enumerate_faces(insts[0].n), cfg, False)
+        chunk_homs = [homs[i] for i in chunk]
+        todo = [j for j, h in enumerate(chunk_homs) if h is None]
+        for j, h in zip(todo, homogeneous_solve_many([insts[j].tensor for j in todo], cfg)):
+            chunk_homs[j] = h
+        for inst, unit, (xs, face_rays, posdim, starts, iters), h in zip(insts, units, faced, chunk_homs):
+            candidates = [r.direction for r in h.rays] + face_rays
+            active = [d for d in candidates if ray_active(unit, d, cfg.tol)]
+            points = _sorted_points(unit, inst, xs, cfg)
+            rays = _sorted_rays(active, cfg.tol)
+            yield SolutionSet(
+                points=points,
+                rays=rays,
+                posdim_suspect=posdim,
+                status=_status(points, rays, posdim),
+                meta=_meta(cfg, starts=starts, newton_iters=iters, hom_candidates=len(h.rays), faces=2**inst.n),
+            )
+
+
+def solve_many(instances, cfg: SolverConfig, hom=None) -> list[SolutionSet]:
+    """solve of every instance, all of one (m, n).
+
+    hom is None (each instance's homogeneous part is solved here, batched
+    like the faces), one homogeneous_solve result shared by every instance
+    (instances with a common tensor), or a list of them, one per instance.
+    The face systems of all instances go to the face solver together, in
+    chunks of consecutive instances under a budget of Newton starts times
+    n^m, so the faces of one size across a chunk run as one Newton batch.
+    Rows do not interact: each result is, bit for bit, the one solve gives
+    alone.  A FaceSolveError names the lowest face of the lowest failing
+    instance.  Instances of different (m, n) raise ValueError.
+    """
+    return list(_solve_stream(instances, cfg, hom))
 
 
 def solve(inst: TcpInstance, cfg: SolverConfig, hom: SolutionSet | None = None) -> SolutionSet:
@@ -710,47 +837,14 @@ def solve(inst: TcpInstance, cfg: SolverConfig, hom: SolutionSet | None = None) 
 
     Callers sweeping many right-hand sides against one tensor can pass the
     precomputed homogeneous_solve(A, cfg) result as hom; it depends only on
-    the tensor, not on a.
+    the tensor, not on a.  Many instances are solved faster together by
+    solve_many.
 
     The faces are solved for (A, a) divided by its pair norm, so every
     tolerance in cfg is relative to |(A, a)| and the points do not depend on
     the units of (A, a); each kkt_res is reported against the caller's (A, a).
     """
-    unit = _unit_pair(inst.tensor, inst.a)
-    xs: list[np.ndarray] = []
-    face_rays: list[np.ndarray] = []
-    posdim: list[FaceMask] = []
-    starts = iters = 0
-    systems = [face_system(unit, face) for face in enumerate_faces(inst.n)]
-    for fs, out in zip(systems, _solve_faces(systems, cfg, homogeneous=False)):
-        xs.extend(out.points)
-        face_rays.extend(out.rays)
-        if out.posdim:
-            posdim.append(fs.alpha)
-        starts += out.starts
-        iters += out.newton_iters
-
-    if hom is None:
-        hom = homogeneous_solve(inst.tensor, cfg)
-    candidates = [r.direction for r in hom.rays] + face_rays
-    active = [d for d in candidates if ray_active(unit, d, cfg.tol)]
-
-    points = _sorted_points(unit, inst, xs, cfg)
-    rays = _sorted_rays(active, cfg.tol)
-    posdim = sorted(posdim)
-    return SolutionSet(
-        points=points,
-        rays=rays,
-        posdim_suspect=posdim,
-        status=_status(points, rays, posdim),
-        meta=_meta(
-            cfg,
-            starts=starts,
-            newton_iters=iters,
-            hom_candidates=len(hom.rays),
-            faces=2**inst.n,
-        ),
-    )
+    return solve_many([inst], cfg, hom)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -847,15 +941,15 @@ def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
     ids = np.full(tuple(g + 2 for g in mask.shape), -1)
     core = ids[(slice(1, -1),) * mask.ndim]
     core[mask] = np.arange(idx.size)
-    pairs = []
+    u, v = [], []
     for shift in _neighbour_shifts(mask.ndim):
         if shift <= (0,) * mask.ndim:
             continue  # each pair once, from its earlier point
         other = ids[tuple(slice(1 + s, 1 + s + g) for s, g in zip(shift, mask.shape))]
         both = (core >= 0) & (other >= 0)
-        pairs.append((core[both], other[both]))
-    u = np.concatenate([p[0] for p in pairs]) if pairs else np.zeros(0, dtype=int)
-    v = np.concatenate([p[1] for p in pairs]) if pairs else np.zeros(0, dtype=int)
+        u.append(core[both])
+        v.append(other[both])
+    u, v = np.concatenate(u), np.concatenate(v)
     root = np.arange(idx.size)
     while True:
         ru, rv = root[u], root[v]

@@ -122,6 +122,20 @@ def test_negative_sample_counts_exit_2(capsys):
         assert err.startswith("error:") and "samples" in err, argv
 
 
+def test_zero_sample_counts_exit_2(capsys):
+    # nothing sampled gives no verdict, not a confident one
+    for argv in (
+        ("hoelder", "--example", "gus", "--a=-1,-1", "--samples", "0"),
+        ("stability", "--example", "gus", "--a", "1,1", "--samples", "0"),
+        ("usc", "--example", "gus", "--samples", "0"),
+        ("boundedness", "--example", "ex1", "--a", "1,1", "--samples", "0"),
+        ("openness", "--example", "ex1", "--samples", "0"),
+    ):
+        code, out, err = _main(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and "samples must be positive" in err, argv
+
+
 def test_boundedness_vacuous_exit_code(capsys):
     code, out, _ = _main(
         capsys, "boundedness", "--example", "zero", "--samples", "2"

@@ -147,6 +147,32 @@ def test_hoelder_fit_rejects_negative_sample_counts():
         hoelder_fit(GUS.tensor, [-1.0, -1.0], [0.1, 0.05], -3, CFG)
 
 
+def test_usc_probe_needs_samples():
+    with pytest.raises(ValueError, match="samples must be positive"):
+        usc_probe(GUS, 0.05, 0, CFG)
+
+
+def test_boundedness_probe_needs_samples():
+    inst = builtin_example("ex1")
+    with pytest.raises(ValueError, match="samples must be positive"):
+        local_boundedness_probe(inst.tensor, inst.a, 0.05, 0.25, 0, CFG)
+
+
+def test_hoelder_fit_needs_samples():
+    with pytest.raises(ValueError, match="samples must be positive"):
+        hoelder_fit(GUS.tensor, [-1.0, -1.0], [0.1, 0.05], 0, CFG)
+
+
+def test_stability_check_needs_samples():
+    with pytest.raises(ValueError, match="samples must be positive"):
+        stability_inclusion_check(GUS.tensor, [1.0, 1.0], 0.05, 0, CFG)
+
+
+def test_openness_probe_needs_samples():
+    with pytest.raises(ValueError, match="samples must be positive"):
+        r0_openness_probe(GUS.tensor, [0.3, 0.1], 0, CFG)
+
+
 def test_openness_probe_rejects_negative_sample_counts():
     with pytest.raises(ValueError, match="samples"):
         r0_openness_probe(builtin_example("ex1").tensor, [0.1, 0.05], -2, CFG)

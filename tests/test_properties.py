@@ -17,6 +17,7 @@ from tcplab import (
     check_r0,
     contract,
     form,
+    homogeneous_solve,
     int_dual_cone_member,
     lsc_witness,
     max_residual,
@@ -283,6 +284,36 @@ def test_gus_probe_rejects_multi_solution_tensor():
     sol = solve(with_rhs(builtin_example("ex1"), cert["a"]), CFG)
     assert len(sol.points) != 1 or sol.rays or sol.posdim_suspect
     assert sol.status == cert["status"]
+
+
+def test_gus_probe_reports_the_first_failing_sample(monkeypatch):
+    # the right-hand sides are solved in chunks; the certificate and the
+    # sample count are those of a loop that stops at the first non-unique
+    # sample.  The first tensor fails at samples 6, 8, 9 and 11 (1-based),
+    # the second at every sample but a few.
+    import tcplab.solver as solver_mod
+
+    def first_failure(A, samples):
+        rhs = [np.array(p, dtype=float) for p in itertools.product((-1.0, 0.0, 1.0), repeat=A.dim)]
+        rng = np.random.default_rng([CFG.seed, 3])
+        rhs.extend(rng.standard_normal(A.dim) for _ in range(samples))
+        hom = homogeneous_solve(A, CFG)
+        for tried, a in enumerate(rhs, 1):
+            sol = solve(TcpInstance(A, a), CFG, hom=hom)
+            if len(sol.points) != 1 or sol.rays or sol.posdim_suspect:
+                return {"a": a.tolist(), "n_points": len(sol.points), "n_rays": len(sol.rays),
+                        "status": sol.status}, tried
+        return None, tried
+
+    for seed in (12, 3):
+        A = random_gaussian(3, 2, seed)
+        cert, tried = first_failure(A, 10)
+        assert cert is not None and (seed != 12 or tried == 6)
+        for chunk in (solver_mod._MANY_CHUNK, 1):
+            monkeypatch.setattr(solver_mod, "_MANY_CHUNK", chunk)
+            report = probe_gus(A, CFG, samples=10)
+            assert report.verdict == VERDICT_FAILS
+            assert report.certificate == cert and report.effort == {"samples": tried}
 
 
 def test_gus_probe_rejects_zero_tensor():

@@ -22,13 +22,16 @@ from tcplab import (
     enumerate_faces,
     hausdorff_excess,
     homogeneous_solve,
+    homogeneous_solve_many,
     max_residual,
+    non_r0_witness,
     random_gaussian,
     ray_active,
     residual,
     scale,
     solve,
     solve_face,
+    solve_many,
     with_rhs,
 )
 import tcplab.solver as solver_mod
@@ -509,6 +512,107 @@ def test_non_finite_start_names_the_lowest_face(monkeypatch):
         with pytest.raises(FaceSolveError) as err:
             solver_mod._solve_faces(systems[::-1], CFG, homogeneous=False)
         assert err.value.face == FaceMask(3, 0)
+
+
+def _json(sols):
+    return [json.dumps(s.to_json(), sort_keys=True) for s in sols]
+
+
+def _many_cases():
+    # one list per (m, n): a Gaussian instance, the degenerate gus a=(-1, 0),
+    # the non-isolated ex1 a=(1, 1) and a certified ray; then two Gaussian
+    # m=3, n=3 instances
+    rng = np.random.default_rng(8)
+    small = [
+        TcpInstance(random_gaussian(3, 2, rng), rng.normal(size=2)),
+        with_rhs(builtin_example("gus"), [-1.0, 0.0]),
+        with_rhs(builtin_example("ex1"), [1.0, 1.0]),
+        TcpInstance(Tensor.zeros(3, 2), [0.0, 2.0]),
+    ]
+    big = [TcpInstance(random_gaussian(3, 3, rng), rng.normal(size=3)) for _ in range(2)]
+    return small, big
+
+
+def test_solve_many_equals_one_by_one_solves():
+    small, big = _many_cases()
+    for insts in (small, big):
+        assert _json(solve_many(insts, CFG)) == _json([solve(inst, CFG) for inst in insts])
+    statuses = [s.status for s in solve_many(small, CFG)]
+    assert statuses[1:] == [STATUS_FINITE, STATUS_NON_ISOLATED, "unbounded-suspect"]
+    # a shared homogeneous part, and one per instance
+    gus = builtin_example("gus")
+    insts = [with_rhs(gus, a) for a in ([-1.0, -4.0], [-1.0, 0.0], [1.0, 1.0], [0.0, -2.0])]
+    hom = homogeneous_solve(gus.tensor, CFG)
+    want = _json([solve(inst, CFG) for inst in insts])
+    assert _json(solve_many(insts, CFG, hom=hom)) == want
+    assert _json(solve_many(insts, CFG, hom=[hom] * len(insts))) == want
+    homs = [homogeneous_solve(inst.tensor, CFG) for inst in small]
+    assert _json(solve_many(small, CFG, hom=homs)) == _json([solve(inst, CFG) for inst in small])
+    with pytest.raises(ValueError):
+        solve_many(small, CFG, hom=homs[:2])
+    tensors = [inst.tensor for inst in small] + [non_r0_witness(3, 2, (1,), seed=9)]
+    assert _json(homogeneous_solve_many(tensors, CFG)) == _json([homogeneous_solve(A, CFG) for A in tensors])
+    assert solve_many([], CFG) == [] and homogeneous_solve_many([], CFG) == []
+
+
+def test_solve_many_chunks_change_nothing(monkeypatch):
+    # with a budget that holds one instance per chunk every instance gets a
+    # face-solver call of its own; the results stay the same
+    small, big = _many_cases()
+    real = solver_mod._solve_faces
+    calls = []
+
+    def counted(systems, cfg, homogeneous):
+        calls.append(homogeneous)
+        return real(systems, cfg, homogeneous)
+
+    monkeypatch.setattr(solver_mod, "_solve_faces", counted)
+    tensors = [inst.tensor for inst in small]
+    whole = _json(solve_many(small, CFG)), _json(homogeneous_solve_many(tensors, CFG))
+    assert calls == [False, True, True]
+    calls.clear()
+    monkeypatch.setattr(solver_mod, "_MANY_CHUNK", 1)
+    chunked = _json(solve_many(small, CFG)), _json(homogeneous_solve_many(tensors, CFG))
+    assert calls == [False, True] * len(small) + [True] * len(small)
+    assert chunked == whole
+
+
+def test_solve_many_error_names_the_first_failing_instance(monkeypatch):
+    # starts near 1e200 overflow every face that runs Newton.  The zero
+    # tensor runs none; with row 1 zeroed and a_1 = 1 every face with x_1
+    # free is infeasible, so that instance first fails on the face {1}, and a
+    # Gaussian instance on the open face.  The error is the one a loop of
+    # solve over the instances raises first, in either order.
+    rng = np.random.default_rng(4)
+    arr = random_gaussian(3, 3, rng).array.copy()
+    arr[0] = 0.0
+    insts = [
+        TcpInstance(Tensor.zeros(3, 3), [1.0, 1.0, 1.0]),
+        TcpInstance(Tensor(arr), [1.0, -1.0, 0.5]),
+        TcpInstance(random_gaussian(3, 3, rng), [1.0, -1.0, 0.5]),
+    ]
+    monkeypatch.setattr(solver_mod, "START_BOX_RADIUS", 1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for order, want in ((insts, FaceMask(3, 1)), (insts[::-1], FaceMask(3, 0))):
+            for inst in order:
+                try:
+                    solve(inst, CFG)
+                except FaceSolveError as exc:
+                    assert exc.face == want
+                    break
+            else:
+                raise AssertionError("no instance failed")
+            with pytest.raises(FaceSolveError) as err:
+                solve_many(order, CFG)
+            assert err.value.face == want
+
+
+def test_solve_many_needs_one_shape():
+    gus = builtin_example("gus")
+    with pytest.raises(ValueError, match="share"):
+        solve_many([gus, TcpInstance(random_gaussian(3, 3, 1), np.ones(3))], CFG)
+    with pytest.raises(ValueError, match="share"):
+        homogeneous_solve_many([gus.tensor, random_gaussian(4, 2, 1)], CFG)
 
 
 def test_simplex_starts_are_the_lattice_compositions():
