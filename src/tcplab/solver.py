@@ -163,16 +163,20 @@ _ARMIJO_BLOCK_ROWS = 1024
 def _newton_steps(J: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Newton steps for a stack of Jacobians J (S, M, k) and residuals f (S, M).
 
-    Square systems take the LU solution; rectangular ones (the
-    simplex-augmented homogeneous systems) take the minimum-norm
-    least-squares step.  Only the rows whose Jacobian is singular or
-    non-finite, or whose LU step is not finite, fall back to lstsq one by one.
+    Square systems take the LU solution.  Every other row with a finite
+    Jacobian (all rows of the rectangular simplex-augmented homogeneous
+    systems, and square rows that are singular or whose LU step is not
+    finite) takes the minimum-norm least-squares step from one stacked pinv,
+    with lstsq's cut-off rcond = eps * max(M, k); only rows with a non-finite
+    Jacobian call lstsq, one by one.
     """
     S, M, k = J.shape
     step = np.full((S, k), np.nan)
     rhs = -f[:, :, None]
-    ok = np.isfinite(J).all(axis=(1, 2))
+    finite = np.isfinite(J).all(axis=(1, 2))
+    rest = finite
     if M == k:
+        ok = finite.copy()
         try:
             step[ok] = np.linalg.solve(J[ok], rhs[ok])[:, :, 0]
         except np.linalg.LinAlgError:
@@ -181,10 +185,11 @@ def _newton_steps(J: np.ndarray, f: np.ndarray) -> np.ndarray:
             ok[ok] = np.linalg.slogdet(J[ok])[0] != 0.0
             step[ok] = np.linalg.solve(J[ok], rhs[ok])[:, :, 0]
         ok &= np.isfinite(step).all(axis=1)
-    elif ok.any():
-        pinv = np.linalg.pinv(J[ok], rcond=np.finfo(float).eps * max(M, k))
-        step[ok] = (pinv @ rhs[ok])[:, :, 0]
-    for r in np.flatnonzero(~ok):
+        rest = finite & ~ok
+    if rest.any():
+        pinv = np.linalg.pinv(J[rest], rcond=np.finfo(float).eps * max(M, k))
+        step[rest] = (pinv @ rhs[rest])[:, :, 0]
+    for r in np.flatnonzero(~finite):
         step[r] = np.linalg.lstsq(J[r], -f[r], rcond=None)[0]
     return step
 

@@ -78,7 +78,7 @@ def test_meta_echoes_tol_seed_and_the_fixed_constants():
         "start_box_radius": 5.0,
         "seed": 0,
         "starts": 147,
-        "newton_iters": 660,
+        "newton_iters": 672,
         "hom_candidates": 0,
         "faces": 4,
     }
