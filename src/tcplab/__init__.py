@@ -50,7 +50,6 @@ from .solver import (
     homogeneous_solve_many,
     ray_active,
     solve,
-    solve_face,
     solve_many,
 )
 from .properties import (

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import TcpInstance
-from .solver import STATUS_EMPTY, STATUS_FINITE, SolverConfig, homogeneous_solve, solve
+from .solver import STATUS_EMPTY, STATUS_FINITE, SolverConfig, solve_many
 from .tensors import Tensor, as_vector
 
 EXAMPLE_NAMES = ("ex1", "gus", "monotone", "zero")
@@ -87,25 +87,22 @@ def golden_suite(cfg: SolverConfig | None = None) -> tuple[list[dict], bool]:
     def case(name: str, ok: bool, detail: str):
         rows.append({"name": name, "pass": bool(ok), "detail": detail})
 
-    hom_cache: dict[str, object] = {}
-
-    def run(example: str, a):
-        inst = with_rhs(builtin_example(example), a)
-        if example not in hom_cache:
-            hom_cache[example] = homogeneous_solve(inst.tensor, cfg)
-        return solve(inst, cfg, hom=hom_cache[example])
+    def run(example: str, *rhs):
+        """Sol(A, a) of the example's tensor A for each a, in one solve_many call."""
+        return solve_many([with_rhs(builtin_example(example), a) for a in rhs], cfg)
 
     # ex1: F_i = a_i - (x1^2 + x2^2)
-    sol = run("ex1", (2.0, 1.0))
+    sols = run("ex1", (2.0, 1.0), (1.0, 2.0), (-1.0, 0.0), (1.0, 1.0))
+    sol = sols[0]
     case("ex1 a=(2,1) -> {(0,0),(0,1)}", _points_equal(sol, [(0, 0), (0, 1)]) and not sol.rays,
          f"points={_fmt_points(sol)} status={sol.status}")
-    sol = run("ex1", (1.0, 2.0))
+    sol = sols[1]
     case("ex1 a=(1,2) -> {(0,0),(1,0)}", _points_equal(sol, [(0, 0), (1, 0)]) and not sol.rays,
          f"points={_fmt_points(sol)} status={sol.status}")
-    sol = run("ex1", (-1.0, 0.0))
+    sol = sols[2]
     case("ex1 a=(-1,0) -> empty", sol.status == STATUS_EMPTY and not sol.points,
          f"points={_fmt_points(sol)} status={sol.status}")
-    sol = run("ex1", (1.0, 1.0))
+    sol = sols[3]
     others_on_circle = all(
         _on_circle(p.x, 1.0) for p in sol.points if float(np.linalg.norm(p.x)) > GOLDEN_TOL
     )
@@ -115,26 +112,27 @@ def golden_suite(cfg: SolverConfig | None = None) -> tuple[list[dict], bool]:
          f"posdim={[f.to_json() for f in sol.posdim_suspect]} points={_fmt_points(sol)}")
 
     # gus: F_i = x_i^2 + a_i
-    for a, expected in [
+    table = [
         ((-1.0, -4.0), [(1, 2)]),
         ((3.0, -4.0), [(0, 2)]),
         ((5.0, 5.0), [(0, 0)]),
         ((-1.0, -1.0), [(1, 1)]),
-    ]:
-        sol = run("gus", a)
+    ]
+    for (a, expected), sol in zip(table, run("gus", *(a for a, _ in table))):
         ok = _points_equal(sol, expected) and sol.status == STATUS_FINITE
         case(f"gus a={a} -> {expected}", ok, f"points={_fmt_points(sol)} status={sol.status}")
 
     # monotone: F_i = (x1^2 + x2^2) + a_i
-    for a, expected in [
+    table = [
         ((-4.0, -1.0), [(2, 0)]),
         ((-1.0, -4.0), [(0, 2)]),
         ((1.0, 2.0), [(0, 0)]),
-    ]:
-        sol = run("monotone", a)
+    ]
+    sols = run("monotone", *(a for a, _ in table), (-1.0, -1.0))
+    for (a, expected), sol in zip(table, sols):
         ok = _points_equal(sol, expected) and sol.status == STATUS_FINITE
         case(f"monotone a={a} -> {expected}", ok, f"points={_fmt_points(sol)} status={sol.status}")
-    sol = run("monotone", (-1.0, -1.0))
+    sol = sols[-1]
     ok = bool(sol.posdim_suspect) and all(_on_circle(p.x, 1.0) for p in sol.points) and not any(
         float(np.linalg.norm(p.x)) <= GOLDEN_TOL for p in sol.points
     )
@@ -142,24 +140,25 @@ def golden_suite(cfg: SolverConfig | None = None) -> tuple[list[dict], bool]:
          f"posdim={[f.to_json() for f in sol.posdim_suspect]} points={_fmt_points(sol)}")
 
     # zero tensor: F = a
-    sol = run("zero", (0.0, 0.0))
+    sols = run("zero", (0.0, 0.0), (0.0, 2.0), (2.0, 0.0), (1.0, 2.0), (-1.0, 0.0))
+    sol = sols[0]
     case("zero a=(0,0) -> whole orthant",
          _points_equal(sol, [(0, 0)]) and _has_ray(sol, (1, 0)) and _has_ray(sol, (0, 1))
          and bool(sol.posdim_suspect),
          f"points={_fmt_points(sol)} rays={len(sol.rays)} posdim={len(sol.posdim_suspect)}")
-    sol = run("zero", (0.0, 2.0))
+    sol = sols[1]
     case("zero a=(0,2) -> nonnegative x1-axis",
          _points_equal(sol, [(0, 0)]) and _has_ray(sol, (1, 0)) and len(sol.rays) == 1,
          f"points={_fmt_points(sol)} rays={[r.direction.tolist() for r in sol.rays]}")
-    sol = run("zero", (2.0, 0.0))
+    sol = sols[2]
     case("zero a=(2,0) -> nonnegative x2-axis",
          _points_equal(sol, [(0, 0)]) and _has_ray(sol, (0, 1)) and len(sol.rays) == 1,
          f"points={_fmt_points(sol)} rays={[r.direction.tolist() for r in sol.rays]}")
-    sol = run("zero", (1.0, 2.0))
+    sol = sols[3]
     case("zero a=(1,2) -> {(0,0)}",
          _points_equal(sol, [(0, 0)]) and sol.status == STATUS_FINITE,
          f"points={_fmt_points(sol)} status={sol.status}")
-    sol = run("zero", (-1.0, 0.0))
+    sol = sols[4]
     case("zero a=(-1,0) -> empty", sol.status == STATUS_EMPTY and not sol.points,
          f"points={_fmt_points(sol)} status={sol.status}")
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import TcpInstance
-from .properties import VERDICT_HOLDS, check_copositive, check_r0, int_dual_cone_member
+from .properties import VERDICT_HOLDS, _r0_report, check_copositive, check_r0, int_dual_cone_member
 from .solver import (
     START_BOX_RADIUS,
     STATUS_UNBOUNDED,
@@ -248,7 +248,7 @@ def r0_openness_probe(A: Tensor, radii, samples_per_radius: int, cfg: SolverConf
 
     def one(sid: int) -> dict:
         r = sample_radii[sid]
-        rep = check_r0(tensors[sid], cfg, hom=homs[sid])
+        rep = _r0_report(tensors[sid], homs[sid])
         return _row(sid, pt=r, flags=[f"radius={r:.12g}", rep.verdict])
 
     rows = _map_samples(one, range(len(sample_radii)))
@@ -283,7 +283,7 @@ def genericity_sample(m: int, n: int, samples: int, cfg: SolverConfig) -> Experi
     homs = homogeneous_solve_many(tensors, cfg)
 
     def one(s: int) -> dict:
-        return _row(s, flags=[check_r0(tensors[s], cfg, hom=homs[s]).verdict])
+        return _row(s, flags=[_r0_report(tensors[s], homs[s]).verdict])
 
     rows = _map_samples(one, range(samples))
     hits = sum(VERDICT_HOLDS in r["flags"] for r in rows)
@@ -416,17 +416,15 @@ def hoelder_fit(A: Tensor, a, radii, samples_per_radius: int, cfg: SolverConfig)
         raise ValueError("radii must be a nonempty list of positive numbers")
     if samples_per_radius <= 0:
         raise ValueError("samples must be positive")
-    hom = homogeneous_solve(A, cfg)  # the tensor is fixed across the sweep
-    base = solve(TcpInstance(A, a), cfg, hom=hom)
-    if not base.points or base.posdim_suspect:
-        raise ValueError("hoelder fit needs a nonempty finite base solution set")
-    reference = [p.x for p in base.points]
-
-    # sample sid = i * samples_per_radius + j is the j-th at radius i
+    # sample sid = i * samples_per_radius + j is the j-th at radius i, solved
+    # with the base (A, a) as instance 0
     sample_radii = [r for r in radii for _ in range(samples_per_radius)]
     rhs = [a + vec_sphere(A.dim, r, np.random.default_rng([cfg.seed, _SALT_HOELDER, sid]))
            for sid, r in enumerate(sample_radii)]
-    sols = solve_many([TcpInstance(A, b) for b in rhs], cfg, hom=hom)
+    base, *sols = solve_many([TcpInstance(A, b) for b in [a] + rhs], cfg)
+    if not base.points or base.posdim_suspect:
+        raise ValueError("hoelder fit needs a nonempty finite base solution set")
+    reference = [p.x for p in base.points]
 
     def one(sid: int) -> dict:
         r, sol = sample_radii[sid], sols[sid]
@@ -494,7 +492,7 @@ def stability_inclusion_check(
             [],
             {"vacuous": True, "reason": "a is not interior to the dual of the solution cone"},
         )
-    base = solve(TcpInstance(A, a), cfg, hom=hom)
+    base = solve(TcpInstance(A, a), cfg)
     reference = [p.x for p in base.points]
 
     # rejection sampling runs in sample order: its attempt budget is shared
@@ -515,11 +513,8 @@ def stability_inclusion_check(
         if B is None:
             break
         drawn.append((B, a + vec_ball(A.dim, eps, rng), rejected))
-    # Sol(B, a) and Sol(B, b) of every sample in one call; both share B's
-    # homogeneous part
-    homs = homogeneous_solve_many([B for B, _, _ in drawn], cfg)
-    sols = solve_many([TcpInstance(B, rhs) for B, b, _ in drawn for rhs in (a, b)], cfg,
-                      hom=[h for h in homs for _ in range(2)])
+    # Sol(B, a) and Sol(B, b) of every sample in one call
+    sols = solve_many([TcpInstance(B, rhs) for B, b, _ in drawn for rhs in (a, b)], cfg)
 
     rows: list[dict] = []
     pert_sizes: list[float] = []

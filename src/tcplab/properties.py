@@ -36,7 +36,8 @@ VERDICT_HOLDS = "holds-numerically"
 VERDICT_FAILS = "fails"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
-# certificates are re-validated at this looser tolerance before reporting
+# certificates are re-validated at this looser tolerance, relative to the
+# largest entry of the tensor, before reporting
 CERT_TOL = 1e-6
 
 # check_monotone's sample: a grid of MONOTONE_GRID_PER_AXIS points per axis
@@ -67,16 +68,8 @@ class PropertyReport:
         }
 
 
-def check_r0(A: Tensor, cfg: SolverConfig, hom: SolutionSet | None = None) -> PropertyReport:
-    """R0: the homogeneous problem has no nonzero solution.
-
-    Fails with a certificate ray when homogeneous_solve finds one; the ray is
-    re-checked against the zero right-hand side at CERT_TOL.  Callers that
-    already hold homogeneous_solve(A, cfg), for example from
-    homogeneous_solve_many, can pass it as hom.
-    """
-    if hom is None:
-        hom = homogeneous_solve(A, cfg)
+def _r0_report(A: Tensor, hom: SolutionSet) -> PropertyReport:
+    """check_r0's verdict on A from hom = homogeneous_solve(A, cfg)."""
     effort = {
         "starts": hom.meta.get("starts", 0),
         "newton_iters": hom.meta.get("newton_iters", 0),
@@ -86,7 +79,7 @@ def check_r0(A: Tensor, cfg: SolverConfig, hom: SolutionSet | None = None) -> Pr
         zero_inst = TcpInstance(A, np.zeros(A.dim))
         ray = hom.rays[0].direction
         res = max_residual(zero_inst, ray)
-        if res <= CERT_TOL:
+        if res <= CERT_TOL * float(np.max(np.abs(A.array))):
             cert = {"ray": ray.tolist(), "residual": res}
             return PropertyReport("r0", VERDICT_FAILS, cert, effort)
         effort["unvalidated_ray_residual"] = res
@@ -97,6 +90,17 @@ def check_r0(A: Tensor, cfg: SolverConfig, hom: SolutionSet | None = None) -> Pr
         effort["posdim_faces"] = [f.to_json() for f in hom.posdim_suspect]
         return PropertyReport("r0", VERDICT_INCONCLUSIVE, None, effort)
     return PropertyReport("r0", VERDICT_HOLDS, None, effort)
+
+
+def check_r0(A: Tensor, cfg: SolverConfig) -> PropertyReport:
+    """R0: the homogeneous problem has no nonzero solution.
+
+    Fails with a certificate ray when homogeneous_solve finds one; the ray is
+    re-checked against the zero right-hand side, its residual judged at
+    CERT_TOL times the largest entry of A, so the verdict does not depend on
+    the units of A.  The residual is reported in A's units.
+    """
+    return _r0_report(A, homogeneous_solve(A, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +216,8 @@ def check_monotone(A: Tensor, a, cfg: SolverConfig) -> PropertyReport:
     tensor alone; a is accepted to keep the instance signature uniform.
     Pairs come from a deterministic grid plus seeded random draws, and the
     first least pairing (NaN counting as +inf) is the candidate certificate.
+    Pairings are reported in A's units and judged against cfg.tol times the
+    largest entry of A, so the verdict does not depend on the units of A.
     When the sampled test holds, copositivity is re-checked for consistency
     (monotone maps have copositive tensors); disagreement downgrades to
     inconclusive.
@@ -233,9 +239,10 @@ def check_monotone(A: Tensor, a, cfg: SolverConfig) -> PropertyReport:
         if v[i] < worst[0]:
             worst = (float(v[i]), X[i], Y[i])
     effort = {"pairs": checked, "box": MONOTONE_BOX, "min_pairing": worst[0]}
-    if worst[0] < -cfg.tol:
+    tol = cfg.tol * float(np.max(np.abs(A.array)))
+    if worst[0] < -tol:
         v = pairing(worst[1], worst[2])
-        if v < -cfg.tol:
+        if v < -tol:
             cert = {"x": worst[1].tolist(), "y": worst[2].tolist(), "pairing": v}
             return PropertyReport("monotone", VERDICT_FAILS, cert, effort)
         return PropertyReport("monotone", VERDICT_INCONCLUSIVE, None, effort)
@@ -267,9 +274,8 @@ def probe_gus(A: Tensor, cfg: SolverConfig, samples: int = 200) -> PropertyRepor
     rhs: list[np.ndarray] = [np.array(p, dtype=float) for p in itertools.product((-1.0, 0.0, 1.0), repeat=n)]
     rng = np.random.default_rng([cfg.seed, 3])
     rhs.extend(rng.standard_normal(n) for _ in range(samples))
-    hom = homogeneous_solve(A, cfg)  # shared across all right-hand sides
     tried = 0
-    for a, sol in zip(rhs, _solve_stream([TcpInstance(A, a) for a in rhs], cfg, hom)):
+    for a, sol in zip(rhs, _solve_stream([TcpInstance(A, a) for a in rhs], cfg)):
         tried += 1
         unique = len(sol.points) == 1 and not sol.rays and not sol.posdim_suspect
         if not unique:

@@ -17,7 +17,9 @@ hand the face systems of all of them to the face solver at once, in chunks
 under a budget of Newton starts, so the faces of one size across a chunk
 run as one Newton batch; each instance still gets, bit for bit, what solve
 or homogeneous_solve gives it alone, and those two are one-instance calls
-into them.
+into them.  Within one solve_many call the homogeneous part is solved once
+per distinct tensor, so callers sweeping right-hand sides against a tensor
+need not carry it themselves.
 
 The brute-force grid oracle at the bottom is a separate check path: it
 never reuses the solver's roots and only polishes its own grid clusters,
@@ -100,9 +102,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # written so that a NaN tol fails it
-        if not 0 < self.tol < DEDUP_RADIUS:
-            raise ValueError(f"tol must lie in (0, {DEDUP_RADIUS:g}), got {self.tol}")
+        # written so that a NaN tol fails it.  Below 10 * NEWTON_ATOL a root
+        # that meets Newton's stop rule can fail the tol / 10 root filter
+        if not 10 * NEWTON_ATOL <= self.tol < DEDUP_RADIUS:
+            raise ValueError(f"tol must lie in [{10 * NEWTON_ATOL:g}, {DEDUP_RADIUS:g}), got {self.tol}")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 
@@ -167,8 +170,8 @@ def _newton_steps(J: np.ndarray, f: np.ndarray) -> np.ndarray:
     Jacobian (all rows of the rectangular simplex-augmented homogeneous
     systems, and square rows that are singular or whose LU step is not
     finite) takes the minimum-norm least-squares step from one stacked pinv,
-    with lstsq's cut-off rcond = eps * max(M, k); only rows with a non-finite
-    Jacobian call lstsq, one by one.
+    with lstsq's cut-off rcond = eps * max(M, k).  Rows with a non-finite
+    Jacobian have no step and get NaN, which _newton drops.
     """
     S, M, k = J.shape
     step = np.full((S, k), np.nan)
@@ -189,8 +192,6 @@ def _newton_steps(J: np.ndarray, f: np.ndarray) -> np.ndarray:
     if rest.any():
         pinv = np.linalg.pinv(J[rest], rcond=np.finfo(float).eps * max(M, k))
         step[rest] = (pinv @ rhs[rest])[:, :, 0]
-    for r in np.flatnonzero(~finite):
-        step[r] = np.linalg.lstsq(J[r], -f[r], rcond=None)[0]
     return step
 
 
@@ -625,25 +626,6 @@ def _sorted_rays(directions: list[np.ndarray], tol: float) -> list[Ray]:
     return [Ray(direction=d, face=face_of(d, tol)) for d in kept]
 
 
-def solve_face(inst: TcpInstance, alpha: FaceMask, cfg: SolverConfig) -> SolutionSet:
-    """Solve the square system of a single face and filter by its signs.
-
-    Like solve, this works on (A, a) divided by its pair norm.
-    """
-    unit = _unit_pair(inst.tensor, inst.a)
-    (out,) = _solve_faces([face_system(unit, alpha)], cfg, homogeneous=False)
-    points = _sorted_points(unit, inst, out.points, cfg)
-    rays = _sorted_rays(out.rays, cfg.tol)
-    posdim = [alpha] if out.posdim else []
-    return SolutionSet(
-        points=points,
-        rays=rays,
-        posdim_suspect=posdim,
-        status=_status(points, rays, posdim),
-        meta=_meta(cfg, face=alpha.to_json(), starts=out.starts, newton_iters=out.newton_iters),
-    )
-
-
 _CONE_TS = np.array([0.5, 1.0, 2.0, 10.0])
 
 
@@ -718,27 +700,46 @@ def _chunks(tensors: list[Tensor], homogeneous: bool) -> list[range]:
     return [range(lo, min(lo + size, len(tensors))) for lo in range(0, len(tensors), size)]
 
 
-def _face_results(systems: list[FaceSystem], outcomes: list[_FaceOutcome]):
-    """One instance's face outcomes, merged: points, rays, posdim faces
-    (sorted), Newton starts and iterations."""
-    points, rays, posdim = [], [], []
-    for fs, out in zip(systems, outcomes):
-        points.extend(out.points)
-        rays.extend(out.rays)
-        if out.posdim:
-            posdim.append(fs.alpha)
-    return (points, rays, sorted(posdim), sum(out.starts for out in outcomes),
-            sum(out.newton_iters for out in outcomes))
+def _solve_stream(instances, cfg: SolverConfig, homogeneous: bool = False):
+    """The results of solve_many, or with homogeneous those of
+    homogeneous_solve_many on the instances' tensors, yielded one by one.
 
-
-def _solve_chunk(units: list[TcpInstance], faces: list[FaceMask], cfg: SolverConfig, homogeneous: bool):
-    """_face_results of every instance, all faces of all instances solved in
-    one _solve_faces call.  The systems run instance by instance, so a
-    FaceSolveError names the lowest face of the lowest failing instance."""
-    systems = [face_system(unit, face) for unit in units for face in faces]
-    outcomes = _solve_faces(systems, cfg, homogeneous)
-    F = len(faces)
-    return [_face_results(systems[j * F:(j + 1) * F], outcomes[j * F:(j + 1) * F]) for j in range(len(units))]
+    All faces of a chunk's instances go to one _solve_faces call, instance
+    by instance, so a FaceSolveError names the lowest face of the lowest
+    failing instance.  A chunk is solved when its first result is asked
+    for, so a caller that stops early stops at the end of that chunk.  The
+    homogeneous part depends on the tensor alone: it is solved once per
+    distinct tensor value, after the point faces of the chunk where that
+    value first appears, and kept for the later chunks.
+    """
+    instances = list(instances)
+    homs: dict[bytes, SolutionSet] = {}
+    for chunk in _chunks([inst.tensor for inst in instances], homogeneous):
+        insts = [instances[i] for i in chunk]
+        units = [_unit_pair(inst.tensor, inst.a) for inst in insts]
+        faces = enumerate_faces(insts[0].n)
+        if homogeneous:
+            faces = faces[:-1]  # the face {0}, the last one, holds only the trivial solution
+        outcomes = _solve_faces([face_system(unit, face) for unit in units for face in faces], cfg, homogeneous)
+        if not homogeneous:
+            keys = [inst.tensor.array.tobytes() for inst in insts]
+            new = {key: TcpInstance(inst.tensor, np.zeros(inst.n)) for key, inst in zip(keys, insts) if key not in homs}
+            homs.update(zip(new, _solve_stream(new.values(), cfg, homogeneous=True)))
+        for j, (inst, unit) in enumerate(zip(insts, units)):
+            outs = outcomes[j * len(faces):(j + 1) * len(faces)]
+            rays = [d for out in outs for d in out.rays]
+            work = {"starts": sum(out.starts for out in outs), "newton_iters": sum(out.newton_iters for out in outs)}
+            if homogeneous:
+                rays = [r for r in (_certified_ray(unit, d, cfg) for d in rays) if r is not None]
+                meta = _meta(cfg, homogeneous=True, **work)
+            else:
+                hom = homs[keys[j]]
+                rays = [d for d in [r.direction for r in hom.rays] + rays if ray_active(unit, d, cfg.tol)]
+                meta = _meta(cfg, **work, hom_candidates=len(hom.rays), faces=2**inst.n)
+            points = _sorted_points(unit, inst, [x for out in outs for x in out.points], cfg)
+            rays = _sorted_rays(rays, cfg.tol)
+            posdim = [face for face, out in zip(faces, outs) if out.posdim]
+            yield SolutionSet(points, rays, posdim, _status(points, rays, posdim), meta)
 
 
 def homogeneous_solve_many(tensors, cfg: SolverConfig) -> list[SolutionSet]:
@@ -749,23 +750,7 @@ def homogeneous_solve_many(tensors, cfg: SolverConfig) -> list[SolutionSet]:
     faces of one size across a chunk run as one Newton batch.  Rows do not
     interact: each result is the one homogeneous_solve gives alone.
     """
-    tensors = list(tensors)
-    results = []
-    for chunk in _chunks(tensors, homogeneous=True):
-        # the face {0}, the last one, holds only the trivial solution
-        units = [_unit_pair(tensors[i], np.zeros(tensors[i].dim)) for i in chunk]
-        faces = enumerate_faces(tensors[chunk[0]].dim)[:-1]
-        for unit, (_, directions, posdim, starts, iters) in zip(units, _solve_chunk(units, faces, cfg, True)):
-            certified = [r for r in (_certified_ray(unit, d, cfg) for d in directions) if r is not None]
-            rays = _sorted_rays(certified, cfg.tol)
-            results.append(SolutionSet(
-                points=[],
-                rays=rays,
-                posdim_suspect=posdim,
-                status=_status([], rays, posdim),
-                meta=_meta(cfg, homogeneous=True, starts=starts, newton_iters=iters),
-            ))
-    return results
+    return list(_solve_stream([TcpInstance(A, np.zeros(A.dim)) for A in tensors], cfg, homogeneous=True))
 
 
 def homogeneous_solve(A: Tensor, cfg: SolverConfig) -> SolutionSet:
@@ -784,53 +769,23 @@ def homogeneous_solve(A: Tensor, cfg: SolverConfig) -> SolutionSet:
     return homogeneous_solve_many([A], cfg)[0]
 
 
-def _solve_stream(instances, cfg: SolverConfig, hom=None):
-    """The solutions of solve_many, yielded one by one; a chunk is solved when
-    its first solution is asked for, so a caller that stops early stops at
-    the end of that chunk."""
-    instances = list(instances)
-    homs = hom if isinstance(hom, list) else [hom] * len(instances)
-    if len(homs) != len(instances):
-        raise ValueError(f"hom holds {len(homs)} results for {len(instances)} instances")
-    for chunk in _chunks([inst.tensor for inst in instances], homogeneous=False):
-        insts = [instances[i] for i in chunk]
-        units = [_unit_pair(inst.tensor, inst.a) for inst in insts]
-        faced = _solve_chunk(units, enumerate_faces(insts[0].n), cfg, False)
-        chunk_homs = [homs[i] for i in chunk]
-        todo = [j for j, h in enumerate(chunk_homs) if h is None]
-        for j, h in zip(todo, homogeneous_solve_many([insts[j].tensor for j in todo], cfg)):
-            chunk_homs[j] = h
-        for inst, unit, (xs, face_rays, posdim, starts, iters), h in zip(insts, units, faced, chunk_homs):
-            candidates = [r.direction for r in h.rays] + face_rays
-            active = [d for d in candidates if ray_active(unit, d, cfg.tol)]
-            points = _sorted_points(unit, inst, xs, cfg)
-            rays = _sorted_rays(active, cfg.tol)
-            yield SolutionSet(
-                points=points,
-                rays=rays,
-                posdim_suspect=posdim,
-                status=_status(points, rays, posdim),
-                meta=_meta(cfg, starts=starts, newton_iters=iters, hom_candidates=len(h.rays), faces=2**inst.n),
-            )
-
-
-def solve_many(instances, cfg: SolverConfig, hom=None) -> list[SolutionSet]:
+def solve_many(instances, cfg: SolverConfig) -> list[SolutionSet]:
     """solve of every instance, all of one (m, n).
 
-    hom is None (each instance's homogeneous part is solved here, batched
-    like the faces), one homogeneous_solve result shared by every instance
-    (instances with a common tensor), or a list of them, one per instance.
     The face systems of all instances go to the face solver together, in
     chunks of consecutive instances under a budget of Newton starts times
     n^m, so the faces of one size across a chunk run as one Newton batch.
-    Rows do not interact: each result is, bit for bit, the one solve gives
-    alone.  A FaceSolveError names the lowest face of the lowest failing
-    instance.  Instances of different (m, n) raise ValueError.
+    The homogeneous part TCP(A, 0) is solved once for each distinct tensor
+    among the instances, so a sweep of right-hand sides against one tensor
+    pays for it once.  Rows do not interact: each result is, bit for bit,
+    the one solve gives alone.  A FaceSolveError names the lowest face of
+    the lowest failing instance.  Instances of different (m, n) raise
+    ValueError.
     """
-    return list(_solve_stream(instances, cfg, hom))
+    return list(_solve_stream(instances, cfg))
 
 
-def solve(inst: TcpInstance, cfg: SolverConfig, hom: SolutionSet | None = None) -> SolutionSet:
+def solve(inst: TcpInstance, cfg: SolverConfig) -> SolutionSet:
     """Solve TCP(A, a) by enumerating all 2^n faces.
 
     Points are the deduplicated isolated roots across faces; faces that trip
@@ -838,18 +793,15 @@ def solve(inst: TcpInstance, cfg: SolverConfig, hom: SolutionSet | None = None) 
     their roots are withheld from the point list (they sample a continuum).
     Rays are the homogeneous candidate directions whose tails actually solve
     this instance, so status "unbounded-suspect" means a genuinely unbounded
-    branch was certified at the working tolerance.
-
-    Callers sweeping many right-hand sides against one tensor can pass the
-    precomputed homogeneous_solve(A, cfg) result as hom; it depends only on
-    the tensor, not on a.  Many instances are solved faster together by
-    solve_many.
+    branch was certified at the working tolerance.  Many instances, in
+    particular many right-hand sides against one tensor, are solved faster
+    together by solve_many.
 
     The faces are solved for (A, a) divided by its pair norm, so every
     tolerance in cfg is relative to |(A, a)| and the points do not depend on
     the units of (A, a); each kkt_res is reported against the caller's (A, a).
     """
-    return solve_many([inst], cfg, hom)[0]
+    return solve_many([inst], cfg)[0]
 
 
 # ---------------------------------------------------------------------------

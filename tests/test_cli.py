@@ -99,16 +99,18 @@ def test_verdict_exit_codes(capsys):
 
 def test_nan_tol_exits_2(capsys):
     # NaN fails every comparison, so an unchecked NaN tol let each of these
-    # report a confident verdict
+    # report a confident verdict; a tol below 1e-13 let solve report a
+    # confident exact-empty
     for argv in (
         ("solve", "--example", "gus"),
         ("check-r0", "--example", "zero"),
         ("check-copositive", "--example", "ex1"),
         ("check-monotone", "--example", "ex1"),
     ):
-        code, out, err = _main(capsys, *argv, "--tol", "nan")
-        assert code == 2 and out == "", argv
-        assert err.startswith("error:") and "tol" in err, argv
+        for tol in ("nan", "1e-16"):
+            code, out, err = _main(capsys, *argv, "--tol", tol)
+            assert code == 2 and out == "", (argv, tol)
+            assert err.startswith("error:") and "tol" in err, (argv, tol)
 
 
 def test_negative_sample_counts_exit_2(capsys):

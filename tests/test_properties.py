@@ -17,7 +17,6 @@ from tcplab import (
     check_r0,
     contract,
     form,
-    homogeneous_solve,
     int_dual_cone_member,
     lsc_witness,
     max_residual,
@@ -171,6 +170,34 @@ def test_copositive_verdict_ignores_the_units_of_the_tensor():
     assert [check_copositive(A, CFG).verdict for A in cases] == [VERDICT_FAILS, VERDICT_HOLDS, VERDICT_FAILS]
 
 
+def test_r0_and_monotone_verdicts_ignore_the_units_of_the_tensor():
+    # A r r = 0 for the positive unit vector r, so r certifies that A is not
+    # R0; F = (x2^2, 0) is not monotone.  Both verdicts held an absolute
+    # threshold against values in A's units: check_r0 came out inconclusive
+    # at t = 1e12, check_monotone holds-numerically at t = 1e-9.
+    r = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+    G = np.random.default_rng(5).standard_normal((3, 3, 3))
+    non_r0 = Tensor(G - np.einsum("i,j,k->ijk", np.einsum("ijk,j,k->i", G, r, r), r, r))
+    arr = np.zeros((2, 2, 2))
+    arr[0, 1, 1] = 1.0
+    non_monotone = Tensor(arr)
+    ref = check_monotone(non_monotone, np.zeros(2), CFG)
+    for t in (1e-12, 1e-8, 1.0, 1e12, 1e200):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r0 = check_r0(scale(t, non_r0), CFG)
+            mono = check_monotone(scale(t, non_monotone), np.zeros(2), CFG)
+        assert r0.verdict == VERDICT_FAILS, t
+        assert np.allclose(r0.certificate["ray"], r, rtol=0, atol=1e-9)
+        assert r0.certificate["residual"] <= 1e-6 * t
+        assert mono.verdict == VERDICT_FAILS, t
+        assert mono.certificate["x"] == ref.certificate["x"] and mono.certificate["y"] == ref.certificate["y"]
+        assert mono.certificate["pairing"] == pytest.approx(t * ref.certificate["pairing"], rel=1e-12)
+        assert mono.effort["min_pairing"] == pytest.approx(t * ref.effort["min_pairing"], rel=1e-12)
+    assert check_r0(Tensor.zeros(3, 2), CFG).verdict == VERDICT_FAILS
+    assert check_monotone(Tensor.zeros(3, 2), np.zeros(2), CFG).verdict == VERDICT_HOLDS
+
+
 def test_copositive_effort_counters_are_pinned():
     # the starts and the KKT points found show in these counts: a change to
     # the starts, the system or the Newton stopping rules has to update them
@@ -297,9 +324,8 @@ def test_gus_probe_reports_the_first_failing_sample(monkeypatch):
         rhs = [np.array(p, dtype=float) for p in itertools.product((-1.0, 0.0, 1.0), repeat=A.dim)]
         rng = np.random.default_rng([CFG.seed, 3])
         rhs.extend(rng.standard_normal(A.dim) for _ in range(samples))
-        hom = homogeneous_solve(A, CFG)
         for tried, a in enumerate(rhs, 1):
-            sol = solve(TcpInstance(A, a), CFG, hom=hom)
+            sol = solve(TcpInstance(A, a), CFG)
             if len(sol.points) != 1 or sol.rays or sol.posdim_suspect:
                 return {"a": a.tolist(), "n_points": len(sol.points), "n_rays": len(sol.rays),
                         "status": sol.status}, tried

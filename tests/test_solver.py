@@ -30,7 +30,6 @@ from tcplab import (
     residual,
     scale,
     solve,
-    solve_face,
     solve_many,
     with_rhs,
 )
@@ -63,6 +62,13 @@ def test_solver_config_validation():
         SolverConfig(tol=float("nan"))
     with pytest.raises(ValueError):
         SolverConfig(seed=-1)
+    # below 10 * NEWTON_ATOL a root that meets Newton's stop rule can fail the
+    # tol / 10 filter: at 1e-16 the instance of test_work_counters_are_pinned
+    # came out exact-empty, where 1e-8 finds two points
+    for tol in (1e-16, 9.9e-14):
+        with pytest.raises(ValueError, match="tol"):
+            SolverConfig(tol=tol)
+    assert SolverConfig(tol=10 * NEWTON_ATOL).tol == 1e-13
 
 
 def test_meta_echoes_tol_seed_and_the_fixed_constants():
@@ -313,6 +319,20 @@ def test_batched_newton_rows_match_one_row_batches():
     assert len(set(its[res <= NEWTON_ATOL].tolist())) > 1
 
 
+def test_newton_steps_leave_non_finite_jacobians_without_a_step():
+    # an inf or NaN row, a singular row and a regular row: the non-finite
+    # row gets a NaN step, which _newton drops, and the other two the steps
+    # they get without it
+    J = np.array([[[0.0, 1.0], [0.0, 1.0]], [[1.0, 2.0], [2.0, 4.0]], [[2.0, 1.0], [1.0, 3.0]]])
+    f = np.array([[1.0, 1.0], [1.0, -1.0], [0.5, 2.0]])
+    want = _newton_steps(J[1:], f[1:])
+    assert np.isfinite(want).all()
+    for bad in (np.inf, np.nan):
+        J[0, 0, 0] = bad
+        step = _newton_steps(J, f)
+        assert np.isnan(step[0]).all() and np.array_equal(step[1:], want), bad
+
+
 def _sequential_newton(fun, jac, Z0, max_iter, accepted_at):
     """Damped Newton with the Armijo search run one step length at a time:
     the reference for _newton's blocked search.  Appends, per accepted
@@ -539,17 +559,11 @@ def test_solve_many_equals_one_by_one_solves():
         assert _json(solve_many(insts, CFG)) == _json([solve(inst, CFG) for inst in insts])
     statuses = [s.status for s in solve_many(small, CFG)]
     assert statuses[1:] == [STATUS_FINITE, STATUS_NON_ISOLATED, "unbounded-suspect"]
-    # a shared homogeneous part, and one per instance
+    # instances sharing a tensor, among instances that do not
     gus = builtin_example("gus")
     insts = [with_rhs(gus, a) for a in ([-1.0, -4.0], [-1.0, 0.0], [1.0, 1.0], [0.0, -2.0])]
-    hom = homogeneous_solve(gus.tensor, CFG)
-    want = _json([solve(inst, CFG) for inst in insts])
-    assert _json(solve_many(insts, CFG, hom=hom)) == want
-    assert _json(solve_many(insts, CFG, hom=[hom] * len(insts))) == want
-    homs = [homogeneous_solve(inst.tensor, CFG) for inst in small]
-    assert _json(solve_many(small, CFG, hom=homs)) == _json([solve(inst, CFG) for inst in small])
-    with pytest.raises(ValueError):
-        solve_many(small, CFG, hom=homs[:2])
+    insts = insts[:2] + small + insts[2:]
+    assert _json(solve_many(insts, CFG)) == _json([solve(inst, CFG) for inst in insts])
     tensors = [inst.tensor for inst in small] + [non_r0_witness(3, 2, (1,), seed=9)]
     assert _json(homogeneous_solve_many(tensors, CFG)) == _json([homogeneous_solve(A, CFG) for A in tensors])
     assert solve_many([], CFG) == [] and homogeneous_solve_many([], CFG) == []
@@ -575,6 +589,30 @@ def test_solve_many_chunks_change_nothing(monkeypatch):
     chunked = _json(solve_many(small, CFG)), _json(homogeneous_solve_many(tensors, CFG))
     assert calls == [False, True] * len(small) + [True] * len(small)
     assert chunked == whole
+
+
+def test_solve_many_solves_each_distinct_tensor_once(monkeypatch):
+    # two tensor values, each held by three separate Tensor objects: one
+    # homogeneous solve of 2^2 - 1 faces per value, also when every instance
+    # is a chunk of its own
+    rng = np.random.default_rng(6)
+    arrays = [random_gaussian(3, 2, rng).array for _ in range(2)]
+    insts = [TcpInstance(Tensor(arrays[i % 2].copy()), rng.normal(size=2)) for i in range(6)]
+    want = _json([solve(inst, CFG) for inst in insts])
+    real = solver_mod._solve_faces
+    hom_systems = []
+
+    def counted(systems, cfg, homogeneous):
+        if homogeneous:
+            hom_systems.append(len(systems))
+        return real(systems, cfg, homogeneous)
+
+    monkeypatch.setattr(solver_mod, "_solve_faces", counted)
+    for chunk in (solver_mod._MANY_CHUNK, 1):
+        monkeypatch.setattr(solver_mod, "_MANY_CHUNK", chunk)
+        hom_systems.clear()
+        assert _json(solve_many(insts, CFG)) == want
+        assert sum(hom_systems) == 2 * 3, chunk
 
 
 def test_solve_many_error_names_the_first_failing_instance(monkeypatch):
@@ -639,26 +677,6 @@ def test_solve_is_deterministic_including_order():
         s1 = json.dumps(solve(inst, CFG).to_json(), sort_keys=True)
         s2 = json.dumps(solve(inst, CFG).to_json(), sort_keys=True)
         assert s1 == s2
-
-
-def test_solve_accepts_precomputed_homogeneous_part():
-    inst = builtin_example("gus")
-    hom = homogeneous_solve(inst.tensor, CFG)
-    s1 = json.dumps(solve(inst, CFG).to_json(), sort_keys=True)
-    s2 = json.dumps(solve(inst, CFG, hom=hom).to_json(), sort_keys=True)
-    assert s1 == s2
-
-
-def test_solve_face_single_face_views():
-    inst = builtin_example("ex1")
-    sol = solve_face(inst, FaceMask.from_indices(2, [1]), CFG)
-    assert sol.status == STATUS_FINITE
-    assert np.abs(np.array(_points(sol)) - [0.0, 1.0]).max() <= 1e-9
-    zero_inst = TcpInstance(Tensor.zeros(3, 2), [0.0, 2.0])
-    sol = solve_face(zero_inst, FaceMask.from_indices(2, [2]), CFG)
-    assert any(np.allclose(r.direction, [1.0, 0.0]) for r in sol.rays)
-    with pytest.raises(ValueError):
-        solve_face(inst, FaceMask.from_indices(3, [1]), CFG)
 
 
 def test_point_counts_stay_under_component_bound():
