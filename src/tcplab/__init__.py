@@ -44,7 +44,6 @@ from .solver import (
     STATUS_UNBOUNDED,
     brute_force_oracle,
     chi_bound,
-    coordinate_ray_solves,
     hausdorff_excess,
     homogeneous_solve,
     homogeneous_solve_many,

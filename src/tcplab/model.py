@@ -21,6 +21,7 @@ from .tensors import (
     as_vector,
     contract_rows,
     jacobian_rows,
+    real_array,
     slot_sum,
     tensor_from_dict,
     tensor_to_dict,
@@ -140,7 +141,7 @@ class TcpInstance:
 
 def _as_points(x, n: int) -> np.ndarray:
     """Validate one point of shape (n,) or a stack of points of shape (S, n)."""
-    X = np.asarray(x, dtype=float)
+    X = real_array(x)
     if X.ndim == 1:
         return as_vector(X, n)
     if X.ndim != 2 or X.shape[1] != n:
@@ -237,7 +238,6 @@ class FaceSystem:
         else:
             self.block = np.zeros((0,) * inst.m)
             self.a_free = np.zeros(0)
-        self.slots = slot_sum(self.block)
 
         # block[r] holds the coefficients of row r
         coeffs = np.abs(self.block.reshape(self.k, self.k ** (inst.m - 1)))
@@ -245,7 +245,11 @@ class FaceSystem:
         a_zero = np.abs(self.a_free) < ZERO_ROW_TOL
         self.zero_rows = tuple(np.flatnonzero(vanishing & a_zero).tolist())
         self.infeasible_rows = tuple(np.flatnonzero(vanishing & ~a_zero).tolist())
-        self.underdetermined = bool(self.zero_rows)
+        # a row counted as zero is evaluated as exactly zero, so Newton stops
+        # at its starts on a face whose equations all vanish
+        self.block[vanishing] = 0.0
+        self.a_free[vanishing & a_zero] = 0.0
+        self.slots = slot_sum(self.block)
 
     def embed(self, z) -> np.ndarray:
         """Lift free coordinates z (k,) or rows of z (S, k) to the full space,

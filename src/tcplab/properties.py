@@ -47,6 +47,9 @@ MONOTONE_GRID_PER_AXIS = 6
 MONOTONE_RANDOM_PAIRS = 200
 MONOTONE_CHUNK = 1 << 18
 
+# check_copositive starts Newton from the simplex lattice of this resolution
+COPOSITIVE_RESOLUTION = 6
+
 
 @dataclass(eq=False)
 class PropertyReport:
@@ -125,7 +128,7 @@ def _kkt_functions(blocks: np.ndarray, slots: np.ndarray, owner: np.ndarray):
     return fun, jac
 
 
-def check_copositive(A: Tensor, cfg: SolverConfig, resolution: int = 6) -> PropertyReport:
+def check_copositive(A: Tensor, cfg: SolverConfig) -> PropertyReport:
     """Copositivity: form(A, x) >= 0 on the nonnegative orthant.
 
     The form's minimum on the simplex sits at a KKT point, where on the
@@ -133,8 +136,8 @@ def check_copositive(A: Tensor, cfg: SolverConfig, resolution: int = 6) -> Prope
     part of A): A is copositive iff every such Pareto eigenvalue mu is >= 0
     (Song & Qi, Linear Multilinear Algebra 63, 2015).  On every face with
     k >= 2 free coordinates, Newton solves G z^{m-1} = mu, sum(z) = 1 with
-    G x^{m-1} = S x^{m-1}, from the simplex lattice of this resolution and
-    seeded starts; vertices are exact.  The least form over vertices, KKT
+    G x^{m-1} = S x^{m-1}, from the simplex lattice of resolution
+    COPOSITIVE_RESOLUTION and seeded starts; vertices are exact.  The least form over vertices, KKT
     points with z >= 0 and the starts is judged against cfg.tol on A divided
     by its largest entry, and reported in A's units.  holds-numerically
     records the faces, Newton starts (grid_points) and iterations searched
@@ -149,7 +152,7 @@ def check_copositive(A: Tensor, cfg: SolverConfig, resolution: int = 6) -> Prope
         faces = [face for face in enumerate_faces(n) if n - len(face) == k]
         free = np.array([face.free_indices for face in faces])
         blocks = np.stack([G[np.ix_(*([f] * m))] for f in free])
-        Z0 = np.vstack([np.vstack([_simplex_starts(k, resolution), rng.dirichlet(np.ones(k), RANDOM_STARTS)])
+        Z0 = np.vstack([np.vstack([_simplex_starts(k, COPOSITIVE_RESOLUTION), rng.dirichlet(np.ones(k), RANDOM_STARTS)])
                         for rng in (np.random.default_rng([cfg.seed, face.mask, 4]) for face in faces)])
         owner = np.repeat(np.arange(len(faces)), len(Z0) // len(faces))
         fun, jac = _kkt_functions(blocks, np.stack([slot_sum(b) for b in blocks]), owner)
@@ -167,7 +170,7 @@ def check_copositive(A: Tensor, cfg: SolverConfig, resolution: int = 6) -> Prope
     x = X[int(np.argmin(vals))]
     effort = {
         "grid_points": sum(len(c) for c in candidates),
-        "resolution": resolution,
+        "resolution": COPOSITIVE_RESOLUTION,
         "faces": 2**n - 1,
         "newton_iters": iters,
         "kkt_points": len(_dedup([(p, 0.0) for p in np.vstack(kkt)], DEDUP_RADIUS)),

@@ -3,6 +3,9 @@
 Every face of the nonnegative orthant contributes a square polynomial
 system (model.FaceSystem); the solver runs a multistart damped Newton on
 each, filters roots by the face sign conditions, and merges the survivors.
+A face whose equations all vanish identically takes the same path: Newton
+stops at its starts, every feasible start is a root, and the face is flagged
+as a continuum unless its section is one point (a homogeneous k = 1 face).
 The starts of all faces with the same number k of free coordinates run as
 one Newton batch: the faces' blocks are stacked and each row is evaluated
 on its own face's block, so a face gets the roots it gets when solved alone
@@ -136,12 +139,6 @@ class SolutionSet:
     posdim_suspect: list[FaceMask]
     status: str
     meta: dict = field(default_factory=dict)
-
-    @property
-    def point_array(self) -> np.ndarray:
-        if not self.points:
-            return np.zeros((0, 0))
-        return np.stack([p.x for p in self.points])
 
     def to_json(self) -> dict:
         return {
@@ -294,14 +291,14 @@ def _face_functions(systems: list[FaceSystem], owner: np.ndarray | None, simplex
     return fun, jac
 
 
-def _grid_starts(k: int, box: float, per_axis: int) -> np.ndarray:
-    """Deterministic start grid over [0, box]^k, capped by GRID_START_BUDGET."""
-    if k == 0:
-        return np.zeros((1, 0))
-    g = per_axis
+def _grid_starts(k: int) -> np.ndarray:
+    """Deterministic start grid over [0, START_BOX_RADIUS]^k with
+    GRID_STARTS_PER_AXIS points per axis, fewer when that exceeds
+    GRID_START_BUDGET points."""
+    g = GRID_STARTS_PER_AXIS
     while g > 2 and g**k > GRID_START_BUDGET:
         g -= 1
-    axes = np.linspace(0.0, box, g)
+    axes = np.linspace(0.0, START_BOX_RADIUS, g)
     mesh = np.meshgrid(*([axes] * k), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
@@ -341,25 +338,6 @@ def _dedup(candidates: list[tuple[np.ndarray, float]], radius: float) -> list[np
 
 # ---------------------------------------------------------------------------
 # ray tests
-
-
-def coordinate_ray_solves(inst: TcpInstance, i: int, tol: float) -> bool:
-    """Whether the whole ray {t * e_i : t > 0} solves the instance.
-
-    Along the ray only pure powers of x_i survive, so with c_j = A[j, i, .., i]
-    the conditions reduce to c_i = a_i = 0 (complementarity on the free
-    coordinate) and c_j >= 0, a_j >= 0 elsewhere, all within tol.
-    """
-    arr = inst.tensor.array
-    c = arr[(slice(None),) + (i,) * (inst.m - 1)]
-    if abs(c[i]) > tol or abs(inst.a[i]) > tol:
-        return False
-    for j in range(inst.n):
-        if j == i:
-            continue
-        if c[j] < -tol or inst.a[j] < -tol:
-            return False
-    return True
 
 
 def ray_active(inst: TcpInstance, direction, tol: float) -> bool:
@@ -423,60 +401,19 @@ def _filter_roots(fs: FaceSystem, Z: np.ndarray, resids: np.ndarray, cfg: Solver
     return idx[(fs.pinned_slack(X, FX) >= -tol) & (max_residual(inst, X, FX) <= tol)]
 
 
-def _degenerate_face(fs: FaceSystem, cfg: SolverConfig, homogeneous: bool) -> _FaceOutcome | None:
-    """The outcome of a face that needs no Newton run, or None for a general
-    face."""
-    inst = fs.instance
-    out = _FaceOutcome()
-    tol = cfg.tol
-    if fs.infeasible_rows:
-        # an equation that is identically a nonzero constant can never vanish
-        return out
-
-    if fs.k == 0:
-        if not homogeneous and float(np.min(inst.a)) >= -tol:
-            out.points.append(np.zeros(inst.n))
-        return out
-
-    if len(fs.zero_rows) == fs.k:
-        # every equation vanishes identically: the face is cut out by the
-        # pinned-row sign conditions alone
-        if fs.k == 1:
-            i = fs.free[0]
-            e = np.zeros(inst.n)
-            e[i] = 1.0
-            if homogeneous:
-                if fs.pinned_slack(e) >= -tol:
-                    out.rays.append(e)
-            elif coordinate_ray_solves(inst, i, tol):
-                out.rays.append(e)
-            else:
-                ts = np.linspace(0.1, START_BOX_RADIUS, 8)
-                if np.any(fs.pinned_slack(np.outer(ts, e)) >= -tol):
-                    out.posdim = True
-        else:
-            if homogeneous:
-                candidates = [np.full(fs.k, 1.0 / fs.k)]
-                for z in _grid_starts(fs.k, 1.0, 5)[1:]:
-                    s = float(np.sum(z))
-                    if s > 0.1:
-                        candidates.append(z / s)
-            else:
-                candidates = [np.full(fs.k, 0.5 * START_BOX_RADIUS)]
-                candidates.extend(z for z in _grid_starts(fs.k, START_BOX_RADIUS, 4) if np.min(z) > 0)
-            for z in candidates:
-                x = fs.embed(z)
-                if np.min(z) > tol and fs.pinned_slack(x) >= -tol:
-                    out.posdim = True
-                    if homogeneous:
-                        out.rays.append(x / float(np.linalg.norm(x)))
-                    break
-        return out
-    return None
+def _degenerate_face(fs: FaceSystem, cfg: SolverConfig) -> _FaceOutcome | None:
+    """The outcome of a face that needs no Newton run, or None for any other
+    face: an equation that is identically a nonzero constant never vanishes,
+    and the face {0} holds the origin when a >= 0 (the homogeneous search
+    leaves that face out).  A face whose equations all vanish identically
+    runs Newton like any other: every feasible start is a root there."""
+    if fs.k == 0 and float(np.min(fs.instance.a)) >= -cfg.tol:
+        return _FaceOutcome(points=[np.zeros(fs.instance.n)])
+    return _FaceOutcome() if fs.k == 0 or fs.infeasible_rows else None
 
 
 def _face_starts(fs: FaceSystem, cfg: SolverConfig, homogeneous: bool) -> np.ndarray:
-    """Newton starts of a general face, shape (S, k)."""
+    """Newton starts of a face, shape (S, k)."""
     if homogeneous:
         # the search lives on the probability simplex, so start there
         rng = np.random.default_rng([cfg.seed, fs.alpha.mask, 1])
@@ -487,7 +424,7 @@ def _face_starts(fs: FaceSystem, cfg: SolverConfig, homogeneous: bool) -> np.nda
         ])
     rng = np.random.default_rng([cfg.seed, fs.alpha.mask, 0])
     return np.vstack([
-        _grid_starts(fs.k, START_BOX_RADIUS, GRID_STARTS_PER_AXIS),
+        _grid_starts(fs.k),
         rng.uniform(0.0, START_BOX_RADIUS, size=(RANDOM_STARTS, fs.k)),
     ])
 
@@ -495,8 +432,8 @@ def _face_starts(fs: FaceSystem, cfg: SolverConfig, homogeneous: bool) -> np.nda
 def _face_outcome(
     fs: FaceSystem, Z, resids, iters, jac, row: int, cfg: SolverConfig, homogeneous: bool
 ) -> _FaceOutcome:
-    """Roots of a general face from its Newton end points Z, with sign
-    filtering and posdim detection.  jac is the batch's Jacobian function and
+    """Roots of a face from its Newton end points Z, with sign filtering and
+    posdim detection.  jac is the batch's Jacobian function and
     row one of the face's rows in the batch."""
     out = _FaceOutcome(starts=Z.shape[0], newton_iters=int(iters.sum()))
     accepted = [(Z[i], resids[i]) for i in _filter_roots(fs, Z, resids, cfg)]
@@ -523,8 +460,8 @@ def _solve_faces(systems: list[FaceSystem], cfg: SolverConfig, homogeneous: bool
     """Roots of each face system, with sign filtering and posdim detection,
     one outcome per system.
 
-    The starts of all general faces with the same number k of free
-    coordinates run as one Newton batch, whichever instances they belong to;
+    The starts of all faces that need a Newton run and have the same number
+    k of free coordinates run as one Newton batch, whichever instances they belong to;
     filtering, deduplication and the posdim test then run face by face.
     Rows do not interact, so every face gets the roots it gets when solved
     alone.  When a start's residual is not finite, each batch reports its
@@ -534,7 +471,7 @@ def _solve_faces(systems: list[FaceSystem], cfg: SolverConfig, homogeneous: bool
     the face a loop over the instances and their faces in mask order stops
     at.
     """
-    outcomes = [_degenerate_face(fs, cfg, homogeneous) for fs in systems]
+    outcomes = [_degenerate_face(fs, cfg) for fs in systems]
     rank: dict[int, int] = {}
     for fs in systems:
         rank.setdefault(id(fs.instance), len(rank))
@@ -677,12 +614,12 @@ _MANY_CHUNK = 1 << 21
 
 @functools.lru_cache(maxsize=None)
 def _starts_bound(n: int, homogeneous: bool) -> int:
-    """Newton starts of one instance when every face is general."""
+    """Newton starts of one instance when no face has an infeasible row."""
 
     def starts(k: int) -> int:
         if homogeneous:
             return len(_simplex_starts(k)) + 1 + RANDOM_STARTS
-        return len(_grid_starts(k, START_BOX_RADIUS, GRID_STARTS_PER_AXIS)) + RANDOM_STARTS
+        return len(_grid_starts(k)) + RANDOM_STARTS
 
     return sum(math.comb(n, k) * starts(k) for k in range(1, n + 1))
 
@@ -791,7 +728,8 @@ def solve(inst: TcpInstance, cfg: SolverConfig) -> SolutionSet:
     Points are the deduplicated isolated roots across faces; faces that trip
     the positive-dimension heuristics are reported in posdim_suspect and
     their roots are withheld from the point list (they sample a continuum).
-    Rays are the homogeneous candidate directions whose tails actually solve
+    A face holding a whole solution ray, such as a coordinate ray on which
+    every equation vanishes, is one of them.  Rays are the homogeneous candidate directions whose tails actually solve
     this instance, so status "unbounded-suspect" means a genuinely unbounded
     branch was certified at the working tolerance.  Many instances, in
     particular many right-hand sides against one tensor, are solved faster

@@ -21,9 +21,28 @@ import numpy as np
 MAX_ENTRIES = 10_000_000
 
 
+def real_array(x) -> np.ndarray:
+    """x as a float array; complex input raises ValueError instead of losing
+    its imaginary part."""
+    arr = np.asarray(x)
+    if np.iscomplexobj(arr):
+        raise ValueError("complex input is not supported: entries must be real")
+    return np.asarray(arr, dtype=float)
+
+
+def _check_size(m: int, n: int) -> None:
+    """Raise ValueError when an order-m, dimension-n tensor exceeds MAX_ENTRIES.
+
+    With n >= 2 every m of at least MAX_ENTRIES.bit_length() is over budget,
+    so a huge m is refused without computing n**m.
+    """
+    if m >= MAX_ENTRIES.bit_length() or n**m > MAX_ENTRIES:
+        raise ValueError(f"n**m = {n}**{m} exceeds the desk-scale budget {MAX_ENTRIES}")
+
+
 def as_vector(x, n: int | None = None) -> np.ndarray:
     """Validate and convert x to a finite 1-d float array."""
-    v = np.asarray(x, dtype=float)
+    v = real_array(x)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
     if n is not None and v.shape[0] != n:
@@ -40,7 +59,7 @@ class Tensor:
     array: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.array, dtype=float)
+        arr = real_array(self.array)
         if arr.ndim < 2:
             raise ValueError(f"tensor order must be >= 2, got {arr.ndim}")
         n = arr.shape[0]
@@ -48,10 +67,7 @@ class Tensor:
             raise ValueError(f"tensor dimension must be >= 2, got {n}")
         if any(s != n for s in arr.shape):
             raise ValueError(f"all modes must have equal dimension, got shape {arr.shape}")
-        if n**arr.ndim > MAX_ENTRIES:
-            raise ValueError(
-                f"n**m = {n**arr.ndim} exceeds the desk-scale budget {MAX_ENTRIES}"
-            )
+        _check_size(arr.ndim, n)
         if not np.all(np.isfinite(arr)):
             raise ValueError("tensor has non-finite entries")
         arr = arr.copy()
@@ -73,7 +89,7 @@ class Tensor:
 
     @classmethod
     def from_entries(cls, m: int, n: int, entries) -> "Tensor":
-        flat = np.asarray(entries, dtype=float).reshape(-1)
+        flat = real_array(entries).reshape(-1)
         if flat.size != n**m:
             raise ValueError(f"expected {n**m} entries for (m, n) = ({m}, {n}), got {flat.size}")
         return cls(flat.reshape((n,) * m))
@@ -282,6 +298,7 @@ def tensor_from_dict(d: dict) -> Tensor:
         raise ValueError(f"malformed tensor object: missing field {exc}") from exc
     if m < 2 or n < 2:
         raise ValueError(f"tensor requires m >= 2 and n >= 2, got m={m}, n={n}")
+    _check_size(m, n)
     if fmt == "dense":
         flat = np.asarray(raw, dtype=float)
         if flat.size != n**m:

@@ -72,6 +72,15 @@ def test_malformed_json_reports_location_and_exits_2(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+def test_tensor_over_the_entry_budget_exits_2(tmp_path, capsys):
+    # a sparse file names m and n; m = 40, n = 2 would be an 8 TiB array
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"m": 40, "n": 2, "format": "sparse", "entries": []}))
+    code, out, err = _main(capsys, "check-r0", "--tensor", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "budget" in err
+
+
 def test_missing_input_exits_2(capsys):
     code, _, err = _main(capsys, "solve")
     assert code == 2

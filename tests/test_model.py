@@ -160,10 +160,9 @@ def test_face_system_flags_zero_and_infeasible_rows():
     zero = Tensor.zeros(3, 2)
     fs = face_system(TcpInstance(zero, [0.0, 1.0]), FaceMask.from_indices(2, [2]))
     assert fs.zero_rows == (0,)
-    assert fs.underdetermined
     fs = face_system(TcpInstance(zero, [1.0, 0.0]), FaceMask.from_indices(2, [2]))
     assert fs.infeasible_rows == (0,)
-    assert not fs.underdetermined
+    assert fs.zero_rows == ()
     full = face_system(TcpInstance(zero, [1.0, 0.0]), FaceMask.from_indices(2, [1, 2]))
     assert full.k == 0
     # slack at the origin is min over the pinned rows of F(0) = a

@@ -72,12 +72,6 @@ def test_copositive_verdicts_on_catalog():
     )
 
 
-def test_copositive_respects_resolution_override():
-    report = check_copositive(builtin_example("gus").tensor, CFG, resolution=10)
-    assert report.holds
-    assert report.effort["resolution"] == 10
-
-
 def _simplex_grid(n: int, resolution: int) -> np.ndarray:
     """Every point of the simplex with coordinates in multiples of 1/resolution."""
     head = [p for p in itertools.product(range(resolution + 1), repeat=n - 1) if sum(p) <= resolution]

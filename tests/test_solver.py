@@ -18,7 +18,6 @@ from tcplab import (
     brute_force_oracle,
     builtin_example,
     chi_bound,
-    coordinate_ray_solves,
     enumerate_faces,
     hausdorff_excess,
     homogeneous_solve,
@@ -158,14 +157,54 @@ def test_zero_tensor_solution_structure():
     assert _points(sol) == [[0.0, 0.0]]
 
 
+def test_all_zero_faces_take_the_newton_path():
+    # on a face whose equations all vanish every feasible start is a root.
+    # With a = (0, 2) the k = 1 face [2] holds the whole ray x = (t, 0), so
+    # it is flagged, and it runs as many starts as any k = 1 face: the faces
+    # [] and [1] hold the infeasible row F_2 = 2, so it is the only one
+    zero = Tensor.zeros(3, 2)
+    sol = solve(TcpInstance(zero, [0.0, 2.0]), CFG)
+    assert [f.to_json() for f in sol.posdim_suspect] == [[2]]
+    assert [r.direction.tolist() for r in sol.rays] == [[1.0, 0.0]]
+    assert sol.meta["starts"] == solver_mod._starts_bound(1, False)
+    # with a = 0 every face but {0} runs Newton and holds a continuum
+    sol = solve(TcpInstance(zero, [0.0, 0.0]), CFG)
+    assert [f.to_json() for f in sol.posdim_suspect] == [[], [1], [2]]
+    assert sol.meta["starts"] == solver_mod._starts_bound(2, False)
+    # every homogeneous face runs Newton too; a k = 1 face meets the simplex
+    # in one point, a plain ray, while the open face is flagged
+    hom = homogeneous_solve(zero, CFG)
+    assert [f.to_json() for f in hom.posdim_suspect] == [[]]
+    assert [1.0, 0.0] in [r.direction.tolist() for r in hom.rays]
+    assert [0.0, 1.0] in [r.direction.tolist() for r in hom.rays]
+    assert hom.meta["starts"] == solver_mod._starts_bound(2, True)
+
+
+def test_rows_below_the_zero_tolerance_are_solved_as_zero():
+    # F_2 = 1e-15 * x2^2 counts as a vanishing row on the face [1]; solved as
+    # written, Newton would leave a trail of isolated points along the ray
+    # x = (0, t) that solves the instance within tol
+    arr = np.zeros((2, 2, 2))
+    arr[0, 0, 0] = 1.0
+    arr[1, 1, 1] = 1e-15
+    inst = TcpInstance(Tensor(arr), [0.0, 0.0])
+    assert np.array_equal(face_system(inst, FaceMask.from_indices(2, [1])).block, np.zeros((1, 1, 1)))
+    sol = solve(inst, CFG)
+    assert [f.to_json() for f in sol.posdim_suspect] == [[1]]
+    assert _points(sol) == [[0.0, 0.0]]
+
+
 def test_ray_active_tail_conditions():
     zero = Tensor.zeros(3, 2)
     e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     assert ray_active(TcpInstance(zero, [0.0, 2.0]), e1, 1e-8)
     assert not ray_active(TcpInstance(zero, [1.0, 1.0]), e1, 1e-8)
     assert not ray_active(TcpInstance(zero, [-1.0, 0.0]), e2, 1e-8)
-    assert coordinate_ray_solves(TcpInstance(zero, [0.0, 2.0]), 0, 1e-8)
-    assert not coordinate_ray_solves(TcpInstance(zero, [1.0, 1.0]), 0, 1e-8)
+    # off the support a negative a_j is outweighed by a positive tail slack
+    arr = np.zeros((3, 3, 3))
+    arr[2, 0, 0] = 1.0
+    assert ray_active(TcpInstance(Tensor(arr), [0.0, 0.0, -1.0]), [1.0, 0.0, 0.0], 1e-8)
+    assert not ray_active(TcpInstance(Tensor(arr), [0.0, -1.0, 0.0]), [1.0, 0.0, 0.0], 1e-8)
 
 
 def test_homogeneous_solve_finds_witness_ray():

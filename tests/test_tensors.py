@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tcplab import (
+    TcpInstance,
     Tensor,
     add,
     contract,
@@ -12,6 +13,7 @@ from tcplab import (
     form,
     form_gradient,
     frobenius,
+    max_residual,
     multi_index,
     non_r0_witness,
     pair_norm,
@@ -20,7 +22,7 @@ from tcplab import (
     tensor_from_dict,
     tensor_to_dict,
 )
-from tcplab.tensors import contract_rows, jacobian_rows, slot_sum
+from tcplab.tensors import _check_size, contract_rows, jacobian_rows, slot_sum
 
 
 def _cube_example():
@@ -183,6 +185,30 @@ def test_tensor_validation():
     bad[0, 0] = np.inf
     with pytest.raises(ValueError):
         Tensor(bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: contract(_cube_example(), np.array([1 + 1j, 2.0])),
+    lambda: contract(_cube_example(), [1 + 1j, 2.0]),
+    lambda: form(_cube_example(), np.array([1.0, 2.0], dtype=complex)),
+    lambda: Tensor(np.full((2, 2, 2), 1j)),
+    lambda: Tensor.from_entries(3, 2, [1j] * 8),
+    lambda: TcpInstance(_cube_example(), [1j, 0.0]),
+    lambda: TcpInstance(_cube_example(), [0.0, 0.0]).F(np.array([[1 + 1j, 2.0]])),
+    lambda: max_residual(TcpInstance(_cube_example(), [0.0, 0.0]), [[1j, 0.0], [0.0, 1.0]]),
+])
+def test_complex_input_raises_value_error(call):
+    # the imaginary part is never dropped in silence
+    with pytest.raises(ValueError, match="complex"):
+        call()
+
+
+def test_huge_sparse_tensor_is_refused_before_allocation():
+    # 2**40 entries would take 8 TiB; the budget check comes first
+    for m, n in ((40, 2), (10**6, 3), (24, 2)):
+        with pytest.raises(ValueError, match="budget"):
+            tensor_from_dict({"m": m, "n": n, "format": "sparse", "entries": []})
+    _check_size(23, 2)  # 2**23 entries fit
 
 
 def test_add_scale_frobenius_pair_norm():
