@@ -3,9 +3,9 @@
 Every experiment draws each sample from its own PCG64 stream keyed by
 (seed, experiment salt, sample index), so reports are byte-identical for
 identical parameters.  The samples are all drawn first, then solved in one
-solve_many (or homogeneous_solve_many) call, which runs the faces of one
-size across all samples as one Newton batch, and the rows are built in
-sample order from the results.
+solve_many call, which runs the faces of one size across all samples as one
+Newton batch (the R0 experiments classify theirs in one call of the R0
+checker), and the rows are built in sample order from the results.
 
 Row records share one stable column set:
 
@@ -26,15 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import TcpInstance
-from .properties import VERDICT_HOLDS, _r0_report, check_copositive, check_r0, int_dual_cone_member
+from .properties import VERDICT_HOLDS, _r0_reports, check_copositive, check_r0, int_dual_cone_member
 from .solver import (
     START_BOX_RADIUS,
     STATUS_UNBOUNDED,
     SolverConfig,
+    _homogeneous_rays,
     brute_force_oracle,
     hausdorff_excess,
-    homogeneous_solve,
-    homogeneous_solve_many,
     solve,
     solve_many,
 )
@@ -244,12 +243,11 @@ def r0_openness_probe(A: Tensor, radii, samples_per_radius: int, cfg: SolverConf
     for sid, r in enumerate(sample_radii):
         rng = np.random.default_rng([cfg.seed, _SALT_OPENNESS, sid])
         tensors.append(A + Tensor(r * _tensor_direction(A.order, A.dim, rng).array))
-    homs = homogeneous_solve_many(tensors, cfg)
+    reports = _r0_reports(tensors, cfg)
 
     def one(sid: int) -> dict:
         r = sample_radii[sid]
-        rep = _r0_report(tensors[sid], homs[sid])
-        return _row(sid, pt=r, flags=[f"radius={r:.12g}", rep.verdict])
+        return _row(sid, pt=r, flags=[f"radius={r:.12g}", reports[sid].verdict])
 
     rows = _map_samples(one, range(len(sample_radii)))
     fractions = {}
@@ -280,10 +278,10 @@ def genericity_sample(m: int, n: int, samples: int, cfg: SolverConfig) -> Experi
 
     tensors = [Tensor(np.random.default_rng([cfg.seed, _SALT_GENERICITY, s]).standard_normal(size=(n,) * m))
                for s in range(samples)]
-    homs = homogeneous_solve_many(tensors, cfg)
+    reports = _r0_reports(tensors, cfg)
 
     def one(s: int) -> dict:
-        return _row(s, flags=[_r0_report(tensors[s], homs[s]).verdict])
+        return _row(s, flags=[reports[s].verdict])
 
     rows = _map_samples(one, range(samples))
     hits = sum(VERDICT_HOLDS in r["flags"] for r in rows)
@@ -471,7 +469,8 @@ def stability_inclusion_check(
     """Nonemptiness, boundedness and Hoelder-type inclusion under copositive drift.
 
     Precondition: a lies in the interior of the dual of the homogeneous
-    solution cone (tested against the sampled rays; vacuous report if not).
+    solution cone (tested against the sampled rays, which an R0-certified A
+    has none of; vacuous report if not).
     Each sample draws a copositive-verified tensor B within eps (rejection
     sampling capped at 20x the requested count) and a shifted b within eps,
     then checks that Sol(B, a) and Sol(B, b) are nonempty without unbounded
@@ -482,8 +481,7 @@ def stability_inclusion_check(
         raise ValueError("eps must be positive")
     if samples <= 0:
         raise ValueError("samples must be positive")
-    hom = homogeneous_solve(A, cfg)
-    member = int_dual_cone_member([r.direction for r in hom.rays], a, cfg.tol)
+    member = int_dual_cone_member(_homogeneous_rays([A], cfg)[0], a, cfg.tol)
     params = {"eps": eps, "samples": samples, "seed": cfg.seed, "a": a.tolist()}
     if not member:
         return ExperimentReport(

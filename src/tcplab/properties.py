@@ -1,9 +1,12 @@
 """Structural property checks: R0, copositivity, monotonicity, GUS.
 
-All checkers share one asymmetry: a "fails" verdict ships a concrete
-certificate that is re-validated independently before the report is built,
-while "holds-numerically" only says the search found no counterexample at
-the recorded effort.  Nothing here certifies a property globally.
+A "fails" verdict ships a concrete certificate that is re-validated
+independently before the report is built.  An R0 "holds-numerically"
+ships a certificate too whenever a Bernstein subdivision of the simplex
+faces, with rounding-safe sign tests, proves Sol(A, 0) = {0}
+(solver._r0_certificate).  Every other "holds-numerically" only says the
+search found no counterexample at the recorded effort; R0 falls back to
+that search when the subdivision is undecided.
 
 Copositivity is decided from the KKT points of the form on the simplex (its
 Pareto eigenvalues), found on the solver's Newton engine; holds-numerically
@@ -24,11 +27,13 @@ from .solver import (
     RANDOM_STARTS,
     SolverConfig,
     SolutionSet,
+    _candidate_rays,
     _dedup,
     _newton,
+    _r0_certificate,
     _simplex_starts,
     _solve_stream,
-    homogeneous_solve,
+    homogeneous_solve_many,
 )
 from .tensors import Tensor, as_vector, contract, contract_rows, form, gradient_sum, jacobian_rows, slot_sum
 
@@ -72,7 +77,8 @@ class PropertyReport:
 
 
 def _r0_report(A: Tensor, hom: SolutionSet) -> PropertyReport:
-    """check_r0's verdict on A from hom = homogeneous_solve(A, cfg)."""
+    """check_r0's verdict on A from a homogeneous result hom: that of
+    homogeneous_solve(A, cfg), or the polished rays of _candidate_rays."""
     effort = {
         "starts": hom.meta.get("starts", 0),
         "newton_iters": hom.meta.get("newton_iters", 0),
@@ -95,15 +101,48 @@ def _r0_report(A: Tensor, hom: SolutionSet) -> PropertyReport:
     return PropertyReport("r0", VERDICT_HOLDS, None, effort)
 
 
+def _r0_reports(tensors: list[Tensor], cfg: SolverConfig) -> list[PropertyReport]:
+    """check_r0 of every tensor, all of one (m, n).
+
+    A tensor _r0_certificate certifies holds with the certificate
+    {"simplices", "margin"} and runs no Newton search.  An undecided one
+    has its candidate directions polished into rays (_candidate_rays); when
+    none comes out, it joins one homogeneous_solve_many call with the
+    others.  Either ray list then gives the verdict as _r0_report does, and
+    effort counts that polish or search work plus the simplices judged.
+    """
+    certs = [_r0_certificate(A, cfg.tol) for A in tensors]
+    homs = {i: _candidate_rays(A, c.candidates, cfg) for i, (A, c) in enumerate(zip(tensors, certs)) if not c.holds}
+    rest = [i for i, hom in homs.items() if not hom.rays]
+    homs.update(zip(rest, homogeneous_solve_many([tensors[i] for i in rest], cfg)))
+    reports = []
+    for i, (A, cert) in enumerate(zip(tensors, certs)):
+        if cert.holds:
+            effort = {"starts": 0, "newton_iters": 0, "rays_found": 0}
+            rep = PropertyReport("r0", VERDICT_HOLDS, {"simplices": cert.simplices, "margin": cert.margin}, effort)
+        else:
+            rep = _r0_report(A, homs[i])
+        rep.effort["simplices"] = cert.simplices
+        reports.append(rep)
+    return reports
+
+
 def check_r0(A: Tensor, cfg: SolverConfig) -> PropertyReport:
     """R0: the homogeneous problem has no nonzero solution.
 
-    Fails with a certificate ray when homogeneous_solve finds one; the ray is
-    re-checked against the zero right-hand side, its residual judged at
-    CERT_TOL times the largest entry of A, so the verdict does not depend on
-    the units of A.  The residual is reported in A's units.
+    Decided first by Bernstein subdivision (solver._r0_certificate): when
+    every piece of every simplex face is excluded, holds-numerically comes
+    with the certificate {"simplices": pieces judged, "margin": a radius,
+    relative to the largest entry of A and above cfg.tol, within which every
+    tensor is R0}, a proof whose sign tests already bound their rounding.
+    Otherwise the centroids of the surviving pieces are polished into rays,
+    and when none comes out homogeneous_solve searches as before.  Fails
+    with a certificate ray, the least in tuple order; the ray is re-checked
+    against the zero right-hand side, its residual judged at CERT_TOL times
+    the largest entry of A, so the verdict does not depend on the units of
+    A.  The residual is reported in A's units.
     """
-    return _r0_report(A, homogeneous_solve(A, cfg))
+    return _r0_reports([A], cfg)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,18 @@ while the per-call overhead is paid once per face size, not once per face.
 Unboundedness is probed through the homogeneous problem TCP(A, 0): its
 nonzero solutions on the probability simplex are the candidate recession
 directions, and a direction is kept for a concrete right-hand side only
-when the far tail of its ray actually solves the instance.
+when the far tail of its ray actually solves the instance.  Before any
+Newton search on TCP(A, 0), _r0_certificate tries to prove Sol(A, 0) = {0}
+by Bernstein subdivision of the simplex faces, with rounding-safe sign
+tests; a tensor it certifies has no candidate directions, and its
+homogeneous faces are never solved.
 
 solve_many and homogeneous_solve_many take many instances of one (m, n) and
 hand the face systems of all of them to the face solver at once, in chunks
 under a budget of Newton starts, so the faces of one size across a chunk
 run as one Newton batch; each instance still gets, bit for bit, what solve
 or homogeneous_solve gives it alone, and those two are one-instance calls
-into them.  Within one solve_many call the homogeneous part is solved once
+into them.  Within one solve_many call the homogeneous part is settled once
 per distinct tensor, so callers sweeping right-hand sides against a tensor
 need not carry it themselves.
 
@@ -47,7 +51,17 @@ from .model import (
     face_system,
     max_residual,
 )
-from .tensors import Tensor, as_vector, contract, contract_rows, jacobian_rows, pair_norm, slot_sum
+from .tensors import (
+    Tensor,
+    _bernstein,
+    _multisets,
+    as_vector,
+    contract,
+    contract_rows,
+    jacobian_rows,
+    pair_norm,
+    slot_sum,
+)
 
 STATUS_EMPTY = "exact-empty"
 STATUS_FINITE = "finite"
@@ -312,13 +326,14 @@ def _simplex_starts(k: int, resolution: int = 6) -> np.ndarray:
     return (np.diff(edges, axis=1) - 1) / resolution
 
 
-def _dedup(candidates: list[tuple[np.ndarray, float]], radius: float) -> list[np.ndarray]:
+def _dedup(candidates: list[tuple[np.ndarray, float]], radius: float, limit: int | None = None) -> list[np.ndarray]:
     """Greedy dedup in inf-norm, best residual first; deterministic order.
 
     Candidates are ranked by (residual, coordinates).  The first candidate
     left is kept and every candidate within radius of it dropped, so a
     candidate is kept exactly when it is farther than radius from every kept
-    candidate ranked before it.
+    candidate ranked before it.  With a limit, the scan stops once that many
+    are kept: the result is the first limit of the full one.
     """
     if not candidates:
         return []
@@ -329,7 +344,7 @@ def _dedup(candidates: list[tuple[np.ndarray, float]], radius: float) -> list[np
     Z = Z[order]
     left = np.ones(len(order), dtype=bool)
     kept: list[np.ndarray] = []
-    while left.any():
+    while left.any() and len(kept) != limit:
         i = int(np.argmax(left))
         kept.append(candidates[order[i]][0])
         left &= np.max(np.abs(Z - Z[i]), axis=1) > radius
@@ -434,10 +449,12 @@ def _face_outcome(
 ) -> _FaceOutcome:
     """Roots of a face from its Newton end points Z, with sign filtering and
     posdim detection.  jac is the batch's Jacobian function and
-    row one of the face's rows in the batch."""
+    row one of the face's rows in the batch.  Past POSDIM_ROOT_LIMIT roots
+    the face is a continuum whatever their number, and only its first root
+    is used, so deduplication stops at POSDIM_ROOT_LIMIT + 1."""
     out = _FaceOutcome(starts=Z.shape[0], newton_iters=int(iters.sum()))
     accepted = [(Z[i], resids[i]) for i in _filter_roots(fs, Z, resids, cfg)]
-    roots = _dedup(accepted, DEDUP_RADIUS)
+    roots = _dedup(accepted, DEDUP_RADIUS, POSDIM_ROOT_LIMIT + 1)
     if not roots:
         return out
 
@@ -571,7 +588,7 @@ def _cone_holds(inst0: TcpInstance, r: np.ndarray, tol: float) -> bool:
     return bool(np.all(max_residual(inst0, np.outer(_CONE_TS, r)) <= tol))
 
 
-def _certified_ray(inst0: TcpInstance, direction, cfg: SolverConfig) -> np.ndarray | None:
+def _certified_ray(inst0: TcpInstance, direction, cfg: SolverConfig) -> tuple[np.ndarray | None, int]:
     """Re-polish a candidate direction until the cone property certifies.
 
     Every emitted ray promises residual(A, 0, t*r) <= tol along the sampled
@@ -579,32 +596,197 @@ def _certified_ray(inst0: TcpInstance, direction, cfg: SolverConfig) -> np.ndarr
     can be too loose at t = 10.  Exact candidates pass immediately; Newton
     candidates get one more polish to machine accuracy.  Directions that
     still fail are dropped (the posdim flag, not a sloppy ray, reports their
-    face).
+    face).  Returns the ray, or None, and the Newton iterations spent.
     """
     r = np.asarray(direction, dtype=float)
     r = r / float(np.linalg.norm(r))
     if _cone_holds(inst0, r, cfg.tol):
-        return r
+        return r, 0
     fs = face_system(inst0, face_of(np.maximum(r, 0.0), cfg.tol))
     if fs.k == 0:
-        return None
+        return None, 0
     z0 = r[list(fs.free)]
     s = float(np.sum(z0))
     if s <= 0.0:
-        return None
+        return None, 0
     fun, jac = _face_functions([fs], None, simplex=True)
     try:
-        Z, _, _ = _newton(fun, jac, (z0 / s)[None], NEWTON_MAX_ITER, [fs.alpha])
+        Z, _, iters = _newton(fun, jac, (z0 / s)[None], NEWTON_MAX_ITER, [fs.alpha])
     except FaceSolveError:
-        return None
+        return None, 0
     x = fs.embed(Z[0])
     nrm = float(np.linalg.norm(x))
     if not math.isfinite(nrm) or nrm <= 0.0 or float(np.min(x)) < 0.0:
-        return None
+        return None, int(iters[0])
     r = x / nrm
-    if _cone_holds(inst0, r, cfg.tol):
-        return r
-    return None
+    return (r if _cone_holds(inst0, r, cfg.tol) else None), int(iters[0])
+
+
+# ---------------------------------------------------------------------------
+# R0 certificate by Bernstein subdivision
+
+# the subdivision gives up after judging this many sub-simplices, when a
+# surviving piece's longest edge (inf-norm, on the simplex) falls below
+# R0_MIN_EDGE, or when a vertex piece survives; at most R0_CANDIDATES
+# centroids of the surviving pieces are handed on as candidate rays
+R0_PIECE_BUDGET = 4096
+R0_MIN_EDGE = 2.0 ** -12
+R0_CANDIDATES = 8
+# entries of the Bernstein kernel's largest temporaries per chunk of pieces
+_R0_CHUNK = 1 << 21
+
+
+@dataclass(frozen=True, eq=False)
+class _R0Certificate:
+    holds: bool
+    simplices: int
+    # holds: every tensor within margin * max|A| of A, entry by entry, is R0;
+    # undecided: NaN
+    margin: float
+    # undecided: centroids of surviving pieces on the simplex, best first
+    candidates: np.ndarray
+
+
+def _r0_clearance(arr, abs_arr, V, supp, gamma2: float, eta: float) -> np.ndarray:
+    """How far the pieces V (P, n, k) with supports supp (P, n) are from
+    holding a solution of their support, shape (P,).
+
+    A piece holds none when some row i in its support has every Bernstein
+    coefficient of one strict sign (F_i has no zero on it), or some row off
+    its support has every coefficient strictly negative (F_i < 0 on it).  A
+    row's clearance is the least amount by which its coefficients pass zero
+    on that sign after their rounding bound, gamma2 times the same
+    coefficient of |A| plus eta, is taken off; a piece's is its best row's.
+    A positive clearance excludes the piece.
+    """
+    P, n, k = V.shape
+    size = max(1, _R0_CHUNK // (n ** (arr.ndim - 1) * k + n * k ** (arr.ndim - 1)))
+    clear = np.zeros(P)
+    for lo in range(0, P, size):
+        Vc = V[lo:lo + size]
+        coef = _bernstein(arr, Vc)
+        bound = gamma2 * _bernstein(abs_arr, Vc) + eta
+        neg = np.min(-coef - bound, axis=2)
+        rows = np.where(supp[lo:lo + size], np.maximum(np.min(coef - bound, axis=2), neg), neg)
+        clear[lo:lo + size] = np.max(rows, axis=1)
+    return clear
+
+
+def _bisect(V: np.ndarray):
+    """The two halves of each simplex V (P, n, k) cut at the midpoint of its
+    longest edge (the first in pair order on ties), its longest edge, and
+    whether every midpoint is exact."""
+    P, _, k = V.shape
+    a, b = np.triu_indices(k, 1)
+    edges = np.max(np.abs(V[:, :, a] - V[:, :, b]), axis=1)
+    e = np.argmax(edges, axis=1)
+    rows = np.arange(P)
+    va, vb = V[rows, :, a[e]], V[rows, :, b[e]]
+    # TwoSum: s is va + vb exactly when its error term vanishes
+    s = va + vb
+    bv = s - va
+    mid = 0.5 * s
+    exact = bool(np.all((va - (s - bv)) + (vb - bv) == 0.0) and np.all(2.0 * mid == s))
+    lo, hi = V.copy(), V.copy()
+    lo[rows, :, b[e]] = mid
+    hi[rows, :, a[e]] = mid
+    return np.concatenate([lo, hi]), edges[rows, e], exact
+
+
+def _r0_certificate(A: Tensor, tol: float) -> _R0Certificate:
+    """Decide Sol(A, 0) = {0} by Bernstein subdivision of the simplex faces.
+
+    A nonzero solution of TCP(A, 0) scaled onto the probability simplex, with
+    support beta, lies on the face simplex of beta with F_i = 0 for i in
+    beta and F_j >= 0 off it.  The 2^n - 1 face simplices start as the
+    pieces, each carrying its support; a piece with a positive clearance
+    (_r0_clearance) holds no solution of its support and is excluded, every
+    other piece is cut in two at its longest edge, and A is R0 when no
+    piece is left.
+
+    A float sign is a proof here.  A is scaled by a power of two, which is
+    exact up to underflow; vertices start at the unit vectors and every
+    midpoint is checked to be exact, so the halves tile their parent, the
+    vertices stay on the simplex and each column of a piece's vertex matrix
+    sums to 1.  Every coefficient is judged against 2 gamma_K times the same
+    coefficient of |A| (tensors._bernstein) plus K * 2^-1072, which bounds
+    its rounding and underflow error.  A piece is excluded only when its
+    clearance is above tol times the largest entry of A: a change of at
+    most that much in every entry moves no coefficient by more, so every
+    tensor that close to a certified A is R0 as well, and a tensor with a
+    ray of residual below tol, which the Newton search would report, is not
+    certified.  margin is the least clearance, relative to the largest
+    entry of A.
+
+    The search stops undecided on the first of: R0_PIECE_BUDGET pieces
+    judged, a surviving piece with an edge below R0_MIN_EDGE, a surviving
+    vertex (k = 1) piece, or a midpoint that is not exact; the centroids of
+    the surviving pieces, ranked by their TCP(A, 0) residual and
+    deduplicated within half the longest surviving edge, are the candidates.
+    """
+    n, d = A.dim, A.order - 1
+    big = float(np.max(np.abs(A.array)))
+    arr = np.ldexp(A.array, -math.frexp(big)[1])
+    abs_arr = np.abs(arr)
+    top = float(np.max(abs_arr))
+    pieces = {}
+    for k in range(1, n + 1):
+        masks = np.array([mask for mask in range(1, 2**n) if bin(mask).count("1") == k])
+        supports = (masks[:, None] >> np.arange(n) & 1).astype(bool)
+        V = np.zeros((len(supports), n, k))
+        rows, cols = np.nonzero(supports)
+        V[rows, cols, np.tile(np.arange(k), len(supports))] = 1.0
+        pieces[k] = (V, supports)
+    simplices, least = 0, math.inf
+    while True:
+        alive = {}
+        for k, (V, supp) in pieces.items():
+            K = d * n + int(_multisets(k, d)[2].max())
+            gamma = K * 2.0 ** -53 / (1.0 - K * 2.0 ** -53)
+            clear = _r0_clearance(arr, abs_arr, V, supp, 2.0 * gamma, K * 2.0 ** -1072)
+            excluded = clear > tol * top
+            simplices += len(V)
+            if excluded.any():
+                least = min(least, float(np.min(clear[excluded])))
+            if not excluded.all():
+                alive[k] = (V[~excluded], supp[~excluded])
+        if not alive:
+            return _R0Certificate(True, simplices, least / top, np.zeros((0, n)))
+        stop = 1 in alive or simplices + 2 * sum(len(V) for V, _ in alive.values()) > R0_PIECE_BUDGET
+        cut, longest = {}, 0.0
+        for k, (V, supp) in alive.items():
+            if k > 1:
+                halves, edges, exact = _bisect(V)
+                stop |= not exact or float(np.min(edges)) < R0_MIN_EDGE
+                longest = max(longest, float(np.max(edges)))
+                cut[k] = (halves, np.concatenate([supp, supp]))
+        if stop:
+            break
+        pieces = cut
+    X = np.vstack([V.mean(axis=2) for V, _ in alive.values()])
+    res = max_residual(TcpInstance(Tensor(arr), np.zeros(n)), X)
+    kept = _dedup(list(zip(X, res)), 0.5 * longest)[:R0_CANDIDATES]
+    return _R0Certificate(False, simplices, math.nan, np.array(kept))
+
+
+def _candidate_rays(A: Tensor, candidates: np.ndarray, cfg: SolverConfig) -> SolutionSet:
+    """The rays _certified_ray polishes out of candidate directions for
+    TCP(A, 0), as a homogeneous result whose starts counts the candidates
+    and newton_iters their polish."""
+    unit = _unit_pair(A, np.zeros(A.dim))
+    polished = [_certified_ray(unit, c, cfg) for c in candidates]
+    rays = _sorted_rays([r for r, _ in polished if r is not None], cfg.tol)
+    meta = _meta(cfg, homogeneous=True, starts=len(polished), newton_iters=sum(it for _, it in polished))
+    return SolutionSet([], rays, [], _status([], rays, []), meta)
+
+
+def _homogeneous_rays(tensors: list[Tensor], cfg: SolverConfig) -> list[list[np.ndarray]]:
+    """The ray directions of homogeneous_solve for each tensor, all of one
+    (m, n); a tensor _r0_certificate certifies has none and runs no Newton
+    search."""
+    certified = [_r0_certificate(A, cfg.tol).holds for A in tensors]
+    rest = iter(homogeneous_solve_many([A for A, ok in zip(tensors, certified) if not ok], cfg))
+    return [[] if ok else [r.direction for r in next(rest).rays] for ok in certified]
 
 
 # Newton starts per chunk of solve_many or homogeneous_solve_many times n^m,
@@ -645,12 +827,13 @@ def _solve_stream(instances, cfg: SolverConfig, homogeneous: bool = False):
     by instance, so a FaceSolveError names the lowest face of the lowest
     failing instance.  A chunk is solved when its first result is asked
     for, so a caller that stops early stops at the end of that chunk.  The
-    homogeneous part depends on the tensor alone: it is solved once per
-    distinct tensor value, after the point faces of the chunk where that
-    value first appears, and kept for the later chunks.
+    homogeneous part depends on the tensor alone: its rays are found once
+    per distinct tensor value by _homogeneous_rays, after the point faces
+    of the chunk where that value first appears, and kept for the later
+    chunks.
     """
     instances = list(instances)
-    homs: dict[bytes, SolutionSet] = {}
+    homs: dict[bytes, list[np.ndarray]] = {}
     for chunk in _chunks([inst.tensor for inst in instances], homogeneous):
         insts = [instances[i] for i in chunk]
         units = [_unit_pair(inst.tensor, inst.a) for inst in insts]
@@ -660,19 +843,19 @@ def _solve_stream(instances, cfg: SolverConfig, homogeneous: bool = False):
         outcomes = _solve_faces([face_system(unit, face) for unit in units for face in faces], cfg, homogeneous)
         if not homogeneous:
             keys = [inst.tensor.array.tobytes() for inst in insts]
-            new = {key: TcpInstance(inst.tensor, np.zeros(inst.n)) for key, inst in zip(keys, insts) if key not in homs}
-            homs.update(zip(new, _solve_stream(new.values(), cfg, homogeneous=True)))
+            new = {key: inst.tensor for key, inst in zip(keys, insts) if key not in homs}
+            homs.update(zip(new, _homogeneous_rays(list(new.values()), cfg)))
         for j, (inst, unit) in enumerate(zip(insts, units)):
             outs = outcomes[j * len(faces):(j + 1) * len(faces)]
             rays = [d for out in outs for d in out.rays]
             work = {"starts": sum(out.starts for out in outs), "newton_iters": sum(out.newton_iters for out in outs)}
             if homogeneous:
-                rays = [r for r in (_certified_ray(unit, d, cfg) for d in rays) if r is not None]
+                rays = [r for r, _ in (_certified_ray(unit, d, cfg) for d in rays) if r is not None]
                 meta = _meta(cfg, homogeneous=True, **work)
             else:
                 hom = homs[keys[j]]
-                rays = [d for d in [r.direction for r in hom.rays] + rays if ray_active(unit, d, cfg.tol)]
-                meta = _meta(cfg, **work, hom_candidates=len(hom.rays), faces=2**inst.n)
+                rays = [d for d in hom + rays if ray_active(unit, d, cfg.tol)]
+                meta = _meta(cfg, **work, hom_candidates=len(hom), faces=2**inst.n)
             points = _sorted_points(unit, inst, [x for out in outs for x in out.points], cfg)
             rays = _sorted_rays(rays, cfg.tol)
             posdim = [face for face, out in zip(faces, outs) if out.posdim]
@@ -712,11 +895,12 @@ def solve_many(instances, cfg: SolverConfig) -> list[SolutionSet]:
     The face systems of all instances go to the face solver together, in
     chunks of consecutive instances under a budget of Newton starts times
     n^m, so the faces of one size across a chunk run as one Newton batch.
-    The homogeneous part TCP(A, 0) is solved once for each distinct tensor
+    The homogeneous part TCP(A, 0) is settled once for each distinct tensor
     among the instances, so a sweep of right-hand sides against one tensor
-    pays for it once.  Rows do not interact: each result is, bit for bit,
-    the one solve gives alone.  A FaceSolveError names the lowest face of
-    the lowest failing instance.  Instances of different (m, n) raise
+    pays for it once, and only for the R0 certificate when that proves
+    Sol(A, 0) = {0}.  Rows do not interact: each result is, bit for bit, the
+    one solve gives alone.  A FaceSolveError names the lowest face of the
+    lowest failing instance.  Instances of different (m, n) raise
     ValueError.
     """
     return list(_solve_stream(instances, cfg))

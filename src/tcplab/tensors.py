@@ -12,6 +12,7 @@ the C-order flat layout coincides with lexicographic order of multi-indices.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -161,6 +162,51 @@ def contract_rows(arr: np.ndarray, X, block=None) -> np.ndarray:
     k, m = arr.shape[-1], arr.ndim - (block is not None)
     out = _row_sums(arr, k, _powers(np.atleast_2d(X), m - 1), block)
     return out.reshape(X.shape)
+
+
+@functools.lru_cache(maxsize=None)
+def _multisets(k: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The multi-indices of {0..k-1}^d, in C order, grouped by multiset.
+
+    Returns (order, starts, counts): order lists the positions group by
+    group, starts[g] is where group g begins in order and counts[g] its
+    size; groups are ranked by their sorted multi-index.
+    """
+    idx = np.indices((k,) * d).reshape(d, -1)
+    key = np.ravel_multi_index(np.sort(idx, axis=0), (k,) * d)
+    order = np.argsort(key, kind="stable")
+    _, starts, counts = np.unique(key[order], return_index=True, return_counts=True)
+    return order, starts, counts
+
+
+def _bernstein(arr: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Bernstein coefficients of x -> arr x^{m-1} on a stack of simplices.
+
+    V (P, n, k) holds the k vertices of simplex p in the columns of V[p].
+    On x = V[p] lam with lam >= 0 and sum(lam) = 1, row i of arr x^{m-1} is
+    a form of degree d = m - 1 in lam whose Bernstein coefficients are the
+    entries of arr contracted with V[p] in slots 2..m and symmetrised over
+    those slots, one per multiset of d vertex indices; its values on the
+    simplex are convex combinations of them.  Returns (P, n, G), the groups
+    ranked as in _multisets(k, d).
+
+    Each slot's contraction is a stack of dot products of n terms and each
+    symmetrised coefficient is a sum of counts[g] entries then divided by
+    counts[g], so for V >= 0 the computed coefficient is within
+    gamma_K times the same computation on |arr| of the exact one, K =
+    d * n + max(counts) (gamma_K = K u / (1 - K u), u the unit roundoff),
+    up to underflow.
+    """
+    P, n, k = V.shape
+    d = arr.ndim - 1
+    Vt = np.swapaxes(V, 1, 2)[:, None]  # (P, 1, k, n)
+    T = arr.reshape(1, n ** d, n, 1)
+    for s in range(d):
+        # T (P, R, n, Q): slot m - s next to the k^s contracted indices
+        T = np.matmul(Vt, T)
+        T = T.reshape(P, n ** (d - s - 1), n, k ** (s + 1)) if s < d - 1 else T.reshape(P, n, k ** d)
+    order, starts, counts = _multisets(k, d)
+    return np.add.reduceat(T[:, :, order], starts, axis=2) / counts
 
 
 def slot_sum(arr: np.ndarray) -> np.ndarray:

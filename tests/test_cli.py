@@ -94,7 +94,12 @@ def test_unknown_example_rejected_by_parser(capsys):
 
 def test_verdict_exit_codes(capsys):
     code, out, _ = _main(capsys, "check-r0", "--example", "ex1")
-    assert code == 0 and "holds" in out
+    assert code == 0 and out.splitlines()[0] == "r0: holds-numerically"
+    # the subdivision certificate of ex1: F = -|x|^2 (1, 1) is cut once, and
+    # its least Bernstein coefficient on the halves is -1/2, so every tensor
+    # within 1/2 of ex1 (relative to its largest entry) is R0 as well
+    cert = json.loads(out.splitlines()[1])["certificate"]
+    assert cert["simplices"] == 5 and abs(cert["margin"] - 0.5) <= 1e-12
     code, out, _ = _main(capsys, "check-r0", "--example", "zero")
     assert code == 1 and "fails" in out
     assert "certificate" in out

@@ -190,6 +190,24 @@ def test_stability_check_on_strictly_positive_rhs():
     assert report.summary["gamma"] == 0.0 and report.summary["c"] == 0.0
 
 
+def test_stability_check_runs_no_homogeneous_search_on_certified_tensors(monkeypatch):
+    # gus and its copositive perturbations are certified R0: the dual-cone
+    # precondition and every solve skip the homogeneous Newton search
+    import tcplab.solver as solver_mod
+
+    real = solver_mod._solve_faces
+    calls = []
+
+    def counted(systems, cfg, homogeneous):
+        calls.append(homogeneous)
+        return real(systems, cfg, homogeneous)
+
+    monkeypatch.setattr(solver_mod, "_solve_faces", counted)
+    rep = stability_inclusion_check(GUS.tensor, [1.0, 1.0], 0.05, 4, CFG)
+    assert not rep.summary["vacuous"] and rep.summary["collected"] == 4
+    assert calls and True not in calls
+
+
 def test_stability_check_vacuous_outside_dual_interior():
     report = stability_inclusion_check(Tensor.zeros(3, 2), [1.0, 0.0], 0.05, 3, CFG)
     assert report.summary["vacuous"]

@@ -1,5 +1,7 @@
 import itertools
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,16 +29,156 @@ from tcplab import (
     solve,
     with_rhs,
 )
-from tcplab.properties import MONOTONE_BOX, MONOTONE_GRID_PER_AXIS, MONOTONE_RANDOM_PAIRS
+from tcplab.catalog import EXAMPLE_NAMES
+from tcplab.properties import CERT_TOL, MONOTONE_BOX, MONOTONE_GRID_PER_AXIS, MONOTONE_RANDOM_PAIRS, _r0_report
+from tcplab.solver import R0_CANDIDATES, _r0_certificate, homogeneous_solve, homogeneous_solve_many
 
 CFG = SolverConfig()
 
 
+def _exact_subdivision(arr, tol):
+    """(pieces judged, margin) of the R0 subdivision redone in exact
+    rational arithmetic, with no rounding bound; None when a vertex piece
+    survives.  A piece is excluded when a row's coefficients all clear zero
+    on the excluding sign by more than tol * max|A|, and it is cut at the
+    midpoint of its longest edge in the inf-norm, the first vertex pair on
+    ties, as the certificate cuts."""
+    n, m = arr.shape[0], arr.ndim
+    A = {idx: Fraction(float(v)) for idx, v in np.ndenumerate(arr)}
+    top = max(abs(v) for v in A.values())
+
+    def coefficients(i, V):
+        out = []
+        for ms in itertools.combinations_with_replacement(range(len(V)), m - 1):
+            perms = set(itertools.permutations(ms))
+            total = sum(A[(i,) + js] * math.prod(V[l][j] for l, j in zip(p, js))
+                        for p in perms for js in itertools.product(range(n), repeat=m - 1))
+            out.append(total / len(perms))
+        return out
+
+    eye = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    todo = [([eye[i] for i in range(n) if mask >> i & 1], mask) for mask in range(1, 2**n)]
+    judged, least = 0, None
+    while todo:
+        V, mask = todo.pop()
+        judged += 1
+        clear = []
+        for i in range(n):
+            c = coefficients(i, V)
+            clear.append(min(-x for x in c))
+            if mask >> i & 1:
+                clear.append(min(c))
+        if max(clear) > Fraction(tol) * top:
+            least = max(clear) if least is None else min(least, max(clear))
+            continue
+        if len(V) == 1:
+            return None
+        pairs = list(itertools.combinations(range(len(V)), 2))
+        a, b = max(pairs, key=lambda ab: (max(abs(x - y) for x, y in zip(V[ab[0]], V[ab[1]])), -pairs.index(ab)))
+        mid = tuple((x + y) / 2 for x, y in zip(V[a], V[b]))
+        todo.append(([mid if l == b else v for l, v in enumerate(V)], mask))
+        todo.append(([mid if l == a else v for l, v in enumerate(V)], mask))
+    return judged, least / top
+
+
 def test_r0_holds_for_definite_sign_tensors():
-    for name in ("ex1", "gus", "monotone"):
-        report = check_r0(builtin_example(name).tensor, CFG)
-        assert report.holds, name
-        assert report.certificate is None
+    # the certificate is redone in exact arithmetic: the same pieces are
+    # judged, all are excluded, and the margin is the exact one less at
+    # most the rounding bounds
+    for A in [builtin_example(name).tensor for name in ("ex1", "gus", "monotone")] + [random_gaussian(3, 3, 2)]:
+        report = check_r0(A, CFG)
+        assert report.holds
+        judged, margin = _exact_subdivision(A.array, CFG.tol)
+        assert report.certificate == {"simplices": judged, "margin": pytest.approx(float(margin), rel=0, abs=1e-13)}
+        assert report.certificate["margin"] <= margin
+        assert report.effort == {"starts": 0, "newton_iters": 0, "rays_found": 0, "simplices": judged}
+
+
+def _planted_ray_tensor(m, n, rng):
+    """A Gaussian tensor shifted so that A r^{m-1} is 0 on the support of a
+    random r >= 0 and positive off it: r is a nonzero solution of TCP(A, 0)."""
+    r = np.zeros(n)
+    support = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+    r[support] = rng.uniform(0.5, 1.5, size=len(support))
+    target = rng.uniform(0.5, 1.5, size=n)
+    target[support] = 0.0
+    G = rng.standard_normal((n,) * m)
+    shift = (target - contract(Tensor(G), r)) / float(r @ r) ** (m - 1)
+    return Tensor(G + np.einsum("i," + ",".join("abcdef"[:m - 1]) + "->i" + "abcdef"[:m - 1], shift, *([r] * (m - 1))))
+
+
+def _tensors_with_rays():
+    rng = np.random.default_rng(23)
+    out = [Tensor.zeros(m, n) for m, n in ((2, 2), (3, 2), (3, 3), (4, 3), (3, 4))]
+    for m, n in ((3, 3), (4, 3), (3, 4)):
+        for mask in range(2**n - 1):
+            out.append(non_r0_witness(m, n, [i + 1 for i in range(n) if mask >> i & 1], seed=mask))
+        out.extend(_planted_ray_tensor(m, n, rng) for _ in range(6))
+    r = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+    G = np.random.default_rng(5).standard_normal((3, 3, 3))
+    out.append(Tensor(G - np.einsum("i,j,k->ijk", np.einsum("ijk,j,k->i", G, r, r), r, r)))
+    return out
+
+
+def test_r0_certificate_never_certifies_a_tensor_with_a_ray():
+    # zero tensors, the witnesses of every proper alpha, planted rays with
+    # every support size and the full-support ray of the units test: the
+    # subdivision stays undecided, and check_r0 fails with a ray that passes
+    # the CERT_TOL re-check
+    for A in _tensors_with_rays():
+        cert = _r0_certificate(A, CFG.tol)
+        assert not cert.holds and math.isnan(cert.margin)
+        assert 1 <= len(cert.candidates) <= R0_CANDIDATES
+        report = check_r0(A, CFG)
+        assert report.verdict == VERDICT_FAILS
+        ray = np.array(report.certificate["ray"])
+        assert np.min(ray) >= 0.0 and np.linalg.norm(ray) == pytest.approx(1.0)
+        assert max_residual(TcpInstance(A, np.zeros(A.dim)), ray) <= CERT_TOL * max(float(np.max(np.abs(A.array))), 1.0)
+        assert report.effort["simplices"] == cert.simplices
+
+
+def test_r0_verdicts_agree_with_the_homogeneous_search():
+    # 81 seeded Gaussian tensors, positive tensors and the catalog: the
+    # certify-first verdict, and a fails ray, are the ones the Newton search
+    # on the homogeneous faces gives
+    rng = np.random.default_rng(29)
+    groups = [[random_gaussian(m, n, rng) for _ in range(count)]
+              for m, n, count in ((3, 2, 30), (3, 3, 30), (4, 3, 15), (3, 4, 6))]
+    groups += [[Tensor(rng.uniform(0.1, 1.0, (n,) * m)) for _ in range(3)] for m, n in ((3, 3), (4, 3), (3, 4))]
+    groups.append([builtin_example(name).tensor for name in EXAMPLE_NAMES])
+    certified = 0
+    for tensors in groups:
+        reports = [check_r0(A, CFG) for A in tensors]
+        searched = [_r0_report(A, hom) for A, hom in zip(tensors, homogeneous_solve_many(tensors, CFG))]
+        assert [r.verdict for r in reports] == [r.verdict for r in searched]
+        for got, want in zip(reports, searched):
+            if want.verdict == VERDICT_FAILS:
+                assert np.allclose(got.certificate["ray"], want.certificate["ray"], rtol=0, atol=1e-12)
+        certified += sum(r.certificate is not None for r in reports if r.holds)
+    assert certified == 81 + 9 + 3
+
+
+def test_r0_certificate_verdicts_ignore_the_units_of_the_tensor():
+    rng = np.random.default_rng(31)
+    tensors = [builtin_example(name).tensor for name in EXAMPLE_NAMES]
+    tensors += [random_gaussian(3, 3, rng) for _ in range(4)] + [random_gaussian(4, 3, rng)]
+    tensors += _tensors_with_rays()[-3:]
+    for A in tensors:
+        ref = check_r0(A, CFG)
+        for t in (1e-12, 1e-8, 1e200):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = check_r0(scale(t, A), CFG)
+            assert report.verdict == ref.verdict, t
+            assert report.effort["simplices"] == ref.effort["simplices"], t
+
+
+def test_r0_certificate_pieces_are_pinned():
+    # the subdivision of one Gaussian m=3, n=4 tensor: a change to the cut,
+    # the exclusion rules or the rounding margin shows in this count
+    cert = _r0_certificate(random_gaussian(3, 4, 2), CFG.tol)
+    assert cert.holds and cert.simplices == 683
+    assert check_r0(random_gaussian(3, 4, 2), CFG).certificate["simplices"] == 683
 
 
 def test_r0_fails_for_zero_tensor_with_validated_ray():

@@ -39,6 +39,9 @@ from tcplab.solver import (
     DEDUP_RADIUS,
     NEWTON_ATOL,
     NEWTON_MAX_ITER,
+    POSDIM_ROOT_LIMIT,
+    _dedup,
+    _r0_certificate,
     _face_functions,
     _newton,
     _newton_steps,
@@ -608,18 +611,42 @@ def test_solve_many_equals_one_by_one_solves():
     assert solve_many([], CFG) == [] and homogeneous_solve_many([], CFG) == []
 
 
-def test_solve_many_chunks_change_nothing(monkeypatch):
-    # with a budget that holds one instance per chunk every instance gets a
-    # face-solver call of its own; the results stay the same
-    small, big = _many_cases()
+def _undecided_cases():
+    # instances whose tensors have nonzero homogeneous solutions, so the R0
+    # certificate leaves them undecided and TCP(A, 0) runs on the face
+    # solver: the zero tensor, two witnesses and a Gaussian shifted to have
+    # A r r = 0 for a positive r
+    rng = np.random.default_rng(8)
+    r = np.array([1.0, 2.0]) / np.sqrt(5.0)
+    G = random_gaussian(3, 2, rng).array
+    shifted = Tensor(G - np.einsum("i,j,k->ijk", np.einsum("ijk,j,k->i", G, r, r), r, r))
+    tensors = [Tensor.zeros(3, 2), non_r0_witness(3, 2, (1,), seed=1), non_r0_witness(3, 2, (2,), seed=2), shifted]
+    insts = [TcpInstance(A, rng.normal(size=2)) for A in tensors]
+    assert not any(_r0_certificate(A, CFG.tol).holds for A in tensors)
+    return insts
+
+
+def _counting_face_solver(monkeypatch):
+    """Record the homogeneous flag of every face-solver call, and the number
+    of systems of each homogeneous one."""
     real = solver_mod._solve_faces
-    calls = []
+    calls, hom_systems = [], []
 
     def counted(systems, cfg, homogeneous):
         calls.append(homogeneous)
+        if homogeneous:
+            hom_systems.append(len(systems))
         return real(systems, cfg, homogeneous)
 
     monkeypatch.setattr(solver_mod, "_solve_faces", counted)
+    return calls, hom_systems
+
+
+def test_solve_many_chunks_change_nothing(monkeypatch):
+    # with a budget that holds one instance per chunk every instance gets a
+    # face-solver call of its own; the results stay the same
+    small = _undecided_cases()
+    calls, _ = _counting_face_solver(monkeypatch)
     tensors = [inst.tensor for inst in small]
     whole = _json(solve_many(small, CFG)), _json(homogeneous_solve_many(tensors, CFG))
     assert calls == [False, True, True]
@@ -633,25 +660,63 @@ def test_solve_many_chunks_change_nothing(monkeypatch):
 def test_solve_many_solves_each_distinct_tensor_once(monkeypatch):
     # two tensor values, each held by three separate Tensor objects: one
     # homogeneous solve of 2^2 - 1 faces per value, also when every instance
-    # is a chunk of its own
+    # is a chunk of its own.  Certified tensors make no homogeneous call
     rng = np.random.default_rng(6)
-    arrays = [random_gaussian(3, 2, rng).array for _ in range(2)]
-    insts = [TcpInstance(Tensor(arrays[i % 2].copy()), rng.normal(size=2)) for i in range(6)]
-    want = _json([solve(inst, CFG) for inst in insts])
-    real = solver_mod._solve_faces
-    hom_systems = []
+    undecided = [inst.tensor.array for inst in _undecided_cases()[1:3]]
+    certified = [random_gaussian(3, 2, rng).array for _ in range(2)]
+    assert all(_r0_certificate(Tensor(arr), CFG.tol).holds for arr in certified)
+    _, hom_systems = _counting_face_solver(monkeypatch)
+    for arrays, want_systems in ((undecided, 2 * 3), (certified, 0)):
+        insts = [TcpInstance(Tensor(arrays[i % 2].copy()), rng.normal(size=2)) for i in range(6)]
+        monkeypatch.setattr(solver_mod, "_MANY_CHUNK", 1 << 21)
+        want = _json([solve(inst, CFG) for inst in insts])
+        for chunk in (1 << 21, 1):
+            monkeypatch.setattr(solver_mod, "_MANY_CHUNK", chunk)
+            hom_systems.clear()
+            assert _json(solve_many(insts, CFG)) == want
+            assert sum(hom_systems) == want_systems, chunk
 
-    def counted(systems, cfg, homogeneous):
-        if homogeneous:
-            hom_systems.append(len(systems))
-        return real(systems, cfg, homogeneous)
 
-    monkeypatch.setattr(solver_mod, "_solve_faces", counted)
-    for chunk in (solver_mod._MANY_CHUNK, 1):
-        monkeypatch.setattr(solver_mod, "_MANY_CHUNK", chunk)
-        hom_systems.clear()
-        assert _json(solve_many(insts, CFG)) == want
-        assert sum(hom_systems) == 2 * 3, chunk
+def test_certified_tensors_skip_the_homogeneous_search(monkeypatch):
+    # a solve of a certified tensor gives, bit for bit, what it gives with
+    # the homogeneous Newton search run as well, and makes no such call
+    rng = np.random.default_rng(12)
+    insts = [TcpInstance(random_gaussian(m, n, rng), rng.normal(size=n)) for m, n in ((3, 2), (3, 3), (4, 3))]
+    insts += [with_rhs(builtin_example(name), [1.0, -1.0]) for name in ("ex1", "gus", "monotone")]
+    calls, _ = _counting_face_solver(monkeypatch)
+    got = [_json([solve(inst, CFG)]) for inst in insts]
+    assert True not in calls
+    real = solver_mod._r0_certificate
+    monkeypatch.setattr(solver_mod, "_r0_certificate", lambda A, tol: dataclasses.replace(real(A, tol), holds=False))
+    assert [_json([solve(inst, CFG)]) for inst in insts] == got
+    assert calls.count(True) == len(insts)
+
+
+def test_dedup_limit_keeps_the_first_roots_of_the_full_scan(monkeypatch):
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        pts = rng.uniform(0.0, 1.0, (int(rng.integers(1, 60)), 2))
+        cands = [(p, float(r)) for p, r in zip(pts, rng.uniform(0.0, 1e-9, len(pts)))]
+        full = _dedup(cands, 0.1)
+        for limit in (1, 3, len(full), len(full) + 5):
+            got = _dedup(cands, 0.1, limit)
+            assert len(got) == min(limit, len(full)) and all(np.array_equal(u, v) for u, v in zip(got, full))
+    # a face of the zero tensor holds a continuum: its scan stops past
+    # POSDIM_ROOT_LIMIT roots and the solve is the one a full scan gives
+    kept = []
+
+    def recording(cands, radius, limit=None):
+        out = _dedup(cands, radius, limit)
+        if limit is not None:
+            kept.append(len(out))
+        return out
+
+    monkeypatch.setattr(solver_mod, "_dedup", recording)
+    inst = TcpInstance(Tensor.zeros(3, 4), np.zeros(4))
+    got = _json([solve(inst, CFG)])
+    assert kept and max(kept) == POSDIM_ROOT_LIMIT + 1
+    monkeypatch.setattr(solver_mod, "_dedup", lambda cands, radius, limit=None: _dedup(cands, radius))
+    assert _json([solve(inst, CFG)]) == got
 
 
 def test_solve_many_error_names_the_first_failing_instance(monkeypatch):

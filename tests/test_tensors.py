@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from tcplab import (
     tensor_from_dict,
     tensor_to_dict,
 )
-from tcplab.tensors import _check_size, contract_rows, jacobian_rows, slot_sum
+from tcplab.catalog import builtin_example
+from tcplab.tensors import _bernstein, _check_size, contract_rows, jacobian_rows, slot_sum
 
 
 def _cube_example():
@@ -293,3 +296,40 @@ def test_tensor_from_dict_rejects_malformed_input():
         tensor_from_dict(dup)
     with pytest.raises(ValueError):
         tensor_to_dict(random_gaussian(2, 2, 0), "nope")
+
+
+def _bernstein_by_einsum(arr, V):
+    """Bernstein coefficients from one einsum per simplex and an explicit
+    average over the slot permutations, one per sorted multi-index."""
+    m, k = arr.ndim, V.shape[2]
+    d = m - 1
+    letters, cols = "abcdefg"[:m], "pqrstuv"[:d]
+    spec = letters + "," + ",".join(letters[1 + s] + cols[s] for s in range(d)) + "->" + letters[0] + cols
+    out = []
+    for Vp in V:
+        C = np.einsum(spec, arr, *([Vp] * d))
+        sym = sum(np.transpose(C, (0,) + tuple(1 + q for q in perm)) for perm in itertools.permutations(range(d)))
+        sym = sym / math.factorial(d)
+        out.append([[sym[(i,) + ms] for ms in itertools.combinations_with_replacement(range(k), d)]
+                    for i in range(arr.shape[0])])
+    return np.array(out)
+
+
+def test_bernstein_coefficients_match_an_einsum_recheck():
+    # the coefficients of the catalog tensors and of Gaussian m=3, n=3
+    # tensors on random nonnegative vertex sets of every size k
+    rng = np.random.default_rng(12)
+    tensors = [builtin_example(name).tensor.array for name in ("ex1", "gus", "monotone")]
+    tensors += [random_gaussian(3, 3, rng).array for _ in range(3)] + [random_gaussian(4, 3, rng).array]
+    for arr in tensors:
+        n = arr.shape[0]
+        for k in range(1, n + 1):
+            V = rng.uniform(0.0, 1.0, (4, n, k))
+            V /= V.sum(axis=1, keepdims=True)
+            got = _bernstein(arr, V)
+            assert got.shape == (4, n, math.comb(k + arr.ndim - 2, arr.ndim - 1))
+            assert np.allclose(got, _bernstein_by_einsum(arr, V), rtol=0, atol=1e-14)
+    # on a face simplex the coefficients of a vertex are the tensor's entries
+    arr = tensors[3]
+    coef = _bernstein(arr, np.eye(3)[None, :, [0, 2]])
+    assert np.array_equal(coef[0, :, 0], arr[:, 0, 0]) and np.array_equal(coef[0, :, -1], arr[:, 2, 2])
