@@ -19,6 +19,7 @@ from .tensors import (
     tensor_to_dict,
 )
 from .model import (
+    BudgetError,
     FaceMask,
     FaceSystem,
     KktPoint,
@@ -31,8 +32,6 @@ from .model import (
     residual,
 )
 from .solver import (
-    BudgetError,
-    FaceSolveError,
     OracleResult,
     Ray,
     SolutionPoint,

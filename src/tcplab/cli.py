@@ -27,7 +27,7 @@ from .experiments import (
     stability_inclusion_check,
     usc_probe,
 )
-from .model import TcpInstance
+from .model import BudgetError, TcpInstance
 from .properties import (
     VERDICT_FAILS,
     VERDICT_HOLDS,
@@ -37,7 +37,7 @@ from .properties import (
     lsc_witness,
     probe_gus,
 )
-from .solver import BudgetError, FaceSolveError, SolverConfig, chi_bound, solve
+from .solver import SolverConfig, chi_bound, solve
 from .tensors import Tensor, tensor_from_dict
 
 # 128 + SIGPIPE, the status a shell reports for a writer stopped by a closed pipe
@@ -311,7 +311,7 @@ def _main(argv) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return _dispatch(args)
-    except (ValueError, BudgetError, FaceSolveError) as exc:
+    except (ValueError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

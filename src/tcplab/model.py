@@ -30,6 +30,15 @@ from .tensors import (
 # coefficient magnitude below which a reduced equation counts as identically zero
 ZERO_ROW_TOL = 1e-14
 
+# desk-scale guard: refuse dimensions with more than this many faces.  With
+# m = 2 one solve at n = 10 takes seconds and the cost grows about 4.5-fold
+# per two more coordinates, while MAX_ENTRIES admits n in the thousands
+MAX_FACES = 2**10
+
+
+class BudgetError(RuntimeError):
+    """A requested computation exceeds the desk-scale resource budget."""
+
 
 @dataclass(frozen=True, order=True)
 class FaceMask:
@@ -83,9 +92,15 @@ class FaceMask:
 
 
 def enumerate_faces(n: int) -> list[FaceMask]:
-    """All 2^n faces in ascending bitmask order."""
+    """All 2^n faces in ascending bitmask order.
+
+    Every computation that enumerates faces starts here, so an n past the
+    MAX_FACES budget raises BudgetError before any work is done.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n >= MAX_FACES.bit_length():
+        raise BudgetError(f"n = {n} gives 2^{n} faces, over the desk-scale budget of {MAX_FACES}")
     return [FaceMask(n, mask) for mask in range(2**n)]
 
 

@@ -23,7 +23,6 @@ import numpy as np
 from .model import FaceMask, TcpInstance, enumerate_faces, max_residual
 from .solver import (
     DEDUP_RADIUS,
-    NEWTON_MAX_ITER,
     RANDOM_STARTS,
     SolverConfig,
     SolutionSet,
@@ -183,12 +182,13 @@ def check_copositive(A: Tensor, cfg: SolverConfig) -> PropertyReport:
     and the distinct KKT points found (kkt_points).
     """
     n, m = A.dim, A.order
+    every_face = enumerate_faces(n)
     big = float(np.max(np.abs(A.array)))
     unit = Tensor(A.array / big) if big > 0.0 else A
     G = gradient_sum(unit.array) / m
     kkt, candidates, iters = [np.eye(n)], [], 0
     for k in range(2, n + 1):
-        faces = [face for face in enumerate_faces(n) if n - len(face) == k]
+        faces = [face for face in every_face if n - len(face) == k]
         free = np.array([face.free_indices for face in faces])
         blocks = np.stack([G[np.ix_(*([f] * m))] for f in free])
         Z0 = np.vstack([np.vstack([_simplex_starts(k, COPOSITIVE_RESOLUTION), rng.dirichlet(np.ones(k), RANDOM_STARTS)])
@@ -196,7 +196,7 @@ def check_copositive(A: Tensor, cfg: SolverConfig) -> PropertyReport:
         owner = np.repeat(np.arange(len(faces)), len(Z0) // len(faces))
         fun, jac = _kkt_functions(blocks, np.stack([slot_sum(b) for b in blocks]), owner)
         Y0 = np.column_stack([Z0, np.sum(Z0 * contract_rows(blocks, Z0, owner), axis=1)])
-        Y, resids, its = _newton(fun, jac, Y0, NEWTON_MAX_ITER, [faces[g] for g in owner])
+        Y, resids, its = _newton(fun, jac, Y0)
         iters += int(its.sum())
         ok = (resids <= cfg.tol / 10) & (np.min(Y[:, :-1], axis=1) >= -cfg.tol)
         X = np.zeros((2, len(Z0), n))  # the starts and the Newton end points

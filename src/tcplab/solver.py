@@ -30,7 +30,8 @@ need not carry it themselves.
 
 The brute-force grid oracle at the bottom is a separate check path: it
 never reuses the solver's roots and only polishes its own grid clusters,
-but it runs on the same kernels and Newton engine.
+but it runs on the same kernels and Newton engine, and on (A, a) divided by
+its pair norm as solve does.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (
+    BudgetError,
     FaceMask,
     FaceSystem,
     TcpInstance,
@@ -87,20 +89,6 @@ NEWTON_ATOL = 1e-14
 ORACLE_BUDGET = 10**8
 ORACLE_VERIFY_TOL = 1e-7
 ORACLE_MEMBER_CAP = 10_000
-
-
-class FaceSolveError(RuntimeError):
-    """Numeric failure (non-finite evaluation) on a specific face."""
-
-    def __init__(self, face: FaceMask, message: str, row: int | None = None):
-        super().__init__(f"face {face.to_json()}: {message}")
-        self.face = face
-        # the batch row of the failing Newton start, when there is one
-        self.row = row
-
-
-class BudgetError(RuntimeError):
-    """A requested computation exceeds the desk-scale resource budget."""
 
 
 @dataclass(frozen=True)
@@ -206,30 +194,28 @@ def _newton_steps(J: np.ndarray, f: np.ndarray) -> np.ndarray:
     return step
 
 
-def _newton(fun, jac, Z0, max_iter: int, faces):
+def _newton(fun, jac, Z0):
     """Damped Newton with Armijo backtracking on the squared residual, run on
-    every row of Z0 (S, k) together.
+    every row of Z0 (S, k) together for at most NEWTON_MAX_ITER iterations.
 
     fun(rows, Z) maps points Z (R, k) to residual rows (R, M) and jac(rows, Z)
     to Jacobians (R, M, k), where rows[i] is the row of Z0 whose system is
     evaluated at Z[i]; M > k for the simplex-augmented homogeneous systems.
-    faces[r] is the face of row r, named by the FaceSolveError raised for the
-    first row whose start residual is not finite.  Each row keeps its own
-    step length, stall count and iteration count, and every operation acts
-    row by row, so a start's result does not depend on the other rows of the
-    batch.
+    Each row keeps its own step length, stall count and iteration count, and
+    every operation acts row by row, so a start's result does not depend on
+    the other rows of the batch.  A row whose start has a non-finite squared
+    residual is never stepped: it keeps its start, its residual and 0
+    iterations, and every root filter rejects it.  The callers' systems have
+    entries of at most 1 and bounded starts, so their residuals stay finite.
     Returns (Z, residual_inf, iterations), one entry per row.
     """
     Z = np.array(Z0, dtype=float)
     F = fun(np.arange(Z.shape[0]), Z)
     phi = np.sum(F * F, axis=1)
-    bad = np.flatnonzero(~np.isfinite(phi))
-    if bad.size:
-        raise FaceSolveError(faces[bad[0]], "non-finite residual at a finite start point", row=int(bad[0]))
     iters = np.zeros(Z.shape[0], dtype=int)
     stalled = np.zeros(Z.shape[0], dtype=int)
-    live = np.arange(Z.shape[0])
-    for it in range(max_iter):
+    live = np.flatnonzero(np.isfinite(phi))
+    for it in range(NEWTON_MAX_ITER):
         live = live[np.max(np.abs(F[live]), axis=1) > NEWTON_ATOL]
         if not live.size:
             break
@@ -450,11 +436,14 @@ def _face_outcome(
     """Roots of a face from its Newton end points Z, with sign filtering and
     posdim detection.  jac is the batch's Jacobian function and
     row one of the face's rows in the batch.  Past POSDIM_ROOT_LIMIT roots
-    the face is a continuum whatever their number, and only its first root
-    is used, so deduplication stops at POSDIM_ROOT_LIMIT + 1."""
+    the face is a continuum whatever their number, so deduplication stops at
+    POSDIM_ROOT_LIMIT + 1.  A homogeneous continuum is reported by one ray,
+    that of its accepted root nearest the face's centroid, which keeps it
+    away from the smaller faces beside it; on a face whose equations all
+    vanish that root is the centroid start."""
     out = _FaceOutcome(starts=Z.shape[0], newton_iters=int(iters.sum()))
-    accepted = [(Z[i], resids[i]) for i in _filter_roots(fs, Z, resids, cfg)]
-    roots = _dedup(accepted, DEDUP_RADIUS, POSDIM_ROOT_LIMIT + 1)
+    accepted = _filter_roots(fs, Z, resids, cfg)
+    roots = _dedup([(Z[i], resids[i]) for i in accepted], DEDUP_RADIUS, POSDIM_ROOT_LIMIT + 1)
     if not roots:
         return out
 
@@ -465,9 +454,11 @@ def _face_outcome(
     out.posdim = posdim
 
     if homogeneous:
+        if posdim:
+            Za = Z[accepted]
+            roots = [Za[int(np.argmin(np.linalg.norm(Za - 1.0 / fs.k, axis=1)))]]
         xs = [fs.embed(z) for z in roots]
-        reps = xs[:1] if posdim else xs
-        out.rays.extend(x / float(np.linalg.norm(x)) for x in reps)
+        out.rays.extend(x / float(np.linalg.norm(x)) for x in xs)
     elif not posdim:
         out.points.extend(fs.embed(z) for z in roots)
     return out
@@ -481,45 +472,24 @@ def _solve_faces(systems: list[FaceSystem], cfg: SolverConfig, homogeneous: bool
     k of free coordinates run as one Newton batch, whichever instances they belong to;
     filtering, deduplication and the posdim test then run face by face.
     Rows do not interact, so every face gets the roots it gets when solved
-    alone.  When a start's residual is not finite, each batch reports its
-    first failing row, and the FaceSolveError raised is the lowest of those
-    by (instance, face), instances ranked by their first system: with the
-    systems passed instance by instance, as solve_many passes them, that is
-    the face a loop over the instances and their faces in mask order stops
-    at.
+    alone.
     """
     outcomes = [_degenerate_face(fs, cfg) for fs in systems]
-    rank: dict[int, int] = {}
-    for fs in systems:
-        rank.setdefault(id(fs.instance), len(rank))
-
-    def order(i: int):
-        return rank[id(systems[i].instance)], systems[i].alpha
-
     by_size: dict[int, list[int]] = {}
     for i, out in enumerate(outcomes):
         if out is None:
             by_size.setdefault(systems[i].k, []).append(i)
-    failures: list[tuple[tuple, FaceSolveError]] = []
     for members in by_size.values():
         group = [systems[i] for i in members]
         starts = [_face_starts(fs, cfg, homogeneous) for fs in group]
         owner = np.repeat(np.arange(len(group)), [len(z) for z in starts])
         fun, jac = _face_functions(group, owner, homogeneous)
-        try:
-            Z, resids, iters = _newton(
-                fun, jac, np.vstack(starts), NEWTON_MAX_ITER, [group[g].alpha for g in owner]
-            )
-        except FaceSolveError as exc:
-            failures.append((order(members[owner[exc.row]]), exc))
-            continue
+        Z, resids, iters = _newton(fun, jac, np.vstack(starts))
         lo = 0
         for i, fs, z in zip(members, group, starts):
             hi = lo + len(z)
             outcomes[i] = _face_outcome(fs, Z[lo:hi], resids[lo:hi], iters[lo:hi], jac, lo, cfg, homogeneous)
             lo = hi
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
     return outcomes
 
 
@@ -609,11 +579,7 @@ def _certified_ray(inst0: TcpInstance, direction, cfg: SolverConfig) -> tuple[np
     s = float(np.sum(z0))
     if s <= 0.0:
         return None, 0
-    fun, jac = _face_functions([fs], None, simplex=True)
-    try:
-        Z, _, iters = _newton(fun, jac, (z0 / s)[None], NEWTON_MAX_ITER, [fs.alpha])
-    except FaceSolveError:
-        return None, 0
+    Z, _, iters = _newton(*_face_functions([fs], None, simplex=True), (z0 / s)[None])
     x = fs.embed(Z[0])
     nrm = float(np.linalg.norm(x))
     if not math.isfinite(nrm) or nrm <= 0.0 or float(np.min(x)) < 0.0:
@@ -729,10 +695,13 @@ def _r0_certificate(A: Tensor, tol: float) -> _R0Certificate:
     arr = np.ldexp(A.array, -math.frexp(big)[1])
     abs_arr = np.abs(arr)
     top = float(np.max(abs_arr))
+    # every face but {0}, pinned masks descending: supports 1 .. 2^n - 1 ascending
+    pinned = np.array([face.mask for face in enumerate_faces(n)[-2::-1]])
+    every_support = (pinned[:, None] >> np.arange(n) & 1) == 0
+    sizes = every_support.sum(axis=1)
     pieces = {}
     for k in range(1, n + 1):
-        masks = np.array([mask for mask in range(1, 2**n) if bin(mask).count("1") == k])
-        supports = (masks[:, None] >> np.arange(n) & 1).astype(bool)
+        supports = every_support[sizes == k]
         V = np.zeros((len(supports), n, k))
         rows, cols = np.nonzero(supports)
         V[rows, cols, np.tile(np.arange(k), len(supports))] = 1.0
@@ -823,23 +792,21 @@ def _solve_stream(instances, cfg: SolverConfig, homogeneous: bool = False):
     """The results of solve_many, or with homogeneous those of
     homogeneous_solve_many on the instances' tensors, yielded one by one.
 
-    All faces of a chunk's instances go to one _solve_faces call, instance
-    by instance, so a FaceSolveError names the lowest face of the lowest
-    failing instance.  A chunk is solved when its first result is asked
-    for, so a caller that stops early stops at the end of that chunk.  The
-    homogeneous part depends on the tensor alone: its rays are found once
-    per distinct tensor value by _homogeneous_rays, after the point faces
-    of the chunk where that value first appears, and kept for the later
-    chunks.
+    All faces of a chunk's instances go to one _solve_faces call.  A chunk
+    is solved when its first result is asked for, so a caller that stops
+    early stops at the end of that chunk.  The homogeneous part depends on
+    the tensor alone: its rays are found once per distinct tensor value by
+    _homogeneous_rays, after the point faces of the chunk where that value
+    first appears, and kept for the later chunks.
     """
     instances = list(instances)
+    faces = enumerate_faces(instances[0].n) if instances else []
+    if homogeneous:
+        faces = faces[:-1]  # the face {0}, the last one, holds only the trivial solution
     homs: dict[bytes, list[np.ndarray]] = {}
     for chunk in _chunks([inst.tensor for inst in instances], homogeneous):
         insts = [instances[i] for i in chunk]
         units = [_unit_pair(inst.tensor, inst.a) for inst in insts]
-        faces = enumerate_faces(insts[0].n)
-        if homogeneous:
-            faces = faces[:-1]  # the face {0}, the last one, holds only the trivial solution
         outcomes = _solve_faces([face_system(unit, face) for unit in units for face in faces], cfg, homogeneous)
         if not homogeneous:
             keys = [inst.tensor.array.tobytes() for inst in insts]
@@ -899,8 +866,7 @@ def solve_many(instances, cfg: SolverConfig) -> list[SolutionSet]:
     among the instances, so a sweep of right-hand sides against one tensor
     pays for it once, and only for the R0 certificate when that proves
     Sol(A, 0) = {0}.  Rows do not interact: each result is, bit for bit, the
-    one solve gives alone.  A FaceSolveError names the lowest face of the
-    lowest failing instance.  Instances of different (m, n) raise
+    one solve gives alone.  Instances of different (m, n) raise
     ValueError.
     """
     return list(_solve_stream(instances, cfg))
@@ -997,13 +963,27 @@ def _neighbour_shifts(ndim: int):
     return itertools.product((-1, 0, 1), repeat=ndim)
 
 
-def _min_filter3(field: np.ndarray) -> np.ndarray:
-    """Minimum over each point's 3^d neighbourhood, +inf outside the grid."""
+def _polish_seeds(field: np.ndarray) -> np.ndarray:
+    """Where field is finite and a local minimum on the sub-grid of some face.
+
+    The sub-grid of a face pins its axes to index 0, and a point lies on the
+    sub-grid of every face whose axes are among its zero-index axes.  The
+    fewer axes a face pins the more neighbours the point has there, so it is
+    a minimum on some face exactly when it is one on the face pinning all its
+    zero-index axes: when no neighbour reached by moving only along axes
+    where its index is nonzero, the grid's outside counting as +inf, has a
+    smaller value.
+    """
     padded = np.pad(field, 1, constant_values=np.inf)
-    out = np.full(field.shape, np.inf)
+    at_zero = [np.arange(g).reshape((-1,) + (1,) * (field.ndim - 1 - ax)) == 0 for ax, g in enumerate(field.shape)]
+    seeds = np.isfinite(field)
     for shift in _neighbour_shifts(field.ndim):
-        np.minimum(out, padded[tuple(slice(1 + s, 1 + s + g) for s, g in zip(shift, field.shape))], out=out)
-    return out
+        off_face = np.zeros(field.shape, dtype=bool)
+        for ax in np.flatnonzero(shift):
+            off_face = off_face | at_zero[ax]
+        neighbour = padded[tuple(slice(1 + s, 1 + s + g) for s, g in zip(shift, field.shape))]
+        seeds &= off_face | (field <= neighbour)
+    return seeds
 
 
 def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
@@ -1068,8 +1048,7 @@ def _oracle_polish(inst: TcpInstance, seed: np.ndarray, pin_tol: float, tol: flo
         elif len(fs.zero_rows) == fs.k:
             continue
         else:
-            fun, jac = _face_functions([fs], None, simplex=False)
-            Z, _, _ = _newton(fun, jac, seed[list(fs.free)][None], NEWTON_MAX_ITER, [face])
+            Z, _, _ = _newton(*_face_functions([fs], None, simplex=False), seed[list(fs.free)][None])
             z = Z[0]
             if float(np.min(z)) < -1e-12:
                 continue
@@ -1087,6 +1066,11 @@ def brute_force_oracle(
     inst: TcpInstance, box_radius: float, grid_step: float, tol: float
 ) -> OracleResult:
     """Independent grid search over [0, box_radius]^n.
+
+    The search runs on (A, a) divided by its pair norm, as solve does, which
+    leaves the solution set unchanged: tol, the acceptance thresholds and
+    meta["theta_F_max"] are relative to |(A, a)|, and the result does not
+    depend on the units of (A, a).
 
     Accepts grid points whose feasibility and complementarity clear local
     thresholds widened to the grid resolution (the exact batch Jacobian gives
@@ -1108,6 +1092,7 @@ def brute_force_oracle(
         raise BudgetError(
             f"oracle grid needs n*g^n = {n * g**n} > {ORACLE_BUDGET} evaluations"
         )
+    inst = _unit_pair(inst.tensor, inst.a)
     shape = (g,) * n
     total = g**n
     half_diag = 0.5 * grid_step * math.sqrt(n)
@@ -1141,28 +1126,7 @@ def brute_force_oracle(
     # interior to its face, where its basin is a genuine minimum; on the full
     # grid the score valley can drain past it toward a nearby interior basin
     # without ever forming one.
-    field = np.where(accept, score, np.inf).reshape(shape)
-    is_min = np.zeros(total, dtype=bool)
-    for face in enumerate_faces(n):
-        pinned = set(face.zero_indices)
-        expr = tuple(0 if i in pinned else slice(None) for i in range(n))
-        sub = field[expr]
-        if sub.ndim == 0:
-            mins = np.isfinite(sub).reshape(())
-            if not mins:
-                continue
-            coords = np.zeros((1, n), dtype=int)
-        else:
-            filt = _min_filter3(sub)
-            mask = (sub <= filt) & np.isfinite(sub)
-            if not mask.any():
-                continue
-            pos = np.nonzero(mask)
-            coords = np.zeros((len(pos[0]), n), dtype=int)
-            for ax, i in enumerate(sorted(set(range(n)) - pinned)):
-                coords[:, i] = pos[ax]
-        is_min[np.ravel_multi_index(tuple(coords.T), shape)] = True
-    is_min &= accept
+    is_min = _polish_seeds(np.where(accept, score, np.inf).reshape(shape)).reshape(-1)
 
     clusters: list[OracleCluster] = []
     reps: list[tuple[np.ndarray, float]] = []

@@ -10,7 +10,7 @@ def test_public_names_and_solver_signatures_are_pinned():
     # a removed or renamed export, or a changed parameter list, shows here
     names = sorted(k for k, v in vars(tcplab).items() if not k.startswith("_") and not inspect.ismodule(v))
     assert names == [
-        "BudgetError", "EXAMPLE_NAMES", "ExperimentReport", "FaceMask", "FaceSolveError", "FaceSystem",
+        "BudgetError", "EXAMPLE_NAMES", "ExperimentReport", "FaceMask", "FaceSystem",
         "KktPoint", "LscWitness", "OracleResult", "PropertyReport", "ROW_COLUMNS", "Ray", "STATUS_EMPTY",
         "STATUS_FINITE", "STATUS_NON_ISOLATED", "STATUS_UNBOUNDED", "SolutionPoint", "SolutionSet",
         "SolverConfig", "TcpInstance", "Tensor", "VERDICT_FAILS", "VERDICT_HOLDS", "VERDICT_INCONCLUSIVE",

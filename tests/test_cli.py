@@ -81,6 +81,16 @@ def test_tensor_over_the_entry_budget_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "budget" in err
 
 
+def test_tensor_past_the_face_budget_exits_2(tmp_path, capsys):
+    # m = 2, n = 30: a small file, but 2^30 faces
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(tensor_to_dict(tcplab.random_gaussian(2, 30, 0), "dense")))
+    for cmd in ("solve", "check-r0"):
+        code, out, err = _main(capsys, cmd, "--tensor", str(path))
+        assert code == 2 and out == "", cmd
+        assert err.startswith("error:") and "budget" in err, cmd
+
+
 def test_missing_input_exits_2(capsys):
     code, _, err = _main(capsys, "solve")
     assert code == 2

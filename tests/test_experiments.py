@@ -17,6 +17,7 @@ from tcplab import (
     non_r0_witness,
     pair_ball,
     r0_openness_probe,
+    scale,
     stability_inclusion_check,
     tensor_ball,
     usc_probe,
@@ -60,6 +61,19 @@ def test_usc_small_perturbations_stay_close():
         assert row["excess"] <= 1.0
         assert "shell=" in row["flags"]
     assert len(report.summary["max_excess_by_shell"]) == 5
+
+
+def test_usc_reference_does_not_depend_on_units():
+    # ex1 at a = (1, 1) holds the origin and a quarter circle, so the
+    # reference set comes from the grid oracle; probing (tA, ta) at radius
+    # t * r must measure against the same set and find the same excesses
+    inst = with_rhs(builtin_example("ex1"), [1.0, 1.0])
+    base = usc_probe(inst, 0.05, 4, CFG)
+    for t in (1e-12, 1e12):
+        report = usc_probe(TcpInstance(scale(t, inst.tensor), t * inst.a), t * 0.05, 4, CFG)
+        assert report.summary["reference_size"] == base.summary["reference_size"], t
+        got, want = [r["excess"] for r in report.rows], [r["excess"] for r in base.rows]
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12), t
 
 
 def test_usc_flags_a_jumping_solution_map():

@@ -8,7 +8,6 @@ import pytest
 from tcplab import (
     BudgetError,
     FaceMask,
-    FaceSolveError,
     STATUS_EMPTY,
     STATUS_FINITE,
     STATUS_NON_ISOLATED,
@@ -17,6 +16,8 @@ from tcplab import (
     Tensor,
     brute_force_oracle,
     builtin_example,
+    check_copositive,
+    check_r0,
     chi_bound,
     enumerate_faces,
     hausdorff_excess,
@@ -32,6 +33,7 @@ from tcplab import (
     solve_many,
     with_rhs,
 )
+import tcplab.properties as properties_mod
 import tcplab.solver as solver_mod
 from tcplab.model import face_system
 from tcplab.solver import (
@@ -347,17 +349,15 @@ def test_batched_newton_rows_match_one_row_batches():
     fs = face_system(TcpInstance(random_gaussian(3, 3, rng), rng.normal(size=3)), FaceMask(3, 0))
     g = np.linspace(0.0, 3.0, 4)
     starts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
-    max_iter = NEWTON_MAX_ITER
-    faces = [fs.alpha] * len(starts)
     for simplex in (False, True):
         fun, jac = _face_functions([fs], None, simplex)
-        Z, res, its = _newton(fun, jac, starts, max_iter, faces)
+        Z, res, its = _newton(fun, jac, starts)
         for z0, z, r, it in zip(starts, Z, res, its):
-            z1, r1, it1 = _newton(fun, jac, z0[None], max_iter, faces[:1])
+            z1, r1, it1 = _newton(fun, jac, z0[None])
             assert np.array_equal(z1[0], z) and r1[0] == r and it1[0] == it
-    Z, res, its = _newton(*_face_functions([fs], None, False), starts, max_iter, faces)
+    Z, res, its = _newton(*_face_functions([fs], None, False), starts)
     assert its[0] == 0 and np.array_equal(Z[0], starts[0])
-    assert np.any((res > 1e-3) & (its > 0) & (its < max_iter))
+    assert np.any((res > 1e-3) & (its > 0) & (its < NEWTON_MAX_ITER))
     assert len(set(its[res <= NEWTON_ATOL].tolist())) > 1
 
 
@@ -373,6 +373,35 @@ def test_newton_steps_leave_non_finite_jacobians_without_a_step():
         J[0, 0, 0] = bad
         step = _newton_steps(J, f)
         assert np.isnan(step[0]).all() and np.array_equal(step[1:], want), bad
+
+
+def test_newton_never_steps_a_row_with_a_non_finite_start():
+    # rows 3 and 10 report an inf and a NaN residual at their starts: they
+    # come back with their start, a non-finite residual and 0 iterations,
+    # and every other row as it comes back from the batch without them
+    rng = np.random.default_rng(8)
+    fs = face_system(TcpInstance(random_gaussian(3, 3, rng), rng.normal(size=3)), FaceMask(3, 0))
+    g = np.linspace(0.0, 3.0, 4)
+    starts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    bad = {3: np.inf, 10: np.nan}
+    good = np.setdiff1d(np.arange(len(starts)), list(bad))
+    for simplex in (False, True):
+        fun, jac = _face_functions([fs], None, simplex)
+
+        def bad_fun(rows, Z):
+            F = fun(rows, Z)
+            for row, value in bad.items():
+                F[rows == row] = value
+            return F
+
+        Z, res, its = _newton(bad_fun, jac, starts)
+        want = _newton(fun, jac, starts[good])
+        for got, ref in zip((Z, res, its), want):
+            assert np.array_equal(got[good], ref)
+        rows = list(bad)
+        assert np.array_equal(Z[rows], starts[rows]) and not np.isfinite(res[rows]).any()
+        assert np.isnan(res[10]) and not its[rows].any()
+        assert its[good].any()
 
 
 def _sequential_newton(fun, jac, Z0, max_iter, accepted_at):
@@ -452,7 +481,7 @@ def test_blocked_armijo_matches_sequential_search(monkeypatch, block_rows):
         ref_calls: list[tuple[str, int]] = []
         want = _sequential_newton(*_counted(fun, jac, ref_calls), starts, NEWTON_MAX_ITER, accepted_at)
         calls: list[tuple[str, int]] = []
-        got = _newton(*_counted(fun, jac, calls), starts, NEWTON_MAX_ITER, [fs.alpha] * len(starts))
+        got = _newton(*_counted(fun, jac, calls), starts)
         for w, v in zip(want, got):
             assert w.dtype == v.dtype and np.array_equal(w, v), system
         if system == "square":
@@ -558,22 +587,6 @@ def test_face_size_batches_match_one_face_runs(monkeypatch):
                 assert len(got) == len(want) and all(np.array_equal(u, v) for u, v in zip(got, want))
             found += len(out.points) + len(out.rays)
     assert found > 0
-
-
-def test_non_finite_start_names_the_lowest_face(monkeypatch):
-    # starts near 1e200 overflow the residual on every face; the error names
-    # the open face, the first one a loop over the faces in mask order meets,
-    # whatever order the faces are passed in
-    inst = TcpInstance(random_gaussian(3, 3, 1), [1.0, -1.0, 0.5])
-    monkeypatch.setattr(solver_mod, "START_BOX_RADIUS", 1e200)
-    systems = [face_system(inst, face) for face in enumerate_faces(3)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(FaceSolveError) as err:
-            solve(inst, CFG)
-        assert err.value.face == FaceMask(3, 0)
-        with pytest.raises(FaceSolveError) as err:
-            solver_mod._solve_faces(systems[::-1], CFG, homogeneous=False)
-        assert err.value.face == FaceMask(3, 0)
 
 
 def _json(sols):
@@ -719,42 +732,38 @@ def test_dedup_limit_keeps_the_first_roots_of_the_full_scan(monkeypatch):
     assert _json([solve(inst, CFG)]) == got
 
 
-def test_solve_many_error_names_the_first_failing_instance(monkeypatch):
-    # starts near 1e200 overflow every face that runs Newton.  The zero
-    # tensor runs none; with row 1 zeroed and a_1 = 1 every face with x_1
-    # free is infeasible, so that instance first fails on the face {1}, and a
-    # Gaussian instance on the open face.  The error is the one a loop of
-    # solve over the instances raises first, in either order.
-    rng = np.random.default_rng(4)
-    arr = random_gaussian(3, 3, rng).array.copy()
-    arr[0] = 0.0
-    insts = [
-        TcpInstance(Tensor.zeros(3, 3), [1.0, 1.0, 1.0]),
-        TcpInstance(Tensor(arr), [1.0, -1.0, 0.5]),
-        TcpInstance(random_gaussian(3, 3, rng), [1.0, -1.0, 0.5]),
-    ]
-    monkeypatch.setattr(solver_mod, "START_BOX_RADIUS", 1e200)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for order, want in ((insts, FaceMask(3, 1)), (insts[::-1], FaceMask(3, 0))):
-            for inst in order:
-                try:
-                    solve(inst, CFG)
-                except FaceSolveError as exc:
-                    assert exc.face == want
-                    break
-            else:
-                raise AssertionError("no instance failed")
-            with pytest.raises(FaceSolveError) as err:
-                solve_many(order, CFG)
-            assert err.value.face == want
-
-
 def test_solve_many_needs_one_shape():
     gus = builtin_example("gus")
     with pytest.raises(ValueError, match="share"):
         solve_many([gus, TcpInstance(random_gaussian(3, 3, 1), np.ones(3))], CFG)
     with pytest.raises(ValueError, match="share"):
         homogeneous_solve_many([gus.tensor, random_gaussian(4, 2, 1)], CFG)
+
+
+def test_continuum_face_rays_sit_at_the_face_centroid():
+    # every face of the zero tensor holds a cone of solutions; a flagged
+    # face reports its centroid ray, not one next to a coordinate ray that
+    # is reported beside it
+    sol = homogeneous_solve(Tensor.zeros(3, 3), CFG)
+    D = np.array([r.direction for r in sol.rays])
+    assert len(D) == 7
+    gaps = np.abs(D[:, None] - D[None]).max(axis=2) + 2.0 * np.eye(len(D))
+    assert gaps.min() > 0.1
+
+
+def test_faces_past_the_budget_are_refused_before_any_work(monkeypatch):
+    # m = 2, n = 30 is 900 entries but 2^30 faces
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    for mod, name in ((solver_mod, "_newton"), (solver_mod, "_starts_bound"), (solver_mod, "_r0_clearance"),
+                      (properties_mod, "_newton")):
+        monkeypatch.setattr(mod, name, no_work)
+    A = random_gaussian(2, 30, 0)
+    for run in (lambda: solve(TcpInstance(A, np.ones(30)), CFG), lambda: check_r0(A, CFG),
+                lambda: check_copositive(A, CFG)):
+        with pytest.raises(BudgetError, match="budget"):
+            run()
 
 
 def test_simplex_starts_are_the_lattice_compositions():
@@ -846,10 +855,9 @@ def test_oracle_budget_guard():
 
 
 def test_oracle_grid_helpers_match_scipy_ndimage():
-    # the oracle's component labels and neighbourhood minima are numpy
-    # rewrites of ndimage.label (3^n connectivity) and
-    # ndimage.minimum_filter(size=3, mode="constant", cval=inf): labels,
-    # their numbering, the count and the minima must all be equal
+    # the oracle's component labels are a numpy rewrite of ndimage.label
+    # (3^n connectivity): labels, their numbering and the count must all be
+    # equal
     ndimage = pytest.importorskip("scipy.ndimage")
     rng = np.random.default_rng(5)
     for _ in range(300):
@@ -859,9 +867,63 @@ def test_oracle_grid_helpers_match_scipy_ndimage():
         want, count = ndimage.label(mask, structure=np.ones((3,) * n, dtype=int))
         got, got_count = solver_mod._label(mask)
         assert got_count == count and np.array_equal(got, want), (shape, mask)
-        field = np.where(mask, rng.uniform(size=shape), np.inf)
-        want = ndimage.minimum_filter(field, size=3, mode="constant", cval=np.inf)
-        assert np.array_equal(solver_mod._min_filter3(field), want), (shape, field)
+
+
+def _min_filter3(field):
+    """Minimum over each point's 3^d neighbourhood, +inf outside the grid."""
+    padded = np.pad(field, 1, constant_values=np.inf)
+    out = np.full(field.shape, np.inf)
+    for shift in itertools.product((-1, 0, 1), repeat=field.ndim):
+        np.minimum(out, padded[tuple(slice(1 + s, 1 + s + g) for s, g in zip(shift, field.shape))], out=out)
+    return out
+
+
+def _per_face_seeds(field):
+    """The oracle's polish seeds found face by face: the finite local minima
+    of each face's sub-grid, its pinned axes at index 0."""
+    n = field.ndim
+    seeds = np.zeros(field.shape, dtype=bool)
+    for face in enumerate_faces(n):
+        expr = tuple(0 if i in face.zero_indices else slice(None) for i in range(n))
+        sub = field[expr]
+        if sub.ndim == 0:
+            seeds[expr] |= bool(np.isfinite(sub))
+        else:
+            seeds[expr] |= (sub <= _min_filter3(sub)) & np.isfinite(sub)
+    return seeds
+
+
+def test_oracle_seeds_in_one_pass_match_the_per_face_minima():
+    # fields with +inf holes and ties: coarse values repeat, so neighbours
+    # often tie, and the one-pass rule must give the per-face loop's seeds
+    rng = np.random.default_rng(6)
+    for _ in range(300):
+        n = int(rng.integers(1, 4))
+        shape = tuple(int(g) for g in rng.integers(1, 9, size=n))
+        values = rng.integers(0, int(rng.integers(2, 6)), size=shape).astype(float)
+        field = np.where(rng.uniform(size=shape) < rng.uniform(0.1, 0.9), values, np.inf)
+        want = _per_face_seeds(field)
+        assert np.array_equal(solver_mod._polish_seeds(field), want), (shape, field)
+
+
+def test_oracle_does_not_depend_on_units():
+    # the oracle runs on (tA, ta) divided by its pair norm, so every t gives
+    # the clusters, verified flags and representatives of t = 1: a unique
+    # solution, and the quarter-circle continuum of ex1 at a = (1, 1)
+    cases = ((with_rhs(builtin_example("gus"), [-1.0, -4.0]), 4.0, 0.04),
+             (with_rhs(builtin_example("ex1"), [1.0, 1.0]), 1.5, 0.01))
+    for inst, box, step in cases:
+        base = brute_force_oracle(inst, box, step, CFG.tol)
+        for t in (1e-12, 1e-8, 1e8, 1e200):
+            orc = brute_force_oracle(TcpInstance(scale(t, inst.tensor), t * inst.a), box, step, CFG.tol)
+            assert orc.meta["accepted"] == base.meta["accepted"], t
+            assert len(orc.clusters) == len(base.clusters), t
+            for c, b in zip(orc.clusters, base.clusters):
+                assert (c.size, c.verified, c.extended, c.boundary) == (b.size, b.verified, b.extended, b.boundary)
+                assert np.array_equal(c.members, b.members) and np.array_equal(c.raw, b.raw)
+                assert (c.polished is None) == (b.polished is None)
+                assert c.polished is None or np.array_equal(c.polished, b.polished)
+            assert np.array_equal(np.array(orc.representatives), np.array(base.representatives)), t
 
 
 def test_oracle_meta_reports_grid_parameters():
