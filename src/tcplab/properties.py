@@ -9,32 +9,49 @@ search found no counterexample at the recorded effort; R0 falls back to
 that search when the subdivision is undecided.
 
 Copositivity is decided from the KKT points of the form on the simplex (its
-Pareto eigenvalues), found on the solver's Newton engine; holds-numerically
-then records the faces, Newton starts and distinct KKT points searched.
+Pareto eigenvalues), found on the solver's Newton engine from starts that a
+branch and bound on the form's Bernstein coefficients chooses, in the same
+subdivision loop as the R0 certificate (solver._subdivide); holds-numerically
+then records the faces, pieces, Newton starts and distinct KKT points
+searched.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FaceMask, TcpInstance, enumerate_faces, max_residual
+from .model import FaceMask, TcpInstance, max_residual
 from .solver import (
     DEDUP_RADIUS,
-    RANDOM_STARTS,
     SolverConfig,
     SolutionSet,
     _candidate_rays,
     _dedup,
+    _face_pieces,
     _newton,
+    _piece_chunks,
     _r0_certificate,
-    _simplex_starts,
     _solve_stream,
+    _subdivide,
     homogeneous_solve_many,
 )
-from .tensors import Tensor, as_vector, contract, contract_rows, form, gradient_sum, jacobian_rows, slot_sum
+from .tensors import (
+    Tensor,
+    _degree_raise,
+    _form_bernstein,
+    _multisets,
+    as_vector,
+    contract,
+    contract_rows,
+    form,
+    gradient_sum,
+    jacobian_rows,
+    slot_sum,
+)
 
 VERDICT_HOLDS = "holds-numerically"
 VERDICT_FAILS = "fails"
@@ -51,8 +68,9 @@ MONOTONE_GRID_PER_AXIS = 6
 MONOTONE_RANDOM_PAIRS = 200
 MONOTONE_CHUNK = 1 << 18
 
-# check_copositive starts Newton from the simplex lattice of this resolution
-COPOSITIVE_RESOLUTION = 6
+# check_copositive's branch and bound bisects until every surviving piece's
+# longest edge (inf-norm, on the simplex) is below this
+COPOSITIVE_LEAF_EDGE = 2.0 ** -3
 
 
 @dataclass(eq=False)
@@ -166,50 +184,87 @@ def _kkt_functions(blocks: np.ndarray, slots: np.ndarray, owner: np.ndarray):
     return fun, jac
 
 
+def _copositive_leaves(unit: Tensor) -> tuple[dict, np.ndarray, int]:
+    """Branch and bound on the Bernstein coefficients of the form of unit,
+    over every face simplex with k >= 2 free coordinates.
+
+    The least form value seen so far, over the pieces' vertices (their
+    vertex coefficients, tensors._form_bernstein) and centroids, bounds the
+    minimum from above; a piece whose least coefficient is at least that
+    value holds no lower point and is retired.  The others are bisected
+    (solver._subdivide) until every survivor's longest edge is below
+    COPOSITIVE_LEAF_EDGE or PIECE_BUDGET stops the search.  Returns the
+    surviving pieces by k, the point of the least value seen and the number
+    of pieces judged.
+    """
+    n, m = unit.dim, unit.order
+    best, where = math.inf, None
+
+    def judge(k, V, supp):
+        nonlocal best, where
+        # the form at a piece's centroid and at its vertices from its coefficients
+        centroid = _multisets(k, m)[2] / k**m
+        corner = np.argmax(_degree_raise(k, m)[1], axis=1)
+        low = np.zeros(len(V))
+        for c in _piece_chunks(len(V), n, m, k):
+            coef = _form_bernstein(unit.array, V[c])
+            low[c] = np.min(coef, axis=1)
+            vals = np.concatenate([coef @ centroid, coef[:, corner].ravel()])
+            i = int(np.argmin(vals))
+            if vals[i] < best:
+                X = np.concatenate([V[c].mean(axis=2), np.swapaxes(V[c], 1, 2).reshape(-1, n)])
+                best, where = float(vals[i]), X[i]
+        return low < best
+
+    leaves, simplices, _ = _subdivide(_face_pieces(n, 2), judge, leaf_edge=COPOSITIVE_LEAF_EDGE)
+    return leaves, where, simplices
+
+
 def check_copositive(A: Tensor, cfg: SolverConfig) -> PropertyReport:
     """Copositivity: form(A, x) >= 0 on the nonnegative orthant.
 
     The form's minimum on the simplex sits at a KKT point, where on the
     support S x^{m-1} = mu, sum(x) = 1 and the form is mu (S the symmetric
     part of A): A is copositive iff every such Pareto eigenvalue mu is >= 0
-    (Song & Qi, Linear Multilinear Algebra 63, 2015).  On every face with
-    k >= 2 free coordinates, Newton solves G z^{m-1} = mu, sum(z) = 1 with
-    G x^{m-1} = S x^{m-1}, from the simplex lattice of resolution
-    COPOSITIVE_RESOLUTION and seeded starts; vertices are exact.  The least form over vertices, KKT
-    points with z >= 0 and the starts is judged against cfg.tol on A divided
-    by its largest entry, and reported in A's units.  holds-numerically
-    records the faces, Newton starts (grid_points) and iterations searched
-    and the distinct KKT points found (kkt_points).
+    (Song & Qi, Linear Multilinear Algebra 63, 2015).  A branch and bound on
+    the Bernstein coefficients of the form (_copositive_leaves; Bundfuss &
+    Duer, Linear Algebra Appl. 428, 2008) chooses the starts: the centroid of
+    every surviving leaf starts Newton on G z^{m-1} = mu, sum(z) = 1 of its
+    face, G x^{m-1} = S x^{m-1}.  The least form over the vertices, the
+    least point of the search, the KKT points with z >= 0 and the starts is
+    judged against cfg.tol on A divided by its largest entry, and reported
+    in A's units.  holds-numerically records the faces, the pieces judged
+    (simplices), the Newton starts (grid_points) and iterations and the
+    distinct KKT points found (kkt_points).
     """
     n, m = A.dim, A.order
-    every_face = enumerate_faces(n)
     big = float(np.max(np.abs(A.array)))
     unit = Tensor(A.array / big) if big > 0.0 else A
+    leaves, least, simplices = _copositive_leaves(unit)
     G = gradient_sum(unit.array) / m
-    kkt, candidates, iters = [np.eye(n)], [], 0
-    for k in range(2, n + 1):
-        faces = [face for face in every_face if n - len(face) == k]
-        free = np.array([face.free_indices for face in faces])
+    kkt, starts, iters = [np.eye(n)], [], 0
+    for k, (V, supp) in leaves.items():
+        X0 = V.mean(axis=2)
+        masks, owner = np.unique(supp @ (1 << np.arange(n)), return_inverse=True)
+        free = np.nonzero(masks[:, None] >> np.arange(n) & 1)[1].reshape(len(masks), k)
         blocks = np.stack([G[np.ix_(*([f] * m))] for f in free])
-        Z0 = np.vstack([np.vstack([_simplex_starts(k, COPOSITIVE_RESOLUTION), rng.dirichlet(np.ones(k), RANDOM_STARTS)])
-                        for rng in (np.random.default_rng([cfg.seed, face.mask, 4]) for face in faces)])
-        owner = np.repeat(np.arange(len(faces)), len(Z0) // len(faces))
+        Z0 = X0[supp].reshape(len(X0), k)
         fun, jac = _kkt_functions(blocks, np.stack([slot_sum(b) for b in blocks]), owner)
         Y0 = np.column_stack([Z0, np.sum(Z0 * contract_rows(blocks, Z0, owner), axis=1)])
         Y, resids, its = _newton(fun, jac, Y0)
         iters += int(its.sum())
         ok = (resids <= cfg.tol / 10) & (np.min(Y[:, :-1], axis=1) >= -cfg.tol)
-        X = np.zeros((2, len(Z0), n))  # the starts and the Newton end points
-        X[:, np.arange(len(Z0))[:, None], free[owner]] = Z0, np.maximum(Y[:, :-1], 0.0)
-        candidates.append(X[0])
-        kkt.append(X[1, ok])
-    X = np.vstack(kkt + candidates)
+        X = np.zeros((len(X0), n))
+        X[supp] = np.maximum(Y[:, :-1], 0.0).ravel()
+        starts.append(X0)
+        kkt.append(X[ok])
+    X = np.vstack(kkt + [least[None]] + starts)
     X /= np.sum(X, axis=1, keepdims=True)
     vals = np.sum(X * contract_rows(unit.array, X), axis=1)
     x = X[int(np.argmin(vals))]
     effort = {
-        "grid_points": sum(len(c) for c in candidates),
-        "resolution": COPOSITIVE_RESOLUTION,
+        "grid_points": sum(len(z) for z in starts),
+        "simplices": simplices,
         "faces": 2**n - 1,
         "newton_iters": iters,
         "kkt_points": len(_dedup([(p, 0.0) for p in np.vstack(kkt)], DEDUP_RADIUS)),

@@ -469,27 +469,33 @@ def _solve_faces(systems: list[FaceSystem], cfg: SolverConfig, homogeneous: bool
     one outcome per system.
 
     The starts of all faces that need a Newton run and have the same number
-    k of free coordinates run as one Newton batch, whichever instances they belong to;
-    filtering, deduplication and the posdim test then run face by face.
-    Rows do not interact, so every face gets the roots it gets when solved
-    alone.
+    k of free coordinates run as one Newton batch, whichever instances they
+    belong to, split into batches of whole faces under _MANY_CHUNK starts
+    times n^m so that memory stays bounded; filtering, deduplication and the
+    posdim test then run face by face.  Rows do not interact, so every face
+    gets the roots it gets when solved alone, whatever its batch.
     """
     outcomes = [_degenerate_face(fs, cfg) for fs in systems]
     by_size: dict[int, list[int]] = {}
     for i, out in enumerate(outcomes):
         if out is None:
             by_size.setdefault(systems[i].k, []).append(i)
-    for members in by_size.values():
-        group = [systems[i] for i in members]
-        starts = [_face_starts(fs, cfg, homogeneous) for fs in group]
-        owner = np.repeat(np.arange(len(group)), [len(z) for z in starts])
-        fun, jac = _face_functions(group, owner, homogeneous)
-        Z, resids, iters = _newton(fun, jac, np.vstack(starts))
-        lo = 0
-        for i, fs, z in zip(members, group, starts):
-            hi = lo + len(z)
-            outcomes[i] = _face_outcome(fs, Z[lo:hi], resids[lo:hi], iters[lo:hi], jac, lo, cfg, homogeneous)
-            lo = hi
+    for k, members in by_size.items():
+        # whole faces per batch, as many as fit in _MANY_CHUNK starts times n^m
+        inst = systems[members[0]].instance
+        size = max(1, _MANY_CHUNK // (_start_count(k, homogeneous) * inst.n**inst.m))
+        for first in range(0, len(members), size):
+            batch = members[first:first + size]
+            group = [systems[i] for i in batch]
+            starts = [_face_starts(fs, cfg, homogeneous) for fs in group]
+            owner = np.repeat(np.arange(len(group)), [len(z) for z in starts])
+            fun, jac = _face_functions(group, owner, homogeneous)
+            Z, resids, iters = _newton(fun, jac, np.vstack(starts))
+            lo = 0
+            for i, fs, z in zip(batch, group, starts):
+                hi = lo + len(z)
+                outcomes[i] = _face_outcome(fs, Z[lo:hi], resids[lo:hi], iters[lo:hi], jac, lo, cfg, homogeneous)
+                lo = hi
     return outcomes
 
 
@@ -589,17 +595,19 @@ def _certified_ray(inst0: TcpInstance, direction, cfg: SolverConfig) -> tuple[np
 
 
 # ---------------------------------------------------------------------------
-# R0 certificate by Bernstein subdivision
+# Bernstein subdivision of the simplex faces: the R0 certificate
 
-# the subdivision gives up after judging this many sub-simplices, when a
-# surviving piece's longest edge (inf-norm, on the simplex) falls below
-# R0_MIN_EDGE, or when a vertex piece survives; at most R0_CANDIDATES
-# centroids of the surviving pieces are handed on as candidate rays
-R0_PIECE_BUDGET = 4096
+# every subdivision, the R0 certificate's and copositivity's, stops after
+# judging this many sub-simplices
+PIECE_BUDGET = 4096
+# the R0 subdivision gives up when a surviving piece's longest edge
+# (inf-norm, on the simplex) falls below R0_MIN_EDGE or a vertex piece
+# survives; at most R0_CANDIDATES centroids of the surviving pieces are
+# handed on as candidate rays
 R0_MIN_EDGE = 2.0 ** -12
 R0_CANDIDATES = 8
 # entries of the Bernstein kernel's largest temporaries per chunk of pieces
-_R0_CHUNK = 1 << 21
+_PIECE_CHUNK = 1 << 21
 
 
 @dataclass(frozen=True, eq=False)
@@ -611,6 +619,13 @@ class _R0Certificate:
     margin: float
     # undecided: centroids of surviving pieces on the simplex, best first
     candidates: np.ndarray
+
+
+def _piece_chunks(P: int, n: int, m: int, k: int):
+    """Slices of P pieces with k vertices, each small enough that the
+    Bernstein kernel's temporaries hold at most _PIECE_CHUNK entries."""
+    size = max(1, _PIECE_CHUNK // (n ** (m - 1) * k + n * k ** (m - 1)))
+    return [slice(lo, lo + size) for lo in range(0, P, size)]
 
 
 def _r0_clearance(arr, abs_arr, V, supp, gamma2: float, eta: float) -> np.ndarray:
@@ -626,16 +641,20 @@ def _r0_clearance(arr, abs_arr, V, supp, gamma2: float, eta: float) -> np.ndarra
     A positive clearance excludes the piece.
     """
     P, n, k = V.shape
-    size = max(1, _R0_CHUNK // (n ** (arr.ndim - 1) * k + n * k ** (arr.ndim - 1)))
     clear = np.zeros(P)
-    for lo in range(0, P, size):
-        Vc = V[lo:lo + size]
-        coef = _bernstein(arr, Vc)
-        bound = gamma2 * _bernstein(abs_arr, Vc) + eta
+    for c in _piece_chunks(P, n, arr.ndim, k):
+        coef = _bernstein(arr, V[c])
+        bound = gamma2 * _bernstein(abs_arr, V[c]) + eta
         neg = np.min(-coef - bound, axis=2)
-        rows = np.where(supp[lo:lo + size], np.maximum(np.min(coef - bound, axis=2), neg), neg)
-        clear[lo:lo + size] = np.max(rows, axis=1)
+        rows = np.where(supp[c], np.maximum(np.min(coef - bound, axis=2), neg), neg)
+        clear[c] = np.max(rows, axis=1)
     return clear
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex pairs (a, b), a < b, of a k-vertex simplex in pair order."""
+    return np.triu_indices(k, 1)
 
 
 def _bisect(V: np.ndarray):
@@ -643,7 +662,7 @@ def _bisect(V: np.ndarray):
     longest edge (the first in pair order on ties), its longest edge, and
     whether every midpoint is exact."""
     P, _, k = V.shape
-    a, b = np.triu_indices(k, 1)
+    a, b = _edge_pairs(k)
     edges = np.max(np.abs(V[:, :, a] - V[:, :, b]), axis=1)
     e = np.argmax(edges, axis=1)
     rows = np.arange(P)
@@ -659,6 +678,63 @@ def _bisect(V: np.ndarray):
     return np.concatenate([lo, hi]), edges[rows, e], exact
 
 
+def _face_pieces(n: int, least_k: int = 1) -> dict:
+    """The face simplices with at least least_k free coordinates, by k: each
+    a vertex matrix (P, n, k) of unit vectors with its supports (P, n),
+    supports ascending as masks."""
+    # every face but {0}, pinned masks descending: supports 1 .. 2^n - 1 ascending
+    pinned = np.array([face.mask for face in enumerate_faces(n)[-2::-1]])
+    every_support = (pinned[:, None] >> np.arange(n) & 1) == 0
+    sizes = every_support.sum(axis=1)
+    pieces = {}
+    for k in range(least_k, n + 1):
+        supports = every_support[sizes == k]
+        V = np.zeros((len(supports), n, k))
+        rows, cols = np.nonzero(supports)
+        V[rows, cols, np.tile(np.arange(k), len(supports))] = 1.0
+        pieces[k] = (V, supports)
+    return pieces
+
+
+def _subdivide(pieces: dict, judge, min_edge: float = 0.0, leaf_edge: float = 0.0):
+    """The branch and bound over face simplices that the R0 certificate and
+    the copositivity search share.
+
+    pieces maps k to a stack of k-vertex simplices (P, n, k) and their
+    supports (P, n).  Each round judge(k, V, supp) returns the mask of the
+    pieces that survive, and the survivors are cut in two at their longest
+    edge (_bisect) to make the next round.  The loop ends when no piece
+    survives, or with the survivors of the last round, uncut, on the first
+    of: a surviving vertex (k = 1) piece, the next round taking the pieces
+    judged past PIECE_BUDGET, a midpoint that is not exact, a surviving
+    piece whose longest edge is below min_edge, or every surviving piece's
+    below leaf_edge.  Returns (the survivors by k, the pieces judged, the
+    longest surviving edge).
+    """
+    simplices = 0
+    while True:
+        alive = {}
+        for k, (V, supp) in pieces.items():
+            keep = judge(k, V, supp)
+            simplices += len(V)
+            if keep.any():
+                alive[k] = (V[keep], supp[keep])
+        if not alive:
+            return alive, simplices, 0.0
+        stop = 1 in alive or simplices + 2 * sum(len(V) for V, _ in alive.values()) > PIECE_BUDGET
+        cut, edges = {}, [np.zeros(0)]
+        for k, (V, supp) in alive.items():
+            if k > 1:
+                halves, longest, exact = _bisect(V)
+                stop |= not exact
+                edges.append(longest)
+                cut[k] = (halves, np.concatenate([supp, supp]))
+        edges = np.concatenate(edges)
+        if stop or np.min(edges, initial=np.inf) < min_edge or np.max(edges, initial=0.0) < leaf_edge:
+            return alive, simplices, float(np.max(edges, initial=0.0))
+        pieces = cut
+
+
 def _r0_certificate(A: Tensor, tol: float) -> _R0Certificate:
     """Decide Sol(A, 0) = {0} by Bernstein subdivision of the simplex faces.
 
@@ -667,8 +743,8 @@ def _r0_certificate(A: Tensor, tol: float) -> _R0Certificate:
     beta and F_j >= 0 off it.  The 2^n - 1 face simplices start as the
     pieces, each carrying its support; a piece with a positive clearance
     (_r0_clearance) holds no solution of its support and is excluded, every
-    other piece is cut in two at its longest edge, and A is R0 when no
-    piece is left.
+    other piece is cut in two at its longest edge (_subdivide), and A is R0
+    when no piece is left.
 
     A float sign is a proof here.  A is scaled by a power of two, which is
     exact up to underflow; vertices start at the unit vectors and every
@@ -684,54 +760,32 @@ def _r0_certificate(A: Tensor, tol: float) -> _R0Certificate:
     certified.  margin is the least clearance, relative to the largest
     entry of A.
 
-    The search stops undecided on the first of: R0_PIECE_BUDGET pieces
-    judged, a surviving piece with an edge below R0_MIN_EDGE, a surviving
-    vertex (k = 1) piece, or a midpoint that is not exact; the centroids of
-    the surviving pieces, ranked by their TCP(A, 0) residual and
-    deduplicated within half the longest surviving edge, are the candidates.
+    The search stops undecided on the first of: PIECE_BUDGET pieces judged,
+    a surviving piece with an edge below R0_MIN_EDGE, a surviving vertex
+    (k = 1) piece, or a midpoint that is not exact; the centroids of the
+    surviving pieces, ranked by their TCP(A, 0) residual and deduplicated
+    within half the longest surviving edge, are the candidates.
     """
     n, d = A.dim, A.order - 1
     big = float(np.max(np.abs(A.array)))
     arr = np.ldexp(A.array, -math.frexp(big)[1])
     abs_arr = np.abs(arr)
     top = float(np.max(abs_arr))
-    # every face but {0}, pinned masks descending: supports 1 .. 2^n - 1 ascending
-    pinned = np.array([face.mask for face in enumerate_faces(n)[-2::-1]])
-    every_support = (pinned[:, None] >> np.arange(n) & 1) == 0
-    sizes = every_support.sum(axis=1)
-    pieces = {}
-    for k in range(1, n + 1):
-        supports = every_support[sizes == k]
-        V = np.zeros((len(supports), n, k))
-        rows, cols = np.nonzero(supports)
-        V[rows, cols, np.tile(np.arange(k), len(supports))] = 1.0
-        pieces[k] = (V, supports)
-    simplices, least = 0, math.inf
-    while True:
-        alive = {}
-        for k, (V, supp) in pieces.items():
-            K = d * n + int(_multisets(k, d)[2].max())
-            gamma = K * 2.0 ** -53 / (1.0 - K * 2.0 ** -53)
-            clear = _r0_clearance(arr, abs_arr, V, supp, 2.0 * gamma, K * 2.0 ** -1072)
-            excluded = clear > tol * top
-            simplices += len(V)
-            if excluded.any():
-                least = min(least, float(np.min(clear[excluded])))
-            if not excluded.all():
-                alive[k] = (V[~excluded], supp[~excluded])
-        if not alive:
-            return _R0Certificate(True, simplices, least / top, np.zeros((0, n)))
-        stop = 1 in alive or simplices + 2 * sum(len(V) for V, _ in alive.values()) > R0_PIECE_BUDGET
-        cut, longest = {}, 0.0
-        for k, (V, supp) in alive.items():
-            if k > 1:
-                halves, edges, exact = _bisect(V)
-                stop |= not exact or float(np.min(edges)) < R0_MIN_EDGE
-                longest = max(longest, float(np.max(edges)))
-                cut[k] = (halves, np.concatenate([supp, supp]))
-        if stop:
-            break
-        pieces = cut
+    least = math.inf
+
+    def judge(k, V, supp):
+        nonlocal least
+        K = d * n + int(_multisets(k, d)[2].max())
+        gamma = K * 2.0 ** -53 / (1.0 - K * 2.0 ** -53)
+        clear = _r0_clearance(arr, abs_arr, V, supp, 2.0 * gamma, K * 2.0 ** -1072)
+        excluded = clear > tol * top
+        if excluded.any():
+            least = min(least, float(np.min(clear[excluded])))
+        return ~excluded
+
+    alive, simplices, longest = _subdivide(_face_pieces(n), judge, min_edge=R0_MIN_EDGE)
+    if not alive:
+        return _R0Certificate(True, simplices, least / top, np.zeros((0, n)))
     X = np.vstack([V.mean(axis=2) for V, _ in alive.values()])
     res = max_residual(TcpInstance(Tensor(arr), np.zeros(n)), X)
     kept = _dedup(list(zip(X, res)), 0.5 * longest)[:R0_CANDIDATES]
@@ -758,21 +812,23 @@ def _homogeneous_rays(tensors: list[Tensor], cfg: SolverConfig) -> list[list[np.
     return [[] if ok else [r.direction for r in next(rest).rays] for ok in certified]
 
 
-# Newton starts per chunk of solve_many or homogeneous_solve_many times n^m,
-# the size of the stacked kernels' gathers
+# Newton starts per chunk of solve_many or homogeneous_solve_many, and per
+# Newton batch of _solve_faces, times n^m: the size of the stacked kernels'
+# gathers
 _MANY_CHUNK = 1 << 21
 
 
 @functools.lru_cache(maxsize=None)
+def _start_count(k: int, homogeneous: bool) -> int:
+    """Newton starts of a face with k free coordinates (_face_starts)."""
+    if homogeneous:
+        return len(_simplex_starts(k)) + 1 + RANDOM_STARTS
+    return len(_grid_starts(k)) + RANDOM_STARTS
+
+
 def _starts_bound(n: int, homogeneous: bool) -> int:
     """Newton starts of one instance when no face has an infeasible row."""
-
-    def starts(k: int) -> int:
-        if homogeneous:
-            return len(_simplex_starts(k)) + 1 + RANDOM_STARTS
-        return len(_grid_starts(k)) + RANDOM_STARTS
-
-    return sum(math.comb(n, k) * starts(k) for k in range(1, n + 1))
+    return sum(math.comb(n, k) * _start_count(k, homogeneous) for k in range(1, n + 1))
 
 
 def _chunks(tensors: list[Tensor], homogeneous: bool) -> list[range]:

@@ -13,6 +13,7 @@ the C-order flat layout coincides with lexicographic order of multi-indices.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -207,6 +208,42 @@ def _bernstein(arr: np.ndarray, V: np.ndarray) -> np.ndarray:
         T = T.reshape(P, n ** (d - s - 1), n, k ** (s + 1)) if s < d - 1 else T.reshape(P, n, k ** d)
     order, starts, counts = _multisets(k, d)
     return np.add.reduceat(T[:, :, order], starts, axis=2) / counts
+
+
+@functools.lru_cache(maxsize=None)
+def _degree_raise(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each multiset alpha of m indices from {0..k-1} and each j, the
+    group of alpha - e_j among the multisets of m - 1 indices and the weight
+    alpha_j / m (0 where alpha_j = 0), both shape (k, G), groups ranked as in
+    _multisets."""
+    lower = {ms: g for g, ms in enumerate(itertools.combinations_with_replacement(range(k), m - 1))}
+    alphas = list(itertools.combinations_with_replacement(range(k), m))
+    index = np.zeros((k, len(alphas)), dtype=int)
+    weight = np.zeros((k, len(alphas)))
+    for g, alpha in enumerate(alphas):
+        for j in set(alpha):
+            rest = list(alpha)
+            rest.remove(j)
+            index[j, g], weight[j, g] = lower[tuple(rest)], alpha.count(j) / m
+    return index, weight
+
+
+def _form_bernstein(arr: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Bernstein coefficients of the form x -> arr x^m on a stack of simplices.
+
+    On x = V[p] lam the form is sum_j lam_j (V[p]^T c)_j with c the
+    coefficients of arr x^{m-1} (_bernstein), and lam_j times the degree
+    m - 1 basis polynomial of beta is alpha_j / m times the degree m one of
+    alpha = beta + e_j: the coefficient of alpha is
+    sum_j (alpha_j / m) (V[p]^T c)_{j, alpha - e_j}.
+    The coefficient of alpha = m e_j is the form at vertex j, and the form on
+    the simplex lies between the least and the largest coefficient.  Returns
+    (P, G), the groups ranked as in _multisets(k, m).
+    """
+    k = V.shape[2]
+    W = np.matmul(np.swapaxes(V, 1, 2), _bernstein(arr, V))
+    index, weight = _degree_raise(k, arr.ndim)
+    return np.sum(weight * W[:, np.arange(k)[:, None], index], axis=1)
 
 
 def slot_sum(arr: np.ndarray) -> np.ndarray:

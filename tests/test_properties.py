@@ -30,8 +30,25 @@ from tcplab import (
     with_rhs,
 )
 from tcplab.catalog import EXAMPLE_NAMES
-from tcplab.properties import CERT_TOL, MONOTONE_BOX, MONOTONE_GRID_PER_AXIS, MONOTONE_RANDOM_PAIRS, _r0_report
-from tcplab.solver import R0_CANDIDATES, _r0_certificate, homogeneous_solve, homogeneous_solve_many
+from tcplab.model import enumerate_faces
+from tcplab.properties import (
+    CERT_TOL,
+    MONOTONE_BOX,
+    MONOTONE_GRID_PER_AXIS,
+    MONOTONE_RANDOM_PAIRS,
+    _kkt_functions,
+    _r0_report,
+)
+from tcplab.solver import (
+    R0_CANDIDATES,
+    RANDOM_STARTS,
+    _newton,
+    _r0_certificate,
+    _simplex_starts,
+    homogeneous_solve,
+    homogeneous_solve_many,
+)
+from tcplab.tensors import contract_rows, gradient_sum, slot_sum
 
 CFG = SolverConfig()
 
@@ -335,14 +352,107 @@ def test_r0_and_monotone_verdicts_ignore_the_units_of_the_tensor():
 
 
 def test_copositive_effort_counters_are_pinned():
-    # the starts and the KKT points found show in these counts: a change to
-    # the starts, the system or the Newton stopping rules has to update them
-    arr = random_gaussian(3, 3, 41).array.copy()
-    for i in range(3):
-        arr[i, i, i] += 1.0
-    effort = check_copositive(Tensor(arr), CFG).effort
-    counts = (effort["faces"], effort["grid_points"], effort["kkt_points"], effort["newton_iters"])
-    assert counts == (7, 113, 4, 938)
+    # the pieces judged, the starts and the KKT points found show in these
+    # counts: a change to the branch and bound, the starts, the system or the
+    # Newton stopping rules has to update them.  Seed 41's minimum is a
+    # vertex, so every piece is retired and Newton never runs; seed 42's
+    # lies inside the triangle
+    pins = {41: (7, 0, 3, 0, 14), 42: (7, 4, 4, 15, 74)}
+    for seed, want in pins.items():
+        arr = random_gaussian(3, 3, seed).array.copy()
+        for i in range(3):
+            arr[i, i, i] += 1.0
+        effort = check_copositive(Tensor(arr), CFG).effort
+        counts = (effort["faces"], effort["grid_points"], effort["kkt_points"], effort["newton_iters"],
+                  effort["simplices"])
+        assert counts == want, seed
+
+
+def _lattice_search(A: Tensor) -> tuple[str, float]:
+    """(verdict, min_form) of check_copositive as it was before the branch
+    and bound chose its starts: on every face with k >= 2, Newton on the KKT
+    system from the simplex lattice of resolution 6 and RANDOM_STARTS seeded
+    Dirichlet starts, the least form over the vertices, the KKT points and
+    the starts judged on A divided by its largest entry."""
+    n, m = A.dim, A.order
+    big = float(np.max(np.abs(A.array)))
+    unit = Tensor(A.array / big) if big > 0.0 else A
+    G = gradient_sum(unit.array) / m
+    kkt, starts = [np.eye(n)], []
+    for k in range(2, n + 1):
+        faces = [face for face in enumerate_faces(n) if n - len(face) == k]
+        free = np.array([face.free_indices for face in faces])
+        blocks = np.stack([G[np.ix_(*([f] * m))] for f in free])
+        Z0 = np.vstack([np.vstack([_simplex_starts(k, 6), rng.dirichlet(np.ones(k), RANDOM_STARTS)])
+                        for rng in (np.random.default_rng([CFG.seed, face.mask, 4]) for face in faces)])
+        owner = np.repeat(np.arange(len(faces)), len(Z0) // len(faces))
+        fun, jac = _kkt_functions(blocks, np.stack([slot_sum(b) for b in blocks]), owner)
+        Y0 = np.column_stack([Z0, np.sum(Z0 * contract_rows(blocks, Z0, owner), axis=1)])
+        Y, resids, _ = _newton(fun, jac, Y0)
+        ok = (resids <= CFG.tol / 10) & (np.min(Y[:, :-1], axis=1) >= -CFG.tol)
+        X = np.zeros((2, len(Z0), n))
+        X[:, np.arange(len(Z0))[:, None], free[owner]] = Z0, np.maximum(Y[:, :-1], 0.0)
+        kkt.append(X[1, ok])
+        starts.append(X[0])
+    X = np.vstack(kkt + starts)
+    X /= np.sum(X, axis=1, keepdims=True)
+    vals = np.sum(X * contract_rows(unit.array, X), axis=1)
+    x = X[int(np.argmin(vals))]
+    if np.min(vals) < -CFG.tol:
+        return (VERDICT_FAILS if form(unit, x) < -CFG.tol else VERDICT_INCONCLUSIVE), form(A, x)
+    return VERDICT_HOLDS, form(A, x)
+
+
+def _ridge_tensors():
+    """Sums of (u.x)^2 (sum x)^{m-2} over vectors u orthogonal to an
+    interior point p of the simplex, so the form is >= 0 with a zero at p:
+    with n - 1 vectors p is an isolated zero, with one the zeros fill a
+    ridge across the simplex.  Two of every four carry 1e-3 Gaussian noise,
+    which leaves the minimum just above or below zero."""
+    rng = np.random.default_rng(77)
+    out = []
+    for m, n in itertools.product((3, 4), (3, 4)):
+        letters = "abcd"[:m]
+        spec = ",".join(letters) + "->" + letters
+        for j in range(4):
+            p = rng.uniform(0.2, 1.0, n)
+            p /= p.sum()
+            U = rng.standard_normal((n - 1 if j % 2 == 0 else 1, n))
+            U -= np.outer(U @ p, p) / (p @ p)
+            arr = sum(np.einsum(spec, u, u, *([np.ones(n)] * (m - 2))) for u in U)
+            if j >= 2:
+                arr = arr + 1e-3 * rng.standard_normal(arr.shape)
+            out.append(arr)
+    return out
+
+
+def test_copositive_search_agrees_with_the_lattice_search():
+    # 190 tensors: the 126 shifted Gaussians, 40 unshifted ones, the catalog,
+    # zero tensors and 16 ridge tensors.  The verdicts are the lattice
+    # search's, and the minimum is never above its minimum by more than
+    # rounding
+    rng = np.random.default_rng(99)
+    arrays = list(_shifted_gaussians())
+    arrays += [rng.standard_normal((n,) * m) for m, n in itertools.product((3, 4), (3, 4)) for _ in range(10)]
+    arrays += [builtin_example(name).tensor.array for name in EXAMPLE_NAMES]
+    arrays += [np.zeros((n,) * m) for m, n in ((2, 2), (3, 2), (3, 3), (4, 4))]
+    ridges = _ridge_tensors()
+    arrays += ridges
+    assert len(arrays) == 190
+    fails = 0
+    for arr in arrays:
+        A = Tensor(arr)
+        report = check_copositive(A, CFG)
+        verdict, least = _lattice_search(A)
+        assert report.verdict == verdict, arr.shape
+        assert report.effort["min_form"] <= least + 1e-12 * float(np.max(np.abs(arr))), arr.shape
+        fails += verdict == VERDICT_FAILS
+    assert 30 <= fails <= len(arrays) - 30
+    # the ridges sit at zero: the unperturbed ones hold with a minimum of
+    # rounding size
+    for arr in ridges[::4] + ridges[1::4]:
+        report = check_copositive(Tensor(arr), CFG)
+        assert report.holds and abs(report.effort["min_form"]) <= 1e-14
 
 
 def test_monotone_holds_for_decoupled_squares():

@@ -670,6 +670,37 @@ def test_solve_many_chunks_change_nothing(monkeypatch):
     assert chunked == whole
 
 
+def test_face_batches_stay_under_the_budget_and_change_nothing(monkeypatch):
+    # the faces of one size run in Newton batches of whole faces under
+    # _MANY_CHUNK starts times n^m, at least one face each; a smaller budget
+    # splits them into more batches and every result stays the same, bit
+    # for bit
+    rng = np.random.default_rng(44)
+    insts = [TcpInstance(random_gaussian(m, n, rng), rng.normal(size=n)) for m, n in ((3, 3), (4, 3), (2, 4))]
+    insts.append(with_rhs(builtin_example("ex1"), [1.0, 1.0]))
+    real, batches = solver_mod._newton, []
+
+    def counted(fun, jac, Z0):
+        batches.append(len(Z0))
+        return real(fun, jac, Z0)
+
+    monkeypatch.setattr(solver_mod, "_newton", counted)
+    default = solver_mod._MANY_CHUNK
+    for inst in insts:
+        n, m = inst.n, inst.tensor.order
+        monkeypatch.setattr(solver_mod, "_MANY_CHUNK", default)
+        batches.clear()
+        whole = _json([solve(inst, CFG)])
+        count = len(batches)
+        # a budget of one k = 1 face: every batch holds one face
+        budget = solver_mod._start_count(1, False) * n**m
+        monkeypatch.setattr(solver_mod, "_MANY_CHUNK", budget)
+        batches.clear()
+        assert _json([solve(inst, CFG)]) == whole
+        assert len(batches) > count
+        assert set(batches) <= {solver_mod._start_count(k, hom) for k in range(1, n + 1) for hom in (False, True)}
+
+
 def test_solve_many_solves_each_distinct_tensor_once(monkeypatch):
     # two tensor values, each held by three separate Tensor objects: one
     # homogeneous solve of 2^2 - 1 faces per value, also when every instance
@@ -757,7 +788,7 @@ def test_faces_past_the_budget_are_refused_before_any_work(monkeypatch):
         raise AssertionError("work started")
 
     for mod, name in ((solver_mod, "_newton"), (solver_mod, "_starts_bound"), (solver_mod, "_r0_clearance"),
-                      (properties_mod, "_newton")):
+                      (properties_mod, "_newton"), (properties_mod, "_form_bernstein")):
         monkeypatch.setattr(mod, name, no_work)
     A = random_gaussian(2, 30, 0)
     for run in (lambda: solve(TcpInstance(A, np.ones(30)), CFG), lambda: check_r0(A, CFG),

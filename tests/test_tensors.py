@@ -25,7 +25,7 @@ from tcplab import (
     tensor_to_dict,
 )
 from tcplab.catalog import builtin_example
-from tcplab.tensors import _bernstein, _check_size, contract_rows, jacobian_rows, slot_sum
+from tcplab.tensors import _bernstein, _check_size, _form_bernstein, contract_rows, jacobian_rows, slot_sum
 
 
 def _cube_example():
@@ -333,3 +333,30 @@ def test_bernstein_coefficients_match_an_einsum_recheck():
     arr = tensors[3]
     coef = _bernstein(arr, np.eye(3)[None, :, [0, 2]])
     assert np.array_equal(coef[0, :, 0], arr[:, 0, 0]) and np.array_equal(coef[0, :, -1], arr[:, 2, 2])
+
+
+def test_form_bernstein_coefficients_match_an_einsum_and_enclose_the_form():
+    # the coefficients of A x^m on random nonnegative vertex sets: one einsum
+    # with V in every slot and an explicit average over the slot
+    # permutations; the vertex coefficients are the form at the vertices,
+    # and the form inside lies between the least and the largest coefficient
+    rng = np.random.default_rng(17)
+    for m, n in ((2, 3), (3, 2), (3, 3), (4, 3), (3, 4)):
+        arr = rng.standard_normal((n,) * m)
+        letters, cols = "abcd"[:m], "pqrs"[:m]
+        spec = letters + "," + ",".join(letters[s] + cols[s] for s in range(m)) + "->" + cols
+        for k in range(1, n + 1):
+            V = rng.uniform(0.0, 1.0, (3, n, k))
+            V /= V.sum(axis=1, keepdims=True)
+            got = _form_bernstein(arr, V)
+            groups = list(itertools.combinations_with_replacement(range(k), m))
+            assert got.shape == (3, len(groups))
+            for p, Vp in enumerate(V):
+                C = np.einsum(spec, arr, *([Vp] * m))
+                sym = sum(np.transpose(C, perm) for perm in itertools.permutations(range(m))) / math.factorial(m)
+                assert np.allclose(got[p], [sym[g] for g in groups], rtol=0, atol=1e-13)
+                corners = got[p, [groups.index((j,) * m) for j in range(k)]]
+                assert np.allclose(corners, [form(Tensor(arr), Vp[:, j]) for j in range(k)], rtol=0, atol=1e-14)
+                X = rng.dirichlet(np.ones(k), 40) @ Vp.T
+                vals = np.array([form(Tensor(arr), x) for x in X])
+                assert np.all(vals >= got[p].min() - 1e-13) and np.all(vals <= got[p].max() + 1e-13)
