@@ -28,10 +28,10 @@ import numpy as np
 from .model import TcpInstance
 from .properties import VERDICT_HOLDS, _r0_reports, check_copositive, check_r0, int_dual_cone_member
 from .solver import (
-    START_BOX_RADIUS,
     STATUS_UNBOUNDED,
     SolverConfig,
     _homogeneous_rays,
+    _solve_stream,
     brute_force_oracle,
     hausdorff_excess,
     solve,
@@ -53,6 +53,8 @@ _SALT_STABILITY = 15
 # the perturbation scale: the map jumped instead of shrinking with the radius
 USC_VIOLATION_FLOOR = 0.1
 USC_VIOLATION_FACTOR = 100.0
+# the grid oracle that densifies a posdim-flagged base searches [0, this]^n
+ORACLE_BOX_RADIUS = 5.0
 
 
 def _map_samples(fn, ids):
@@ -226,8 +228,10 @@ def r0_openness_probe(A: Tensor, radii, samples_per_radius: int, cfg: SolverConf
     """Fraction of R0 survivors under sphere perturbations of each radius.
 
     R0 is an open property, so fractions should hold at 1.0 up to some
-    radius; the largest all-pass radius, halved, is the suggested eps for
-    downstream probes.
+    radius.  largest_all_pass and its half, suggested_eps, only say what the
+    samples saw, not a safe radius: at gus every sample at radius 2 passes,
+    yet gus with each entry lowered by 0.25, a Frobenius distance of 0.707,
+    fails R0 (random directions rarely meet the non-R0 set).
     """
     radii = [float(r) for r in radii]
     if not radii or any(r <= 0 for r in radii):
@@ -309,7 +313,7 @@ def _reference_points(inst: TcpInstance, sol, cfg: SolverConfig) -> list[np.ndar
     """
     pts = [p.x for p in sol.points]
     if sol.posdim_suspect:
-        oracle = brute_force_oracle(inst, START_BOX_RADIUS, 0.01, cfg.tol)
+        oracle = brute_force_oracle(inst, ORACLE_BOX_RADIUS, 0.01, cfg.tol)
         for cluster in oracle.clusters:
             if cluster.verified:
                 pts.extend(cluster.members)
@@ -481,7 +485,8 @@ def stability_inclusion_check(
         raise ValueError("eps must be positive")
     if samples <= 0:
         raise ValueError("samples must be positive")
-    member = int_dual_cone_member(_homogeneous_rays([A], cfg)[0], a, cfg.tol)
+    rays = _homogeneous_rays([A], cfg)[0]
+    member = int_dual_cone_member(rays, a, cfg.tol)
     params = {"eps": eps, "samples": samples, "seed": cfg.seed, "a": a.tolist()}
     if not member:
         return ExperimentReport(
@@ -490,7 +495,7 @@ def stability_inclusion_check(
             [],
             {"vacuous": True, "reason": "a is not interior to the dual of the solution cone"},
         )
-    base = solve(TcpInstance(A, a), cfg)
+    base = next(_solve_stream([TcpInstance(A, a)], cfg, homs={A.array.tobytes(): rays}))
     reference = [p.x for p in base.points]
 
     # rejection sampling runs in sample order: its attempt budget is shared

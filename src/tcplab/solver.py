@@ -1,32 +1,29 @@
 """Pseudo-face enumeration solver for complementarity instances.
 
 Every face of the nonnegative orthant contributes a square polynomial
-system (model.FaceSystem); the solver runs a multistart damped Newton on
-each, filters roots by the face sign conditions, and merges the survivors.
-A face whose equations all vanish identically takes the same path: Newton
-stops at its starts, every feasible start is a root, and the face is flagged
-as a continuum unless its section is one point (a homogeneous k = 1 face).
-The starts of all faces with the same number k of free coordinates run as
-one Newton batch: the faces' blocks are stacked and each row is evaluated
-on its own face's block, so a face gets the roots it gets when solved alone
-while the per-call overhead is paid once per face size, not once per face.
+system (model.FaceSystem); the solver runs a damped Newton on each from the
+starts that a Bernstein subdivision of the augmented tensor leaves on it
+(_leaf_starts), filters roots by the face sign conditions, and merges the
+survivors.  A face whose equations all vanish identically takes the same
+path: Newton stops at its starts, every feasible start is a root, and the
+face is flagged as a continuum unless its section is one point (a
+homogeneous k = 1 face).  The starts of all faces with the same number k of
+free coordinates run as one Newton batch: each row is evaluated on its own
+face's block, so a face gets the roots it gets when solved alone.
 Unboundedness is probed through the homogeneous problem TCP(A, 0): its
-nonzero solutions on the probability simplex are the candidate recession
-directions, and a direction is kept for a concrete right-hand side only
-when the far tail of its ray actually solves the instance.  Before any
-Newton search on TCP(A, 0), _r0_certificate tries to prove Sol(A, 0) = {0}
-by Bernstein subdivision of the simplex faces, with rounding-safe sign
-tests; a tensor it certifies has no candidate directions, and its
-homogeneous faces are never solved.
+nonzero solutions on the probability simplex, searched from a lattice and
+seeded random starts, are the candidate recession directions, and a
+direction is kept for a concrete right-hand side only when the far tail of
+its ray actually solves the instance.  Before any such search,
+_r0_certificate tries to prove Sol(A, 0) = {0} by Bernstein subdivision of
+the simplex faces, with rounding-safe sign tests; a tensor it certifies has
+no candidate directions.
 
 solve_many and homogeneous_solve_many take many instances of one (m, n) and
 hand the face systems of all of them to the face solver at once, in chunks
-under a budget of Newton starts, so the faces of one size across a chunk
-run as one Newton batch; each instance still gets, bit for bit, what solve
-or homogeneous_solve gives it alone, and those two are one-instance calls
-into them.  Within one solve_many call the homogeneous part is settled once
-per distinct tensor, so callers sweeping right-hand sides against a tensor
-need not carry it themselves.
+under a budget of Newton starts; each instance still gets, bit for bit,
+what solve or homogeneous_solve gives it alone, and the homogeneous part is
+settled once per distinct tensor.
 
 The brute-force grid oracle at the bottom is a separate check path: it
 never reuses the solver's roots and only polishes its own grid clusters,
@@ -77,13 +74,11 @@ POSDIM_ROOT_LIMIT = 25
 SIGMA_RATIO = 1e-6
 
 # fixed solver constants, echoed in every SolutionSet's meta; DEDUP_RADIUS
-# and START_BOX_RADIUS are distances in x on the normalized pair
+# is a distance in x on the normalized pair, LEAF_EDGE _leaf_starts' edge
 DEDUP_RADIUS = 1e-5
 NEWTON_MAX_ITER = 100
-GRID_STARTS_PER_AXIS = 9
-START_BOX_RADIUS = 5.0
 RANDOM_STARTS = 16
-GRID_START_BUDGET = 3200
+LEAF_EDGE = 2.0 ** -3
 NEWTON_ATOL = 1e-14
 
 ORACLE_BUDGET = 10**8
@@ -98,9 +93,10 @@ class SolverConfig:
     tol is relative to the pair norm |(A, a)| = sqrt(|A|_F^2 + |a|_2^2): solve
     divides (A, a) by that norm on entry, which leaves the solution set
     unchanged, so Sol(tA, ta) is computed exactly as Sol(A, a) for every
-    t > 0.  Everything else the solver uses is a module constant (DEDUP_RADIUS,
-    NEWTON_MAX_ITER, GRID_STARTS_PER_AXIS, START_BOX_RADIUS, RANDOM_STARTS),
-    echoed with tol and seed in each result's meta.
+    t > 0.  The seed draws the homogeneous search's random starts only.
+    Everything else the solver uses is a module constant (DEDUP_RADIUS,
+    NEWTON_MAX_ITER, RANDOM_STARTS, LEAF_EDGE), echoed with tol and seed in
+    each result's meta.
     """
 
     tol: float = 1e-8
@@ -209,7 +205,8 @@ def _newton(fun, jac, Z0):
     entries of at most 1 and bounded starts, so their residuals stay finite.
     Returns (Z, residual_inf, iterations), one entry per row.
     """
-    Z = np.array(Z0, dtype=float)
+    # in C order each row's kernel sums run the same way, whatever Z0's layout
+    Z = np.array(Z0, dtype=float, order="C")
     F = fun(np.arange(Z.shape[0]), Z)
     phi = np.sum(F * F, axis=1)
     iters = np.zeros(Z.shape[0], dtype=int)
@@ -289,18 +286,6 @@ def _face_functions(systems: list[FaceSystem], owner: np.ndarray | None, simplex
         return J
 
     return fun, jac
-
-
-def _grid_starts(k: int) -> np.ndarray:
-    """Deterministic start grid over [0, START_BOX_RADIUS]^k with
-    GRID_STARTS_PER_AXIS points per axis, fewer when that exceeds
-    GRID_START_BUDGET points."""
-    g = GRID_STARTS_PER_AXIS
-    while g > 2 and g**k > GRID_START_BUDGET:
-        g -= 1
-    axes = np.linspace(0.0, START_BOX_RADIUS, g)
-    mesh = np.meshgrid(*([axes] * k), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def _simplex_starts(k: int, resolution: int = 6) -> np.ndarray:
@@ -413,21 +398,18 @@ def _degenerate_face(fs: FaceSystem, cfg: SolverConfig) -> _FaceOutcome | None:
     return _FaceOutcome() if fs.k == 0 or fs.infeasible_rows else None
 
 
-def _face_starts(fs: FaceSystem, cfg: SolverConfig, homogeneous: bool) -> np.ndarray:
-    """Newton starts of a face, shape (S, k)."""
-    if homogeneous:
-        # the search lives on the probability simplex, so start there
-        rng = np.random.default_rng([cfg.seed, fs.alpha.mask, 1])
-        return np.vstack([
-            _simplex_starts(fs.k),
-            np.full((1, fs.k), 1.0 / fs.k),
-            rng.dirichlet(np.ones(fs.k), size=RANDOM_STARTS),
-        ])
-    rng = np.random.default_rng([cfg.seed, fs.alpha.mask, 0])
-    return np.vstack([
-        _grid_starts(fs.k),
-        rng.uniform(0.0, START_BOX_RADIUS, size=(RANDOM_STARTS, fs.k)),
-    ])
+def _face_starts(systems: list[FaceSystem], cfg: SolverConfig, homogeneous: bool) -> list[np.ndarray]:
+    """Newton starts of the face systems of one instance, (S, k) each: for
+    the homogeneous search, which lives on the probability simplex, the
+    lattice, the centroid and RANDOM_STARTS Dirichlet draws seeded by (seed,
+    face); for a point face, the leaves on it (_leaf_starts), maybe none.
+    """
+    if not homogeneous:
+        leaves = _leaf_starts(systems[0].instance, cfg.tol)
+        return [leaves.get(fs.alpha.mask, np.zeros((0, fs.k))) for fs in systems]
+    return [np.vstack([_simplex_starts(fs.k), np.full((1, fs.k), 1.0 / fs.k),
+                       np.random.default_rng([cfg.seed, fs.alpha.mask, 1]).dirichlet(np.ones(fs.k), RANDOM_STARTS)])
+            for fs in systems]
 
 
 def _face_outcome(
@@ -464,38 +446,40 @@ def _face_outcome(
     return out
 
 
-def _solve_faces(systems: list[FaceSystem], cfg: SolverConfig, homogeneous: bool) -> list[_FaceOutcome]:
-    """Roots of each face system, with sign filtering and posdim detection,
-    one outcome per system.
+def _runs(items, size, budget: int):
+    """Lazy runs of consecutive items whose sizes sum to at most budget, or of one item."""
+    run, total = [], 0
+    for item in items:
+        s = size(item)
+        if run and total + s > budget:
+            yield run
+            run, total = [], 0
+        run.append(item)
+        total += s
+    if run:
+        yield run
 
-    The starts of all faces that need a Newton run and have the same number
-    k of free coordinates run as one Newton batch, whichever instances they
-    belong to, split into batches of whole faces under _MANY_CHUNK starts
-    times n^m so that memory stays bounded; filtering, deduplication and the
-    posdim test then run face by face.  Rows do not interact, so every face
-    gets the roots it gets when solved alone, whatever its batch.
-    """
-    outcomes = [_degenerate_face(fs, cfg) for fs in systems]
+
+def _solve_faces(systems: list[FaceSystem], starts: list, cfg: SolverConfig, homogeneous: bool) -> list[_FaceOutcome]:
+    """Roots of each face system from its starts, with sign filtering and
+    posdim detection, one outcome per system.  The faces of one size k, of
+    whichever instances, run in Newton batches of whole faces under
+    _MANY_CHUNK starts times n^m; rows do not interact, so every face gets
+    the roots it gets when solved alone."""
+    # a face without starts has no roots
+    outcomes = [_degenerate_face(fs, cfg) if len(z) or not fs.k else _FaceOutcome() for fs, z in zip(systems, starts)]
     by_size: dict[int, list[int]] = {}
     for i, out in enumerate(outcomes):
         if out is None:
             by_size.setdefault(systems[i].k, []).append(i)
-    for k, members in by_size.items():
-        # whole faces per batch, as many as fit in _MANY_CHUNK starts times n^m
+    for members in by_size.values():
         inst = systems[members[0]].instance
-        size = max(1, _MANY_CHUNK // (_start_count(k, homogeneous) * inst.n**inst.m))
-        for first in range(0, len(members), size):
-            batch = members[first:first + size]
-            group = [systems[i] for i in batch]
-            starts = [_face_starts(fs, cfg, homogeneous) for fs in group]
-            owner = np.repeat(np.arange(len(group)), [len(z) for z in starts])
-            fun, jac = _face_functions(group, owner, homogeneous)
-            Z, resids, iters = _newton(fun, jac, np.vstack(starts))
-            lo = 0
-            for i, fs, z in zip(batch, group, starts):
-                hi = lo + len(z)
+        for batch in _runs(members, lambda i: len(starts[i]), _MANY_CHUNK // inst.n**inst.m):
+            group, counts = [systems[i] for i in batch], [len(starts[i]) for i in batch]
+            fun, jac = _face_functions(group, np.repeat(np.arange(len(group)), counts), homogeneous)
+            Z, resids, iters = _newton(fun, jac, np.vstack([starts[i] for i in batch]))
+            for i, fs, lo, hi in zip(batch, group, np.cumsum([0] + counts), np.cumsum(counts)):
                 outcomes[i] = _face_outcome(fs, Z[lo:hi], resids[lo:hi], iters[lo:hi], jac, lo, cfg, homogeneous)
-                lo = hi
     return outcomes
 
 
@@ -514,9 +498,8 @@ def _meta(cfg: SolverConfig, **extra) -> dict:
         "tol": cfg.tol,
         "dedup_radius": DEDUP_RADIUS,
         "newton_max_iter": NEWTON_MAX_ITER,
-        "grid_starts_per_axis": GRID_STARTS_PER_AXIS,
         "random_starts": RANDOM_STARTS,
-        "start_box_radius": START_BOX_RADIUS,
+        "leaf_edge": LEAF_EDGE,
         "seed": cfg.seed,
     }
     d.update(extra)
@@ -628,25 +611,29 @@ def _piece_chunks(P: int, n: int, m: int, k: int):
     return [slice(lo, lo + size) for lo in range(0, P, size)]
 
 
-def _r0_clearance(arr, abs_arr, V, supp, gamma2: float, eta: float) -> np.ndarray:
+def _r0_clearance(arr: np.ndarray, V: np.ndarray, supp: np.ndarray) -> np.ndarray:
     """How far the pieces V (P, n, k) with supports supp (P, n) are from
-    holding a solution of their support, shape (P,).
+    holding a solution of their support for the order-m array arr, shape
+    (P,); arr may leave out zero rows at its end.
 
-    A piece holds none when some row i in its support has every Bernstein
-    coefficient of one strict sign (F_i has no zero on it), or some row off
-    its support has every coefficient strictly negative (F_i < 0 on it).  A
-    row's clearance is the least amount by which its coefficients pass zero
-    on that sign after their rounding bound, gamma2 times the same
-    coefficient of |A| plus eta, is taken off; a piece's is its best row's.
-    A positive clearance excludes the piece.
+    A piece holds none when a row in its support has every Bernstein
+    coefficient of one strict sign, or a row off it has every coefficient
+    negative.  A row's clearance is the least amount by which they pass zero
+    after their rounding bound (tensors._bernstein) is taken off: 2 gamma_K
+    times the row's largest |entry|, as V >= 0 with columns summing to 1
+    makes each coefficient of |arr| a weighted mean of them, plus
+    K * 2^-1072; a piece's is its best row's, and a positive one excludes it.
     """
     P, n, k = V.shape
+    d, R = arr.ndim - 1, arr.shape[0]
+    K = d * n + int(_multisets(k, d)[2].max())
+    gamma = K * 2.0 ** -53 / (1.0 - K * 2.0 ** -53)
+    bound = 2.0 * gamma * np.max(np.abs(arr).reshape(R, -1), axis=1) + K * 2.0 ** -1072
     clear = np.zeros(P)
     for c in _piece_chunks(P, n, arr.ndim, k):
         coef = _bernstein(arr, V[c])
-        bound = gamma2 * _bernstein(abs_arr, V[c]) + eta
-        neg = np.min(-coef - bound, axis=2)
-        rows = np.where(supp[c], np.maximum(np.min(coef - bound, axis=2), neg), neg)
+        neg = -np.max(coef, axis=2) - bound
+        rows = np.where(supp[c, :R], np.maximum(np.min(coef, axis=2) - bound, neg), neg)
         clear[c] = np.max(rows, axis=1)
     return clear
 
@@ -678,18 +665,19 @@ def _bisect(V: np.ndarray):
     return np.concatenate([lo, hi]), edges[rows, e], exact
 
 
-def _face_pieces(n: int, least_k: int = 1) -> dict:
+def _face_pieces(n: int, least_k: int = 1, apex: bool = False) -> dict:
     """The face simplices with at least least_k free coordinates, by k: each
     a vertex matrix (P, n, k) of unit vectors with its supports (P, n),
-    supports ascending as masks."""
+    supports ascending as masks; with apex, the 2^n - 1 face simplices
+    (P, n + 1, k) of R^{n+1} that hold the last coordinate and another."""
     # every face but {0}, pinned masks descending: supports 1 .. 2^n - 1 ascending
     pinned = np.array([face.mask for face in enumerate_faces(n)[-2::-1]])
-    every_support = (pinned[:, None] >> np.arange(n) & 1) == 0
+    every_support = (pinned[:, None] >> np.arange(n + apex) & 1) == 0
     sizes = every_support.sum(axis=1)
     pieces = {}
-    for k in range(least_k, n + 1):
+    for k in range(max(least_k, 1 + apex), n + 1 + apex):
         supports = every_support[sizes == k]
-        V = np.zeros((len(supports), n, k))
+        V = np.zeros((len(supports), n + apex, k))
         rows, cols = np.nonzero(supports)
         V[rows, cols, np.tile(np.arange(k), len(supports))] = 1.0
         pieces[k] = (V, supports)
@@ -697,8 +685,8 @@ def _face_pieces(n: int, least_k: int = 1) -> dict:
 
 
 def _subdivide(pieces: dict, judge, min_edge: float = 0.0, leaf_edge: float = 0.0):
-    """The branch and bound over face simplices that the R0 certificate and
-    the copositivity search share.
+    """The branch and bound over face simplices that the R0 certificate,
+    the point faces' starts and the copositivity search share.
 
     pieces maps k to a stack of k-vertex simplices (P, n, k) and their
     supports (P, n).  Each round judge(k, V, supp) returns the mask of the
@@ -750,15 +738,13 @@ def _r0_certificate(A: Tensor, tol: float) -> _R0Certificate:
     exact up to underflow; vertices start at the unit vectors and every
     midpoint is checked to be exact, so the halves tile their parent, the
     vertices stay on the simplex and each column of a piece's vertex matrix
-    sums to 1.  Every coefficient is judged against 2 gamma_K times the same
-    coefficient of |A| (tensors._bernstein) plus K * 2^-1072, which bounds
-    its rounding and underflow error.  A piece is excluded only when its
-    clearance is above tol times the largest entry of A: a change of at
-    most that much in every entry moves no coefficient by more, so every
-    tensor that close to a certified A is R0 as well, and a tensor with a
-    ray of residual below tol, which the Newton search would report, is not
-    certified.  margin is the least clearance, relative to the largest
-    entry of A.
+    sums to 1, as _r0_clearance's rounding bound needs.  A piece is excluded
+    only when its clearance is above tol times the largest entry of A: a
+    change of at most that much in every entry moves no coefficient by more,
+    so every tensor that close to a certified A is R0 as well, and a tensor
+    with a ray of residual below tol, which the Newton search would report,
+    is not certified.  margin is the least clearance, relative to the
+    largest entry of A.
 
     The search stops undecided on the first of: PIECE_BUDGET pieces judged,
     a surviving piece with an edge below R0_MIN_EDGE, a surviving vertex
@@ -766,18 +752,15 @@ def _r0_certificate(A: Tensor, tol: float) -> _R0Certificate:
     surviving pieces, ranked by their TCP(A, 0) residual and deduplicated
     within half the longest surviving edge, are the candidates.
     """
-    n, d = A.dim, A.order - 1
+    n = A.dim
     big = float(np.max(np.abs(A.array)))
     arr = np.ldexp(A.array, -math.frexp(big)[1])
-    abs_arr = np.abs(arr)
-    top = float(np.max(abs_arr))
+    top = float(np.max(np.abs(arr)))
     least = math.inf
 
     def judge(k, V, supp):
         nonlocal least
-        K = d * n + int(_multisets(k, d)[2].max())
-        gamma = K * 2.0 ** -53 / (1.0 - K * 2.0 ** -53)
-        clear = _r0_clearance(arr, abs_arr, V, supp, 2.0 * gamma, K * 2.0 ** -1072)
+        clear = _r0_clearance(arr, V, supp)
         excluded = clear > tol * top
         if excluded.any():
             least = min(least, float(np.min(clear[excluded])))
@@ -790,6 +773,35 @@ def _r0_certificate(A: Tensor, tol: float) -> _R0Certificate:
     res = max_residual(TcpInstance(Tensor(arr), np.zeros(n)), X)
     kept = _dedup(list(zip(X, res)), 0.5 * longest)[:R0_CANDIDATES]
     return _R0Certificate(False, simplices, math.nan, np.array(kept))
+
+
+def _leaf_starts(unit: TcpInstance, tol: float) -> dict[int, np.ndarray]:
+    """Newton starts of the point faces of unit, by pinned mask: the leaf
+    centroids of a Bernstein subdivision of the augmented tensor.
+
+    With x = y / tau, G(y, tau) = A y^{m-1} + tau^{m-1} a is an order-m
+    tensor on R^{n+1}, and (x, 1) / (1 + |x|_1) maps a root on the face of
+    free set beta, however large, into the face simplex of beta + {tau}.
+    These 2^n - 1 pieces are judged by the R0 rule (_r0_clearance, less the
+    zero tau row) and cut (_subdivide) to LEAF_EDGE or PIECE_BUDGET.  As
+    |F_i(y / tau)| = |G_i| / tau^{m-1} >= |G_i|, excluding only clearances
+    above 2 tol keeps each root _filter_roots accepts (residual <= tol / 10,
+    pinned slack >= -tol) in a leaf.  A leaf with centroid c starts at
+    c_beta / c_tau; every piece keeps a vertex with tau > 0.
+    """
+    n, m = unit.n, unit.m
+    aug = np.pad(unit.tensor.array, [(0, 0)] + [(0, 1)] * (m - 1))
+    aug[(slice(n),) + (n,) * (m - 1)] = unit.a
+    leaves, _, _ = _subdivide(_face_pieces(n, apex=True), lambda k, V, supp: _r0_clearance(aug, V, supp) <= 2.0 * tol,
+                              leaf_edge=LEAF_EDGE)
+    starts = {}
+    for k, (V, supp) in leaves.items():
+        C = V.mean(axis=2)
+        Z = (C[:, :n] / C[:, n:])[supp[:, :n]].reshape(len(C), k - 1)
+        pinned = ~supp[:, :n] @ (1 << np.arange(n))
+        for mask in set(pinned.tolist()):
+            starts[mask] = Z[pinned == mask]
+    return starts
 
 
 def _candidate_rays(A: Tensor, candidates: np.ndarray, cfg: SolverConfig) -> SolutionSet:
@@ -818,57 +830,41 @@ def _homogeneous_rays(tensors: list[Tensor], cfg: SolverConfig) -> list[list[np.
 _MANY_CHUNK = 1 << 21
 
 
-@functools.lru_cache(maxsize=None)
-def _start_count(k: int, homogeneous: bool) -> int:
-    """Newton starts of a face with k free coordinates (_face_starts)."""
-    if homogeneous:
-        return len(_simplex_starts(k)) + 1 + RANDOM_STARTS
-    return len(_grid_starts(k)) + RANDOM_STARTS
-
-
-def _starts_bound(n: int, homogeneous: bool) -> int:
-    """Newton starts of one instance when no face has an infeasible row."""
-    return sum(math.comb(n, k) * _start_count(k, homogeneous) for k in range(1, n + 1))
-
-
-def _chunks(tensors: list[Tensor], homogeneous: bool) -> list[range]:
-    """Consecutive runs of instance indices, each holding as many instances as
-    fit in _MANY_CHUNK Newton starts times n^m, and at least one."""
-    shapes = sorted({A.array.shape for A in tensors})
-    if len(shapes) > 1:
-        raise ValueError(f"the instances of one call must share (m, n); got tensor shapes {shapes}")
-    if not tensors:
-        return []
-    m, n = tensors[0].order, tensors[0].dim
-    size = max(1, _MANY_CHUNK // (_starts_bound(n, homogeneous) * n**m))
-    return [range(lo, min(lo + size, len(tensors))) for lo in range(0, len(tensors), size)]
-
-
-def _solve_stream(instances, cfg: SolverConfig, homogeneous: bool = False):
+def _solve_stream(instances, cfg: SolverConfig, homogeneous: bool = False, homs: dict | None = None):
     """The results of solve_many, or with homogeneous those of
     homogeneous_solve_many on the instances' tensors, yielded one by one.
 
-    All faces of a chunk's instances go to one _solve_faces call.  A chunk
-    is solved when its first result is asked for, so a caller that stops
-    early stops at the end of that chunk.  The homogeneous part depends on
-    the tensor alone: its rays are found once per distinct tensor value by
-    _homogeneous_rays, after the point faces of the chunk where that value
-    first appears, and kept for the later chunks.
+    A chunk takes consecutive instances while their starts (_face_starts)
+    times n^m stay within _MANY_CHUNK, and at least one, and hands all their
+    faces to one _solve_faces call when its first result is asked for.  The
+    rays of TCP(A, 0) are found once per distinct tensor by
+    _homogeneous_rays, after the point faces of the chunk where it first
+    appears, and kept in homs by the tensor's bytes; a caller may pass homs
+    with rays it already has.
     """
     instances = list(instances)
+    shapes = sorted({inst.tensor.array.shape for inst in instances})
+    if len(shapes) > 1:
+        raise ValueError(f"the instances of one call must share (m, n); got tensor shapes {shapes}")
     faces = enumerate_faces(instances[0].n) if instances else []
     if homogeneous:
         faces = faces[:-1]  # the face {0}, the last one, holds only the trivial solution
-    homs: dict[bytes, list[np.ndarray]] = {}
-    for chunk in _chunks([inst.tensor for inst in instances], homogeneous):
-        insts = [instances[i] for i in chunk]
-        units = [_unit_pair(inst.tensor, inst.a) for inst in insts]
-        outcomes = _solve_faces([face_system(unit, face) for unit in units for face in faces], cfg, homogeneous)
+    homs = {} if homs is None else homs
+
+    def prepared():
+        for inst in instances:
+            unit = _unit_pair(inst.tensor, inst.a)
+            systems = [face_system(unit, face) for face in faces]
+            yield inst, unit, systems, _face_starts(systems, cfg, homogeneous)
+
+    for chunk in _runs(prepared(), lambda item: sum(len(z) for z in item[3]) * item[0].n ** item[0].m, _MANY_CHUNK):
+        outcomes = _solve_faces([fs for item in chunk for fs in item[2]], [z for item in chunk for z in item[3]],
+                                cfg, homogeneous)
         if not homogeneous:
-            keys = [inst.tensor.array.tobytes() for inst in insts]
-            new = {key: inst.tensor for key, inst in zip(keys, insts) if key not in homs}
+            keys = [inst.tensor.array.tobytes() for inst, *_ in chunk]
+            new = {key: inst.tensor for key, (inst, *_) in zip(keys, chunk) if key not in homs}
             homs.update(zip(new, _homogeneous_rays(list(new.values()), cfg)))
-        for j, (inst, unit) in enumerate(zip(insts, units)):
+        for j, (inst, unit, _, _) in enumerate(chunk):
             outs = outcomes[j * len(faces):(j + 1) * len(faces)]
             rays = [d for out in outs for d in out.rays]
             work = {"starts": sum(out.starts for out in outs), "newton_iters": sum(out.newton_iters for out in outs)}
@@ -888,10 +884,8 @@ def _solve_stream(instances, cfg: SolverConfig, homogeneous: bool = False):
 def homogeneous_solve_many(tensors, cfg: SolverConfig) -> list[SolutionSet]:
     """homogeneous_solve of every tensor, all of one (m, n).
 
-    The face systems of all tensors go to the face solver together, in
-    chunks of consecutive tensors under a budget of Newton starts, so the
-    faces of one size across a chunk run as one Newton batch.  Rows do not
-    interact: each result is the one homogeneous_solve gives alone.
+    The faces of one size across a chunk of tensors run as one Newton
+    batch; each result is the one homogeneous_solve gives alone.
     """
     return list(_solve_stream([TcpInstance(A, np.zeros(A.dim)) for A in tensors], cfg, homogeneous=True))
 
@@ -915,15 +909,12 @@ def homogeneous_solve(A: Tensor, cfg: SolverConfig) -> SolutionSet:
 def solve_many(instances, cfg: SolverConfig) -> list[SolutionSet]:
     """solve of every instance, all of one (m, n).
 
-    The face systems of all instances go to the face solver together, in
-    chunks of consecutive instances under a budget of Newton starts times
-    n^m, so the faces of one size across a chunk run as one Newton batch.
-    The homogeneous part TCP(A, 0) is settled once for each distinct tensor
-    among the instances, so a sweep of right-hand sides against one tensor
-    pays for it once, and only for the R0 certificate when that proves
-    Sol(A, 0) = {0}.  Rows do not interact: each result is, bit for bit, the
-    one solve gives alone.  Instances of different (m, n) raise
-    ValueError.
+    The faces of one size across a chunk of instances run as one Newton
+    batch, and the homogeneous part TCP(A, 0) is settled once for each
+    distinct tensor, so a sweep of right-hand sides against one tensor pays
+    for it once, and only for the R0 certificate when that proves
+    Sol(A, 0) = {0}.  Each result is, bit for bit, the one solve gives
+    alone.  Instances of different (m, n) raise ValueError.
     """
     return list(_solve_stream(instances, cfg))
 
@@ -931,15 +922,17 @@ def solve_many(instances, cfg: SolverConfig) -> list[SolutionSet]:
 def solve(inst: TcpInstance, cfg: SolverConfig) -> SolutionSet:
     """Solve TCP(A, a) by enumerating all 2^n faces.
 
-    Points are the deduplicated isolated roots across faces; faces that trip
-    the positive-dimension heuristics are reported in posdim_suspect and
-    their roots are withheld from the point list (they sample a continuum).
-    A face holding a whole solution ray, such as a coordinate ray on which
-    every equation vanishes, is one of them.  Rays are the homogeneous candidate directions whose tails actually solve
-    this instance, so status "unbounded-suspect" means a genuinely unbounded
-    branch was certified at the working tolerance.  Many instances, in
-    particular many right-hand sides against one tensor, are solved faster
-    together by solve_many.
+    Each face runs Newton from the leaves of the augmented subdivision that
+    lie on it (_leaf_starts), wherever in the orthant they map to.  Points
+    are the deduplicated isolated roots across faces; faces that trip the
+    positive-dimension heuristics are reported in posdim_suspect and their
+    roots are withheld from the point list (they sample a continuum).  A
+    face holding a whole solution ray, such as a coordinate ray on which
+    every equation vanishes, is one of them.  Rays are the homogeneous
+    candidate directions whose tails actually solve this instance, so status
+    "unbounded-suspect" means a genuinely unbounded branch was certified at
+    the working tolerance.  Many instances, in particular many right-hand
+    sides against one tensor, are solved faster together by solve_many.
 
     The faces are solved for (A, a) divided by its pair norm, so every
     tolerance in cfg is relative to |(A, a)| and the points do not depend on

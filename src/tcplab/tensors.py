@@ -188,8 +188,9 @@ def _bernstein(arr: np.ndarray, V: np.ndarray) -> np.ndarray:
     a form of degree d = m - 1 in lam whose Bernstein coefficients are the
     entries of arr contracted with V[p] in slots 2..m and symmetrised over
     those slots, one per multiset of d vertex indices; its values on the
-    simplex are convex combinations of them.  Returns (P, n, G), the groups
-    ranked as in _multisets(k, d).
+    simplex are convex combinations of them.  arr may hold any number R of
+    rows, shape (R,) + (n,) * d.  Returns (P, R, G), the groups ranked as in
+    _multisets(k, d).
 
     Each slot's contraction is a stack of dot products of n terms and each
     symmetrised coefficient is a sum of counts[g] entries then divided by
@@ -201,11 +202,11 @@ def _bernstein(arr: np.ndarray, V: np.ndarray) -> np.ndarray:
     P, n, k = V.shape
     d = arr.ndim - 1
     Vt = np.swapaxes(V, 1, 2)[:, None]  # (P, 1, k, n)
-    T = arr.reshape(1, n ** d, n, 1)
+    T = arr.reshape(1, -1, n, 1)
     for s in range(d):
-        # T (P, R, n, Q): slot m - s next to the k^s contracted indices
+        # T (P, L, n, Q): slot m - s next to the k^s contracted indices
         T = np.matmul(Vt, T)
-        T = T.reshape(P, n ** (d - s - 1), n, k ** (s + 1)) if s < d - 1 else T.reshape(P, n, k ** d)
+        T = T.reshape(P, -1, n, k ** (s + 1)) if s < d - 1 else T.reshape(P, arr.shape[0], k ** d)
     order, starts, counts = _multisets(k, d)
     return np.add.reduceat(T[:, :, order], starts, axis=2) / counts
 

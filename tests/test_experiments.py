@@ -212,14 +212,33 @@ def test_stability_check_runs_no_homogeneous_search_on_certified_tensors(monkeyp
     real = solver_mod._solve_faces
     calls = []
 
-    def counted(systems, cfg, homogeneous):
+    def counted(systems, starts, cfg, homogeneous):
         calls.append(homogeneous)
-        return real(systems, cfg, homogeneous)
+        return real(systems, starts, cfg, homogeneous)
 
     monkeypatch.setattr(solver_mod, "_solve_faces", counted)
     rep = stability_inclusion_check(GUS.tensor, [1.0, 1.0], 0.05, 4, CFG)
     assert not rep.summary["vacuous"] and rep.summary["collected"] == 4
     assert calls and True not in calls
+
+
+def test_stability_check_settles_each_tensor_once(monkeypatch):
+    # the dual-cone precondition settles TCP(A, 0) and the base solve reuses
+    # its rays; each drawn B is settled once for its two right-hand sides
+    import tcplab.solver as solver_mod
+
+    real = solver_mod._r0_certificate
+    settled = []
+
+    def counted(A, tol):
+        settled.append(A.array.tobytes())
+        return real(A, tol)
+
+    monkeypatch.setattr(solver_mod, "_r0_certificate", counted)
+    rep = stability_inclusion_check(GUS.tensor, [1.0, 1.0], 0.05, 4, CFG)
+    assert rep.summary["collected"] == 4
+    assert len(settled) == len(set(settled)) == 1 + 4
+    assert settled[0] == GUS.tensor.array.tobytes()
 
 
 def test_stability_check_vacuous_outside_dual_interior():

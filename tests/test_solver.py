@@ -83,12 +83,11 @@ def test_meta_echoes_tol_seed_and_the_fixed_constants():
         "tol": 1e-08,
         "dedup_radius": 1e-05,
         "newton_max_iter": 100,
-        "grid_starts_per_axis": 9,
         "random_starts": 16,
-        "start_box_radius": 5.0,
+        "leaf_edge": 0.125,
         "seed": 0,
-        "starts": 147,
-        "newton_iters": 672,
+        "starts": 2,
+        "newton_iters": 6,
         "hom_candidates": 0,
         "faces": 4,
     }
@@ -162,27 +161,44 @@ def test_zero_tensor_solution_structure():
     assert _points(sol) == [[0.0, 0.0]]
 
 
+def _starts_of(inst, homogeneous=False):
+    """The Newton starts of every face of inst, as solve hands them on."""
+    unit = solver_mod._unit_pair(inst.tensor, inst.a)
+    faces = enumerate_faces(inst.n)[:-1] if homogeneous else enumerate_faces(inst.n)
+    systems = [face_system(unit, face) for face in faces]
+    return systems, solver_mod._face_starts(systems, CFG, homogeneous)
+
+
 def test_all_zero_faces_take_the_newton_path():
     # on a face whose equations all vanish every feasible start is a root.
     # With a = (0, 2) the k = 1 face [2] holds the whole ray x = (t, 0), so
-    # it is flagged, and it runs as many starts as any k = 1 face: the faces
-    # [] and [1] hold the infeasible row F_2 = 2, so it is the only one
+    # it is flagged, and it runs a start from each of its leaves: no piece
+    # of its segment is ever excluded, and the loop cuts it with the open
+    # face's triangle, whose survivors keep an edge above LEAF_EDGE, until
+    # PIECE_BUDGET stops it after 9 rounds.  The faces [] and [1] hold the
+    # infeasible row F_2 = 2, so it is the only face that runs
     zero = Tensor.zeros(3, 2)
-    sol = solve(TcpInstance(zero, [0.0, 2.0]), CFG)
+    inst = TcpInstance(zero, [0.0, 2.0])
+    sol = solve(inst, CFG)
     assert [f.to_json() for f in sol.posdim_suspect] == [[2]]
     assert [r.direction.tolist() for r in sol.rays] == [[1.0, 0.0]]
-    assert sol.meta["starts"] == solver_mod._starts_bound(1, False)
-    # with a = 0 every face but {0} runs Newton and holds a continuum
-    sol = solve(TcpInstance(zero, [0.0, 0.0]), CFG)
+    systems, starts = _starts_of(inst)
+    assert sol.meta["starts"] == len(starts[2]) == 2**9
+    # with a = 0 no piece is excluded: every face but {0} runs Newton from
+    # all 2^9 of its leaves and holds a continuum
+    inst = TcpInstance(zero, [0.0, 0.0])
+    sol = solve(inst, CFG)
     assert [f.to_json() for f in sol.posdim_suspect] == [[], [1], [2]]
-    assert sol.meta["starts"] == solver_mod._starts_bound(2, False)
+    systems, starts = _starts_of(inst)
+    assert [len(z) for z in starts] == [2**9, 2**9, 2**9, 0] and sol.meta["starts"] == 3 * 2**9
     # every homogeneous face runs Newton too; a k = 1 face meets the simplex
     # in one point, a plain ray, while the open face is flagged
     hom = homogeneous_solve(zero, CFG)
     assert [f.to_json() for f in hom.posdim_suspect] == [[]]
     assert [1.0, 0.0] in [r.direction.tolist() for r in hom.rays]
     assert [0.0, 1.0] in [r.direction.tolist() for r in hom.rays]
-    assert hom.meta["starts"] == solver_mod._starts_bound(2, True)
+    _, starts = _starts_of(TcpInstance(zero, [0.0, 0.0]), homogeneous=True)
+    assert hom.meta["starts"] == sum(len(z) for z in starts) == 2 * (1 + 1 + 16) + (7 + 1 + 16)
 
 
 def test_rows_below_the_zero_tolerance_are_solved_as_zero():
@@ -499,6 +515,28 @@ def test_blocked_armijo_matches_sequential_search(monkeypatch, block_rows):
 
 _REJECT_REASONS = ("residual", "boundary", "snapped", "pinned", "kkt")
 
+# the point-face starts solve used before the augmented subdivision, kept
+# as a reference: a grid over [0, 5]^k with 9 points per axis, fewer where
+# that passes 3200 points, plus 16 uniform draws seeded by (seed, face, 0)
+_REAL_FACE_STARTS = solver_mod._face_starts
+
+
+def _box_grid_starts(k, seed, mask):
+    if k == 0:
+        return np.zeros((0, 0))
+    g = 9
+    while g > 2 and g**k > 3200:
+        g -= 1
+    axes = np.linspace(0.0, 5.0, g)
+    grid = np.stack([m.ravel() for m in np.meshgrid(*([axes] * k), indexing="ij")], axis=1)
+    return np.vstack([grid, np.random.default_rng([seed, mask, 0]).uniform(0.0, 5.0, size=(16, k))])
+
+
+def _box_grid_face_starts(systems, cfg, homogeneous):
+    if homogeneous:
+        return _REAL_FACE_STARTS(systems, cfg, homogeneous)
+    return [_box_grid_starts(fs.k, cfg.seed, fs.alpha.mask) for fs in systems]
+
 
 def _per_start_filter(fs, Z, resids, cfg):
     """The root filter run one start at a time: the reference for
@@ -532,7 +570,9 @@ def test_array_root_filter_matches_per_start_filter(monkeypatch):
     # m=3, n=3 instances, plus the degenerate instance whose full-face roots
     # snap onto a smaller face; the array filter must keep exactly the starts
     # the per-start filter keeps, and every rejection reason but the last
-    # (a KKT residual above tol after the other tests pass) must occur
+    # (a KKT residual above tol after the other tests pass) must occur.  The
+    # point faces run from their leaves and then from the box grid
+    # (_box_grid_starts), whose far and boundary starts give every reason
     real = solver_mod._filter_roots
     seen = {}
 
@@ -550,6 +590,9 @@ def test_array_root_filter_matches_per_start_filter(monkeypatch):
     insts.append(with_rhs(builtin_example("gus"), [-1.0, 0.0]))
     for inst in insts:
         solve(inst, CFG)
+    monkeypatch.setattr(solver_mod, "_face_starts", _box_grid_face_starts)
+    for inst in insts:
+        solve(inst, CFG)
     assert all(seen.get(r, 0) > 0 for r in _REJECT_REASONS[:-1] + ("kept",)), seen
 
 
@@ -558,7 +601,9 @@ def test_face_size_batches_match_one_face_runs(monkeypatch):
     # sizes 1, 3 and 4, point and homogeneous mode: the faces of one size
     # share a Newton batch on the stacked kernel, and each face's end points,
     # residuals and iteration counts, and its outcome, must equal those of
-    # the face solved alone
+    # the face solved alone.  The point faces run twice: from their leaves,
+    # which leave some faces without a start, and from the box grid, which
+    # gives all 15 a start
     real = solver_mod._face_outcome
     ends = {}
 
@@ -570,18 +615,23 @@ def test_face_size_batches_match_one_face_runs(monkeypatch):
     rng = np.random.default_rng(2)
     A, a = random_gaussian(3, 4, rng), rng.normal(size=4)
     found = 0
-    for homogeneous in (False, True):
-        inst = TcpInstance(A, np.zeros(4) if homogeneous else a)
-        systems = [face_system(inst, face) for face in enumerate_faces(4)[:-1]]
+    for homogeneous, make_starts in ((False, solver_mod._face_starts), (False, _box_grid_face_starts),
+                                     (True, solver_mod._face_starts)):
+        unit = solver_mod._unit_pair(A, np.zeros(4) if homogeneous else a)
+        systems = [face_system(unit, face) for face in enumerate_faces(4)[:-1]]
+        starts = make_starts(systems, CFG, homogeneous)
         ends.clear()
-        grouped = solver_mod._solve_faces(systems, CFG, homogeneous)
+        grouped = solver_mod._solve_faces(systems, starts, CFG, homogeneous)
         batch = dict(ends)
-        assert sorted(batch) == list(range(15))
-        for fs, out in zip(systems, grouped):
+        assert sorted(batch) == [fs.alpha.mask for fs, z in zip(systems, starts) if len(z)]
+        if make_starts is _box_grid_face_starts or homogeneous:
+            assert sorted(batch) == list(range(15))
+        for fs, z, out in zip(systems, starts, grouped):
             ends.clear()
-            (alone,) = solver_mod._solve_faces([fs], CFG, homogeneous)
-            for u, v in zip(batch[fs.alpha.mask], ends[fs.alpha.mask]):
-                assert u.dtype == v.dtype and np.array_equal(u, v), fs.alpha
+            (alone,) = solver_mod._solve_faces([fs], [z], CFG, homogeneous)
+            if len(z):
+                for u, v in zip(batch[fs.alpha.mask], ends[fs.alpha.mask]):
+                    assert u.dtype == v.dtype and np.array_equal(u, v), fs.alpha
             assert (out.starts, out.newton_iters, out.posdim) == (alone.starts, alone.newton_iters, alone.posdim)
             for got, want in ((out.points, alone.points), (out.rays, alone.rays)):
                 assert len(got) == len(want) and all(np.array_equal(u, v) for u, v in zip(got, want))
@@ -645,11 +695,11 @@ def _counting_face_solver(monkeypatch):
     real = solver_mod._solve_faces
     calls, hom_systems = [], []
 
-    def counted(systems, cfg, homogeneous):
+    def counted(systems, starts, cfg, homogeneous):
         calls.append(homogeneous)
         if homogeneous:
             hom_systems.append(len(systems))
-        return real(systems, cfg, homogeneous)
+        return real(systems, starts, cfg, homogeneous)
 
     monkeypatch.setattr(solver_mod, "_solve_faces", counted)
     return calls, hom_systems
@@ -676,7 +726,8 @@ def test_face_batches_stay_under_the_budget_and_change_nothing(monkeypatch):
     # splits them into more batches and every result stays the same, bit
     # for bit
     rng = np.random.default_rng(44)
-    insts = [TcpInstance(random_gaussian(m, n, rng), rng.normal(size=n)) for m, n in ((3, 3), (4, 3), (2, 4))]
+    shapes = ((3, 3), (4, 3), (2, 4), (3, 4), (4, 4))
+    insts = [TcpInstance(random_gaussian(m, n, rng), rng.normal(size=n)) for m, n in shapes]
     insts.append(with_rhs(builtin_example("ex1"), [1.0, 1.0]))
     real, batches = solver_mod._newton, []
 
@@ -686,19 +737,26 @@ def test_face_batches_stay_under_the_budget_and_change_nothing(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "_newton", counted)
     default = solver_mod._MANY_CHUNK
+    counts = []
     for inst in insts:
         n, m = inst.n, inst.tensor.order
         monkeypatch.setattr(solver_mod, "_MANY_CHUNK", default)
         batches.clear()
         whole = _json([solve(inst, CFG)])
-        count = len(batches)
-        # a budget of one k = 1 face: every batch holds one face
-        budget = solver_mod._start_count(1, False) * n**m
-        monkeypatch.setattr(solver_mod, "_MANY_CHUNK", budget)
+        default_batches = list(batches)
+        # a budget of one start: every batch holds one whole face, and the
+        # same rows run
+        monkeypatch.setattr(solver_mod, "_MANY_CHUNK", n**m)
         batches.clear()
         assert _json([solve(inst, CFG)]) == whole
-        assert len(batches) > count
-        assert set(batches) <= {solver_mod._start_count(k, hom) for k in range(1, n + 1) for hom in (False, True)}
+        assert sum(batches) == sum(default_batches)
+        counts.append((len(default_batches), len(batches)))
+        faces = {len(z) for hom in (False, True) for z in _starts_of(inst, hom)[1]}
+        assert set(batches) <= faces
+    # only faces of one size share a batch, so an instance whose leaves
+    # start one face of each size runs the same batches: the (4, 4) instance
+    # starts one face of size 4 and two of size 3, which split
+    assert all(small >= count for count, small in counts) and counts[4][1] > counts[4][0]
 
 
 def test_solve_many_solves_each_distinct_tensor_once(monkeypatch):
@@ -787,7 +845,7 @@ def test_faces_past_the_budget_are_refused_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("work started")
 
-    for mod, name in ((solver_mod, "_newton"), (solver_mod, "_starts_bound"), (solver_mod, "_r0_clearance"),
+    for mod, name in ((solver_mod, "_newton"), (solver_mod, "_face_starts"), (solver_mod, "_r0_clearance"),
                       (properties_mod, "_newton"), (properties_mod, "_form_bernstein")):
         monkeypatch.setattr(mod, name, no_work)
     A = random_gaussian(2, 30, 0)
@@ -805,13 +863,87 @@ def test_simplex_starts_are_the_lattice_compositions():
         assert got.dtype == ref.dtype and np.array_equal(got, ref), (k, r)
 
 
+def _agreement_cases():
+    # 150 small Gaussian instances, grouped by (m, n)
+    rng = np.random.default_rng(61)
+    shapes = {(3, 2): 50, (4, 2): 30, (5, 2): 15, (2, 3): 20, (3, 3): 25, (4, 3): 10}
+    return [[TcpInstance(random_gaussian(m, n, rng), rng.normal(size=n)) for _ in range(count)]
+            for (m, n), count in shapes.items()]
+
+
+def test_leaf_starts_agree_with_the_box_grid_and_hold_its_roots(monkeypatch):
+    # the point faces' starts from the augmented subdivision give, on 150
+    # small instances, the status, points and rays the box grid over
+    # [0, 5]^k gave (_box_grid_starts), points within 1e-8, from fewer
+    # starts.  And the exclusion is sound: the image (x, 1) / (1 + |x|_1) of
+    # every point the box grid finds lies in a leaf of the subdivision, on
+    # the face simplex of the point's support and the apex
+    leaves = []
+    real = solver_mod._subdivide
+
+    def recording(pieces, judge, **kw):
+        out = real(pieces, judge, **kw)
+        if kw.get("leaf_edge") == solver_mod.LEAF_EDGE:
+            leaves.append(out[0])
+        return out
+
+    monkeypatch.setattr(solver_mod, "_subdivide", recording)
+    groups = _agreement_cases()
+    insts = [inst for group in groups for inst in group]
+    leaf = [sol for group in groups for sol in solve_many(group, CFG)]
+    assert len(leaves) == len(insts)
+    monkeypatch.setattr(solver_mod, "_face_starts", _box_grid_face_starts)
+    grid = [sol for group in groups for sol in solve_many(group, CFG)]
+    statuses, checked = set(), 0
+    for inst, alive, got, want in zip(insts, leaves, leaf, grid):
+        assert got.status == want.status and got.posdim_suspect == want.posdim_suspect
+        assert len(got.points) == len(want.points) and len(got.rays) == len(want.rays)
+        for u, v in zip(got.points, want.points):
+            assert np.abs(u.x - v.x).max() <= 1e-8
+        for u, v in zip(got.rays, want.rays):
+            assert np.abs(u.direction - v.direction).max() <= 1e-8
+        assert got.meta["starts"] < want.meta["starts"]
+        statuses.add(got.status)
+        for p in want.points:
+            free = p.face.free_indices
+            if not free:
+                continue
+            y = np.append(p.x, 1.0) / (1.0 + p.x.sum())
+            V, supp = alive[len(free) + 1]
+            V = V[(supp == np.append(np.isin(np.arange(inst.n), free), True)).all(axis=1)]
+            # barycentric coordinates of y in each leaf of its face
+            lam = np.array([np.linalg.lstsq(v, y, rcond=None)[0] for v in V])
+            on = np.abs(np.einsum("pik,pk->pi", V, lam) - y).max(axis=1) <= 1e-12
+            assert (on & (lam >= -1e-9).all(axis=1)).any(), (inst, p.x)
+            checked += 1
+    assert statuses >= {STATUS_EMPTY, STATUS_FINITE} and checked > 150
+
+
+def test_a_rescaled_coordinate_keeps_its_far_root():
+    # TCP is invariant under positive diagonal scaling: with
+    # A'_{i j k} = A_{i j k} d_j d_k, Sol(A', a) = D^-1 Sol(A, a).  Here the
+    # third coordinate of one root moves out to 317, far outside the box
+    # [0, 5]^3 that the grid starts covered, which lost it.  At d_3 = 1/1000
+    # the root at 3172 is still lost with leaves of edge 1/8
+    A, a = random_gaussian(3, 3, 18), np.random.default_rng(18).standard_normal(3)
+    d = np.array([1.0, 1.0, 0.01])
+    base = solve(TcpInstance(A, a), CFG)
+    scaled = solve(TcpInstance(Tensor(A.array * np.multiply.outer(d, d)), a), CFG)
+    assert base.status == scaled.status == STATUS_FINITE
+    assert len(base.points) == len(scaled.points) == 3
+    want = np.array(sorted((p.x / d).tolist() for p in base.points))
+    got = np.array(_points(scaled))
+    assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+    assert got[:, 2].max() > 300
+
+
 def test_work_counters_are_pinned():
     # the Newton trajectory of every start shows in these totals: a change to
     # the starts, the step or the stopping rules has to update them
     rng = np.random.default_rng(31)
     inst = TcpInstance(random_gaussian(3, 3, rng), rng.normal(size=3))
     sol = solve(inst, CFG)
-    assert (sol.meta["starts"], sol.meta["newton_iters"]) == (1111, 8285)
+    assert (sol.meta["starts"], sol.meta["newton_iters"]) == (17, 66)
 
 
 def test_solve_is_deterministic_including_order():
