@@ -5,7 +5,6 @@ from .tensors import (
     Tensor,
     add,
     contract,
-    contract_jacobian,
     flat_index,
     form,
     form_gradient,

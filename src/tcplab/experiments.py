@@ -57,6 +57,14 @@ USC_VIOLATION_FACTOR = 100.0
 ORACLE_BOX_RADIUS = 5.0
 
 
+def _check_sizes(name: str, values, zero_ok: bool = False) -> None:
+    """Raise ValueError naming the parameter unless every value is finite and
+    positive, or zero with zero_ok; the test is written so that NaN fails."""
+    for v in values:
+        if not (math.isfinite(v) and (v > 0 or zero_ok and v == 0)):
+            raise ValueError(f"{name} must be finite and {'nonnegative' if zero_ok else 'positive'}, got {v}")
+
+
 def _map_samples(fn, ids):
     """The rows fn(i) of the samples ids, built in order once they are solved."""
     return [fn(i) for i in ids]
@@ -182,8 +190,8 @@ def local_boundedness_probe(
     unbounded flags appear is the point of the negative control.
     """
     a = as_vector(a, A.dim)
-    if eps < 0 or delta < 0:
-        raise ValueError("eps and delta must be nonnegative")
+    _check_sizes("eps", [eps], zero_ok=True)
+    _check_sizes("delta", [delta], zero_ok=True)
     if samples <= 0:
         raise ValueError("samples must be positive")
     base_r0 = check_r0(A, cfg)
@@ -234,8 +242,9 @@ def r0_openness_probe(A: Tensor, radii, samples_per_radius: int, cfg: SolverConf
     fails R0 (random directions rarely meet the non-R0 set).
     """
     radii = [float(r) for r in radii]
-    if not radii or any(r <= 0 for r in radii):
+    if not radii:
         raise ValueError("radii must be a nonempty list of positive numbers")
+    _check_sizes("radii", radii)
     if samples_per_radius <= 0:
         raise ValueError("samples must be positive")
     base_r0 = check_r0(A, cfg)
@@ -328,8 +337,7 @@ def usc_probe(inst: TcpInstance, radius: float, samples: int, cfg: SolverConfig)
     perturbation norm is flagged usc-violation; samples whose solution set is
     certified unbounded carry the +inf sentinel.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    _check_sizes("radius", [radius])
     if samples <= 0:
         raise ValueError("samples must be positive")
     base = solve(inst, cfg)
@@ -414,8 +422,9 @@ def hoelder_fit(A: Tensor, a, radii, samples_per_radius: int, cfg: SolverConfig)
     """
     a = as_vector(a, A.dim)
     radii = sorted(float(r) for r in radii)
-    if not radii or radii[0] <= 0:
+    if not radii:
         raise ValueError("radii must be a nonempty list of positive numbers")
+    _check_sizes("radii", radii)
     if samples_per_radius <= 0:
         raise ValueError("samples must be positive")
     # sample sid = i * samples_per_radius + j is the j-th at radius i, solved
@@ -481,8 +490,7 @@ def stability_inclusion_check(
     flags and fits excess against ||B - A|| + ||b - a||.
     """
     a = as_vector(a, A.dim)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_sizes("eps", [eps])
     if samples <= 0:
         raise ValueError("samples must be positive")
     rays = _homogeneous_rays([A], cfg)[0]

@@ -4,22 +4,21 @@ A "fails" verdict ships a concrete certificate that is re-validated
 independently before the report is built.  An R0 "holds-numerically"
 ships a certificate too whenever a Bernstein subdivision of the simplex
 faces, with rounding-safe sign tests, proves Sol(A, 0) = {0}
-(solver._r0_certificate).  Every other "holds-numerically" only says the
-search found no counterexample at the recorded effort; R0 falls back to
+(subdivision._r0_certificate).  Every other "holds-numerically" only says
+the search found no counterexample at the recorded effort; R0 falls back to
 that search when the subdivision is undecided.
 
 Copositivity is decided from the KKT points of the form on the simplex (its
 Pareto eigenvalues), found on the solver's Newton engine from starts that a
-branch and bound on the form's Bernstein coefficients chooses, in the same
-subdivision loop as the R0 certificate (solver._subdivide); holds-numerically
-then records the faces, pieces, Newton starts and distinct KKT points
-searched.
+branch and bound on the form's Bernstein coefficients chooses, on the same
+subdivision loop as the R0 certificate (subdivision._copositive_leaves);
+holds-numerically then records the faces, pieces, Newton starts and
+distinct KKT points searched.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,19 +30,13 @@ from .solver import (
     SolutionSet,
     _candidate_rays,
     _dedup,
-    _face_pieces,
     _newton,
-    _piece_chunks,
-    _r0_certificate,
     _solve_stream,
-    _subdivide,
     homogeneous_solve_many,
 )
+from .subdivision import _copositive_leaves, _r0_certificate
 from .tensors import (
     Tensor,
-    _degree_raise,
-    _form_bernstein,
-    _multisets,
     as_vector,
     contract,
     contract_rows,
@@ -67,10 +60,6 @@ MONOTONE_BOX = 2.0
 MONOTONE_GRID_PER_AXIS = 6
 MONOTONE_RANDOM_PAIRS = 200
 MONOTONE_CHUNK = 1 << 18
-
-# check_copositive's branch and bound bisects until every surviving piece's
-# longest edge (inf-norm, on the simplex) is below this
-COPOSITIVE_LEAF_EDGE = 2.0 ** -3
 
 
 @dataclass(eq=False)
@@ -129,7 +118,7 @@ def _r0_reports(tensors: list[Tensor], cfg: SolverConfig) -> list[PropertyReport
     effort counts that polish or search work plus the simplices judged.
     """
     certs = [_r0_certificate(A, cfg.tol) for A in tensors]
-    homs = {i: _candidate_rays(A, c.candidates, cfg) for i, (A, c) in enumerate(zip(tensors, certs)) if not c.holds}
+    homs = {i: _candidate_rays(A, c, cfg) for i, (A, c) in enumerate(zip(tensors, certs)) if not c.holds}
     rest = [i for i, hom in homs.items() if not hom.rays]
     homs.update(zip(rest, homogeneous_solve_many([tensors[i] for i in rest], cfg)))
     reports = []
@@ -147,11 +136,11 @@ def _r0_reports(tensors: list[Tensor], cfg: SolverConfig) -> list[PropertyReport
 def check_r0(A: Tensor, cfg: SolverConfig) -> PropertyReport:
     """R0: the homogeneous problem has no nonzero solution.
 
-    Decided first by Bernstein subdivision (solver._r0_certificate): when
-    every piece of every simplex face is excluded, holds-numerically comes
-    with the certificate {"simplices": pieces judged, "margin": a radius,
-    relative to the largest entry of A and above cfg.tol, within which every
-    tensor is R0}, a proof whose sign tests already bound their rounding.
+    Decided first by Bernstein subdivision (subdivision._r0_certificate):
+    when every piece of every simplex face is excluded, holds-numerically
+    comes with the certificate {"simplices": pieces judged, "margin": a
+    radius, relative to the largest entry of A and above cfg.tol, within
+    which every tensor is R0}, a proof whose sign tests already bound their rounding.
     Otherwise the centroids of the surviving pieces are polished into rays,
     and when none comes out homogeneous_solve searches as before.  Fails
     with a certificate ray, the least in tuple order; the ray is re-checked
@@ -184,42 +173,6 @@ def _kkt_functions(blocks: np.ndarray, slots: np.ndarray, owner: np.ndarray):
     return fun, jac
 
 
-def _copositive_leaves(unit: Tensor) -> tuple[dict, np.ndarray, int]:
-    """Branch and bound on the Bernstein coefficients of the form of unit,
-    over every face simplex with k >= 2 free coordinates.
-
-    The least form value seen so far, over the pieces' vertices (their
-    vertex coefficients, tensors._form_bernstein) and centroids, bounds the
-    minimum from above; a piece whose least coefficient is at least that
-    value holds no lower point and is retired.  The others are bisected
-    (solver._subdivide) until every survivor's longest edge is below
-    COPOSITIVE_LEAF_EDGE or PIECE_BUDGET stops the search.  Returns the
-    surviving pieces by k, the point of the least value seen and the number
-    of pieces judged.
-    """
-    n, m = unit.dim, unit.order
-    best, where = math.inf, None
-
-    def judge(k, V, supp):
-        nonlocal best, where
-        # the form at a piece's centroid and at its vertices from its coefficients
-        centroid = _multisets(k, m)[2] / k**m
-        corner = np.argmax(_degree_raise(k, m)[1], axis=1)
-        low = np.zeros(len(V))
-        for c in _piece_chunks(len(V), n, m, k):
-            coef = _form_bernstein(unit.array, V[c])
-            low[c] = np.min(coef, axis=1)
-            vals = np.concatenate([coef @ centroid, coef[:, corner].ravel()])
-            i = int(np.argmin(vals))
-            if vals[i] < best:
-                X = np.concatenate([V[c].mean(axis=2), np.swapaxes(V[c], 1, 2).reshape(-1, n)])
-                best, where = float(vals[i]), X[i]
-        return low < best
-
-    leaves, simplices, _ = _subdivide(_face_pieces(n, 2), judge, leaf_edge=COPOSITIVE_LEAF_EDGE)
-    return leaves, where, simplices
-
-
 def check_copositive(A: Tensor, cfg: SolverConfig) -> PropertyReport:
     """Copositivity: form(A, x) >= 0 on the nonnegative orthant.
 
@@ -227,10 +180,10 @@ def check_copositive(A: Tensor, cfg: SolverConfig) -> PropertyReport:
     support S x^{m-1} = mu, sum(x) = 1 and the form is mu (S the symmetric
     part of A): A is copositive iff every such Pareto eigenvalue mu is >= 0
     (Song & Qi, Linear Multilinear Algebra 63, 2015).  A branch and bound on
-    the Bernstein coefficients of the form (_copositive_leaves; Bundfuss &
-    Duer, Linear Algebra Appl. 428, 2008) chooses the starts: the centroid of
-    every surviving leaf starts Newton on G z^{m-1} = mu, sum(z) = 1 of its
-    face, G x^{m-1} = S x^{m-1}.  The least form over the vertices, the
+    the Bernstein coefficients of the form (subdivision._copositive_leaves;
+    Bundfuss & Duer, Linear Algebra Appl. 428, 2008) chooses the starts:
+    the centroid of every surviving leaf starts Newton on
+    G z^{m-1} = mu, sum(z) = 1 of its face, G x^{m-1} = S x^{m-1}.  The least form over the vertices, the
     least point of the search, the KKT points with z >= 0 and the starts is
     judged against cfg.tol on A divided by its largest entry, and reported
     in A's units.  holds-numerically records the faces, the pieces judged

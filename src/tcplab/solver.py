@@ -3,10 +3,10 @@
 Every face of the nonnegative orthant contributes a square polynomial
 system (model.FaceSystem); the solver runs a damped Newton on each from the
 starts that a Bernstein subdivision of the augmented tensor leaves on it
-(_leaf_starts), filters roots by the face sign conditions, and merges the
-survivors.  A face whose equations all vanish identically takes the same
-path: Newton stops at its starts, every feasible start is a root, and the
-face is flagged as a continuum unless its section is one point (a
+(subdivision._leaf_starts), filters roots by the face sign conditions, and
+merges the survivors.  A face whose equations all vanish identically takes
+the same path: Newton stops at its starts, every feasible start is a root,
+and the face is flagged as a continuum unless its section is one point (a
 homogeneous k = 1 face).  The starts of all faces with the same number k of
 free coordinates run as one Newton batch: each row is evaluated on its own
 face's block, so a face gets the roots it gets when solved alone.
@@ -15,9 +15,10 @@ nonzero solutions on the probability simplex, searched from a lattice and
 seeded random starts, are the candidate recession directions, and a
 direction is kept for a concrete right-hand side only when the far tail of
 its ray actually solves the instance.  Before any such search,
-_r0_certificate tries to prove Sol(A, 0) = {0} by Bernstein subdivision of
-the simplex faces, with rounding-safe sign tests; a tensor it certifies has
-no candidate directions.
+subdivision._r0_certificate tries to prove Sol(A, 0) = {0} by Bernstein
+subdivision of the simplex faces, with rounding-safe sign tests; a tensor it
+certifies has no candidate directions, and the pieces it leaves undecided
+seed the ray polish (_candidate_rays).
 
 solve_many and homogeneous_solve_many take many instances of one (m, n) and
 hand the face systems of all of them to the face solver at once, in chunks
@@ -33,7 +34,6 @@ its pair norm as solve does.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -50,10 +50,9 @@ from .model import (
     face_system,
     max_residual,
 )
+from .subdivision import LEAF_EDGE, _leaf_starts, _r0_certificate
 from .tensors import (
     Tensor,
-    _bernstein,
-    _multisets,
     as_vector,
     contract,
     contract_rows,
@@ -73,13 +72,15 @@ STATUS_UNBOUNDED = "unbounded-suspect"
 POSDIM_ROOT_LIMIT = 25
 SIGMA_RATIO = 1e-6
 
-# fixed solver constants, echoed in every SolutionSet's meta; DEDUP_RADIUS
-# is a distance in x on the normalized pair, LEAF_EDGE _leaf_starts' edge
+# fixed solver constants, echoed with subdivision.LEAF_EDGE in every
+# SolutionSet's meta; DEDUP_RADIUS is a distance in x on the normalized pair
 DEDUP_RADIUS = 1e-5
 NEWTON_MAX_ITER = 100
 RANDOM_STARTS = 16
-LEAF_EDGE = 2.0 ** -3
 NEWTON_ATOL = 1e-14
+# at most this many centroids of the pieces an undecided R0 subdivision
+# leaves are polished as candidate rays
+R0_CANDIDATES = 8
 
 ORACLE_BUDGET = 10**8
 ORACLE_VERIFY_TOL = 1e-7
@@ -577,239 +578,16 @@ def _certified_ray(inst0: TcpInstance, direction, cfg: SolverConfig) -> tuple[np
     return (r if _cone_holds(inst0, r, cfg.tol) else None), int(iters[0])
 
 
-# ---------------------------------------------------------------------------
-# Bernstein subdivision of the simplex faces: the R0 certificate
-
-# every subdivision, the R0 certificate's and copositivity's, stops after
-# judging this many sub-simplices
-PIECE_BUDGET = 4096
-# the R0 subdivision gives up when a surviving piece's longest edge
-# (inf-norm, on the simplex) falls below R0_MIN_EDGE or a vertex piece
-# survives; at most R0_CANDIDATES centroids of the surviving pieces are
-# handed on as candidate rays
-R0_MIN_EDGE = 2.0 ** -12
-R0_CANDIDATES = 8
-# entries of the Bernstein kernel's largest temporaries per chunk of pieces
-_PIECE_CHUNK = 1 << 21
-
-
-@dataclass(frozen=True, eq=False)
-class _R0Certificate:
-    holds: bool
-    simplices: int
-    # holds: every tensor within margin * max|A| of A, entry by entry, is R0;
-    # undecided: NaN
-    margin: float
-    # undecided: centroids of surviving pieces on the simplex, best first
-    candidates: np.ndarray
-
-
-def _piece_chunks(P: int, n: int, m: int, k: int):
-    """Slices of P pieces with k vertices, each small enough that the
-    Bernstein kernel's temporaries hold at most _PIECE_CHUNK entries."""
-    size = max(1, _PIECE_CHUNK // (n ** (m - 1) * k + n * k ** (m - 1)))
-    return [slice(lo, lo + size) for lo in range(0, P, size)]
-
-
-def _r0_clearance(arr: np.ndarray, V: np.ndarray, supp: np.ndarray) -> np.ndarray:
-    """How far the pieces V (P, n, k) with supports supp (P, n) are from
-    holding a solution of their support for the order-m array arr, shape
-    (P,); arr may leave out zero rows at its end.
-
-    A piece holds none when a row in its support has every Bernstein
-    coefficient of one strict sign, or a row off it has every coefficient
-    negative.  A row's clearance is the least amount by which they pass zero
-    after their rounding bound (tensors._bernstein) is taken off: 2 gamma_K
-    times the row's largest |entry|, as V >= 0 with columns summing to 1
-    makes each coefficient of |arr| a weighted mean of them, plus
-    K * 2^-1072; a piece's is its best row's, and a positive one excludes it.
-    """
-    P, n, k = V.shape
-    d, R = arr.ndim - 1, arr.shape[0]
-    K = d * n + int(_multisets(k, d)[2].max())
-    gamma = K * 2.0 ** -53 / (1.0 - K * 2.0 ** -53)
-    bound = 2.0 * gamma * np.max(np.abs(arr).reshape(R, -1), axis=1) + K * 2.0 ** -1072
-    clear = np.zeros(P)
-    for c in _piece_chunks(P, n, arr.ndim, k):
-        coef = _bernstein(arr, V[c])
-        neg = -np.max(coef, axis=2) - bound
-        rows = np.where(supp[c, :R], np.maximum(np.min(coef, axis=2) - bound, neg), neg)
-        clear[c] = np.max(rows, axis=1)
-    return clear
-
-
-@functools.lru_cache(maxsize=None)
-def _edge_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The vertex pairs (a, b), a < b, of a k-vertex simplex in pair order."""
-    return np.triu_indices(k, 1)
-
-
-def _bisect(V: np.ndarray):
-    """The two halves of each simplex V (P, n, k) cut at the midpoint of its
-    longest edge (the first in pair order on ties), its longest edge, and
-    whether every midpoint is exact."""
-    P, _, k = V.shape
-    a, b = _edge_pairs(k)
-    edges = np.max(np.abs(V[:, :, a] - V[:, :, b]), axis=1)
-    e = np.argmax(edges, axis=1)
-    rows = np.arange(P)
-    va, vb = V[rows, :, a[e]], V[rows, :, b[e]]
-    # TwoSum: s is va + vb exactly when its error term vanishes
-    s = va + vb
-    bv = s - va
-    mid = 0.5 * s
-    exact = bool(np.all((va - (s - bv)) + (vb - bv) == 0.0) and np.all(2.0 * mid == s))
-    lo, hi = V.copy(), V.copy()
-    lo[rows, :, b[e]] = mid
-    hi[rows, :, a[e]] = mid
-    return np.concatenate([lo, hi]), edges[rows, e], exact
-
-
-def _face_pieces(n: int, least_k: int = 1, apex: bool = False) -> dict:
-    """The face simplices with at least least_k free coordinates, by k: each
-    a vertex matrix (P, n, k) of unit vectors with its supports (P, n),
-    supports ascending as masks; with apex, the 2^n - 1 face simplices
-    (P, n + 1, k) of R^{n+1} that hold the last coordinate and another."""
-    # every face but {0}, pinned masks descending: supports 1 .. 2^n - 1 ascending
-    pinned = np.array([face.mask for face in enumerate_faces(n)[-2::-1]])
-    every_support = (pinned[:, None] >> np.arange(n + apex) & 1) == 0
-    sizes = every_support.sum(axis=1)
-    pieces = {}
-    for k in range(max(least_k, 1 + apex), n + 1 + apex):
-        supports = every_support[sizes == k]
-        V = np.zeros((len(supports), n + apex, k))
-        rows, cols = np.nonzero(supports)
-        V[rows, cols, np.tile(np.arange(k), len(supports))] = 1.0
-        pieces[k] = (V, supports)
-    return pieces
-
-
-def _subdivide(pieces: dict, judge, min_edge: float = 0.0, leaf_edge: float = 0.0):
-    """The branch and bound over face simplices that the R0 certificate,
-    the point faces' starts and the copositivity search share.
-
-    pieces maps k to a stack of k-vertex simplices (P, n, k) and their
-    supports (P, n).  Each round judge(k, V, supp) returns the mask of the
-    pieces that survive, and the survivors are cut in two at their longest
-    edge (_bisect) to make the next round.  The loop ends when no piece
-    survives, or with the survivors of the last round, uncut, on the first
-    of: a surviving vertex (k = 1) piece, the next round taking the pieces
-    judged past PIECE_BUDGET, a midpoint that is not exact, a surviving
-    piece whose longest edge is below min_edge, or every surviving piece's
-    below leaf_edge.  Returns (the survivors by k, the pieces judged, the
-    longest surviving edge).
-    """
-    simplices = 0
-    while True:
-        alive = {}
-        for k, (V, supp) in pieces.items():
-            keep = judge(k, V, supp)
-            simplices += len(V)
-            if keep.any():
-                alive[k] = (V[keep], supp[keep])
-        if not alive:
-            return alive, simplices, 0.0
-        stop = 1 in alive or simplices + 2 * sum(len(V) for V, _ in alive.values()) > PIECE_BUDGET
-        cut, edges = {}, [np.zeros(0)]
-        for k, (V, supp) in alive.items():
-            if k > 1:
-                halves, longest, exact = _bisect(V)
-                stop |= not exact
-                edges.append(longest)
-                cut[k] = (halves, np.concatenate([supp, supp]))
-        edges = np.concatenate(edges)
-        if stop or np.min(edges, initial=np.inf) < min_edge or np.max(edges, initial=0.0) < leaf_edge:
-            return alive, simplices, float(np.max(edges, initial=0.0))
-        pieces = cut
-
-
-def _r0_certificate(A: Tensor, tol: float) -> _R0Certificate:
-    """Decide Sol(A, 0) = {0} by Bernstein subdivision of the simplex faces.
-
-    A nonzero solution of TCP(A, 0) scaled onto the probability simplex, with
-    support beta, lies on the face simplex of beta with F_i = 0 for i in
-    beta and F_j >= 0 off it.  The 2^n - 1 face simplices start as the
-    pieces, each carrying its support; a piece with a positive clearance
-    (_r0_clearance) holds no solution of its support and is excluded, every
-    other piece is cut in two at its longest edge (_subdivide), and A is R0
-    when no piece is left.
-
-    A float sign is a proof here.  A is scaled by a power of two, which is
-    exact up to underflow; vertices start at the unit vectors and every
-    midpoint is checked to be exact, so the halves tile their parent, the
-    vertices stay on the simplex and each column of a piece's vertex matrix
-    sums to 1, as _r0_clearance's rounding bound needs.  A piece is excluded
-    only when its clearance is above tol times the largest entry of A: a
-    change of at most that much in every entry moves no coefficient by more,
-    so every tensor that close to a certified A is R0 as well, and a tensor
-    with a ray of residual below tol, which the Newton search would report,
-    is not certified.  margin is the least clearance, relative to the
-    largest entry of A.
-
-    The search stops undecided on the first of: PIECE_BUDGET pieces judged,
-    a surviving piece with an edge below R0_MIN_EDGE, a surviving vertex
-    (k = 1) piece, or a midpoint that is not exact; the centroids of the
-    surviving pieces, ranked by their TCP(A, 0) residual and deduplicated
-    within half the longest surviving edge, are the candidates.
-    """
-    n = A.dim
-    big = float(np.max(np.abs(A.array)))
-    arr = np.ldexp(A.array, -math.frexp(big)[1])
-    top = float(np.max(np.abs(arr)))
-    least = math.inf
-
-    def judge(k, V, supp):
-        nonlocal least
-        clear = _r0_clearance(arr, V, supp)
-        excluded = clear > tol * top
-        if excluded.any():
-            least = min(least, float(np.min(clear[excluded])))
-        return ~excluded
-
-    alive, simplices, longest = _subdivide(_face_pieces(n), judge, min_edge=R0_MIN_EDGE)
-    if not alive:
-        return _R0Certificate(True, simplices, least / top, np.zeros((0, n)))
-    X = np.vstack([V.mean(axis=2) for V, _ in alive.values()])
-    res = max_residual(TcpInstance(Tensor(arr), np.zeros(n)), X)
-    kept = _dedup(list(zip(X, res)), 0.5 * longest)[:R0_CANDIDATES]
-    return _R0Certificate(False, simplices, math.nan, np.array(kept))
-
-
-def _leaf_starts(unit: TcpInstance, tol: float) -> dict[int, np.ndarray]:
-    """Newton starts of the point faces of unit, by pinned mask: the leaf
-    centroids of a Bernstein subdivision of the augmented tensor.
-
-    With x = y / tau, G(y, tau) = A y^{m-1} + tau^{m-1} a is an order-m
-    tensor on R^{n+1}, and (x, 1) / (1 + |x|_1) maps a root on the face of
-    free set beta, however large, into the face simplex of beta + {tau}.
-    These 2^n - 1 pieces are judged by the R0 rule (_r0_clearance, less the
-    zero tau row) and cut (_subdivide) to LEAF_EDGE or PIECE_BUDGET.  As
-    |F_i(y / tau)| = |G_i| / tau^{m-1} >= |G_i|, excluding only clearances
-    above 2 tol keeps each root _filter_roots accepts (residual <= tol / 10,
-    pinned slack >= -tol) in a leaf.  A leaf with centroid c starts at
-    c_beta / c_tau; every piece keeps a vertex with tau > 0.
-    """
-    n, m = unit.n, unit.m
-    aug = np.pad(unit.tensor.array, [(0, 0)] + [(0, 1)] * (m - 1))
-    aug[(slice(n),) + (n,) * (m - 1)] = unit.a
-    leaves, _, _ = _subdivide(_face_pieces(n, apex=True), lambda k, V, supp: _r0_clearance(aug, V, supp) <= 2.0 * tol,
-                              leaf_edge=LEAF_EDGE)
-    starts = {}
-    for k, (V, supp) in leaves.items():
-        C = V.mean(axis=2)
-        Z = (C[:, :n] / C[:, n:])[supp[:, :n]].reshape(len(C), k - 1)
-        pinned = ~supp[:, :n] @ (1 << np.arange(n))
-        for mask in set(pinned.tolist()):
-            starts[mask] = Z[pinned == mask]
-    return starts
-
-
-def _candidate_rays(A: Tensor, candidates: np.ndarray, cfg: SolverConfig) -> SolutionSet:
-    """The rays _certified_ray polishes out of candidate directions for
-    TCP(A, 0), as a homogeneous result whose starts counts the candidates
-    and newton_iters their polish."""
+def _candidate_rays(A: Tensor, cert, cfg: SolverConfig) -> SolutionSet:
+    """The rays _certified_ray polishes out of the candidate directions of an
+    undecided R0 certificate cert of A, as a homogeneous result whose starts
+    counts the candidates polished and newton_iters their polish.  The
+    candidates are ranked by their TCP(A, 0) residual and deduplicated
+    within half the longest surviving edge, and the first R0_CANDIDATES are
+    polished."""
     unit = _unit_pair(A, np.zeros(A.dim))
-    polished = [_certified_ray(unit, c, cfg) for c in candidates]
+    ranked = _dedup(cert.candidates, 0.5 * cert.longest, R0_CANDIDATES)
+    polished = [_certified_ray(unit, c, cfg) for c in ranked]
     rays = _sorted_rays([r for r, _ in polished if r is not None], cfg.tol)
     meta = _meta(cfg, homogeneous=True, starts=len(polished), newton_iters=sum(it for _, it in polished))
     return SolutionSet([], rays, [], _status([], rays, []), meta)
@@ -1133,8 +911,9 @@ def brute_force_oracle(
     clusters.  Valid only inside the box: clusters touching the outer
     boundary are flagged, the exterior is unobserved.
     """
-    if box_radius <= 0 or grid_step <= 0 or tol <= 0:
-        raise ValueError("box_radius, grid_step and tol must be positive")
+    # written so that NaN and inf fail it: a NaN tol accepts no grid point
+    if not all(0.0 < v < math.inf for v in (box_radius, grid_step, tol)):
+        raise ValueError("box_radius, grid_step and tol must be finite and positive")
     n = inst.n
     g = int(math.floor(box_radius / grid_step + 0.5)) + 1
     if n * g**n > ORACLE_BUDGET:

@@ -12,8 +12,6 @@ the C-order flat layout coincides with lexicographic order of multi-indices.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -165,88 +163,6 @@ def contract_rows(arr: np.ndarray, X, block=None) -> np.ndarray:
     return out.reshape(X.shape)
 
 
-@functools.lru_cache(maxsize=None)
-def _multisets(k: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The multi-indices of {0..k-1}^d, in C order, grouped by multiset.
-
-    Returns (order, starts, counts): order lists the positions group by
-    group, starts[g] is where group g begins in order and counts[g] its
-    size; groups are ranked by their sorted multi-index.
-    """
-    idx = np.indices((k,) * d).reshape(d, -1)
-    key = np.ravel_multi_index(np.sort(idx, axis=0), (k,) * d)
-    order = np.argsort(key, kind="stable")
-    _, starts, counts = np.unique(key[order], return_index=True, return_counts=True)
-    return order, starts, counts
-
-
-def _bernstein(arr: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Bernstein coefficients of x -> arr x^{m-1} on a stack of simplices.
-
-    V (P, n, k) holds the k vertices of simplex p in the columns of V[p].
-    On x = V[p] lam with lam >= 0 and sum(lam) = 1, row i of arr x^{m-1} is
-    a form of degree d = m - 1 in lam whose Bernstein coefficients are the
-    entries of arr contracted with V[p] in slots 2..m and symmetrised over
-    those slots, one per multiset of d vertex indices; its values on the
-    simplex are convex combinations of them.  arr may hold any number R of
-    rows, shape (R,) + (n,) * d.  Returns (P, R, G), the groups ranked as in
-    _multisets(k, d).
-
-    Each slot's contraction is a stack of dot products of n terms and each
-    symmetrised coefficient is a sum of counts[g] entries then divided by
-    counts[g], so for V >= 0 the computed coefficient is within
-    gamma_K times the same computation on |arr| of the exact one, K =
-    d * n + max(counts) (gamma_K = K u / (1 - K u), u the unit roundoff),
-    up to underflow.
-    """
-    P, n, k = V.shape
-    d = arr.ndim - 1
-    Vt = np.swapaxes(V, 1, 2)[:, None]  # (P, 1, k, n)
-    T = arr.reshape(1, -1, n, 1)
-    for s in range(d):
-        # T (P, L, n, Q): slot m - s next to the k^s contracted indices
-        T = np.matmul(Vt, T)
-        T = T.reshape(P, -1, n, k ** (s + 1)) if s < d - 1 else T.reshape(P, arr.shape[0], k ** d)
-    order, starts, counts = _multisets(k, d)
-    return np.add.reduceat(T[:, :, order], starts, axis=2) / counts
-
-
-@functools.lru_cache(maxsize=None)
-def _degree_raise(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each multiset alpha of m indices from {0..k-1} and each j, the
-    group of alpha - e_j among the multisets of m - 1 indices and the weight
-    alpha_j / m (0 where alpha_j = 0), both shape (k, G), groups ranked as in
-    _multisets."""
-    lower = {ms: g for g, ms in enumerate(itertools.combinations_with_replacement(range(k), m - 1))}
-    alphas = list(itertools.combinations_with_replacement(range(k), m))
-    index = np.zeros((k, len(alphas)), dtype=int)
-    weight = np.zeros((k, len(alphas)))
-    for g, alpha in enumerate(alphas):
-        for j in set(alpha):
-            rest = list(alpha)
-            rest.remove(j)
-            index[j, g], weight[j, g] = lower[tuple(rest)], alpha.count(j) / m
-    return index, weight
-
-
-def _form_bernstein(arr: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Bernstein coefficients of the form x -> arr x^m on a stack of simplices.
-
-    On x = V[p] lam the form is sum_j lam_j (V[p]^T c)_j with c the
-    coefficients of arr x^{m-1} (_bernstein), and lam_j times the degree
-    m - 1 basis polynomial of beta is alpha_j / m times the degree m one of
-    alpha = beta + e_j: the coefficient of alpha is
-    sum_j (alpha_j / m) (V[p]^T c)_{j, alpha - e_j}.
-    The coefficient of alpha = m e_j is the form at vertex j, and the form on
-    the simplex lies between the least and the largest coefficient.  Returns
-    (P, G), the groups ranked as in _multisets(k, m).
-    """
-    k = V.shape[2]
-    W = np.matmul(np.swapaxes(V, 1, 2), _bernstein(arr, V))
-    index, weight = _degree_raise(k, arr.ndim)
-    return np.sum(weight * W[:, np.arange(k)[:, None], index], axis=1)
-
-
 def slot_sum(arr: np.ndarray) -> np.ndarray:
     """The sum over slots p = 2..m of the order-m array arr with slot p moved
     next to the row index: the tensor jacobian_rows contracts with x^{m-2}."""
@@ -287,11 +203,6 @@ def form(A: Tensor, x) -> float:
         operands = [A.array] + [x] * m
         return float(np.einsum(letters + "," + ",".join(letters), *operands))
     return float(x @ contract(A, x))
-
-
-def contract_jacobian(A: Tensor, x) -> np.ndarray:
-    """Jacobian of x -> contract(A, x)."""
-    return jacobian_rows(slot_sum(A.array), as_vector(x, A.dim))
 
 
 def form_gradient(A: Tensor, x) -> np.ndarray:

@@ -15,7 +15,7 @@ def test_public_names_and_solver_signatures_are_pinned():
         "STATUS_FINITE", "STATUS_NON_ISOLATED", "STATUS_UNBOUNDED", "SolutionPoint", "SolutionSet",
         "SolverConfig", "TcpInstance", "Tensor", "VERDICT_FAILS", "VERDICT_HOLDS", "VERDICT_INCONCLUSIVE",
         "add", "brute_force_oracle", "builtin_example", "check_copositive", "check_monotone", "check_r0",
-        "chi_bound", "contract", "contract_jacobian", "enumerate_faces", "face_of",
+        "chi_bound", "contract", "enumerate_faces", "face_of",
         "face_system", "flat_index", "form", "form_gradient", "frobenius", "genericity_sample",
         "golden_suite", "hausdorff_excess", "hoelder_fit", "homogeneous_solve", "homogeneous_solve_many",
         "int_dual_cone_member", "kkt_residual", "local_boundedness_probe", "lsc_witness", "max_residual",

@@ -162,6 +162,21 @@ def test_zero_sample_counts_exit_2(capsys):
         assert err.startswith("error:") and "samples must be positive" in err, argv
 
 
+def test_non_finite_experiment_sizes_exit_2(capsys):
+    # the error names the parameter, not the tensor or vector it would feed
+    for argv, name in (
+        (("usc", "--example", "ex1", "--a", "1,1", "--radius", "nan"), "radius"),
+        (("hoelder", "--example", "gus", "--a=-1,-1", "--radii", "nan,0.1"), "radii"),
+        (("boundedness", "--example", "ex1", "--a", "1,1", "--eps", "inf"), "eps"),
+        (("boundedness", "--example", "ex1", "--a", "1,1", "--delta", "nan"), "delta"),
+        (("openness", "--example", "ex1", "--radii", "0.1,inf"), "radii"),
+        (("stability", "--example", "gus", "--a", "1,1", "--eps", "nan"), "eps"),
+    ):
+        code, out, err = _main(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith(f"error: {name} must be finite and "), (argv, err)
+
+
 def test_boundedness_vacuous_exit_code(capsys):
     code, out, _ = _main(
         capsys, "boundedness", "--example", "zero", "--samples", "2"

@@ -192,6 +192,32 @@ def test_openness_probe_rejects_negative_sample_counts():
         r0_openness_probe(builtin_example("ex1").tensor, [0.1, 0.05], -2, CFG)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_experiment_sizes_must_be_finite(bad, monkeypatch):
+    # NaN passes a "<= 0" test and inf a "< 0" one: each size is checked
+    # before any solve or R0 check runs, and the error names it
+    import tcplab.experiments as experiments_mod
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("check_r0", "solve", "solve_many", "_r0_reports", "_homogeneous_rays"):
+        monkeypatch.setattr(experiments_mod, name, no_work)
+    ex1 = builtin_example("ex1")
+    calls = {
+        "eps": [lambda: local_boundedness_probe(ex1.tensor, ex1.a, bad, 0.1, 3, CFG),
+                lambda: stability_inclusion_check(GUS.tensor, [1.0, 1.0], bad, 3, CFG)],
+        "delta": [lambda: local_boundedness_probe(ex1.tensor, ex1.a, 0.1, bad, 3, CFG)],
+        "radii": [lambda: r0_openness_probe(GUS.tensor, [0.1, bad], 3, CFG),
+                  lambda: hoelder_fit(GUS.tensor, [-1.0, -1.0], [bad, 0.1, 0.05], 3, CFG)],
+        "radius": [lambda: usc_probe(GUS, bad, 3, CFG)],
+    }
+    for name, runs in calls.items():
+        for run in runs:
+            with pytest.raises(ValueError, match=f"^{name} must be finite and "):
+                run()
+
+
 def test_stability_check_on_strictly_positive_rhs():
     report = stability_inclusion_check(GUS.tensor, [1.0, 1.0], 0.05, 5, CFG)
     assert report.summary["violations"] == 0

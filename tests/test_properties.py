@@ -42,12 +42,13 @@ from tcplab.properties import (
 from tcplab.solver import (
     R0_CANDIDATES,
     RANDOM_STARTS,
+    _candidate_rays,
     _newton,
-    _r0_certificate,
     _simplex_starts,
     homogeneous_solve,
     homogeneous_solve_many,
 )
+from tcplab.subdivision import _r0_certificate
 from tcplab.tensors import contract_rows, gradient_sum, slot_sum
 
 CFG = SolverConfig()
@@ -141,11 +142,12 @@ def test_r0_certificate_never_certifies_a_tensor_with_a_ray():
     # zero tensors, the witnesses of every proper alpha, planted rays with
     # every support size and the full-support ray of the units test: the
     # subdivision stays undecided, and check_r0 fails with a ray that passes
-    # the CERT_TOL re-check
+    # the CERT_TOL re-check.  At most R0_CANDIDATES of the surviving
+    # centroids are polished
     for A in _tensors_with_rays():
         cert = _r0_certificate(A, CFG.tol)
-        assert not cert.holds and math.isnan(cert.margin)
-        assert 1 <= len(cert.candidates) <= R0_CANDIDATES
+        assert not cert.holds and math.isnan(cert.margin) and cert.candidates
+        assert 1 <= _candidate_rays(A, cert, CFG).meta["starts"] <= R0_CANDIDATES
         report = check_r0(A, CFG)
         assert report.verdict == VERDICT_FAILS
         ray = np.array(report.certificate["ray"])

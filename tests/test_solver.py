@@ -35,6 +35,7 @@ from tcplab import (
 )
 import tcplab.properties as properties_mod
 import tcplab.solver as solver_mod
+import tcplab.subdivision as subdivision_mod
 from tcplab.model import face_system
 from tcplab.solver import (
     _ARMIJO_STEPS,
@@ -43,12 +44,12 @@ from tcplab.solver import (
     NEWTON_MAX_ITER,
     POSDIM_ROOT_LIMIT,
     _dedup,
-    _r0_certificate,
     _face_functions,
     _newton,
     _newton_steps,
     _simplex_starts,
 )
+from tcplab.subdivision import _r0_certificate
 
 CFG = SolverConfig()
 
@@ -845,8 +846,8 @@ def test_faces_past_the_budget_are_refused_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("work started")
 
-    for mod, name in ((solver_mod, "_newton"), (solver_mod, "_face_starts"), (solver_mod, "_r0_clearance"),
-                      (properties_mod, "_newton"), (properties_mod, "_form_bernstein")):
+    for mod, name in ((solver_mod, "_newton"), (solver_mod, "_face_starts"), (subdivision_mod, "_r0_clearance"),
+                      (properties_mod, "_newton"), (subdivision_mod, "_form_bernstein")):
         monkeypatch.setattr(mod, name, no_work)
     A = random_gaussian(2, 30, 0)
     for run in (lambda: solve(TcpInstance(A, np.ones(30)), CFG), lambda: check_r0(A, CFG),
@@ -879,15 +880,15 @@ def test_leaf_starts_agree_with_the_box_grid_and_hold_its_roots(monkeypatch):
     # every point the box grid finds lies in a leaf of the subdivision, on
     # the face simplex of the point's support and the apex
     leaves = []
-    real = solver_mod._subdivide
+    real = subdivision_mod._subdivide
 
     def recording(pieces, judge, **kw):
         out = real(pieces, judge, **kw)
-        if kw.get("leaf_edge") == solver_mod.LEAF_EDGE:
+        if kw.get("leaf_edge") == subdivision_mod.LEAF_EDGE:
             leaves.append(out[0])
         return out
 
-    monkeypatch.setattr(solver_mod, "_subdivide", recording)
+    monkeypatch.setattr(subdivision_mod, "_subdivide", recording)
     groups = _agreement_cases()
     insts = [inst for group in groups for inst in group]
     leaf = [sol for group in groups for sol in solve_many(group, CFG)]
@@ -1015,6 +1016,11 @@ def test_oracle_budget_guard():
         brute_force_oracle(inst, box_radius=5.0, grid_step=0.001, tol=1e-8)
     with pytest.raises(ValueError):
         brute_force_oracle(inst, box_radius=-1.0, grid_step=0.01, tol=1e-8)
+    # a NaN tol or an infinite step would accept no grid point and report no
+    # solution; an infinite box would overflow the grid size
+    for bad in ({"tol": np.nan}, {"grid_step": np.inf}, {"grid_step": np.nan}, {"box_radius": np.inf}):
+        with pytest.raises(ValueError, match="finite and positive"):
+            brute_force_oracle(inst, **{"box_radius": 1.0, "grid_step": 0.1, "tol": 1e-8, **bad})
 
 
 def test_oracle_grid_helpers_match_scipy_ndimage():

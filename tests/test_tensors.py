@@ -1,6 +1,4 @@
-import itertools
 import json
-import math
 
 import numpy as np
 import pytest
@@ -10,7 +8,6 @@ from tcplab import (
     Tensor,
     add,
     contract,
-    contract_jacobian,
     flat_index,
     form,
     form_gradient,
@@ -24,8 +21,7 @@ from tcplab import (
     tensor_from_dict,
     tensor_to_dict,
 )
-from tcplab.catalog import builtin_example
-from tcplab.tensors import _bernstein, _check_size, _form_bernstein, contract_rows, jacobian_rows, slot_sum
+from tcplab.tensors import _check_size, contract_rows, jacobian_rows, slot_sum
 
 
 def _cube_example():
@@ -106,7 +102,7 @@ def test_contract_jacobian_matches_finite_differences():
         n = int(rng.integers(2, 4))
         A = random_gaussian(m, n, rng)
         x = rng.uniform(-1.5, 1.5, size=n)
-        J = contract_jacobian(A, x)
+        J = jacobian_rows(slot_sum(A.array), x)
         h = 1e-6
         for j in range(n):
             e = np.zeros(n)
@@ -128,7 +124,7 @@ def test_stacked_kernels_equal_one_array_calls():
         assert F.shape == (40, 3) and J.shape == (40, 3, 3)
         for s in range(40):
             assert np.array_equal(F[s], contract_rows(arrs[block[s]], X[s]))
-            assert np.array_equal(J[s], contract_jacobian(Tensor(arrs[block[s]]), X[s]))
+            assert np.array_equal(J[s], jacobian_rows(slot_sum(arrs[block[s]]), X[s]))
 
 
 def test_form_gradient_matches_finite_differences():
@@ -296,67 +292,3 @@ def test_tensor_from_dict_rejects_malformed_input():
         tensor_from_dict(dup)
     with pytest.raises(ValueError):
         tensor_to_dict(random_gaussian(2, 2, 0), "nope")
-
-
-def _bernstein_by_einsum(arr, V):
-    """Bernstein coefficients from one einsum per simplex and an explicit
-    average over the slot permutations, one per sorted multi-index."""
-    m, k = arr.ndim, V.shape[2]
-    d = m - 1
-    letters, cols = "abcdefg"[:m], "pqrstuv"[:d]
-    spec = letters + "," + ",".join(letters[1 + s] + cols[s] for s in range(d)) + "->" + letters[0] + cols
-    out = []
-    for Vp in V:
-        C = np.einsum(spec, arr, *([Vp] * d))
-        sym = sum(np.transpose(C, (0,) + tuple(1 + q for q in perm)) for perm in itertools.permutations(range(d)))
-        sym = sym / math.factorial(d)
-        out.append([[sym[(i,) + ms] for ms in itertools.combinations_with_replacement(range(k), d)]
-                    for i in range(arr.shape[0])])
-    return np.array(out)
-
-
-def test_bernstein_coefficients_match_an_einsum_recheck():
-    # the coefficients of the catalog tensors and of Gaussian m=3, n=3
-    # tensors on random nonnegative vertex sets of every size k
-    rng = np.random.default_rng(12)
-    tensors = [builtin_example(name).tensor.array for name in ("ex1", "gus", "monotone")]
-    tensors += [random_gaussian(3, 3, rng).array for _ in range(3)] + [random_gaussian(4, 3, rng).array]
-    for arr in tensors:
-        n = arr.shape[0]
-        for k in range(1, n + 1):
-            V = rng.uniform(0.0, 1.0, (4, n, k))
-            V /= V.sum(axis=1, keepdims=True)
-            got = _bernstein(arr, V)
-            assert got.shape == (4, n, math.comb(k + arr.ndim - 2, arr.ndim - 1))
-            assert np.allclose(got, _bernstein_by_einsum(arr, V), rtol=0, atol=1e-14)
-    # on a face simplex the coefficients of a vertex are the tensor's entries
-    arr = tensors[3]
-    coef = _bernstein(arr, np.eye(3)[None, :, [0, 2]])
-    assert np.array_equal(coef[0, :, 0], arr[:, 0, 0]) and np.array_equal(coef[0, :, -1], arr[:, 2, 2])
-
-
-def test_form_bernstein_coefficients_match_an_einsum_and_enclose_the_form():
-    # the coefficients of A x^m on random nonnegative vertex sets: one einsum
-    # with V in every slot and an explicit average over the slot
-    # permutations; the vertex coefficients are the form at the vertices,
-    # and the form inside lies between the least and the largest coefficient
-    rng = np.random.default_rng(17)
-    for m, n in ((2, 3), (3, 2), (3, 3), (4, 3), (3, 4)):
-        arr = rng.standard_normal((n,) * m)
-        letters, cols = "abcd"[:m], "pqrs"[:m]
-        spec = letters + "," + ",".join(letters[s] + cols[s] for s in range(m)) + "->" + cols
-        for k in range(1, n + 1):
-            V = rng.uniform(0.0, 1.0, (3, n, k))
-            V /= V.sum(axis=1, keepdims=True)
-            got = _form_bernstein(arr, V)
-            groups = list(itertools.combinations_with_replacement(range(k), m))
-            assert got.shape == (3, len(groups))
-            for p, Vp in enumerate(V):
-                C = np.einsum(spec, arr, *([Vp] * m))
-                sym = sum(np.transpose(C, perm) for perm in itertools.permutations(range(m))) / math.factorial(m)
-                assert np.allclose(got[p], [sym[g] for g in groups], rtol=0, atol=1e-13)
-                corners = got[p, [groups.index((j,) * m) for j in range(k)]]
-                assert np.allclose(corners, [form(Tensor(arr), Vp[:, j]) for j in range(k)], rtol=0, atol=1e-14)
-                X = rng.dirichlet(np.ones(k), 40) @ Vp.T
-                vals = np.array([form(Tensor(arr), x) for x in X])
-                assert np.all(vals >= got[p].min() - 1e-13) and np.all(vals <= got[p].max() + 1e-13)
