@@ -37,7 +37,7 @@ from .solver import (
     solve,
     solve_many,
 )
-from .tensors import Tensor, as_vector, frobenius, pair_norm
+from .tensors import Tensor, _as_count, as_vector, frobenius, pair_norm
 
 ROW_COLUMNS = ("sample_id", "pert_norm_tensor", "pert_norm_vec", "n_points", "max_norm", "excess", "flags")
 
@@ -58,8 +58,11 @@ ORACLE_BOX_RADIUS = 5.0
 
 
 def _check_sizes(name: str, values, zero_ok: bool = False) -> None:
-    """Raise ValueError naming the parameter unless every value is finite and
-    positive, or zero with zero_ok; the test is written so that NaN fails."""
+    """Raise ValueError naming the parameter unless there are values and every
+    one is finite and positive, or zero with zero_ok; the test is written so
+    that NaN fails."""
+    if not values:
+        raise ValueError(f"{name} must be a nonempty list of positive numbers")
     for v in values:
         if not (math.isfinite(v) and (v > 0 or zero_ok and v == 0)):
             raise ValueError(f"{name} must be finite and {'nonnegative' if zero_ok else 'positive'}, got {v}")
@@ -192,8 +195,7 @@ def local_boundedness_probe(
     a = as_vector(a, A.dim)
     _check_sizes("eps", [eps], zero_ok=True)
     _check_sizes("delta", [delta], zero_ok=True)
-    if samples <= 0:
-        raise ValueError("samples must be positive")
+    samples = _as_count("samples", samples)
     base_r0 = check_r0(A, cfg)
     vacuous = base_r0.verdict != VERDICT_HOLDS
 
@@ -242,11 +244,8 @@ def r0_openness_probe(A: Tensor, radii, samples_per_radius: int, cfg: SolverConf
     fails R0 (random directions rarely meet the non-R0 set).
     """
     radii = [float(r) for r in radii]
-    if not radii:
-        raise ValueError("radii must be a nonempty list of positive numbers")
     _check_sizes("radii", radii)
-    if samples_per_radius <= 0:
-        raise ValueError("samples must be positive")
+    samples_per_radius = _as_count("samples", samples_per_radius)
     base_r0 = check_r0(A, cfg)
     vacuous = base_r0.verdict != VERDICT_HOLDS
 
@@ -286,8 +285,7 @@ def r0_openness_probe(A: Tensor, radii, samples_per_radius: int, cfg: SolverConf
 
 def genericity_sample(m: int, n: int, samples: int, cfg: SolverConfig) -> ExperimentReport:
     """Fraction of Gaussian tensors classified R0, with a Wilson 95% CI."""
-    if samples < 0:
-        raise ValueError("samples must be nonnegative")
+    samples = _as_count("samples", samples, zero_ok=True)
 
     tensors = [Tensor(np.random.default_rng([cfg.seed, _SALT_GENERICITY, s]).standard_normal(size=(n,) * m))
                for s in range(samples)]
@@ -338,8 +336,7 @@ def usc_probe(inst: TcpInstance, radius: float, samples: int, cfg: SolverConfig)
     certified unbounded carry the +inf sentinel.
     """
     _check_sizes("radius", [radius])
-    if samples <= 0:
-        raise ValueError("samples must be positive")
+    samples = _as_count("samples", samples)
     base = solve(inst, cfg)
     if not (base.points or base.rays or base.posdim_suspect):
         raise ValueError("usc probe needs a nonempty base solution set")
@@ -422,11 +419,8 @@ def hoelder_fit(A: Tensor, a, radii, samples_per_radius: int, cfg: SolverConfig)
     """
     a = as_vector(a, A.dim)
     radii = sorted(float(r) for r in radii)
-    if not radii:
-        raise ValueError("radii must be a nonempty list of positive numbers")
     _check_sizes("radii", radii)
-    if samples_per_radius <= 0:
-        raise ValueError("samples must be positive")
+    samples_per_radius = _as_count("samples", samples_per_radius)
     # sample sid = i * samples_per_radius + j is the j-th at radius i, solved
     # with the base (A, a) as instance 0
     sample_radii = [r for r in radii for _ in range(samples_per_radius)]
@@ -491,8 +485,7 @@ def stability_inclusion_check(
     """
     a = as_vector(a, A.dim)
     _check_sizes("eps", [eps])
-    if samples <= 0:
-        raise ValueError("samples must be positive")
+    samples = _as_count("samples", samples)
     rays = _homogeneous_rays([A], cfg)[0]
     member = int_dual_cone_member(rays, a, cfg.tol)
     params = {"eps": eps, "samples": samples, "seed": cfg.seed, "a": a.tolist()}

@@ -37,6 +37,7 @@ from .solver import (
 from .subdivision import _copositive_leaves, _r0_certificate
 from .tensors import (
     Tensor,
+    _as_count,
     as_vector,
     contract,
     contract_rows,
@@ -318,8 +319,7 @@ def probe_gus(A: Tensor, cfg: SolverConfig, samples: int = 200) -> PropertyRepor
     solved in solve_many's chunks, and the probe stops at the end of the
     chunk holding the first counterexample.
     """
-    if samples < 0:
-        raise ValueError("samples must be nonnegative")
+    samples = _as_count("samples", samples, zero_ok=True)
     n = A.dim
     rhs: list[np.ndarray] = [np.array(p, dtype=float) for p in itertools.product((-1.0, 0.0, 1.0), repeat=n)]
     rng = np.random.default_rng([cfg.seed, 3])

@@ -73,27 +73,34 @@ def _bernstein(arr: np.ndarray, V: np.ndarray) -> np.ndarray:
     simplex are convex combinations of them.  arr may hold any number R of
     rows, shape (R,) + (n,) * d.  Returns (P, R, G), the groups ranked as in
     _multisets(k, d).  More pieces than fit in temporaries of _PIECE_CHUNK
-    entries run in chunks; each piece's coefficients do not depend on the
-    others.
+    entries run in chunks.  Each slot is one matrix product per piece, of
+    the same shapes for every piece and on that piece's data alone, so a
+    piece's coefficients are the same bits whatever the other pieces, the
+    chunks or the BLAS threads.  One product over all pieces at once would
+    not be: OpenBLAS can round a column differently at another column count.
 
-    Each slot's contraction is a stack of dot products of n terms and each
+    Every entry of a slot's product is a dot product of n terms, and each
     symmetrised coefficient is a sum of counts[g] entries then divided by
-    counts[g], so for V >= 0 the computed coefficient is within
-    gamma_K times the same computation on |arr| of the exact one, K =
-    d * n + max(counts) (gamma_K = K u / (1 - K u), u the unit roundoff),
-    up to underflow.
+    counts[g].  The error bound of a sum of products holds in any summation
+    order, with or without fused multiply-adds, so for V >= 0 the computed
+    coefficient is within gamma_K times the same computation on |arr| of
+    the exact one, K = d * n + max(counts) (gamma_K = K u / (1 - K u), u the
+    unit roundoff), up to underflow.
     """
     P, n, k = V.shape
     d = arr.ndim - 1
     size = max(1, _PIECE_CHUNK // (n ** d * k + n * k ** d))
     if P > size:
         return np.concatenate([_bernstein(arr, V[lo:lo + size]) for lo in range(0, P, size)])
-    Vt = np.swapaxes(V, 1, 2)[:, None]  # (P, 1, k, n)
-    T = arr.reshape(1, -1, n, 1)
-    for s in range(d):
-        # T (P, L, n, Q): slot m - s next to the k^s contracted indices
-        T = np.matmul(Vt, T)
-        T = T.reshape(P, -1, n, k ** (s + 1)) if s < d - 1 else T.reshape(P, arr.shape[0], k ** d)
+    # slot m: T (P, k, R n^(d-1)), one (k, n) @ (n, R n^(d-1)) product per piece
+    T = np.matmul(np.swapaxes(V, 1, 2), arr.reshape(-1, n).T)
+    for _ in range(d - 1):
+        # T (P, k^s, R n^(d-s)), contracted slots first: one (., n) @ (n, k)
+        # product per piece takes its last slot.  Binding the reshaped copy
+        # first frees the old product before the new one is made
+        T = T.reshape(P, -1, n)
+        T = np.swapaxes(np.matmul(T, V), 1, 2)
+    T = np.swapaxes(T.reshape(P, k ** d, arr.shape[0]), 1, 2)
     order, starts, counts = _multisets(k, d)
     return np.add.reduceat(T[:, :, order], starts, axis=2) / counts
 
@@ -138,27 +145,32 @@ def _form_bernstein(arr: np.ndarray, V: np.ndarray) -> np.ndarray:
 # the branch and bound loop
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs(k: int) -> np.ndarray:
+    """The vertex pairs a < b of a k-vertex simplex in lexicographic order,
+    shape (2, k (k - 1) / 2)."""
+    return np.array(list(itertools.combinations(range(k), 2))).T
+
+
 def _bisect(V: np.ndarray):
     """The two halves of each simplex V (P, n, k) cut at the midpoint of its
     longest edge (the first in pair order on ties), its longest edge, and
     whether every midpoint is exact."""
     P, _, k = V.shape
-    # the pairs of np.triu_indices(k, 1) at a sixth of its cost, which
-    # shows in a solve: _bisect runs once per round and face size
-    a, b = np.array(list(itertools.combinations(range(k), 2))).T
-    edges = np.max(np.abs(V[:, :, a] - V[:, :, b]), axis=1)
-    e = np.argmax(edges, axis=1)
+    a, b = _pairs(k)
+    edges = np.abs(V[:, :, a] - V[:, :, b]).max(axis=1)
+    e = edges.argmax(axis=1)
     rows = np.arange(P)
     va, vb = V[rows, :, a[e]], V[rows, :, b[e]]
     # TwoSum: s is va + vb exactly when its error term vanishes
     s = va + vb
     bv = s - va
     mid = 0.5 * s
-    exact = bool(np.all((va - (s - bv)) + (vb - bv) == 0.0) and np.all(2.0 * mid == s))
-    lo, hi = V.copy(), V.copy()
-    lo[rows, :, b[e]] = mid
-    hi[rows, :, a[e]] = mid
-    return np.concatenate([lo, hi]), edges[rows, e], exact
+    exact = bool(((va - (s - bv)) + (vb - bv) == 0.0).all() and (2.0 * mid == s).all())
+    halves = np.concatenate([V, V])
+    halves[rows, :, b[e]] = mid
+    halves[P + rows, :, a[e]] = mid
+    return halves, edges[rows, e], exact
 
 
 def _face_pieces(n: int, least_k: int = 1, apex: bool = False) -> dict:
@@ -223,10 +235,11 @@ def _subdivide(pieces: dict, judge, min_edge: float = 0.0, leaf_edge: float = 0.
 # R0: the certificate and the point faces' starts
 
 
-def _r0_clearance(arr: np.ndarray, V: np.ndarray, supp: np.ndarray) -> np.ndarray:
+def _r0_clearance(arr: np.ndarray, top: np.ndarray, V: np.ndarray, supp: np.ndarray) -> np.ndarray:
     """How far the pieces V (P, n, k) with supports supp (P, n) are from
     holding a solution of their support for the order-m array arr, shape
-    (P,); arr may leave out zero rows at its end.
+    (P,); arr may leave out zero rows at its end, and top holds the largest
+    |entry| of each of its rows.
 
     A piece holds none when a row in its support has every Bernstein
     coefficient of one strict sign, or a row off it has every coefficient
@@ -240,21 +253,21 @@ def _r0_clearance(arr: np.ndarray, V: np.ndarray, supp: np.ndarray) -> np.ndarra
     d, R = arr.ndim - 1, arr.shape[0]
     K = d * n + int(_multisets(k, d)[2].max())
     gamma = K * 2.0 ** -53 / (1.0 - K * 2.0 ** -53)
-    bound = 2.0 * gamma * np.max(np.abs(arr).reshape(R, -1), axis=1) + K * 2.0 ** -1072
+    bound = 2.0 * gamma * top + K * 2.0 ** -1072
     coef = _bernstein(arr, V)
-    neg = -np.max(coef, axis=2) - bound
-    rows = np.where(supp[:, :R], np.maximum(np.min(coef, axis=2) - bound, neg), neg)
-    return np.max(rows, axis=1)
+    neg = -coef.max(axis=2) - bound
+    rows = np.where(supp[:, :R], np.maximum(coef.min(axis=2) - bound, neg), neg)
+    return rows.max(axis=1)
 
 
 def _r0_judge(arr: np.ndarray, threshold: float):
     """The R0 rule as a _subdivide judge: a piece is excluded when its
     clearance (_r0_clearance) is above threshold.  Returns the judge and the
     list of the clearances it has computed, one array per call."""
-    judged = []
+    judged, top = [], np.max(np.abs(arr).reshape(len(arr), -1), axis=1)
 
     def judge(k, V, supp):
-        judged.append(_r0_clearance(arr, V, supp))
+        judged.append(_r0_clearance(arr, top, V, supp))
         return judged[-1] <= threshold
 
     return judge, judged

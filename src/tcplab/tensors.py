@@ -52,6 +52,14 @@ def as_vector(x, n: int | None = None) -> np.ndarray:
     return v
 
 
+def _as_count(name: str, value, zero_ok: bool = False) -> int:
+    """value as an int; ValueError naming the parameter unless it is an
+    integer, a numpy one too, that is positive, or zero with zero_ok."""
+    if not isinstance(value, (int, np.integer)) or value < (0 if zero_ok else 1):
+        raise ValueError(f"{name} must be {'nonnegative' if zero_ok else 'positive'} and an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class Tensor:
     """Immutable order-m, dimension-n real tensor."""

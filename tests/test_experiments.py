@@ -16,6 +16,7 @@ from tcplab import (
     local_boundedness_probe,
     non_r0_witness,
     pair_ball,
+    probe_gus,
     r0_openness_probe,
     scale,
     stability_inclusion_check,
@@ -216,6 +217,42 @@ def test_experiment_sizes_must_be_finite(bad, monkeypatch):
         for run in runs:
             with pytest.raises(ValueError, match=f"^{name} must be finite and "):
                 run()
+
+
+@pytest.mark.parametrize("bad", [2.5, math.nan, "3", 3.0])
+def test_sample_counts_must_be_integers(bad, monkeypatch):
+    # a float or string count used to reach range() and raise TypeError; it
+    # is refused before any solve or R0 check runs, and the error names it
+    import tcplab.experiments as experiments_mod
+    import tcplab.properties as properties_mod
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("check_r0", "solve", "solve_many", "_r0_reports", "_homogeneous_rays"):
+        monkeypatch.setattr(experiments_mod, name, no_work)
+    monkeypatch.setattr(properties_mod, "_solve_stream", no_work)
+    ex1 = builtin_example("ex1")
+    for run in (lambda: local_boundedness_probe(ex1.tensor, ex1.a, 0.1, 0.1, bad, CFG),
+                lambda: r0_openness_probe(GUS.tensor, [0.3, 0.1], bad, CFG),
+                lambda: genericity_sample(3, 2, bad, CFG),
+                lambda: usc_probe(GUS, 0.05, bad, CFG),
+                lambda: hoelder_fit(GUS.tensor, [-1.0, -1.0], [0.1, 0.05], bad, CFG),
+                lambda: stability_inclusion_check(GUS.tensor, [1.0, 1.0], 0.05, bad, CFG),
+                lambda: probe_gus(GUS.tensor, CFG, samples=bad)):
+        with pytest.raises(ValueError, match=f"^samples must be (positive|nonnegative) and an integer, got {bad!r}$"):
+            run()
+
+
+def test_numpy_integer_sample_counts_are_accepted():
+    # the report records a plain int, so it stays JSON-serialisable
+    report = genericity_sample(3, 2, np.int64(2), CFG)
+    assert report.params["samples"] == 2 and type(report.params["samples"]) is int
+    assert len(report.rows) == 2
+    json.dumps(report.to_json())
+    assert probe_gus(GUS.tensor, CFG, samples=np.int32(1)).effort["samples"] == 3**2 + 1
+    report = r0_openness_probe(GUS.tensor, [0.1], np.int16(2), CFG)
+    assert report.params["samples_per_radius"] == 2 and len(report.rows) == 2
 
 
 def test_stability_check_on_strictly_positive_rhs():

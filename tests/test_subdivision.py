@@ -1,11 +1,16 @@
+import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 
-from tcplab import Tensor, form, random_gaussian
+import tcplab.subdivision as subdivision_mod
+from tcplab import SolverConfig, TcpInstance, Tensor, contract, form, random_gaussian, solve
 from tcplab.catalog import builtin_example
-from tcplab.subdivision import PIECE_BUDGET, _bernstein, _bisect, _face_pieces, _form_bernstein, _subdivide
+from tcplab.subdivision import LEAF_EDGE, PIECE_BUDGET, _bernstein, _bisect, _face_pieces, _form_bernstein, _subdivide
 
 
 def _longest_edges(V):
@@ -128,11 +133,13 @@ def _bernstein_by_einsum(arr, V):
 
 
 def test_bernstein_coefficients_match_an_einsum_recheck():
-    # the coefficients of the catalog tensors and of Gaussian m=3, n=3
-    # tensors on random nonnegative vertex sets of every size k
+    # the coefficients of the catalog tensors and of Gaussian tensors of
+    # order 2 to 5 on random nonnegative vertex sets of every size k
     rng = np.random.default_rng(12)
     tensors = [builtin_example(name).tensor.array for name in ("ex1", "gus", "monotone")]
     tensors += [random_gaussian(3, 3, rng).array for _ in range(3)] + [random_gaussian(4, 3, rng).array]
+    tensors += [random_gaussian(2, 3, rng).array, random_gaussian(2, 4, rng).array, random_gaussian(5, 2, rng).array,
+                random_gaussian(5, 3, rng).array]
     for arr in tensors:
         n = arr.shape[0]
         for k in range(1, n + 1):
@@ -141,6 +148,19 @@ def test_bernstein_coefficients_match_an_einsum_recheck():
             got = _bernstein(arr, V)
             assert got.shape == (4, n, math.comb(k + arr.ndim - 2, arr.ndim - 1))
             assert np.allclose(got, _bernstein_by_einsum(arr, V), rtol=0, atol=1e-14)
+    # face-supported vertex sets, zero off the support, as the point faces'
+    # subdivision cuts them: the augmented (R, n + 1, ..) arrays of orders 2
+    # to 5, R = n rows, on the apex face simplices and on their halves after
+    # two rounds of cuts, and a single row
+    for m, n in ((2, 3), (3, 3), (3, 4), (4, 3), (5, 2), (5, 3)):
+        aug = rng.standard_normal((n,) + (n + 1,) * (m - 1))
+        for k, (V, _) in _face_pieces(n, apex=True).items():
+            for _ in range(3):
+                for arr in (aug, aug[:1]):
+                    got = _bernstein(arr, V)
+                    assert got.shape == (len(V), len(arr), math.comb(k + m - 2, m - 1))
+                    assert np.allclose(got, _bernstein_by_einsum(arr, V), rtol=0, atol=1e-14), (m, n, k)
+                V = _bisect(V)[0]
     # on a face simplex the coefficients of a vertex are the tensor's entries
     arr = tensors[3]
     coef = _bernstein(arr, np.eye(3)[None, :, [0, 2]])
@@ -177,8 +197,6 @@ def test_form_bernstein_coefficients_match_an_einsum_and_enclose_the_form():
 def test_bernstein_chunks_change_nothing(monkeypatch):
     # pieces past the chunk budget run in chunks, each piece's coefficients
     # the same bits as in one call
-    import tcplab.subdivision as subdivision_mod
-
     rng = np.random.default_rng(8)
     arr = rng.standard_normal((3, 3, 3))
     V = rng.dirichlet(np.ones(3), (50, 3)).transpose(0, 2, 1).copy()
@@ -188,3 +206,70 @@ def test_bernstein_chunks_change_nothing(monkeypatch):
     assert np.array_equal(_bernstein(arr, V), whole) and np.array_equal(_form_bernstein(arr, V), form_whole)
     for p in range(50):
         assert np.array_equal(_bernstein(arr, V[p:p + 1]), whole[p:p + 1])
+
+
+_BATCH_HASH = """
+import hashlib, sys
+import numpy as np
+from tcplab.subdivision import _bernstein
+arr, V = (np.load(sys.argv[1])[name] for name in ("arr", "V"))
+print(hashlib.sha256(_bernstein(arr, V).tobytes()).hexdigest())
+"""
+
+
+def _augmented_batch(rng, m, n, count):
+    """An augmented (n, n + 1, ..) array and count pieces (P, n + 1, n + 1):
+    full-dimensional ones at random points of the simplex, then face-supported
+    ones with the rows of a random support zeroed and the columns rescaled."""
+    arr = rng.standard_normal((n,) + (n + 1,) * (m - 1))
+    V = rng.dirichlet(np.ones(n + 1), (count, n + 1)).transpose(0, 2, 1).copy()
+    face = V[count // 2:]
+    face *= rng.uniform(size=(len(face), n + 1, 1)) < 0.7
+    face[:, n] += 1e-3
+    face /= face.sum(axis=1, keepdims=True)
+    return arr, V
+
+
+def test_bernstein_bits_do_not_depend_on_the_batch(tmp_path):
+    # every piece runs the same products on its own data: its coefficients
+    # are the same bits in a batch large enough to run in chunks, in that
+    # batch permuted, on their own, and in a process with one BLAS thread
+    rng = np.random.default_rng(21)
+    arr, V = _augmented_batch(rng, 3, 4, 20_000)
+    n, k = V.shape[1:]
+    assert len(V) > subdivision_mod._PIECE_CHUNK // (n ** 2 * k + n * k ** 2)
+    whole = _bernstein(arr, V)
+    perm = rng.permutation(len(V))
+    assert np.array_equal(_bernstein(arr, V[perm]), whole[perm])
+    for p in rng.choice(len(V), 40, replace=False):
+        assert np.array_equal(_bernstein(arr, V[p:p + 1]), whole[p:p + 1])
+    np.savez(tmp_path / "batch.npz", arr=arr, V=V)
+    src = os.path.dirname(os.path.dirname(subdivision_mod.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    child = subprocess.run([sys.executable, "-c", _BATCH_HASH, str(tmp_path / "batch.npz")], env=env,
+                           capture_output=True, text=True, timeout=120, check=True)
+    assert child.stdout.strip() == hashlib.sha256(whole.tobytes()).hexdigest()
+
+
+def test_leaf_subdivision_work_is_pinned(monkeypatch):
+    # the pieces judged and the leaves by k of the point faces' subdivision of
+    # two planted instances: a change to the coefficient kernel that moves an
+    # exclusion decision shows here before any Newton counter moves
+    work = []
+    real = subdivision_mod._subdivide
+
+    def recording(pieces, judge, **kw):
+        out = real(pieces, judge, **kw)
+        if kw.get("leaf_edge") == LEAF_EDGE:
+            work.append((out[1], {k: len(V) for k, (V, _) in out[0].items()}))
+        return out
+
+    monkeypatch.setattr(subdivision_mod, "_subdivide", recording)
+    for (m, n, seed), want in (((3, 4, 41), (3321, {2: 1, 3: 3, 4: 157, 5: 387})),
+                               ((4, 3, 42), (1979, {3: 4, 4: 207}))):
+        # a root x > 0 with full support planted at a = -A x^{m-1}
+        rng = np.random.default_rng(seed)
+        A = random_gaussian(m, n, rng)
+        x = rng.uniform(0.5, 1.5, n)
+        solve(TcpInstance(A, -contract(A, x)), SolverConfig())
+        assert work[-1] == want, (m, n)
