@@ -7,7 +7,8 @@ right-hand side, which makes them the regression anchor for the solver:
               components of F equal a_i - |x|^2, so solutions live on
               circles and the a1 = a2 case is a quarter-circle continuum
     gus       identity-like: F_i = x_i^2 + a_i, globally unique solutions
-    monotone  F_i = |x|^2 + a_i, monotone on the orthant
+    monotone  F_i = |x|^2 + a_i; despite its name, F is not monotone on
+              the orthant: x = (2, 2), y = (0, 3) pair to -1
     zero      the zero tensor: F = a, solutions are faces of the orthant
 """
 

@@ -1,12 +1,14 @@
 """Structural property checks: R0, copositivity, monotonicity, GUS.
 
 A "fails" verdict ships a concrete certificate that is re-validated
-independently before the report is built.  An R0 "holds-numerically"
-ships a certificate too whenever a Bernstein subdivision of the simplex
-faces, with rounding-safe sign tests, proves Sol(A, 0) = {0}
-(subdivision._r0_certificate).  Every other "holds-numerically" only says
-the search found no counterexample at the recorded effort; R0 falls back to
-that search when the subdivision is undecided.
+independently before the report is built.  R0 is read off homogeneous_solve:
+its "holds-numerically" ships a certificate too whenever the Bernstein
+subdivision of the simplex faces that the search runs first, with
+rounding-safe sign tests, proves Sol(A, 0) = {0}
+(subdivision._r0_certificate); when it cannot, the search starts Newton from
+the pieces that subdivision left alive, and its rays decide.  Every other
+"holds-numerically" only says the search found no counterexample at the
+recorded effort.
 
 Copositivity is decided from the KKT points of the form on the simplex (its
 Pareto eigenvalues), found on the solver's Newton engine from starts that a
@@ -28,13 +30,12 @@ from .solver import (
     DEDUP_RADIUS,
     SolverConfig,
     SolutionSet,
-    _candidate_rays,
     _dedup,
     _newton,
     _solve_stream,
     homogeneous_solve_many,
 )
-from .subdivision import _copositive_leaves, _r0_certificate
+from .subdivision import _copositive_leaves
 from .tensors import (
     Tensor,
     _as_count,
@@ -84,70 +85,54 @@ class PropertyReport:
 
 
 def _r0_report(A: Tensor, hom: SolutionSet) -> PropertyReport:
-    """check_r0's verdict on A from a homogeneous result hom: that of
-    homogeneous_solve(A, cfg), or the polished rays of _candidate_rays."""
+    """check_r0's verdict on A from hom, homogeneous_solve(A, cfg)."""
     effort = {
-        "starts": hom.meta.get("starts", 0),
-        "newton_iters": hom.meta.get("newton_iters", 0),
+        "starts": hom.meta["starts"],
+        "newton_iters": hom.meta["newton_iters"],
         "rays_found": len(hom.rays),
     }
-    if hom.rays:
-        zero_inst = TcpInstance(A, np.zeros(A.dim))
+    verdict, cert = VERDICT_HOLDS, None
+    if hom.meta["margin"] is not None:
+        cert = {"simplices": hom.meta["simplices"], "margin": hom.meta["margin"]}
+    elif hom.rays:
         ray = hom.rays[0].direction
-        res = max_residual(zero_inst, ray)
+        res = max_residual(TcpInstance(A, np.zeros(A.dim)), ray)
         if res <= CERT_TOL * float(np.max(np.abs(A.array))):
-            cert = {"ray": ray.tolist(), "residual": res}
-            return PropertyReport("r0", VERDICT_FAILS, cert, effort)
-        effort["unvalidated_ray_residual"] = res
-        return PropertyReport("r0", VERDICT_INCONCLUSIVE, None, effort)
-    if hom.posdim_suspect:
+            verdict, cert = VERDICT_FAILS, {"ray": ray.tolist(), "residual": res}
+        else:
+            verdict = VERDICT_INCONCLUSIVE
+            effort["unvalidated_ray_residual"] = res
+    elif hom.posdim_suspect:
         # a positive-dimensional homogeneous face without a certified ray:
         # nonzero solutions are suspected but no certificate survived
+        verdict = VERDICT_INCONCLUSIVE
         effort["posdim_faces"] = [f.to_json() for f in hom.posdim_suspect]
-        return PropertyReport("r0", VERDICT_INCONCLUSIVE, None, effort)
-    return PropertyReport("r0", VERDICT_HOLDS, None, effort)
+    effort["simplices"] = hom.meta["simplices"]
+    return PropertyReport("r0", verdict, cert, effort)
 
 
 def _r0_reports(tensors: list[Tensor], cfg: SolverConfig) -> list[PropertyReport]:
-    """check_r0 of every tensor, all of one (m, n).
-
-    A tensor _r0_certificate certifies holds with the certificate
-    {"simplices", "margin"} and runs no Newton search.  An undecided one
-    has its candidate directions polished into rays (_candidate_rays); when
-    none comes out, it joins one homogeneous_solve_many call with the
-    others.  Either ray list then gives the verdict as _r0_report does, and
-    effort counts that polish or search work plus the simplices judged.
-    """
-    certs = [_r0_certificate(A, cfg.tol) for A in tensors]
-    homs = {i: _candidate_rays(A, c, cfg) for i, (A, c) in enumerate(zip(tensors, certs)) if not c.holds}
-    rest = [i for i, hom in homs.items() if not hom.rays]
-    homs.update(zip(rest, homogeneous_solve_many([tensors[i] for i in rest], cfg)))
-    reports = []
-    for i, (A, cert) in enumerate(zip(tensors, certs)):
-        if cert.holds:
-            effort = {"starts": 0, "newton_iters": 0, "rays_found": 0}
-            rep = PropertyReport("r0", VERDICT_HOLDS, {"simplices": cert.simplices, "margin": cert.margin}, effort)
-        else:
-            rep = _r0_report(A, homs[i])
-        rep.effort["simplices"] = cert.simplices
-        reports.append(rep)
-    return reports
+    """check_r0 of every tensor, all of one (m, n), from one
+    homogeneous_solve_many call."""
+    return [_r0_report(A, hom) for A, hom in zip(tensors, homogeneous_solve_many(tensors, cfg))]
 
 
 def check_r0(A: Tensor, cfg: SolverConfig) -> PropertyReport:
     """R0: the homogeneous problem has no nonzero solution.
 
-    Decided first by Bernstein subdivision (subdivision._r0_certificate):
-    when every piece of every simplex face is excluded, holds-numerically
-    comes with the certificate {"simplices": pieces judged, "margin": a
-    radius, relative to the largest entry of A and above cfg.tol, within
-    which every tensor is R0}, a proof whose sign tests already bound their rounding.
-    Otherwise the centroids of the surviving pieces are polished into rays,
-    and when none comes out homogeneous_solve searches as before.  Fails
-    with a certificate ray, the least in tuple order; the ray is re-checked
-    against the zero right-hand side, its residual judged at CERT_TOL times
-    the largest entry of A, so the verdict does not depend on the units of
-    A.  The residual is reported in A's units.
+    Decided by homogeneous_solve, whose Bernstein subdivision
+    (subdivision._r0_certificate) runs first.  When it excludes every piece
+    of every simplex face, holds-numerically comes with the certificate
+    {"simplices": pieces judged, "margin": a radius, relative to the largest
+    entry of A and above cfg.tol, within which every tensor is R0}, a proof
+    whose sign tests already bound their rounding, and no Newton runs.
+    Otherwise the Newton search starts from the centroids of the surviving
+    pieces, and its rays decide.  Fails with a certificate ray, the least
+    in tuple order; the ray is re-checked against the zero right-hand side,
+    its residual judged at CERT_TOL times the largest entry of A, so the
+    verdict does not depend on the units of A.  The residual is reported in
+    A's units.  effort records the search's starts and Newton iterations,
+    the rays found and the pieces judged (simplices).
     """
     return _r0_reports([A], cfg)[0]
 

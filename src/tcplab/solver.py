@@ -11,14 +11,15 @@ homogeneous k = 1 face).  The starts of all faces with the same number k of
 free coordinates run as one Newton batch: each row is evaluated on its own
 face's block, so a face gets the roots it gets when solved alone.
 Unboundedness is probed through the homogeneous problem TCP(A, 0): its
-nonzero solutions on the probability simplex, searched from a lattice and
-seeded random starts, are the candidate recession directions, and a
-direction is kept for a concrete right-hand side only when the far tail of
-its ray actually solves the instance.  Before any such search,
-subdivision._r0_certificate tries to prove Sol(A, 0) = {0} by Bernstein
-subdivision of the simplex faces, with rounding-safe sign tests; a tensor it
-certifies has no candidate directions, and the pieces it leaves undecided
-seed the ray polish (_candidate_rays).
+nonzero solutions on the probability simplex are the candidate recession
+directions, and a direction is kept for a concrete right-hand side only when
+the far tail of its ray actually solves the instance.  One Bernstein
+subdivision of the simplex faces settles it (subdivision._r0_certificate):
+when it excludes every piece, with rounding-safe sign tests, Sol(A, 0) = {0}
+is proved and no face system is built; otherwise the centroids of the
+pieces it leaves alive are the only Newton starts of the search, and a face
+with no surviving piece runs no Newton.  Nothing in a solve is random: its
+output depends on (A, a) alone.
 
 solve_many and homogeneous_solve_many take many instances of one (m, n) and
 hand the face systems of all of them to the face solver at once, in chunks
@@ -76,11 +77,7 @@ SIGMA_RATIO = 1e-6
 # SolutionSet's meta; DEDUP_RADIUS is a distance in x on the normalized pair
 DEDUP_RADIUS = 1e-5
 NEWTON_MAX_ITER = 100
-RANDOM_STARTS = 16
 NEWTON_ATOL = 1e-14
-# at most this many centroids of the pieces an undecided R0 subdivision
-# leaves are polished as candidate rays
-R0_CANDIDATES = 8
 
 ORACLE_BUDGET = 10**8
 ORACLE_VERIFY_TOL = 1e-7
@@ -89,15 +86,15 @@ ORACLE_MEMBER_CAP = 10_000
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver settings: the tolerance tol and the seed of the random starts.
+    """Settings: the tolerance tol, and the seed of the sampled studies.
 
     tol is relative to the pair norm |(A, a)| = sqrt(|A|_F^2 + |a|_2^2): solve
     divides (A, a) by that norm on entry, which leaves the solution set
     unchanged, so Sol(tA, ta) is computed exactly as Sol(A, a) for every
-    t > 0.  The seed draws the homogeneous search's random starts only.
-    Everything else the solver uses is a module constant (DEDUP_RADIUS,
-    NEWTON_MAX_ITER, RANDOM_STARTS, LEAF_EDGE), echoed with tol and seed in
-    each result's meta.
+    t > 0.  The solver itself draws nothing at random and never reads seed;
+    the experiments, check_monotone and probe_gus draw their samples from
+    it.  Everything else the solver uses is a module constant (DEDUP_RADIUS,
+    NEWTON_MAX_ITER, LEAF_EDGE), echoed with tol in each result's meta.
     """
 
     tol: float = 1e-8
@@ -289,15 +286,6 @@ def _face_functions(systems: list[FaceSystem], owner: np.ndarray | None, simplex
     return fun, jac
 
 
-def _simplex_starts(k: int, resolution: int = 6) -> np.ndarray:
-    """Lattice of the probability simplex: compositions of resolution into k,
-    the gaps between the k - 1 bars of each stars-and-bars arrangement."""
-    bars = list(itertools.combinations(range(resolution + k - 1), k - 1))
-    edges = np.pad(np.array(bars, dtype=int).reshape(len(bars), k - 1), ((0, 0), (1, 1)),
-                   constant_values=(-1, resolution + k - 1))
-    return (np.diff(edges, axis=1) - 1) / resolution
-
-
 def _dedup(candidates: list[tuple[np.ndarray, float]], radius: float, limit: int | None = None) -> list[np.ndarray]:
     """Greedy dedup in inf-norm, best residual first; deterministic order.
 
@@ -399,20 +387,6 @@ def _degenerate_face(fs: FaceSystem, cfg: SolverConfig) -> _FaceOutcome | None:
     return _FaceOutcome() if fs.k == 0 or fs.infeasible_rows else None
 
 
-def _face_starts(systems: list[FaceSystem], cfg: SolverConfig, homogeneous: bool) -> list[np.ndarray]:
-    """Newton starts of the face systems of one instance, (S, k) each: for
-    the homogeneous search, which lives on the probability simplex, the
-    lattice, the centroid and RANDOM_STARTS Dirichlet draws seeded by (seed,
-    face); for a point face, the leaves on it (_leaf_starts), maybe none.
-    """
-    if not homogeneous:
-        leaves = _leaf_starts(systems[0].instance, cfg.tol)
-        return [leaves.get(fs.alpha.mask, np.zeros((0, fs.k))) for fs in systems]
-    return [np.vstack([_simplex_starts(fs.k), np.full((1, fs.k), 1.0 / fs.k),
-                       np.random.default_rng([cfg.seed, fs.alpha.mask, 1]).dirichlet(np.ones(fs.k), RANDOM_STARTS)])
-            for fs in systems]
-
-
 def _face_outcome(
     fs: FaceSystem, Z, resids, iters, jac, row: int, cfg: SolverConfig, homogeneous: bool
 ) -> _FaceOutcome:
@@ -499,9 +473,7 @@ def _meta(cfg: SolverConfig, **extra) -> dict:
         "tol": cfg.tol,
         "dedup_radius": DEDUP_RADIUS,
         "newton_max_iter": NEWTON_MAX_ITER,
-        "random_starts": RANDOM_STARTS,
         "leaf_edge": LEAF_EDGE,
-        "seed": cfg.seed,
     }
     d.update(extra)
     return d
@@ -578,28 +550,10 @@ def _certified_ray(inst0: TcpInstance, direction, cfg: SolverConfig) -> tuple[np
     return (r if _cone_holds(inst0, r, cfg.tol) else None), int(iters[0])
 
 
-def _candidate_rays(A: Tensor, cert, cfg: SolverConfig) -> SolutionSet:
-    """The rays _certified_ray polishes out of the candidate directions of an
-    undecided R0 certificate cert of A, as a homogeneous result whose starts
-    counts the candidates polished and newton_iters their polish.  The
-    candidates are ranked by their TCP(A, 0) residual and deduplicated
-    within half the longest surviving edge, and the first R0_CANDIDATES are
-    polished."""
-    unit = _unit_pair(A, np.zeros(A.dim))
-    ranked = _dedup(cert.candidates, 0.5 * cert.longest, R0_CANDIDATES)
-    polished = [_certified_ray(unit, c, cfg) for c in ranked]
-    rays = _sorted_rays([r for r, _ in polished if r is not None], cfg.tol)
-    meta = _meta(cfg, homogeneous=True, starts=len(polished), newton_iters=sum(it for _, it in polished))
-    return SolutionSet([], rays, [], _status([], rays, []), meta)
-
-
 def _homogeneous_rays(tensors: list[Tensor], cfg: SolverConfig) -> list[list[np.ndarray]]:
     """The ray directions of homogeneous_solve for each tensor, all of one
-    (m, n); a tensor _r0_certificate certifies has none and runs no Newton
-    search."""
-    certified = [_r0_certificate(A, cfg.tol).holds for A in tensors]
-    rest = iter(homogeneous_solve_many([A for A, ok in zip(tensors, certified) if not ok], cfg))
-    return [[] if ok else [r.direction for r in next(rest).rays] for ok in certified]
+    (m, n)."""
+    return [[r.direction for r in hom.rays] for hom in homogeneous_solve_many(tensors, cfg)]
 
 
 # Newton starts per chunk of solve_many or homogeneous_solve_many, and per
@@ -608,47 +562,56 @@ def _homogeneous_rays(tensors: list[Tensor], cfg: SolverConfig) -> list[list[np.
 _MANY_CHUNK = 1 << 21
 
 
-def _solve_stream(instances, cfg: SolverConfig, homogeneous: bool = False, homs: dict | None = None):
-    """The results of solve_many, or with homogeneous those of
-    homogeneous_solve_many on the instances' tensors, yielded one by one.
-
-    A chunk takes consecutive instances while their starts (_face_starts)
-    times n^m stay within _MANY_CHUNK, and at least one, and hands all their
-    faces to one _solve_faces call when its first result is asked for.  The
-    rays of TCP(A, 0) are found once per distinct tensor by
-    _homogeneous_rays, after the point faces of the chunk where it first
-    appears, and kept in homs by the tensor's bytes; a caller may pass homs
-    with rays it already has.
-    """
-    instances = list(instances)
-    shapes = sorted({inst.tensor.array.shape for inst in instances})
+def _check_one_shape(tensors) -> None:
+    shapes = sorted({A.array.shape for A in tensors})
     if len(shapes) > 1:
         raise ValueError(f"the instances of one call must share (m, n); got tensor shapes {shapes}")
+
+
+def _solve_stream(instances, cfg: SolverConfig, certs: list | None = None, homs: dict | None = None):
+    """The results of solve_many, or with certs those of
+    homogeneous_solve_many on the instances' tensors, yielded one by one.
+
+    With certs, one undecided R0 certificate (_r0_certificate) of each
+    instance's tensor, the instances have a = 0 and each face starts from
+    the certificate's surviving pieces on it; otherwise from the leaves of
+    the augmented subdivision (_leaf_starts).  A chunk takes consecutive
+    instances while their starts times n^m stay within _MANY_CHUNK, and at
+    least one, and hands all their faces to one _solve_faces call when its
+    first result is asked for.  The rays of TCP(A, 0) are found once per
+    distinct tensor by _homogeneous_rays, after the point faces of the chunk
+    where it first appears, and kept in homs by the tensor's bytes; a caller
+    may pass homs with rays it already has.
+    """
+    instances = list(instances)
+    _check_one_shape([inst.tensor for inst in instances])
+    homogeneous = certs is not None
     faces = enumerate_faces(instances[0].n) if instances else []
     if homogeneous:
         faces = faces[:-1]  # the face {0}, the last one, holds only the trivial solution
     homs = {} if homs is None else homs
 
     def prepared():
-        for inst in instances:
+        for inst, cert in zip(instances, certs if homogeneous else [None] * len(instances)):
             unit = _unit_pair(inst.tensor, inst.a)
             systems = [face_system(unit, face) for face in faces]
-            yield inst, unit, systems, _face_starts(systems, cfg, homogeneous)
+            starts = cert.starts if homogeneous else _leaf_starts(unit, cfg.tol)
+            yield inst, cert, unit, systems, [starts.get(fs.alpha.mask, np.zeros((0, fs.k))) for fs in systems]
 
-    for chunk in _runs(prepared(), lambda item: sum(len(z) for z in item[3]) * item[0].n ** item[0].m, _MANY_CHUNK):
-        outcomes = _solve_faces([fs for item in chunk for fs in item[2]], [z for item in chunk for z in item[3]],
+    for chunk in _runs(prepared(), lambda item: sum(len(z) for z in item[4]) * item[0].n ** item[0].m, _MANY_CHUNK):
+        outcomes = _solve_faces([fs for item in chunk for fs in item[3]], [z for item in chunk for z in item[4]],
                                 cfg, homogeneous)
         if not homogeneous:
             keys = [inst.tensor.array.tobytes() for inst, *_ in chunk]
             new = {key: inst.tensor for key, (inst, *_) in zip(keys, chunk) if key not in homs}
             homs.update(zip(new, _homogeneous_rays(list(new.values()), cfg)))
-        for j, (inst, unit, _, _) in enumerate(chunk):
+        for j, (inst, cert, unit, _, _) in enumerate(chunk):
             outs = outcomes[j * len(faces):(j + 1) * len(faces)]
             rays = [d for out in outs for d in out.rays]
             work = {"starts": sum(out.starts for out in outs), "newton_iters": sum(out.newton_iters for out in outs)}
             if homogeneous:
                 rays = [r for r, _ in (_certified_ray(unit, d, cfg) for d in rays) if r is not None]
-                meta = _meta(cfg, homogeneous=True, **work)
+                meta = _meta(cfg, homogeneous=True, **work, simplices=cert.simplices, margin=None)
             else:
                 hom = homs[keys[j]]
                 rays = [d for d in hom + rays if ray_active(unit, d, cfg.tol)]
@@ -662,10 +625,19 @@ def _solve_stream(instances, cfg: SolverConfig, homogeneous: bool = False, homs:
 def homogeneous_solve_many(tensors, cfg: SolverConfig) -> list[SolutionSet]:
     """homogeneous_solve of every tensor, all of one (m, n).
 
-    The faces of one size across a chunk of tensors run as one Newton
-    batch; each result is the one homogeneous_solve gives alone.
+    Each tensor's R0 certificate runs once.  The faces of one size across a
+    chunk of the undecided tensors run as one Newton batch; each result is
+    the one homogeneous_solve gives alone.
     """
-    return list(_solve_stream([TcpInstance(A, np.zeros(A.dim)) for A in tensors], cfg, homogeneous=True))
+    tensors = list(tensors)
+    _check_one_shape(tensors)
+    certs = [_r0_certificate(A, cfg.tol) for A in tensors]
+    undecided = [(A, cert) for A, cert in zip(tensors, certs) if not cert.holds]
+    searched = _solve_stream([TcpInstance(A, np.zeros(A.dim)) for A, _ in undecided], cfg,
+                             [cert for _, cert in undecided])
+    return [SolutionSet([], [], [], STATUS_EMPTY, _meta(cfg, homogeneous=True, starts=0, newton_iters=0,
+                                                        simplices=cert.simplices, margin=cert.margin))
+            if cert.holds else next(searched) for cert in certs]
 
 
 def homogeneous_solve(A: Tensor, cfg: SolverConfig) -> SolutionSet:
@@ -674,7 +646,15 @@ def homogeneous_solve(A: Tensor, cfg: SolverConfig) -> SolutionSet:
     The solution set of the homogeneous problem is a cone, so the search
     adds the normalization sum(x) = 1 to every face system and reports each
     solution as a unit-Euclidean ray direction.  An empty ray list means the
-    only homogeneous solution is the origin.
+    only homogeneous solution the search found is the origin.
+
+    The R0 certificate of A (subdivision._r0_certificate) runs first.  When
+    it excludes every piece of the simplex faces, Sol(A, 0) = {0} is proved:
+    no face system is built, no Newton runs, and meta records the pieces
+    judged (simplices) and the certified margin.  Otherwise the centroids of
+    the pieces it leaves alive are the only Newton starts, each on its own
+    face, a face with no surviving piece runs no Newton, and margin is None.
+    The result depends on A alone.
 
     The search runs on the Frobenius-normalized tensor: Sol(tA, 0) equals
     Sol(A, 0) for every t > 0, and normalizing makes the computation, and in

@@ -11,7 +11,9 @@ Three entry points run it, one judge each (Mourrain & Pavone, J. Symbolic
 Comput. 44, 2009; Bundfuss & Duer, Linear Algebra Appl. 428, 2008):
 
 - _r0_certificate proves Sol(A, 0) = {0} when every piece is excluded by the
-  R0 rule (_r0_judge), with rounding-safe sign tests;
+  R0 rule (_r0_judge), with rounding-safe sign tests, and otherwise hands
+  the centroids of the surviving pieces to the homogeneous search as its
+  starts;
 - _leaf_starts gives the Newton starts of a solve's point faces, the leaf
   centroids of the same rule on the augmented tensor of (A, a);
 - _copositive_leaves retires the pieces whose form coefficients all lie
@@ -27,14 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TcpInstance, enumerate_faces, max_residual
+from .model import TcpInstance, enumerate_faces
 from .tensors import Tensor
 
 # every subdivision stops after judging this many sub-simplices
 PIECE_BUDGET = 4096
 # the R0 subdivision gives up when a surviving piece's longest edge
-# (inf-norm, on the simplex) falls below R0_MIN_EDGE or a vertex piece
-# survives
+# (inf-norm, on the simplex) falls below R0_MIN_EDGE
 R0_MIN_EDGE = 2.0 ** -12
 # the point faces' starts and the copositivity search cut until every
 # surviving piece's longest edge is below LEAF_EDGE
@@ -199,15 +200,16 @@ def _subdivide(pieces: dict, judge, min_edge: float = 0.0, leaf_edge: float = 0.
     pieces maps k to a stack of k-vertex simplices (P, n, k) and their
     supports (P, n).  Each round judge(k, V, supp) returns the mask of the
     pieces that survive, and the survivors are cut in two at their longest
-    edge (_bisect) to make the next round.  The loop ends when no piece
-    survives, or with the survivors of the last round, uncut, on the first
-    of: a surviving vertex (k = 1) piece, the next round taking the pieces
-    judged past PIECE_BUDGET, a midpoint that is not exact, a surviving
-    piece whose longest edge is below min_edge, or every surviving piece's
-    below leaf_edge.  Returns (the survivors by k, the pieces judged, the
-    longest surviving edge).
+    edge (_bisect) to make the next round.  A surviving vertex (k = 1)
+    piece has no edge to cut: it is kept, uncut and not judged again, among
+    the survivors to the end.  The loop ends when no piece is left to
+    judge, or with the survivors of the last round, uncut, on the first of:
+    the next round taking the pieces judged past PIECE_BUDGET, a midpoint
+    that is not exact, a surviving piece whose longest edge is below
+    min_edge, or every surviving piece's below leaf_edge.  Returns (the
+    survivors by k, the pieces judged).
     """
-    simplices = 0
+    simplices, kept = 0, {}
     while True:
         alive = {}
         for k, (V, supp) in pieces.items():
@@ -215,20 +217,29 @@ def _subdivide(pieces: dict, judge, min_edge: float = 0.0, leaf_edge: float = 0.
             simplices += len(V)
             if keep.any():
                 alive[k] = (V[keep], supp[keep])
+        if 1 in alive:
+            kept[1] = alive.pop(1)
         if not alive:
-            return alive, simplices, 0.0
-        stop = 1 in alive or simplices + 2 * sum(len(V) for V, _ in alive.values()) > PIECE_BUDGET
-        cut, edges = {}, [np.zeros(0)]
+            return kept, simplices
+        stop = simplices + 2 * sum(len(V) for V, _ in alive.values()) > PIECE_BUDGET
+        cut, edges = {}, []
         for k, (V, supp) in alive.items():
-            if k > 1:
-                halves, longest, exact = _bisect(V)
-                stop |= not exact
-                edges.append(longest)
-                cut[k] = (halves, np.concatenate([supp, supp]))
+            halves, longest, exact = _bisect(V)
+            stop |= not exact
+            edges.append(longest)
+            cut[k] = (halves, np.concatenate([supp, supp]))
         edges = np.concatenate(edges)
-        if stop or np.min(edges, initial=np.inf) < min_edge or np.max(edges, initial=0.0) < leaf_edge:
-            return alive, simplices, float(np.max(edges, initial=0.0))
+        if stop or edges.min() < min_edge or edges.max() < leaf_edge:
+            return kept | alive, simplices
         pieces = cut
+
+
+def _by_face(Z: np.ndarray, supp: np.ndarray, starts: dict) -> None:
+    """Add the rows of Z (P, k), one per piece with support supp (P, n), to
+    starts under their face's pinned mask."""
+    pinned = ~supp @ (1 << np.arange(supp.shape[1]))
+    for mask in set(pinned.tolist()):
+        starts[mask] = Z[pinned == mask]
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +291,14 @@ class _R0Certificate:
     # holds: every tensor within margin * max|A| of A, entry by entry, is R0;
     # undecided: NaN
     margin: float
-    # undecided: (centroid on the simplex, its TCP(A, 0) residual) of every
-    # surviving piece, and the longest surviving edge
-    candidates: list
-    longest: float
+    # undecided: the centroids of the surviving pieces, on the simplex, by
+    # the pinned mask of their face; holds: empty
+    starts: dict
 
 
 def _r0_certificate(A: Tensor, tol: float) -> _R0Certificate:
-    """Decide Sol(A, 0) = {0} by Bernstein subdivision of the simplex faces.
+    """Decide Sol(A, 0) = {0} by Bernstein subdivision of the simplex faces,
+    and give the homogeneous search its starts when it cannot.
 
     A nonzero solution of TCP(A, 0) scaled onto the probability simplex, with
     support beta, lies on the face simplex of beta with F_i = 0 for i in
@@ -304,28 +315,37 @@ def _r0_certificate(A: Tensor, tol: float) -> _R0Certificate:
     sums to 1, as _r0_clearance's rounding bound needs.  A piece is excluded
     only when its clearance is above tol times the largest entry of A: a
     change of at most that much in every entry moves no coefficient by more,
-    so every tensor that close to a certified A is R0 as well, and a tensor
-    with a ray of residual below tol, which the Newton search would report,
-    is not certified.  margin is the least clearance of an excluded piece,
-    relative to the largest entry of A.
+    so every tensor that close to a certified A is R0 as well.  margin is
+    the least clearance of an excluded piece, relative to the largest entry
+    of A.
 
     The search stops undecided on the first of: PIECE_BUDGET pieces judged,
-    a surviving piece with an edge below R0_MIN_EDGE, a surviving vertex
-    (k = 1) piece, or a midpoint that is not exact; the candidates are then
-    the centroids of the surviving pieces with their TCP(A, 0) residual on
-    the scaled A.
+    a surviving piece with an edge below R0_MIN_EDGE, or a midpoint that is
+    not exact; a surviving vertex piece is kept and the rest are cut on.
+    starts then holds, for each face, the centroids of its surviving pieces
+    on its free coordinates, and a face without one has no entry.  They are
+    the only starts of the homogeneous search, and every exact nonzero
+    solution lies in a surviving piece.  So does a root the search accepts
+    (solver._filter_roots on A / |A|_F: |F_i| <= tol / 10 on its support,
+    pinned rows F_j >= -tol, within tol / 10 of the simplex), with two
+    exceptions, as a piece is excluded only where a row clears tol max|A|
+    in A's units: a pinned row with F_j in [-tol |A|_F, -tol max|A|), and,
+    when |A|_F > 10 max|A| (n^m > 100 at least), a support row with |F_i|
+    between tol max|A| and tol |A|_F / 10.  Both are roots that solve
+    TCP(A, 0) only to the search's tolerance.
     """
     n = A.dim
     arr = np.ldexp(A.array, -math.frexp(float(np.max(np.abs(A.array))))[1])
     top = float(np.max(np.abs(arr)))
     judge, judged = _r0_judge(arr, tol * top)
-    alive, simplices, longest = _subdivide(_face_pieces(n), judge, min_edge=R0_MIN_EDGE)
+    alive, simplices = _subdivide(_face_pieces(n), judge, min_edge=R0_MIN_EDGE)
     if not alive:
         clear = np.concatenate(judged)
-        return _R0Certificate(True, simplices, float(np.min(clear[clear > tol * top])) / top, [], 0.0)
-    X = np.vstack([V.mean(axis=2) for V, _ in alive.values()])
-    res = max_residual(TcpInstance(Tensor(arr), np.zeros(n)), X)
-    return _R0Certificate(False, simplices, math.nan, list(zip(X, res)), longest)
+        return _R0Certificate(True, simplices, float(np.min(clear[clear > tol * top])) / top, {})
+    starts = {}
+    for k, (V, supp) in alive.items():
+        _by_face(V.mean(axis=2)[supp].reshape(len(V), k), supp, starts)
+    return _R0Certificate(False, simplices, math.nan, starts)
 
 
 def _leaf_starts(unit: TcpInstance, tol: float) -> dict[int, np.ndarray]:
@@ -346,14 +366,11 @@ def _leaf_starts(unit: TcpInstance, tol: float) -> dict[int, np.ndarray]:
     aug = np.pad(unit.tensor.array, [(0, 0)] + [(0, 1)] * (m - 1))
     aug[(slice(n),) + (n,) * (m - 1)] = unit.a
     judge, _ = _r0_judge(aug, 2.0 * tol)
-    leaves, _, _ = _subdivide(_face_pieces(n, apex=True), judge, leaf_edge=LEAF_EDGE)
+    leaves, _ = _subdivide(_face_pieces(n, apex=True), judge, leaf_edge=LEAF_EDGE)
     starts = {}
     for k, (V, supp) in leaves.items():
         C = V.mean(axis=2)
-        Z = (C[:, :n] / C[:, n:])[supp[:, :n]].reshape(len(C), k - 1)
-        pinned = ~supp[:, :n] @ (1 << np.arange(n))
-        for mask in set(pinned.tolist()):
-            starts[mask] = Z[pinned == mask]
+        _by_face((C[:, :n] / C[:, n:])[supp[:, :n]].reshape(len(C), k - 1), supp[:, :n], starts)
     return starts
 
 
@@ -389,5 +406,5 @@ def _copositive_leaves(unit: Tensor) -> tuple[dict, np.ndarray, int]:
             best, where = float(vals[i]), X[i]
         return np.min(coef, axis=1) < best
 
-    leaves, simplices, _ = _subdivide(_face_pieces(n, 2), judge, leaf_edge=LEAF_EDGE)
+    leaves, simplices = _subdivide(_face_pieces(n, 2), judge, leaf_edge=LEAF_EDGE)
     return leaves, where, simplices

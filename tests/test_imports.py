@@ -62,3 +62,23 @@ def test_solver_and_properties_use_only_the_subdivision_entry_points():
             elif isinstance(node, ast.Import):
                 assert not any(alias.name.startswith("tcplab.subdivision") for alias in node.names), name
         assert taken and taken <= allowed, (name, taken - allowed)
+
+
+def test_solver_and_subdivision_draw_nothing_at_random():
+    # a solve's output depends on (A, a) alone: neither module uses
+    # np.random or default_rng, and no code there reads a .seed attribute
+    # but SolverConfig's own check of its field
+    for name in ("solver.py", "subdivision.py"):
+        tree = ast.parse((SRC / name).read_text())
+        config = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "SolverConfig"]
+        skipped = {id(node) for cls in config for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in {"random", "default_rng"}, (name, node.lineno)
+                assert node.attr != "seed" or id(node) in skipped, (name, node.lineno)
+            elif isinstance(node, ast.Name):
+                assert node.id != "default_rng", (name, node.lineno)
+            elif isinstance(node, ast.ImportFrom):
+                assert "random" not in (node.module or "") and "default_rng" not in {a.name for a in node.names}, name
+            elif isinstance(node, ast.Import):
+                assert not any("random" in alias.name for alias in node.names), name

@@ -39,17 +39,12 @@ from tcplab.properties import (
     _kkt_functions,
     _r0_report,
 )
-from tcplab.solver import (
-    R0_CANDIDATES,
-    RANDOM_STARTS,
-    _candidate_rays,
-    _newton,
-    _simplex_starts,
-    homogeneous_solve,
-    homogeneous_solve_many,
-)
+import tcplab.solver as solver_mod
+from tcplab.solver import _newton, homogeneous_solve, homogeneous_solve_many
 from tcplab.subdivision import _r0_certificate
 from tcplab.tensors import contract_rows, gradient_sum, slot_sum
+
+from lattice_reference import RANDOM_STARTS, lattice_certificate, simplex_starts
 
 CFG = SolverConfig()
 
@@ -142,13 +137,13 @@ def test_r0_certificate_never_certifies_a_tensor_with_a_ray():
     # zero tensors, the witnesses of every proper alpha, planted rays with
     # every support size and the full-support ray of the units test: the
     # subdivision stays undecided, and check_r0 fails with a ray that passes
-    # the CERT_TOL re-check.  At most R0_CANDIDATES of the surviving
-    # centroids are polished
+    # the CERT_TOL re-check.  The search starts once from the centroid of
+    # each surviving piece
     for A in _tensors_with_rays():
         cert = _r0_certificate(A, CFG.tol)
-        assert not cert.holds and math.isnan(cert.margin) and cert.candidates
-        assert 1 <= _candidate_rays(A, cert, CFG).meta["starts"] <= R0_CANDIDATES
+        assert not cert.holds and math.isnan(cert.margin) and cert.starts
         report = check_r0(A, CFG)
+        assert report.effort["starts"] == sum(len(z) for z in cert.starts.values())
         assert report.verdict == VERDICT_FAILS
         ray = np.array(report.certificate["ray"])
         assert np.min(ray) >= 0.0 and np.linalg.norm(ray) == pytest.approx(1.0)
@@ -156,10 +151,10 @@ def test_r0_certificate_never_certifies_a_tensor_with_a_ray():
         assert report.effort["simplices"] == cert.simplices
 
 
-def test_r0_verdicts_agree_with_the_homogeneous_search():
+def test_r0_verdicts_agree_with_the_homogeneous_search(monkeypatch):
     # 81 seeded Gaussian tensors, positive tensors and the catalog: the
     # certify-first verdict, and a fails ray, are the ones the Newton search
-    # on the homogeneous faces gives
+    # from the lattice reference on every homogeneous face gives
     rng = np.random.default_rng(29)
     groups = [[random_gaussian(m, n, rng) for _ in range(count)]
               for m, n, count in ((3, 2, 30), (3, 3, 30), (4, 3, 15), (3, 4, 6))]
@@ -168,13 +163,117 @@ def test_r0_verdicts_agree_with_the_homogeneous_search():
     certified = 0
     for tensors in groups:
         reports = [check_r0(A, CFG) for A in tensors]
-        searched = [_r0_report(A, hom) for A, hom in zip(tensors, homogeneous_solve_many(tensors, CFG))]
+        with monkeypatch.context() as patched:
+            patched.setattr(solver_mod, "_r0_certificate", lattice_certificate)
+            searched = [_r0_report(A, hom) for A, hom in zip(tensors, homogeneous_solve_many(tensors, CFG))]
         assert [r.verdict for r in reports] == [r.verdict for r in searched]
         for got, want in zip(reports, searched):
             if want.verdict == VERDICT_FAILS:
                 assert np.allclose(got.certificate["ray"], want.certificate["ray"], rtol=0, atol=1e-12)
         certified += sum(r.certificate is not None for r in reports if r.holds)
     assert certified == 81 + 9 + 3
+
+
+def _lattice_searches(monkeypatch, tensors):
+    """homogeneous_solve_many of tensors from the lattice reference's starts."""
+    with monkeypatch.context() as patched:
+        patched.setattr(solver_mod, "_r0_certificate", lattice_certificate)
+        return homogeneous_solve_many(tensors, CFG)
+
+
+def _assert_same_search(got, want):
+    """The same status, posdim faces and rays to 1e-6, except the ray that
+    represents a continuum face: the accepted root nearest the face's
+    centroid, which depends on the starts, only has to lie on that face."""
+    assert got.status == want.status and got.posdim_suspect == want.posdim_suspect
+    posdim = {face.mask for face in got.posdim_suspect}
+    got_rays, want_rays = ([(r.face.mask, r.direction.tolist()) for r in sol.rays] for sol in (got, want))
+    assert len(got_rays) == len(want_rays)
+    for (face, u), (other, v) in zip(sorted(got_rays), sorted(want_rays)):
+        assert face == other and (face in posdim or np.abs(np.subtract(u, v)).max() <= 1e-6), (u, v)
+
+
+def _bench_ray_tensor(m, n, rng):
+    """A Gaussian tensor with a planted ray r of 2..n positive entries, made
+    as the benchmark's r0-classify workload makes them: the entries
+    A[i, s, .., s] for the first s of supp r are shifted so that A r^{m-1}
+    is 0 on supp r and positive off it."""
+    arr = rng.standard_normal((n,) * m)
+    support = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+    r = np.zeros(n)
+    r[support] = rng.uniform(0.5, 1.5, size=len(support))
+    target = rng.uniform(0.5, 1.5, size=n)
+    target[support] = 0.0
+    s = int(support[0])
+    shift = (target - contract(Tensor(arr), r)) / r[s] ** (m - 1)
+    for i in range(n):
+        arr[(i,) + (s,) * (m - 1)] += shift[i]
+    return Tensor(arr)
+
+
+def test_homogeneous_search_agrees_with_the_lattice_reference(monkeypatch):
+    # zero tensors, the catalog, planted rays, witnesses of several supports
+    # and Gaussians at n = 5, 6, where the R0 certificate runs out of
+    # budget: starting from the certificate's surviving pieces gives the
+    # status, rays, posdim faces and R0 verdict that the lattice search
+    # over every face gives
+    rng = np.random.default_rng(5)
+    tensors = [Tensor.zeros(m, n) for m, n in ((3, 2), (3, 3), (4, 3), (3, 4), (4, 4), (2, 4), (2, 6))]
+    tensors += [builtin_example(name).tensor for name in EXAMPLE_NAMES]
+    tensors += [_bench_ray_tensor(m, n, rng) for m, n in ((3, 3), (4, 3), (3, 4), (4, 4), (3, 5)) for _ in range(2)]
+    tensors += [non_r0_witness(m, n, alpha, seed=s) for s, (m, n, alpha) in
+                enumerate(((3, 2, ()), (3, 3, (1,)), (3, 3, (2, 3)), (4, 3, (3,)), (3, 4, (1, 4)), (3, 4, ())))]
+    tensors += [random_gaussian(m, n, 0) for m, n in ((3, 5), (4, 5), (3, 6))]
+    verdicts = set()
+    for A in tensors:
+        (got,), (want,) = homogeneous_solve_many([A], CFG), _lattice_searches(monkeypatch, [A])
+        _assert_same_search(got, want)
+        assert _r0_report(A, got).verdict == _r0_report(A, want).verdict
+        verdicts.add(_r0_report(A, got).verdict)
+    assert verdicts == {VERDICT_HOLDS, VERDICT_FAILS}
+
+
+def _power(r, d):
+    out = r
+    for _ in range(d - 1):
+        out = np.multiply.outer(out, r)
+    return out
+
+
+def _two_rays_beside_a_coordinate_ray(m, n, rng):
+    """A tensor whose homogeneous solutions are (at least) two rays on one
+    face beta, |beta| >= 2, and the coordinate ray of a j off beta, and
+    those rays: each row of a Gaussian tensor is moved least-norm onto
+    (A r^{m-1})_i = 0 on supp r and a positive target off it, for all three
+    r at once."""
+    face = np.sort(rng.choice(n, size=int(rng.integers(2, n)), replace=False))
+    j = int(rng.choice(np.setdiff1d(np.arange(n), face)))
+    rays = []
+    for _ in range(2):
+        r = np.zeros(n)
+        r[face] = rng.uniform(0.5, 1.5, size=len(face))
+        rays.append(r / r.sum())
+    rays.append(np.eye(n)[j])
+    M = np.array([_power(r, m - 1).ravel() for r in rays])
+    target = rng.uniform(0.5, 1.5, size=(3, n))
+    target[np.array(rays) > 0] = 0.0
+    G = rng.standard_normal((n, n ** (m - 1)))
+    G += np.linalg.lstsq(M, target - M @ G.T, rcond=None)[0].T
+    return Tensor(G.reshape((n,) * m)), [r / np.linalg.norm(r) for r in rays]
+
+
+def test_homogeneous_search_finds_two_rays_beside_a_coordinate_ray(monkeypatch):
+    # the coordinate ray keeps a vertex piece of the R0 subdivision alive;
+    # the subdivision must still cut the face that holds the other two rays,
+    # or that face gets a single start and one of its rays is lost
+    rng = np.random.default_rng(0)
+    cases = [_two_rays_beside_a_coordinate_ray(m, n, rng) for m, n in ((3, 3), (4, 3), (3, 4)) for _ in range(16)]
+    for A, rays in cases:
+        (got,), (want,) = homogeneous_solve_many([A], CFG), _lattice_searches(monkeypatch, [A])
+        _assert_same_search(got, want)
+        D = np.array([r.direction for r in got.rays])
+        for r in rays:
+            assert np.abs(D - r).max(axis=1).min() <= 1e-6, (A.array.shape, r)
 
 
 def test_r0_certificate_verdicts_ignore_the_units_of_the_tensor():
@@ -385,7 +484,7 @@ def _lattice_search(A: Tensor) -> tuple[str, float]:
         faces = [face for face in enumerate_faces(n) if n - len(face) == k]
         free = np.array([face.free_indices for face in faces])
         blocks = np.stack([G[np.ix_(*([f] * m))] for f in free])
-        Z0 = np.vstack([np.vstack([_simplex_starts(k, 6), rng.dirichlet(np.ones(k), RANDOM_STARTS)])
+        Z0 = np.vstack([np.vstack([simplex_starts(k, 6), rng.dirichlet(np.ones(k), RANDOM_STARTS)])
                         for rng in (np.random.default_rng([CFG.seed, face.mask, 4]) for face in faces)])
         owner = np.repeat(np.arange(len(faces)), len(Z0) // len(faces))
         fun, jac = _kkt_functions(blocks, np.stack([slot_sum(b) for b in blocks]), owner)

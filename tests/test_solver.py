@@ -47,9 +47,10 @@ from tcplab.solver import (
     _face_functions,
     _newton,
     _newton_steps,
-    _simplex_starts,
 )
-from tcplab.subdivision import _r0_certificate
+from tcplab.subdivision import _leaf_starts, _r0_certificate
+
+from lattice_reference import lattice_certificate, simplex_starts
 
 CFG = SolverConfig()
 
@@ -76,22 +77,22 @@ def test_solver_config_validation():
     assert SolverConfig(tol=10 * NEWTON_ATOL).tol == 1e-13
 
 
-def test_meta_echoes_tol_seed_and_the_fixed_constants():
-    # the config holds tol and seed only; meta also echoes the solver's
-    # module constants, so solution JSON keeps every key it had
+def test_meta_echoes_tol_and_the_fixed_constants():
+    # the config holds tol and seed only, and no solver reads the seed; meta
+    # echoes tol and the solver's module constants.  A homogeneous result
+    # also carries its R0 certificate's pieces judged and margin, None when
+    # the certificate is undecided
     assert [f.name for f in dataclasses.fields(SolverConfig)] == ["tol", "seed"]
+    constants = {"tol": 1e-08, "dedup_radius": 1e-05, "newton_max_iter": 100, "leaf_edge": 0.125}
     assert solve(builtin_example("ex1"), SolverConfig()).to_json()["meta"] == {
-        "tol": 1e-08,
-        "dedup_radius": 1e-05,
-        "newton_max_iter": 100,
-        "random_starts": 16,
-        "leaf_edge": 0.125,
-        "seed": 0,
-        "starts": 2,
-        "newton_iters": 6,
-        "hom_candidates": 0,
-        "faces": 4,
-    }
+        **constants, "starts": 2, "newton_iters": 6, "hom_candidates": 0, "faces": 4}
+    cert = _r0_certificate(builtin_example("ex1").tensor, CFG.tol)
+    assert homogeneous_solve(builtin_example("ex1").tensor, CFG).to_json()["meta"] == {
+        **constants, "homogeneous": True, "starts": 0, "newton_iters": 0, "simplices": cert.simplices,
+        "margin": cert.margin}
+    cert = _r0_certificate(Tensor.zeros(3, 2), CFG.tol)
+    meta = homogeneous_solve(Tensor.zeros(3, 2), CFG).to_json()["meta"]
+    assert meta["simplices"] == cert.simplices and meta["margin"] is None
 
 
 def test_two_ball_instance_closed_forms():
@@ -163,11 +164,14 @@ def test_zero_tensor_solution_structure():
 
 
 def _starts_of(inst, homogeneous=False):
-    """The Newton starts of every face of inst, as solve hands them on."""
+    """The Newton starts of every face of inst, as solve hands them on: the
+    leaves of the augmented subdivision, or with homogeneous the surviving
+    pieces of the R0 certificate."""
     unit = solver_mod._unit_pair(inst.tensor, inst.a)
     faces = enumerate_faces(inst.n)[:-1] if homogeneous else enumerate_faces(inst.n)
     systems = [face_system(unit, face) for face in faces]
-    return systems, solver_mod._face_starts(systems, CFG, homogeneous)
+    starts = _r0_certificate(inst.tensor, CFG.tol).starts if homogeneous else _leaf_starts(unit, CFG.tol)
+    return systems, [starts.get(fs.alpha.mask, np.zeros((0, fs.k))) for fs in systems]
 
 
 def test_all_zero_faces_take_the_newton_path():
@@ -193,13 +197,16 @@ def test_all_zero_faces_take_the_newton_path():
     systems, starts = _starts_of(inst)
     assert [len(z) for z in starts] == [2**9, 2**9, 2**9, 0] and sol.meta["starts"] == 3 * 2**9
     # every homogeneous face runs Newton too; a k = 1 face meets the simplex
-    # in one point, a plain ray, while the open face is flagged
+    # in one point, a plain ray, while the open face is flagged.  The R0
+    # certificate excludes nothing: it keeps the two vertex pieces and cuts
+    # the segment until the budget stops it after 10 cuts, and each
+    # surviving piece starts Newton once
     hom = homogeneous_solve(zero, CFG)
     assert [f.to_json() for f in hom.posdim_suspect] == [[]]
     assert [1.0, 0.0] in [r.direction.tolist() for r in hom.rays]
     assert [0.0, 1.0] in [r.direction.tolist() for r in hom.rays]
     _, starts = _starts_of(TcpInstance(zero, [0.0, 0.0]), homogeneous=True)
-    assert hom.meta["starts"] == sum(len(z) for z in starts) == 2 * (1 + 1 + 16) + (7 + 1 + 16)
+    assert hom.meta["starts"] == sum(len(z) for z in starts) == 1 + 1 + 2**10
 
 
 def test_rows_below_the_zero_tolerance_are_solved_as_zero():
@@ -519,9 +526,6 @@ _REJECT_REASONS = ("residual", "boundary", "snapped", "pinned", "kkt")
 # the point-face starts solve used before the augmented subdivision, kept
 # as a reference: a grid over [0, 5]^k with 9 points per axis, fewer where
 # that passes 3200 points, plus 16 uniform draws seeded by (seed, face, 0)
-_REAL_FACE_STARTS = solver_mod._face_starts
-
-
 def _box_grid_starts(k, seed, mask):
     if k == 0:
         return np.zeros((0, 0))
@@ -533,10 +537,10 @@ def _box_grid_starts(k, seed, mask):
     return np.vstack([grid, np.random.default_rng([seed, mask, 0]).uniform(0.0, 5.0, size=(16, k))])
 
 
-def _box_grid_face_starts(systems, cfg, homogeneous):
-    if homogeneous:
-        return _REAL_FACE_STARTS(systems, cfg, homogeneous)
-    return [_box_grid_starts(fs.k, cfg.seed, fs.alpha.mask) for fs in systems]
+def _box_grid_leaf_starts(unit, tol):
+    """The box grid in place of _leaf_starts, seeded as with seed 0."""
+    return {face.mask: _box_grid_starts(unit.n - len(face.zero_indices), 0, face.mask)
+            for face in enumerate_faces(unit.n)}
 
 
 def _per_start_filter(fs, Z, resids, cfg):
@@ -591,7 +595,7 @@ def test_array_root_filter_matches_per_start_filter(monkeypatch):
     insts.append(with_rhs(builtin_example("gus"), [-1.0, 0.0]))
     for inst in insts:
         solve(inst, CFG)
-    monkeypatch.setattr(solver_mod, "_face_starts", _box_grid_face_starts)
+    monkeypatch.setattr(solver_mod, "_leaf_starts", _box_grid_leaf_starts)
     for inst in insts:
         solve(inst, CFG)
     assert all(seen.get(r, 0) > 0 for r in _REJECT_REASONS[:-1] + ("kept",)), seen
@@ -604,7 +608,8 @@ def test_face_size_batches_match_one_face_runs(monkeypatch):
     # residuals and iteration counts, and its outcome, must equal those of
     # the face solved alone.  The point faces run twice: from their leaves,
     # which leave some faces without a start, and from the box grid, which
-    # gives all 15 a start
+    # gives all 15 a start.  The homogeneous faces run from the lattice
+    # reference, which gives all 15 a start too
     real = solver_mod._face_outcome
     ends = {}
 
@@ -616,16 +621,17 @@ def test_face_size_batches_match_one_face_runs(monkeypatch):
     rng = np.random.default_rng(2)
     A, a = random_gaussian(3, 4, rng), rng.normal(size=4)
     found = 0
-    for homogeneous, make_starts in ((False, solver_mod._face_starts), (False, _box_grid_face_starts),
-                                     (True, solver_mod._face_starts)):
+    for homogeneous, make_starts in ((False, _leaf_starts), (False, _box_grid_leaf_starts),
+                                     (True, lambda unit, tol: lattice_certificate(unit.tensor, tol).starts)):
         unit = solver_mod._unit_pair(A, np.zeros(4) if homogeneous else a)
         systems = [face_system(unit, face) for face in enumerate_faces(4)[:-1]]
-        starts = make_starts(systems, CFG, homogeneous)
+        found_starts = make_starts(unit, CFG.tol)
+        starts = [found_starts.get(fs.alpha.mask, np.zeros((0, fs.k))) for fs in systems]
         ends.clear()
         grouped = solver_mod._solve_faces(systems, starts, CFG, homogeneous)
         batch = dict(ends)
         assert sorted(batch) == [fs.alpha.mask for fs, z in zip(systems, starts) if len(z)]
-        if make_starts is _box_grid_face_starts or homogeneous:
+        if make_starts is not _leaf_starts:
             assert sorted(batch) == list(range(15))
         for fs, z, out in zip(systems, starts, grouped):
             ends.clear()
@@ -780,17 +786,84 @@ def test_solve_many_solves_each_distinct_tensor_once(monkeypatch):
             assert sum(hom_systems) == want_systems, chunk
 
 
+def test_a_solve_ignores_the_seed():
+    # nothing a solve does is drawn at random: solve, homogeneous_solve and
+    # check_r0 give the same bytes at every seed, on certified tensors and on
+    # tensors whose homogeneous search runs
+    rng = np.random.default_rng(4)
+    insts = [builtin_example("ex1"), with_rhs(builtin_example("ex1"), [1.0, 1.0]),
+             TcpInstance(Tensor.zeros(3, 2), [0.0, 2.0]), TcpInstance(random_gaussian(3, 3, rng), rng.normal(size=3)),
+             TcpInstance(non_r0_witness(3, 3, (1,), seed=2), rng.normal(size=3))]
+
+    def outputs(cfg):
+        return [json.dumps(out.to_json(), sort_keys=True) for inst in insts
+                for out in (solve(inst, cfg), homogeneous_solve(inst.tensor, cfg), check_r0(inst.tensor, cfg))]
+
+    want = outputs(SolverConfig(seed=0))
+    for seed in (1, 2**31 - 1):
+        assert outputs(SolverConfig(seed=seed)) == want, seed
+
+
+def test_each_tensor_is_certified_once_and_a_certified_one_builds_no_face_system(monkeypatch):
+    # solve_many, check_r0 and stability_inclusion_check run each distinct
+    # tensor's R0 certificate once; the homogeneous search of a certified
+    # tensor builds no face system and runs no Newton row, so every face
+    # system is a point face's, and every simplex-augmented Newton system
+    # belongs to the undecided tensor
+    from tcplab import stability_inclusion_check
+
+    certs, systems, simplex = [], [], []
+    real_cert, real_system, real_functions = solver_mod._r0_certificate, solver_mod.face_system, solver_mod._face_functions
+
+    def counted_cert(A, tol):
+        certs.append(A.array.tobytes())
+        return real_cert(A, tol)
+
+    def counted_system(inst, face):
+        systems.append(inst.tensor.array.tobytes())
+        return real_system(inst, face)
+
+    def counted_functions(group, owner, is_simplex):
+        if is_simplex:
+            simplex.extend(fs.instance.tensor.array.tobytes() for fs in group)
+        return real_functions(group, owner, is_simplex)
+
+    monkeypatch.setattr(solver_mod, "_r0_certificate", counted_cert)
+    monkeypatch.setattr(solver_mod, "face_system", counted_system)
+    monkeypatch.setattr(solver_mod, "_face_functions", counted_functions)
+    gus, W = builtin_example("gus").tensor, non_r0_witness(3, 2, (1,), seed=9)
+    G = random_gaussian(3, 2, 7)
+    assert real_cert(gus, CFG.tol).holds and real_cert(G, CFG.tol).holds and not real_cert(W, CFG.tol).holds
+    unit_W = solver_mod._unit_pair(W, np.zeros(2)).tensor.array.tobytes()
+    insts = [TcpInstance(A, a) for A in (gus, W, G, gus, W) for a in ([1.0, -1.0], [-1.0, 0.5])]
+    solve_many(insts, CFG)
+    assert sorted(certs) == sorted(A.array.tobytes() for A in (gus, W, G))
+    assert len(systems) == 4 * len(insts) + 3 and systems.count(unit_W) == 3
+    assert simplex and set(simplex) == {unit_W}
+    for A in (gus, G):
+        certs.clear(), systems.clear()
+        assert check_r0(A, CFG).certificate is not None
+        assert certs == [A.array.tobytes()] and systems == []
+    certs.clear(), systems.clear(), simplex.clear()
+    assert check_r0(W, CFG).verdict == "fails" and certs == [W.array.tobytes()] and set(simplex) == {unit_W}
+    certs.clear(), systems.clear(), simplex.clear()
+    report = stability_inclusion_check(gus, [1.0, 1.0], 0.05, 4, CFG)
+    # the base solve, and two right-hand sides for each drawn tensor
+    assert report.summary["collected"] == 4 and len(certs) == len(set(certs)) == 1 + 4
+    assert len(systems) == 4 * (1 + 2 * 4) and simplex == []
+
+
 def test_certified_tensors_skip_the_homogeneous_search(monkeypatch):
     # a solve of a certified tensor gives, bit for bit, what it gives with
-    # the homogeneous Newton search run as well, and makes no such call
+    # the homogeneous Newton search run from the lattice reference as well,
+    # and makes no such call
     rng = np.random.default_rng(12)
     insts = [TcpInstance(random_gaussian(m, n, rng), rng.normal(size=n)) for m, n in ((3, 2), (3, 3), (4, 3))]
     insts += [with_rhs(builtin_example(name), [1.0, -1.0]) for name in ("ex1", "gus", "monotone")]
     calls, _ = _counting_face_solver(monkeypatch)
     got = [_json([solve(inst, CFG)]) for inst in insts]
     assert True not in calls
-    real = solver_mod._r0_certificate
-    monkeypatch.setattr(solver_mod, "_r0_certificate", lambda A, tol: dataclasses.replace(real(A, tol), holds=False))
+    monkeypatch.setattr(solver_mod, "_r0_certificate", lattice_certificate)
     assert [_json([solve(inst, CFG)]) for inst in insts] == got
     assert calls.count(True) == len(insts)
 
@@ -846,7 +919,7 @@ def test_faces_past_the_budget_are_refused_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("work started")
 
-    for mod, name in ((solver_mod, "_newton"), (solver_mod, "_face_starts"), (subdivision_mod, "_r0_clearance"),
+    for mod, name in ((solver_mod, "_newton"), (solver_mod, "_leaf_starts"), (subdivision_mod, "_r0_clearance"),
                       (properties_mod, "_newton"), (subdivision_mod, "_form_bernstein")):
         monkeypatch.setattr(mod, name, no_work)
     A = random_gaussian(2, 30, 0)
@@ -860,7 +933,7 @@ def test_simplex_starts_are_the_lattice_compositions():
     # every point of {0, .., r}^k summing to r, in lexicographic order, over r
     for k, r in itertools.product(range(1, 5), range(1, 9)):
         ref = np.array([p for p in itertools.product(range(r + 1), repeat=k) if sum(p) == r]) / r
-        got = _simplex_starts(k, r)
+        got = simplex_starts(k, r)
         assert got.dtype == ref.dtype and np.array_equal(got, ref), (k, r)
 
 
@@ -893,7 +966,7 @@ def test_leaf_starts_agree_with_the_box_grid_and_hold_its_roots(monkeypatch):
     insts = [inst for group in groups for inst in group]
     leaf = [sol for group in groups for sol in solve_many(group, CFG)]
     assert len(leaves) == len(insts)
-    monkeypatch.setattr(solver_mod, "_face_starts", _box_grid_face_starts)
+    monkeypatch.setattr(solver_mod, "_leaf_starts", _box_grid_leaf_starts)
     grid = [sol for group in groups for sol in solve_many(group, CFG)]
     statuses, checked = set(), 0
     for inst, alive, got, want in zip(insts, leaves, leaf, grid):

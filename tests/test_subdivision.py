@@ -63,30 +63,48 @@ def test_bisect_reports_an_inexact_midpoint():
 
 def test_subdivide_stops_when_nothing_survives():
     pieces = _face_pieces(3)
-    alive, simplices, longest = _subdivide(pieces, lambda k, V, supp: np.zeros(len(V), dtype=bool))
-    assert alive == {} and simplices == 2**3 - 1 and longest == 0.0
+    alive, simplices = _subdivide(pieces, lambda k, V, supp: np.zeros(len(V), dtype=bool))
+    assert alive == {} and simplices == 2**3 - 1
 
 
-def test_subdivide_stops_on_a_surviving_vertex_piece():
-    # the pieces of the first round come back uncut
+def test_subdivide_keeps_surviving_vertex_pieces_uncut():
+    # a surviving vertex piece cannot be cut: it is judged once and comes
+    # back as it was, and the loop goes on cutting the other survivors
     pieces = _face_pieces(3)
-    alive, simplices, longest = _subdivide(pieces, _keep_all)
-    assert simplices == 7 and sorted(alive) == [1, 2, 3] and longest == 1.0
-    for k, (V, supp) in alive.items():
-        assert np.array_equal(V, pieces[k][0]) and np.array_equal(supp, pieces[k][1])
+    judged = []
+
+    def keep_all(k, V, supp):
+        judged.append(k)
+        return _keep_all(k, V, supp)
+
+    alive, simplices = _subdivide(pieces, keep_all)
+    assert judged.count(1) == 1 and sorted(alive) == [1, 2, 3]
+    assert np.array_equal(alive[1][0], pieces[1][0]) and np.array_equal(alive[1][1], pieces[1][1])
+    # the segments and the triangle were cut until the budget stopped it
+    assert len(alive[2][0]) > 3 and len(alive[3][0]) > 1
+    assert simplices <= PIECE_BUDGET < simplices + 2 * (len(alive[2][0]) + len(alive[3][0]))
+    # with only vertex pieces left, nothing is left to judge
+    alive, simplices = _subdivide(pieces, lambda k, V, supp: np.full(len(V), k == 1))
+    assert simplices == 7 and sorted(alive) == [1] and np.array_equal(alive[1][0], pieces[1][0])
+    # one vertex kept beside a segment cut to leaf_edge, as the homogeneous
+    # search needs when a coordinate ray sits beside rays on another face
+    alive, _ = _subdivide(pieces, lambda k, V, supp: np.full(len(V), k < 3) & supp[:, 0] & ~supp[:, 2],
+                          leaf_edge=0.25)
+    assert sorted(alive) == [1, 2] and alive[1][1].tolist() == [[True, False, False]]
+    assert _longest_edges(alive[2][0]).max() < 0.25
 
 
 def test_subdivide_stops_before_the_piece_budget():
     # one segment, every piece kept: round r judges 2^r pieces, and the loop
     # stops when the next round would take the count past PIECE_BUDGET
     pieces = _face_pieces(2, 2)
-    alive, simplices, longest = _subdivide(pieces, _keep_all)
+    alive, simplices = _subdivide(pieces, _keep_all)
     (V, _), = alive.values()
     assert simplices <= PIECE_BUDGET < simplices + 2 * len(V)
-    assert (simplices, len(V)) == (2**12 - 1, 2**11) and longest == 2.0**-11
+    assert (simplices, len(V)) == (2**12 - 1, 2**11) and _longest_edges(V).max() == 2.0**-11
     # a judge that retires the pieces away from one end: the next round
     # counts twice the survivors, not twice the pieces judged
-    alive, judged, _ = _subdivide(pieces, lambda k, V, supp: V[:, 0, 0] > 0.5)
+    alive, judged = _subdivide(pieces, lambda k, V, supp: V[:, 0, 0] > 0.5)
     assert judged <= PIECE_BUDGET < judged + 2 * len(alive[2][0]) and judged > simplices // 2
 
 
@@ -95,13 +113,13 @@ def test_subdivide_stops_on_min_edge_and_on_leaf_edge():
     # so: min_edge stops at the first piece below it, leaf_edge only once
     # every piece is below it
     pieces = _face_pieces(3, 2)
-    alive, simplices, longest = _subdivide(pieces, _keep_all, min_edge=0.25)
+    alive, simplices = _subdivide(pieces, _keep_all, min_edge=0.25)
     edges = np.concatenate([_longest_edges(V) for V, _ in alive.values()])
-    assert edges.min() < 0.25 <= edges.max() == longest
+    assert edges.min() < 0.25 <= edges.max()
     assert edges.min() == 0.125 and simplices < 100
-    alive, simplices, longest = _subdivide(pieces, _keep_all, leaf_edge=0.25)
+    alive, simplices = _subdivide(pieces, _keep_all, leaf_edge=0.25)
     edges = {k: _longest_edges(V) for k, (V, _) in alive.items()}
-    assert longest == max(e.max() for e in edges.values()) < 0.25
+    assert max(e.max() for e in edges.values()) < 0.25
     # the segments went on being cut while the triangles got there
     assert edges[2].max() < 0.25 / 2 <= edges[3].max()
     # the leaf edge stopped it, not the budget
@@ -111,8 +129,8 @@ def test_subdivide_stops_on_min_edge_and_on_leaf_edge():
 def test_subdivide_stops_on_an_inexact_midpoint():
     V = np.array([[[1.0, 0.1], [0.0, 0.9]]])
     supp = np.ones((1, 2), dtype=bool)
-    alive, simplices, longest = _subdivide({2: (V, supp)}, _keep_all)
-    assert simplices == 1 and np.array_equal(alive[2][0], V) and longest == 0.9
+    alive, simplices = _subdivide({2: (V, supp)}, _keep_all)
+    assert simplices == 1 and np.array_equal(alive[2][0], V)
 
 
 def _bernstein_by_einsum(arr, V):
