@@ -6,21 +6,22 @@ its "holds-numerically" ships a certificate too whenever the Bernstein
 subdivision of the simplex faces that the search runs first, with
 rounding-safe sign tests, proves Sol(A, 0) = {0}
 (subdivision._r0_certificate); when it cannot, the search starts Newton from
-the pieces that subdivision left alive, and its rays decide.  Every other
-"holds-numerically" only says the search found no counterexample at the
-recorded effort.
+the pieces that subdivision left alive, and its rays decide.
 
 Copositivity is decided from the KKT points of the form on the simplex (its
 Pareto eigenvalues), found on the solver's Newton engine from starts that a
 branch and bound on the form's Bernstein coefficients chooses, on the same
 subdivision loop as the R0 certificate (subdivision._copositive_leaves);
 holds-numerically then records the faces, pieces, Newton starts and
-distinct KKT points searched.
+distinct KKT points searched.  Monotonicity is decided on that loop too
+(subdivision._monotone_pieces), without a rounding bound.  Only the GUS
+probe reads cfg.seed, and its holds-numerically means no sample failed.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ from .solver import (
     _solve_stream,
     homogeneous_solve_many,
 )
-from .subdivision import _copositive_leaves
+from .subdivision import _copositive_leaves, _monotone_pieces
 from .tensors import (
     Tensor,
     _as_count,
@@ -55,13 +56,6 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 # certificates are re-validated at this looser tolerance, relative to the
 # largest entry of the tensor, before reporting
 CERT_TOL = 1e-6
-
-# check_monotone's sample: a grid of MONOTONE_GRID_PER_AXIS points per axis
-# over [0, MONOTONE_BOX]^n and MONOTONE_RANDOM_PAIRS seeded pairs
-MONOTONE_BOX = 2.0
-MONOTONE_GRID_PER_AXIS = 6
-MONOTONE_RANDOM_PAIRS = 200
-MONOTONE_CHUNK = 1 << 18
 
 
 @dataclass(eq=False)
@@ -222,72 +216,45 @@ def check_copositive(A: Tensor, cfg: SolverConfig) -> PropertyReport:
 # monotonicity
 
 
-def _monotone_pairs(A: Tensor, seed: int):
-    """Blocks (X, F(X), Y, F(Y)) of the pairs check_monotone tests.
-
-    First every pair i < j of a grid over [0, MONOTONE_BOX]^n, in
-    itertools.combinations order, a block of rows i at a time so that no
-    block holds more than MONOTONE_CHUNK entries of the pair mask; then
-    MONOTONE_RANDOM_PAIRS seeded pairs.  F omits a, which cancels.
-    """
-    axes = np.linspace(0.0, MONOTONE_BOX, MONOTONE_GRID_PER_AXIS)
-    mesh = np.meshgrid(*([axes] * A.dim), indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=1)
-    F = contract_rows(A.array, grid)
-    N = len(grid)
-    rows = max(1, MONOTONE_CHUNK // N)
-    for lo in range(0, N - 1, rows):
-        I, J = np.triu_indices(min(rows, N - 1 - lo), lo + 1, N)
-        I += lo
-        yield grid[I], F[I], grid[J], F[J]
-    rng = np.random.default_rng([seed, 2])
-    X, Y = rng.uniform(0.0, MONOTONE_BOX, size=(MONOTONE_RANDOM_PAIRS, 2, A.dim)).transpose(1, 0, 2)
-    yield X, contract_rows(A.array, X), Y, contract_rows(A.array, Y)
-
-
 def check_monotone(A: Tensor, a, cfg: SolverConfig) -> PropertyReport:
-    """Monotonicity of F on the orthant: <F(y) - F(x), y - x> >= 0 on pairs.
+    """Monotonicity of F on the orthant: <F(y) - F(x), y - x> >= 0 there.
 
-    The constant a cancels in the difference, so the verdict depends on the
-    tensor alone; a is accepted to keep the instance signature uniform.
-    Pairs come from a deterministic grid plus seeded random draws, and the
-    first least pairing (NaN counting as +inf) is the candidate certificate.
-    Pairings are reported in A's units and judged against cfg.tol times the
-    largest entry of A, so the verdict does not depend on the units of A.
-    When the sampled test holds, copositivity is re-checked for consistency
-    (monotone maps have copositive tensors); disagreement downgrades to
-    inconclusive.
+    a cancels and is accepted to keep the instance signature uniform.  F is
+    monotone there iff J + J^T >= 0 (Facchinei & Pang, Finite-Dimensional
+    Variational Inequalities and Complementarity Problems, 2003, 2.3), and
+    J is homogeneous, so subdivision._monotone_pieces decides it on the
+    simplex for A over its largest entry, at cfg.tol.  holds-numerically
+    ships the pieces judged and the least eigenvalue of a retired piece's
+    C + C^T.  At a refuting vertex v with eigenvector u, y - x = h u for
+    x = v + h u^-, y = v + h u^+, whose pairing h^2 u^T J(v) u + o(h^2) is
+    negative for h small enough; scaled by a power of two to near -2 cfg.tol
+    and re-checked with contract below -cfg.tol max|A|, fails ships them.
+    Otherwise, or when PIECE_BUDGET stops the search, it is inconclusive.
+    Eigenvalues and the pairing are in A's units.
     """
-    a = as_vector(a, A.dim)
-
-    def pairing(x, y):
-        d = y - x
-        return float((contract(A, y) - contract(A, x)) @ d)
-
-    checked = 0
-    worst = (np.inf, None, None)
-    for X, FX, Y, FY in _monotone_pairs(A, cfg.seed):
-        # the stacked matmul is the 1-d dot of each row, to the bit
-        v = np.matmul((FY - FX)[:, None, :], (Y - X)[:, :, None])[:, 0, 0]
-        v = np.where(np.isnan(v), np.inf, v)
-        i = int(np.argmin(v))
-        checked += len(v)
-        if v[i] < worst[0]:
-            worst = (float(v[i]), X[i], Y[i])
-    effort = {"pairs": checked, "box": MONOTONE_BOX, "min_pairing": worst[0]}
-    tol = cfg.tol * float(np.max(np.abs(A.array)))
-    if worst[0] < -tol:
-        v = pairing(worst[1], worst[2])
-        if v < -tol:
-            cert = {"x": worst[1].tolist(), "y": worst[2].tolist(), "pairing": v}
-            return PropertyReport("monotone", VERDICT_FAILS, cert, effort)
-        return PropertyReport("monotone", VERDICT_INCONCLUSIVE, None, effort)
-    cop = check_copositive(A, cfg)
-    effort["copositive_verdict"] = cop.verdict
-    if cop.verdict == VERDICT_FAILS:
-        # monotone would imply copositive; a clash means sampling missed something
-        return PropertyReport("monotone", VERDICT_INCONCLUSIVE, cop.certificate, effort)
-    return PropertyReport("monotone", VERDICT_HOLDS, None, effort)
+    as_vector(a, A.dim)
+    big = float(np.max(np.abs(A.array))) or 1.0
+    unit = Tensor(A.array / big)
+    alive, simplices, least, corner, witness = _monotone_pieces(unit, cfg.tol)
+    effort = {"simplices": simplices, "least_vertex_eigenvalue": big * corner}
+    if witness is None:
+        cert = None if alive else {"simplices": simplices, "least_eigenvalue": big * least}
+        return PropertyReport("monotone", VERDICT_INCONCLUSIVE if alive else VERDICT_HOLDS, cert, effort)
+    v, u = witness
+    for h in 2.0 ** -np.arange(53):
+        x, y = v + h * np.maximum(-u, 0.0), v + h * np.maximum(u, 0.0)
+        p = float((contract_rows(unit.array, y) - contract_rows(unit.array, x)) @ (y - x))
+        if p < 0.0:
+            s = 2.0 ** math.ceil(math.log2(2.0 * cfg.tol / -p) / A.order)
+            x, y = s * x, s * y
+            # an overflow in A's units does not re-check: -inf and NaN fail
+            with np.errstate(over="ignore", invalid="ignore"):
+                p = float((contract(A, y) - contract(A, x)) @ (y - x))
+            if -math.inf < p < -cfg.tol * big:
+                cert = {"x": x.tolist(), "y": y.tolist(), "pairing": p}
+                return PropertyReport("monotone", VERDICT_FAILS, cert, effort)
+            break
+    return PropertyReport("monotone", VERDICT_INCONCLUSIVE, None, effort)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,7 @@ from .model import (
 from .subdivision import LEAF_EDGE, _leaf_starts, _r0_certificate
 from .tensors import (
     Tensor,
+    _as_count,
     as_vector,
     contract,
     contract_rows,
@@ -91,8 +92,8 @@ class SolverConfig:
     tol is relative to the pair norm |(A, a)| = sqrt(|A|_F^2 + |a|_2^2): solve
     divides (A, a) by that norm on entry, which leaves the solution set
     unchanged, so Sol(tA, ta) is computed exactly as Sol(A, a) for every
-    t > 0.  The solver itself draws nothing at random and never reads seed;
-    the experiments, check_monotone and probe_gus draw their samples from
+    t > 0.  seed, a nonnegative integer, draws the samples of the
+    experiments and the right-hand sides of probe_gus; nothing else reads
     it.  Everything else the solver uses is a module constant (DEDUP_RADIUS,
     NEWTON_MAX_ITER, LEAF_EDGE), echoed with tol in each result's meta.
     """
@@ -105,8 +106,7 @@ class SolverConfig:
         # that meets Newton's stop rule can fail the tol / 10 root filter
         if not 10 * NEWTON_ATOL <= self.tol < DEDUP_RADIUS:
             raise ValueError(f"tol must lie in [{10 * NEWTON_ATOL:g}, {DEDUP_RADIUS:g}), got {self.tol}")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        object.__setattr__(self, "seed", _as_count("seed", self.seed, zero_ok=True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,31 +254,26 @@ def _newton(fun, jac, Z0):
     return Z, np.max(np.abs(F), axis=1), iters
 
 
-def _face_functions(systems: list[FaceSystem], owner: np.ndarray | None, simplex: bool):
+def _face_functions(systems: list[FaceSystem], owner: np.ndarray, simplex: bool):
     """fun and jac for _newton over face systems of one size k.
 
-    Row r of the batch solves systems[owner[r]]; with one system owner is
-    not read.  The simplex systems append sum(z) = 1, the normalization of
-    the homogeneous search.
+    Row r of the batch solves systems[owner[r]].  The simplex systems
+    append sum(z) = 1, the normalization of the homogeneous search.
     """
-    if len(systems) == 1:
-        (fs,) = systems
-        blocks, slots, a_free = fs.block, fs.slots, fs.a_free
-    else:
-        blocks = np.stack([fs.block for fs in systems])
-        slots = np.stack([fs.slots for fs in systems])
-        a_free = np.stack([fs.a_free for fs in systems])
+    blocks = np.stack([fs.block for fs in systems])
+    slots = np.stack([fs.slots for fs in systems])
+    a_free = np.stack([fs.a_free for fs in systems])
     k = systems[0].k
 
     def fun(rows, Z):
-        b = None if len(systems) == 1 else owner[rows]
-        F = contract_rows(blocks, Z, b) + (a_free if b is None else a_free[b])
+        b = owner[rows]
+        F = contract_rows(blocks, Z, b) + a_free[b]
         if simplex:
             F = np.concatenate([F, np.sum(Z, axis=-1, keepdims=True) - 1.0], axis=-1)
         return F
 
     def jac(rows, Z):
-        J = jacobian_rows(slots, Z, None if len(systems) == 1 else owner[rows])
+        J = jacobian_rows(slots, Z, owner[rows])
         if simplex:
             J = np.concatenate([J, np.ones(J.shape[:-2] + (1, k))], axis=-2)
         return J
@@ -541,7 +536,7 @@ def _certified_ray(inst0: TcpInstance, direction, cfg: SolverConfig) -> tuple[np
     s = float(np.sum(z0))
     if s <= 0.0:
         return None, 0
-    Z, _, iters = _newton(*_face_functions([fs], None, simplex=True), (z0 / s)[None])
+    Z, _, iters = _newton(*_face_functions([fs], np.zeros(1, int), simplex=True), (z0 / s)[None])
     x = fs.embed(Z[0])
     nrm = float(np.linalg.norm(x))
     if not math.isfinite(nrm) or nrm <= 0.0 or float(np.min(x)) < 0.0:
@@ -855,7 +850,7 @@ def _oracle_polish(inst: TcpInstance, seed: np.ndarray, pin_tol: float, tol: flo
         elif len(fs.zero_rows) == fs.k:
             continue
         else:
-            Z, _, _ = _newton(*_face_functions([fs], None, simplex=False), seed[list(fs.free)][None])
+            Z, _, _ = _newton(*_face_functions([fs], np.zeros(1, int), simplex=False), seed[list(fs.free)][None])
             z = Z[0]
             if float(np.min(z)) < -1e-12:
                 continue

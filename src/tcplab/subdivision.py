@@ -7,7 +7,7 @@ whose values on the simplex are convex combinations of its Bernstein
 coefficients (_bernstein, _form_bernstein).  _subdivide starts from the face
 simplices of the orthant (_face_pieces), asks a judge which pieces survive
 and cuts the survivors at their longest edge (_bisect), round after round.
-Three entry points run it, one judge each (Mourrain & Pavone, J. Symbolic
+Four entry points run it, one judge each (Mourrain & Pavone, J. Symbolic
 Comput. 44, 2009; Bundfuss & Duer, Linear Algebra Appl. 428, 2008):
 
 - _r0_certificate proves Sol(A, 0) = {0} when every piece is excluded by the
@@ -17,7 +17,9 @@ Comput. 44, 2009; Bundfuss & Duer, Linear Algebra Appl. 428, 2008):
 - _leaf_starts gives the Newton starts of a solve's point faces, the leaf
   centroids of the same rule on the augmented tensor of (A, a);
 - _copositive_leaves retires the pieces whose form coefficients all lie
-  above the least form value seen, and hands on the rest as KKT starts.
+  above the least form value seen, and hands on the rest as KKT starts;
+- _monotone_pieces retires the pieces where J + J^T >= 0, J the Jacobian of
+  A x^{m-1}, and stops at a vertex where it is not.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TcpInstance, enumerate_faces
-from .tensors import Tensor
+from .tensors import Tensor, slot_sum
 
 # every subdivision stops after judging this many sub-simplices
 PIECE_BUDGET = 4096
@@ -195,7 +197,7 @@ def _face_pieces(n: int, least_k: int = 1, apex: bool = False) -> dict:
 
 def _subdivide(pieces: dict, judge, min_edge: float = 0.0, leaf_edge: float = 0.0):
     """The branch and bound over face simplices that the R0 certificate,
-    the point faces' starts and the copositivity search share.
+    the point faces' starts, the copositivity and monotonicity checks share.
 
     pieces maps k to a stack of k-vertex simplices (P, n, k) and their
     supports (P, n).  Each round judge(k, V, supp) returns the mask of the
@@ -375,7 +377,7 @@ def _leaf_starts(unit: TcpInstance, tol: float) -> dict[int, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# copositivity
+# copositivity and monotonicity
 
 
 def _copositive_leaves(unit: Tensor) -> tuple[dict, np.ndarray, int]:
@@ -408,3 +410,38 @@ def _copositive_leaves(unit: Tensor) -> tuple[dict, np.ndarray, int]:
 
     leaves, simplices = _subdivide(_face_pieces(n, 2), judge, leaf_edge=LEAF_EDGE)
     return leaves, where, simplices
+
+
+def _monotone_pieces(unit: Tensor, tol: float):
+    """Decide J + J^T >= 0 on the probability simplex, J = slot_sum(unit)
+    x^{m-2} the Jacobian of unit x^{m-1} (times sum(x) = 1 at m = 2, so that
+    its rows have a slot).  On a piece, J is a convex combination of its
+    Bernstein coefficient matrices C, and the least eigenvalue is concave:
+    a piece whose every C + C^T has its least eigenvalue >= -tol is retired
+    and the rest are cut.  A vertex coefficient is J at that vertex; one
+    below -tol refutes unit and ends the loop.  Returns (the survivors by k,
+    the pieces judged, the least eigenvalue of a retired piece's C + C^T and
+    of a vertex coefficient's, and the most negative refuting vertex with
+    its eigenvector, or None)."""
+    n, m = unit.dim, unit.order
+    rows = slot_sum(unit.array).reshape((n * n,) + (n,) * (m - 2))
+    if m == 2:
+        rows = rows[:, None] * np.ones(n)
+    least, corner, witness = [math.inf], [math.inf], [None]
+
+    def judge(k, V, supp):
+        C = np.swapaxes(_bernstein(rows, V), 1, 2).reshape(len(V), -1, n, n)
+        S = C + np.swapaxes(C, 2, 3)
+        low = np.linalg.eigvalsh(S)[..., 0]
+        g = np.flatnonzero(_multisets(k, rows.ndim - 1)[2] == 1)
+        p, j = np.unravel_index(np.argmin(low[:, g]), (len(V), k))
+        corner[0] = min(corner[0], float(low[p, g[j]]))
+        if corner[0] < -tol:
+            witness[0] = V[p, :, j], np.linalg.eigh(S[p, g[j]])[1][:, 0]
+            return np.zeros(len(V), dtype=bool)
+        keep = low.min(axis=1) < -tol
+        least[0] = min(least[0], float(low[~keep].min(initial=math.inf)))
+        return keep
+
+    alive, simplices = _subdivide(_face_pieces(n, n), judge)
+    return alive, simplices, least[0], corner[0], witness[0]

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -33,9 +35,6 @@ from tcplab.catalog import EXAMPLE_NAMES
 from tcplab.model import enumerate_faces
 from tcplab.properties import (
     CERT_TOL,
-    MONOTONE_BOX,
-    MONOTONE_GRID_PER_AXIS,
-    MONOTONE_RANDOM_PAIRS,
     _kkt_functions,
     _r0_report,
 )
@@ -447,7 +446,7 @@ def test_r0_and_monotone_verdicts_ignore_the_units_of_the_tensor():
         assert mono.verdict == VERDICT_FAILS, t
         assert mono.certificate["x"] == ref.certificate["x"] and mono.certificate["y"] == ref.certificate["y"]
         assert mono.certificate["pairing"] == pytest.approx(t * ref.certificate["pairing"], rel=1e-12)
-        assert mono.effort["min_pairing"] == pytest.approx(t * ref.effort["min_pairing"], rel=1e-12)
+        assert mono.effort["least_vertex_eigenvalue"] == pytest.approx(t * ref.effort["least_vertex_eigenvalue"], rel=1e-12)
     assert check_r0(Tensor.zeros(3, 2), CFG).verdict == VERDICT_FAILS
     assert check_monotone(Tensor.zeros(3, 2), np.zeros(2), CFG).verdict == VERDICT_HOLDS
 
@@ -556,21 +555,74 @@ def test_copositive_search_agrees_with_the_lattice_search():
         assert report.holds and abs(report.effort["min_form"]) <= 1e-14
 
 
+def _map_einsum(A, x):
+    """A x^{m-1} by one einsum, independent of contract."""
+    letters = "abcdefgh"[:A.order]
+    return np.einsum(letters + "," + ",".join(letters[1:]), A.array, *([x] * (A.order - 1)))
+
+
+def _assert_monotone_certificate(A, report):
+    """A fails certificate of check_monotone re-checks with _map_einsum: x
+    and y lie in the orthant and their pairing is the reported one, below
+    -tol times the largest entry of A."""
+    assert report.verdict == VERDICT_FAILS
+    x, y = np.array(report.certificate["x"]), np.array(report.certificate["y"])
+    assert x.min() >= 0.0 and y.min() >= 0.0
+    ip = float((_map_einsum(A, y) - _map_einsum(A, x)) @ (y - x))
+    assert ip == pytest.approx(report.certificate["pairing"], rel=1e-9)
+    assert ip < -CFG.tol * float(np.max(np.abs(A.array)))
+
+
+def _sum_of_powers(m, n, rng, vectors=2):
+    """sum_k c_k^{(x) m} with c_k >= 0: F = sum_k (c_k . x)^{m-1} c_k has the
+    Jacobian sum_k (m - 1) (c_k . x)^{m-2} c_k c_k^T, positive semidefinite
+    on the orthant."""
+    arr = np.zeros((n,) * m)
+    for c in np.abs(rng.standard_normal((vectors, n))):
+        arr += functools.reduce(np.multiply.outer, [c] * m)
+    return Tensor(arr)
+
+
+def _quartic_gradient(c):
+    """F = grad(x1^4 + x2^4 + c x1^2 x2^2): J is its Hessian, whose
+    eigenvalue on (1, -1) at x = (t, t) is (12 - 2 c) t^2, so F is monotone
+    on the orthant iff c <= 6 (c >= 0)."""
+    arr = np.zeros((2,) * 4)
+    arr[0, 0, 0, 0] = arr[1, 1, 1, 1] = 4.0
+    arr[0, 0, 1, 1] = arr[1, 0, 0, 1] = 2.0 * c
+    return Tensor(arr)
+
+
+def _monotone_cases():
+    rng = np.random.default_rng(41)
+    tensors = [builtin_example(name).tensor for name in ("ex1", "gus", "monotone", "zero")]
+    tensors += [random_gaussian(m, 2, rng) for m in (2, 3, 4) for _ in range(3)]
+    tensors += [scale(-1.0, builtin_example("gus").tensor), random_gaussian(3, 3, rng)]
+    # F overflows on much of the grid, and inf - inf makes NaN pairings,
+    # which count as +inf
+    tensors += [Tensor(np.full((2,) * 4, 1e307)), scale(1e307, random_gaussian(4, 2, rng))]
+    tensors += [_sum_of_powers(m, n, rng) for m in (2, 3, 4) for n in (2, 3)]
+    return tensors + [_quartic_gradient(c) for c in (5.0, 6.0, 6.5)]
+
+
 def test_monotone_holds_for_decoupled_squares():
-    # F = (x1^2, x2^2) has diagonal, nonnegative Jacobian on the orthant
+    # F = (x1^2, x2^2) has diagonal, nonnegative Jacobian on the orthant:
+    # J + J^T is diag(4, 0) and diag(0, 4) at the vertices, and one piece
+    # holds both as its Bernstein coefficients
     report = check_monotone(builtin_example("gus").tensor, [0.0, 0.0], CFG)
     assert report.holds
+    assert report.certificate == {"simplices": 1, "least_eigenvalue": 0.0}
+    assert report.effort == {"simplices": 1, "least_vertex_eigenvalue": 0.0}
     assert check_monotone(Tensor.zeros(3, 2), [5.0, -1.0], CFG).holds
 
 
 def test_monotone_fails_for_sign_flipped_tensor():
-    report = check_monotone(builtin_example("ex1").tensor, [2.0, 1.0], CFG)
-    assert report.verdict == VERDICT_FAILS
     A = builtin_example("ex1").tensor
+    report = check_monotone(A, [2.0, 1.0], CFG)
+    _assert_monotone_certificate(A, report)
     x, y = np.array(report.certificate["x"]), np.array(report.certificate["y"])
     ip = float((contract(A, y) - contract(A, x)) @ (y - x))
-    assert ip == pytest.approx(report.certificate["pairing"])
-    assert ip < -CFG.tol
+    assert ip == report.certificate["pairing"]
 
 
 def test_monotone_fails_for_coupled_sum_of_squares():
@@ -581,10 +633,9 @@ def test_monotone_fails_for_coupled_sum_of_squares():
     x, y = np.array([2.0, 2.0]), np.array([0.0, 3.0])
     assert float((contract(A, y) - contract(A, x)) @ (y - x)) == pytest.approx(-1.0)
     report = check_monotone(A, [-4.0, -1.0], CFG)
-    assert report.verdict == VERDICT_FAILS
-    cx, cy = np.array(report.certificate["x"]), np.array(report.certificate["y"])
-    ip = float((contract(A, cy) - contract(A, cx)) @ (cy - cx))
-    assert ip < -CFG.tol
+    _assert_monotone_certificate(A, report)
+    # J + J^T = [[4, 2], [2, 0]] at the vertex e1, least eigenvalue 2 - sqrt(8)
+    assert report.effort == {"simplices": 1, "least_vertex_eigenvalue": pytest.approx(2.0 - math.sqrt(8.0), rel=1e-12)}
 
 
 def test_monotone_ignores_the_rhs():
@@ -594,47 +645,142 @@ def test_monotone_ignores_the_rhs():
     assert r1.verdict == r2.verdict == VERDICT_HOLDS
 
 
-def _monotone_reference(A, seed):
-    """check_monotone's sample one pair at a time: the grid pairs in
+def test_monotone_ignores_the_seed():
+    for A in _monotone_cases()[:6]:
+        reports = [check_monotone(A, np.zeros(A.dim), SolverConfig(seed=seed)).to_json() for seed in (0, 5, 2**31 - 1)]
+        assert reports[1:] == reports[:1] * 2
+
+
+# the sample the monotonicity check used to test: a grid of 6 points per
+# axis over [0, 2]^n and 200 seeded pairs
+_GRID_BOX, _GRID_PER_AXIS, _GRID_RANDOM_PAIRS = 2.0, 6, 200
+
+
+def _monotone_reference(A, seeds=(0, 5)):
+    """The pair sample one pair at a time, for each seed: the grid pairs in
     combinations order, then the seeded pairs, keeping the first least
-    pairing.  Returns (min_pairing, x, y, pairs)."""
+    pairing.  The grid part is the same at every seed and runs once.
+    Returns [(min_pairing, x, y, pairs)] by seed."""
     n = A.dim
-    axes = np.linspace(0.0, MONOTONE_BOX, MONOTONE_GRID_PER_AXIS)
+    axes = np.linspace(0.0, _GRID_BOX, _GRID_PER_AXIS)
     grid = np.stack([m.ravel() for m in np.meshgrid(*([axes] * n), indexing="ij")], axis=1)
-    rng = np.random.default_rng([seed, 2])
-    pairs = list(itertools.combinations(grid, 2))
-    for _ in range(MONOTONE_RANDOM_PAIRS):
-        x = rng.uniform(0.0, MONOTONE_BOX, n)
-        pairs.append((x, rng.uniform(0.0, MONOTONE_BOX, n)))
-    worst = (np.inf, None, None)
-    for x, y in pairs:
-        v = float((contract(A, y) - contract(A, x)) @ (y - x))
-        if v < worst[0]:
-            worst = (v, x, y)
-    return worst + (len(pairs),)
+
+    def least(pairs, worst):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (x, Fx), (y, Fy) in pairs:
+                v = float((Fy - Fx) @ (y - x))
+                if v < worst[0]:
+                    worst = (v, x, y)
+        return worst
+
+    def mapped(x):
+        with np.errstate(over="ignore"):
+            return x, contract(A, x)
+
+    on_grid = least(itertools.combinations([mapped(x) for x in grid], 2), (np.inf, None, None))
+    out = []
+    for seed in seeds:
+        rng = np.random.default_rng([seed, 2])
+        drawn = []
+        for _ in range(_GRID_RANDOM_PAIRS):
+            x = rng.uniform(0.0, _GRID_BOX, n)
+            drawn.append((mapped(x), mapped(rng.uniform(0.0, _GRID_BOX, n))))
+        out.append(least(drawn, on_grid) + (math.comb(len(grid), 2) + len(drawn),))
+    return out
 
 
 def test_monotone_search_equals_a_per_pair_loop():
-    rng = np.random.default_rng(41)
-    tensors = [builtin_example(name).tensor for name in ("ex1", "gus", "monotone", "zero")]
-    tensors += [random_gaussian(m, 2, rng) for m in (2, 3, 4) for _ in range(3)]
-    tensors += [scale(-1.0, builtin_example("gus").tensor), random_gaussian(3, 3, rng)]
-    # F overflows on much of the grid, and inf - inf makes NaN pairings,
-    # which count as +inf
-    tensors += [Tensor(np.full((2,) * 4, 1e307)), scale(1e307, random_gaussian(4, 2, rng))]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, A in enumerate(tensors):
-            for seed in (0, 5):
-                cfg = SolverConfig(seed=seed)
-                v, x, y, pairs = _monotone_reference(A, seed)
-                report = check_monotone(A, np.zeros(A.dim), cfg)
-                assert report.effort["pairs"] == pairs, i
-                assert report.effort["min_pairing"] == v, i
-                if report.verdict == VERDICT_FAILS:
-                    assert report.certificate["x"] == x.tolist(), i
-                    assert report.certificate["y"] == y.tolist(), i
-                else:
-                    assert v >= -CFG.tol, i
+    # every tensor that a pair of the grid sample refutes fails, every fails
+    # certificate re-checks with its own einsum, and no tensor holds that
+    # the sample refutes
+    refuted = 0
+    for i, A in enumerate(_monotone_cases()):
+        report = check_monotone(A, np.zeros(A.dim), CFG)
+        tol = CFG.tol * float(np.max(np.abs(A.array)))
+        for seed, (v, x, y, pairs) in zip((0, 5), _monotone_reference(A)):
+            assert pairs == math.comb(_GRID_PER_AXIS ** A.dim, 2) + _GRID_RANDOM_PAIRS
+            if v < -tol:
+                assert report.verdict == VERDICT_FAILS, (i, seed)
+                refuted += seed == 0
+        if report.verdict == VERDICT_FAILS:
+            _assert_monotone_certificate(A, report)
+        else:
+            assert report.verdict == VERDICT_HOLDS, i
+            assert report.certificate["least_eigenvalue"] >= -tol, i
+    assert refuted == 14
+    # c = 6.001: the Hessian has the eigenvalue -0.002 t^2 at x = (t, t), but
+    # every pair of the sample is at least 0.4 apart, and there the pairing
+    # is positive; the check refutes at the vertex (1/2, 1/2) of the second
+    # round
+    A = _quartic_gradient(6.001)
+    assert all(v > 1e-3 for v, _, _, _ in _monotone_reference(A))
+    report = check_monotone(A, np.zeros(2), CFG)
+    _assert_monotone_certificate(A, report)
+    assert report.effort == {"simplices": 3, "least_vertex_eigenvalue": pytest.approx(-0.001, rel=1e-9)}
+
+
+def test_monotone_holds_only_where_copositive():
+    # for a monotone F, <F(x) - F(0), x - 0> = A x^m is nonnegative on the
+    # orthant, so a tensor that holds must not fail check_copositive
+    held = 0
+    for i, A in enumerate(_monotone_cases()):
+        if check_monotone(A, np.zeros(A.dim), CFG).holds:
+            held += 1
+            assert check_copositive(A, CFG).verdict != VERDICT_FAILS, i
+    assert held == 11
+
+
+def test_monotone_verdicts_at_n_6_take_one_piece():
+    # a sum of powers holds and a Gaussian fails at the first piece, where
+    # the pair grid would have tested 6^12 / 2 pairs
+    rng = np.random.default_rng(3)
+    for A, verdict in ((_sum_of_powers(3, 6, rng, 3), VERDICT_HOLDS), (random_gaussian(3, 6, rng), VERDICT_FAILS)):
+        start = time.perf_counter()
+        report = check_monotone(A, np.zeros(6), CFG)
+        assert time.perf_counter() - start < 1.0
+        assert report.verdict == verdict and report.effort["simplices"] == 1
+        if verdict == VERDICT_HOLDS:
+            assert report.certificate["simplices"] == 1 and report.certificate["least_eigenvalue"] >= -CFG.tol
+        else:
+            _assert_monotone_certificate(A, report)
+
+
+def test_monotone_verdicts_at_m_3_n_2_match_exact_arithmetic():
+    # at m = 3, J is linear in x, so J + J^T >= 0 on the simplex iff it holds
+    # at e1 and e2, where it is the 2 x 2 matrix of
+    # A[i, j, k] + A[i, k, j] + A[j, i, k] + A[j, k, i]: PSD iff its diagonal
+    # and determinant are >= 0, decided here in Fractions
+    rng = np.random.default_rng(12)
+    gus = builtin_example("gus").tensor.array
+    tensors = [Tensor(gus + 0.2 * random_gaussian(3, 2, rng).array) for _ in range(24)]
+    tensors += [random_gaussian(3, 2, rng) for _ in range(8)] + [_sum_of_powers(3, 2, rng) for _ in range(8)]
+    verdicts = []
+    for A in tensors:
+        W = {idx: Fraction(float(v)) for idx, v in np.ndenumerate(A.array)}
+        psd = True
+        for k in range(2):
+            M = [[W[i, j, k] + W[i, k, j] + W[j, i, k] + W[j, k, i] for j in range(2)] for i in range(2)]
+            psd &= M[0][0] >= 0 and M[1][1] >= 0 and M[0][0] * M[1][1] >= M[0][1] ** 2
+        verdicts.append(check_monotone(A, np.zeros(2), CFG).verdict)
+        assert verdicts[-1] == (VERDICT_HOLDS if psd else VERDICT_FAILS)
+    assert verdicts.count(VERDICT_HOLDS) > 8 and verdicts.count(VERDICT_FAILS) > 8
+
+
+def test_monotone_certificates_ignore_the_units_of_the_tensor():
+    # the check runs on A over its largest entry: at every scale the verdict
+    # and the pieces are the same, and the pair agrees to rounding, with no
+    # overflow at 1e307
+    for A in _monotone_cases()[:15]:
+        ref = check_monotone(A, np.zeros(A.dim), CFG)
+        for t in (1e-12, 1e-8, 1e12, 1e200, 1e307 / float(np.max(np.abs(A.array)) or 1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = check_monotone(scale(t, A), np.zeros(A.dim), CFG)
+            assert report.verdict == ref.verdict and report.effort["simplices"] == ref.effort["simplices"]
+            if report.verdict == VERDICT_FAILS:
+                _assert_monotone_certificate(scale(t, A), report)
+                assert np.allclose(report.certificate["x"], ref.certificate["x"], rtol=1e-12, atol=0)
+                assert np.allclose(report.certificate["y"], ref.certificate["y"], rtol=1e-12, atol=0)
 
 
 def test_gus_probe_rejects_negative_sample_counts():

@@ -66,8 +66,11 @@ def test_solver_config_validation():
         SolverConfig(tol=1e-3)  # DEDUP_RADIUS must dominate tol
     with pytest.raises(ValueError):
         SolverConfig(tol=float("nan"))
-    with pytest.raises(ValueError):
-        SolverConfig(seed=-1)
+    # a float, NaN or string seed used to pass here and raise TypeError
+    # inside numpy once an experiment drew from it
+    for seed in (-1, 1.5, float("nan"), "3"):
+        with pytest.raises(ValueError, match="seed"):
+            SolverConfig(seed=seed)
     # below 10 * NEWTON_ATOL a root that meets Newton's stop rule can fail the
     # tol / 10 filter: at 1e-16 the instance of test_work_counters_are_pinned
     # came out exact-empty, where 1e-8 finds two points
@@ -374,12 +377,12 @@ def test_batched_newton_rows_match_one_row_batches():
     g = np.linspace(0.0, 3.0, 4)
     starts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
     for simplex in (False, True):
-        fun, jac = _face_functions([fs], None, simplex)
+        fun, jac = _face_functions([fs], np.zeros(len(starts), int), simplex)
         Z, res, its = _newton(fun, jac, starts)
         for z0, z, r, it in zip(starts, Z, res, its):
             z1, r1, it1 = _newton(fun, jac, z0[None])
             assert np.array_equal(z1[0], z) and r1[0] == r and it1[0] == it
-    Z, res, its = _newton(*_face_functions([fs], None, False), starts)
+    Z, res, its = _newton(*_face_functions([fs], np.zeros(len(starts), int), False), starts)
     assert its[0] == 0 and np.array_equal(Z[0], starts[0])
     assert np.any((res > 1e-3) & (its > 0) & (its < NEWTON_MAX_ITER))
     assert len(set(its[res <= NEWTON_ATOL].tolist())) > 1
@@ -410,7 +413,7 @@ def test_newton_never_steps_a_row_with_a_non_finite_start():
     bad = {3: np.inf, 10: np.nan}
     good = np.setdiff1d(np.arange(len(starts)), list(bad))
     for simplex in (False, True):
-        fun, jac = _face_functions([fs], None, simplex)
+        fun, jac = _face_functions([fs], np.zeros(len(starts), int), simplex)
 
         def bad_fun(rows, Z):
             F = fun(rows, Z)
@@ -500,7 +503,7 @@ def test_blocked_armijo_matches_sequential_search(monkeypatch, block_rows):
     starts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
     exhausted = 0
     for system, simplex in (("square", False), ("simplex", True)):
-        fun, jac = _face_functions([fs], None, simplex)
+        fun, jac = _face_functions([fs], np.zeros(len(starts), int), simplex)
         accepted_at: list[int] = []
         ref_calls: list[tuple[str, int]] = []
         want = _sequential_newton(*_counted(fun, jac, ref_calls), starts, NEWTON_MAX_ITER, accepted_at)
