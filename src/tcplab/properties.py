@@ -224,8 +224,8 @@ def check_monotone(A: Tensor, a, cfg: SolverConfig) -> PropertyReport:
     Variational Inequalities and Complementarity Problems, 2003, 2.3), and
     J is homogeneous, so subdivision._monotone_pieces decides it on the
     simplex for A over its largest entry, at cfg.tol.  holds-numerically
-    ships the pieces judged and the least eigenvalue of a retired piece's
-    C + C^T.  At a refuting vertex v with eigenvector u, y - x = h u for
+    ships the pieces judged and their lower bound on J + J^T's eigenvalues.
+    At a refuting vertex v with eigenvector u, y - x = h u for
     x = v + h u^-, y = v + h u^+, whose pairing h^2 u^T J(v) u + o(h^2) is
     negative for h small enough; scaled by a power of two to near -2 cfg.tol
     and re-checked with contract below -cfg.tol max|A|, fails ships them.

@@ -416,31 +416,46 @@ def _monotone_pieces(unit: Tensor, tol: float):
     """Decide J + J^T >= 0 on the probability simplex, J = slot_sum(unit)
     x^{m-2} the Jacobian of unit x^{m-1} (times sum(x) = 1 at m = 2, so that
     its rows have a slot).  On a piece, J is a convex combination of its
-    Bernstein coefficient matrices C, and the least eigenvalue is concave:
-    a piece whose every C + C^T has its least eigenvalue >= -tol is retired
-    and the rest are cut.  A vertex coefficient is J at that vertex; one
-    below -tol refutes unit and ends the loop.  Returns (the survivors by k,
-    the pieces judged, the least eigenvalue of a retired piece's C + C^T and
-    of a vertex coefficient's, and the most negative refuting vertex with
-    its eigenvector, or None)."""
+    Bernstein coefficient matrices C; at an even degree d = 2e it is also
+    u^T J u = w^T G w for w = lam^{(x)e} (x) u, |w| <= 1 and G the Gram
+    matrix, the coefficient of multiset a + b at row (a, i), column (b, j).
+    A piece is retired when every C + C^T or G + G^T has least eigenvalue
+    >= -tol (G holds a J that is PSD but singular on a curve, such as
+    (c . x)^2 c c^T, whose C + C^T are negative across it), and the rest are
+    cut.  A vertex coefficient is J there; one below -tol refutes unit and
+    ends the loop.  Returns (the survivors by k, the pieces judged, the
+    least bound on J + J^T's eigenvalues of a retired piece, mu / k^e for
+    G's mu > 0, and of a vertex coefficient, and the most negative refuting
+    vertex with its eigenvector, or None)."""
     n, m = unit.dim, unit.order
     rows = slot_sum(unit.array).reshape((n * n,) + (n,) * (m - 2))
     if m == 2:
         rows = rows[:, None] * np.ones(n)
+    d = rows.ndim - 1
     least, corner, witness = [math.inf], [math.inf], [None]
 
     def judge(k, V, supp):
-        C = np.swapaxes(_bernstein(rows, V), 1, 2).reshape(len(V), -1, n, n)
+        B = _bernstein(rows, V)
+        C = np.swapaxes(B, 1, 2).reshape(len(V), -1, n, n)
         S = C + np.swapaxes(C, 2, 3)
         low = np.linalg.eigvalsh(S)[..., 0]
-        g = np.flatnonzero(_multisets(k, rows.ndim - 1)[2] == 1)
+        order, _, counts = _multisets(k, d)
+        g = np.flatnonzero(counts == 1)
         p, j = np.unravel_index(np.argmin(low[:, g]), (len(V), k))
         corner[0] = min(corner[0], float(low[p, g[j]]))
         if corner[0] < -tol:
             witness[0] = V[p, :, j], np.linalg.eigh(S[p, g[j]])[1][:, 0]
             return np.zeros(len(V), dtype=bool)
-        keep = low.min(axis=1) < -tol
-        least[0] = min(least[0], float(low[~keep].min(initial=math.inf)))
+        bound = low.min(axis=1)
+        keep = bound < -tol
+        if d % 2 == 0 and keep.any():
+            r, group = k ** (d // 2), np.empty(k**d, dtype=int)
+            group[order] = np.repeat(np.arange(len(counts)), counts)
+            G = B[keep][:, :, group].reshape(-1, n, n, r, r).transpose(0, 3, 1, 4, 2).reshape(-1, r * n, r * n)
+            mu = np.linalg.eigvalsh(G + np.swapaxes(G, 1, 2))[:, 0]
+            bound[keep] = np.minimum(mu, mu / r)
+            keep[keep] = mu < -tol
+        least[0] = min(least[0], float(bound[~keep].min(initial=math.inf)))
         return keep
 
     alive, simplices = _subdivide(_face_pieces(n, n), judge)

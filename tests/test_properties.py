@@ -1,7 +1,6 @@
 import functools
 import itertools
 import math
-import time
 import warnings
 from fractions import Fraction
 
@@ -447,6 +446,28 @@ def test_r0_and_monotone_verdicts_ignore_the_units_of_the_tensor():
         assert mono.certificate["x"] == ref.certificate["x"] and mono.certificate["y"] == ref.certificate["y"]
         assert mono.certificate["pairing"] == pytest.approx(t * ref.certificate["pairing"], rel=1e-12)
         assert mono.effort["least_vertex_eigenvalue"] == pytest.approx(t * ref.effort["least_vertex_eigenvalue"], rel=1e-12)
+    # check_monotone runs on A over its largest entry: on these tensors too,
+    # and on the two that hold by their Gram matrices, the verdict, the
+    # pieces and the eigenvalues are the same at every scale up to a largest
+    # entry of 1e307, with no overflow, and a fails pair agrees to rounding
+    for A in _monotone_cases()[:15] + _monotone_cases()[-2:]:
+        ref = check_monotone(A, np.zeros(A.dim), CFG)
+        for t in (1e-12, 1e-8, 1e12, 1e200, 1e307 / (float(np.max(np.abs(A.array))) or 1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                mono = check_monotone(scale(t, A), np.zeros(A.dim), CFG)
+            assert mono.verdict == ref.verdict and mono.effort["simplices"] == ref.effort["simplices"]
+            assert mono.effort["least_vertex_eigenvalue"] == pytest.approx(
+                t * ref.effort["least_vertex_eigenvalue"], rel=1e-12, abs=1e-15 * t
+            )
+            if mono.verdict == VERDICT_FAILS:
+                _assert_monotone_certificate(scale(t, A), mono)
+                assert np.allclose(mono.certificate["x"], ref.certificate["x"], rtol=1e-12, atol=0)
+                assert np.allclose(mono.certificate["y"], ref.certificate["y"], rtol=1e-12, atol=0)
+            elif mono.certificate is not None:
+                assert mono.certificate["least_eigenvalue"] == pytest.approx(
+                    t * ref.certificate["least_eigenvalue"], rel=1e-12, abs=1e-15 * t
+                )
     assert check_r0(Tensor.zeros(3, 2), CFG).verdict == VERDICT_FAILS
     assert check_monotone(Tensor.zeros(3, 2), np.zeros(2), CFG).verdict == VERDICT_HOLDS
 
@@ -602,7 +623,16 @@ def _monotone_cases():
     # which count as +inf
     tensors += [Tensor(np.full((2,) * 4, 1e307)), scale(1e307, random_gaussian(4, 2, rng))]
     tensors += [_sum_of_powers(m, n, rng) for m in (2, 3, 4) for n in (2, 3)]
-    return tensors + [_quartic_gradient(c) for c in (5.0, 6.0, 6.5)]
+    tensors += [_quartic_gradient(c) for c in (5.0, 6.0, 6.5)]
+    # F = grad sum_c (c . x)^4 for c = (1, -2, 0), then also (0, 1, -1): J +
+    # J^T = 24 sum_c (c . x)^2 c c^T is PSD but singular on the lines c . x
+    # = 0, and a piece across one has the negative coefficients 12 (c . v_a)
+    # (c . v_b) c c^T, v_a and v_b two of its vertices, until its edges are
+    # about sqrt(tol): the coefficient test alone runs out of pieces.  The
+    # Gram matrix of the first piece, 12 sum_c (V^T c)(V^T c)^T (x) c c^T,
+    # is PSD and holds them
+    lines = [np.array([1.0, -2.0, 0.0]), np.array([0.0, 1.0, -1.0])]
+    return tensors + [Tensor(sum(4.0 * functools.reduce(np.multiply.outer, [c] * 4) for c in cs)) for cs in (lines[:1], lines)]
 
 
 def test_monotone_holds_for_decoupled_squares():
@@ -660,7 +690,7 @@ def _monotone_reference(A, seeds=(0, 5)):
     """The pair sample one pair at a time, for each seed: the grid pairs in
     combinations order, then the seeded pairs, keeping the first least
     pairing.  The grid part is the same at every seed and runs once.
-    Returns [(min_pairing, x, y, pairs)] by seed."""
+    Returns the least pairing by seed."""
     n = A.dim
     axes = np.linspace(0.0, _GRID_BOX, _GRID_PER_AXIS)
     grid = np.stack([m.ravel() for m in np.meshgrid(*([axes] * n), indexing="ij")], axis=1)
@@ -669,15 +699,15 @@ def _monotone_reference(A, seeds=(0, 5)):
         with np.errstate(over="ignore", invalid="ignore"):
             for (x, Fx), (y, Fy) in pairs:
                 v = float((Fy - Fx) @ (y - x))
-                if v < worst[0]:
-                    worst = (v, x, y)
+                if v < worst:
+                    worst = v
         return worst
 
     def mapped(x):
         with np.errstate(over="ignore"):
             return x, contract(A, x)
 
-    on_grid = least(itertools.combinations([mapped(x) for x in grid], 2), (np.inf, None, None))
+    on_grid = least(itertools.combinations([mapped(x) for x in grid], 2), np.inf)
     out = []
     for seed in seeds:
         rng = np.random.default_rng([seed, 2])
@@ -685,20 +715,19 @@ def _monotone_reference(A, seeds=(0, 5)):
         for _ in range(_GRID_RANDOM_PAIRS):
             x = rng.uniform(0.0, _GRID_BOX, n)
             drawn.append((mapped(x), mapped(rng.uniform(0.0, _GRID_BOX, n))))
-        out.append(least(drawn, on_grid) + (math.comb(len(grid), 2) + len(drawn),))
+        out.append(least(drawn, on_grid))
     return out
 
 
 def test_monotone_search_equals_a_per_pair_loop():
     # every tensor that a pair of the grid sample refutes fails, every fails
-    # certificate re-checks with its own einsum, and no tensor holds that
-    # the sample refutes
+    # certificate re-checks with its own einsum, and every other tensor
+    # holds
     refuted = 0
     for i, A in enumerate(_monotone_cases()):
         report = check_monotone(A, np.zeros(A.dim), CFG)
         tol = CFG.tol * float(np.max(np.abs(A.array)))
-        for seed, (v, x, y, pairs) in zip((0, 5), _monotone_reference(A)):
-            assert pairs == math.comb(_GRID_PER_AXIS ** A.dim, 2) + _GRID_RANDOM_PAIRS
+        for seed, v in zip((0, 5), _monotone_reference(A)):
             if v < -tol:
                 assert report.verdict == VERDICT_FAILS, (i, seed)
                 refuted += seed == 0
@@ -708,12 +737,14 @@ def test_monotone_search_equals_a_per_pair_loop():
             assert report.verdict == VERDICT_HOLDS, i
             assert report.certificate["least_eigenvalue"] >= -tol, i
     assert refuted == 14
+    # the singular lines at the end of the cases hold in one piece
+    assert [check_monotone(A, np.zeros(3), CFG).effort["simplices"] for A in _monotone_cases()[-2:]] == [1, 1]
     # c = 6.001: the Hessian has the eigenvalue -0.002 t^2 at x = (t, t), but
     # every pair of the sample is at least 0.4 apart, and there the pairing
     # is positive; the check refutes at the vertex (1/2, 1/2) of the second
     # round
     A = _quartic_gradient(6.001)
-    assert all(v > 1e-3 for v, _, _, _ in _monotone_reference(A))
+    assert all(v > 1e-3 for v in _monotone_reference(A))
     report = check_monotone(A, np.zeros(2), CFG)
     _assert_monotone_certificate(A, report)
     assert report.effort == {"simplices": 3, "least_vertex_eigenvalue": pytest.approx(-0.001, rel=1e-9)}
@@ -727,7 +758,7 @@ def test_monotone_holds_only_where_copositive():
         if check_monotone(A, np.zeros(A.dim), CFG).holds:
             held += 1
             assert check_copositive(A, CFG).verdict != VERDICT_FAILS, i
-    assert held == 11
+    assert held == 13
 
 
 def test_monotone_verdicts_at_n_6_take_one_piece():
@@ -735,9 +766,7 @@ def test_monotone_verdicts_at_n_6_take_one_piece():
     # the pair grid would have tested 6^12 / 2 pairs
     rng = np.random.default_rng(3)
     for A, verdict in ((_sum_of_powers(3, 6, rng, 3), VERDICT_HOLDS), (random_gaussian(3, 6, rng), VERDICT_FAILS)):
-        start = time.perf_counter()
         report = check_monotone(A, np.zeros(6), CFG)
-        assert time.perf_counter() - start < 1.0
         assert report.verdict == verdict and report.effort["simplices"] == 1
         if verdict == VERDICT_HOLDS:
             assert report.certificate["simplices"] == 1 and report.certificate["least_eigenvalue"] >= -CFG.tol
@@ -764,23 +793,6 @@ def test_monotone_verdicts_at_m_3_n_2_match_exact_arithmetic():
         verdicts.append(check_monotone(A, np.zeros(2), CFG).verdict)
         assert verdicts[-1] == (VERDICT_HOLDS if psd else VERDICT_FAILS)
     assert verdicts.count(VERDICT_HOLDS) > 8 and verdicts.count(VERDICT_FAILS) > 8
-
-
-def test_monotone_certificates_ignore_the_units_of_the_tensor():
-    # the check runs on A over its largest entry: at every scale the verdict
-    # and the pieces are the same, and the pair agrees to rounding, with no
-    # overflow at 1e307
-    for A in _monotone_cases()[:15]:
-        ref = check_monotone(A, np.zeros(A.dim), CFG)
-        for t in (1e-12, 1e-8, 1e12, 1e200, 1e307 / float(np.max(np.abs(A.array)) or 1.0)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                report = check_monotone(scale(t, A), np.zeros(A.dim), CFG)
-            assert report.verdict == ref.verdict and report.effort["simplices"] == ref.effort["simplices"]
-            if report.verdict == VERDICT_FAILS:
-                _assert_monotone_certificate(scale(t, A), report)
-                assert np.allclose(report.certificate["x"], ref.certificate["x"], rtol=1e-12, atol=0)
-                assert np.allclose(report.certificate["y"], ref.certificate["y"], rtol=1e-12, atol=0)
 
 
 def test_gus_probe_rejects_negative_sample_counts():
