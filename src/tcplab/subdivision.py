@@ -424,9 +424,9 @@ def _monotone_pieces(unit: Tensor, tol: float):
     (c . x)^2 c c^T, whose C + C^T are negative across it), and the rest are
     cut.  A vertex coefficient is J there; one below -tol refutes unit and
     ends the loop.  Returns (the survivors by k, the pieces judged, the
-    least bound on J + J^T's eigenvalues of a retired piece, mu / k^e for
-    G's mu > 0, and of a vertex coefficient, and the most negative refuting
-    vertex with its eigenvector, or None)."""
+    least eigenvalue bound of a retired piece: C + C^T's, or G + G^T's mu,
+    mu / k^e if mu > 0, the least of a vertex coefficient's C + C^T, and the
+    most negative refuting vertex with its eigenvector, or None)."""
     n, m = unit.dim, unit.order
     rows = slot_sum(unit.array).reshape((n * n,) + (n,) * (m - 2))
     if m == 2:
