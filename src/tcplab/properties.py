@@ -174,7 +174,8 @@ def check_copositive(A: Tensor, cfg: SolverConfig) -> PropertyReport:
     big = float(np.max(np.abs(A.array)))
     unit = Tensor(A.array / big) if big > 0.0 else A
     leaves, least, simplices = _copositive_leaves(unit)
-    G = gradient_sum(unit.array) / m
+    # with no leaf left nothing is started: the KKT points are the n unit vectors
+    G = gradient_sum(unit.array) / m if leaves else None
     kkt, starts, iters = [np.eye(n)], [], 0
     for k, (V, supp) in leaves.items():
         X0 = V.mean(axis=2)
@@ -200,7 +201,7 @@ def check_copositive(A: Tensor, cfg: SolverConfig) -> PropertyReport:
         "simplices": simplices,
         "faces": 2**n - 1,
         "newton_iters": iters,
-        "kkt_points": len(_dedup([(p, 0.0) for p in np.vstack(kkt)], DEDUP_RADIUS)),
+        "kkt_points": len(_dedup([(p, 0.0) for p in np.vstack(kkt)], DEDUP_RADIUS)) if leaves else n,
         "min_form": form(A, x),
         "argmin": x.tolist(),
     }
@@ -229,6 +230,8 @@ def check_monotone(A: Tensor, a, cfg: SolverConfig) -> PropertyReport:
     x = v + h u^-, y = v + h u^+, whose pairing h^2 u^T J(v) u + o(h^2) is
     negative for h small enough; scaled by a power of two to near -2 cfg.tol
     and re-checked with contract below -cfg.tol max|A|, fails ships them.
+    The re-check runs on A times 2^-e, e the binary exponent of max|A|,
+    which is exact up to underflow and cannot overflow where A would.
     Otherwise, or when PIECE_BUDGET stops the search, it is inconclusive.
     Eigenvalues and the pairing are in A's units.
     """
@@ -247,11 +250,13 @@ def check_monotone(A: Tensor, a, cfg: SolverConfig) -> PropertyReport:
         if p < 0.0:
             s = 2.0 ** math.ceil(math.log2(2.0 * cfg.tol / -p) / A.order)
             x, y = s * x, s * y
-            # an overflow in A's units does not re-check: -inf and NaN fail
+            e = math.frexp(big)[1]
+            scaled = Tensor(np.ldexp(A.array, -e))
+            # an overflow does not re-check: -inf and NaN fail
             with np.errstate(over="ignore", invalid="ignore"):
-                p = float((contract(A, y) - contract(A, x)) @ (y - x))
-            if -math.inf < p < -cfg.tol * big:
-                cert = {"x": x.tolist(), "y": y.tolist(), "pairing": p}
+                p = float((contract(scaled, y) - contract(scaled, x)) @ (y - x))
+            if -math.inf < p < -cfg.tol * math.ldexp(big, -e):
+                cert = {"x": x.tolist(), "y": y.tolist(), "pairing": math.ldexp(p, e)}
                 return PropertyReport("monotone", VERDICT_FAILS, cert, effort)
             break
     return PropertyReport("monotone", VERDICT_INCONCLUSIVE, None, effort)

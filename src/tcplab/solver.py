@@ -4,10 +4,12 @@ Every face of the nonnegative orthant contributes a square polynomial
 system (model.FaceSystem); the solver runs a damped Newton on each from the
 starts that a Bernstein subdivision of the augmented tensor leaves on it
 (subdivision._leaf_starts), filters roots by the face sign conditions, and
-merges the survivors.  A face whose equations all vanish identically takes
-the same path: Newton stops at its starts, every feasible start is a root,
-and the face is flagged as a continuum unless its section is one point (a
-homogeneous k = 1 face).  The starts of all faces with the same number k of
+merges the survivors.  A face without starts has no roots and builds no
+system; the face {0}, which holds the origin when a >= 0, is always built.
+A face whose equations all vanish identically takes the same path: Newton
+stops at its starts, every feasible start is a root, and the face is
+flagged as a continuum unless its section is one point (a homogeneous
+k = 1 face).  The starts of all faces with the same number k of
 free coordinates run as one Newton batch: each row is evaluated on its own
 face's block, so a face gets the roots it gets when solved alone.
 Unboundedness is probed through the homogeneous problem TCP(A, 0): its
@@ -18,8 +20,8 @@ subdivision of the simplex faces settles it (subdivision._r0_certificate):
 when it excludes every piece, with rounding-safe sign tests, Sol(A, 0) = {0}
 is proved and no face system is built; otherwise the centroids of the
 pieces it leaves alive are the only Newton starts of the search, and a face
-with no surviving piece runs no Newton.  Nothing in a solve is random: its
-output depends on (A, a) alone.
+with no surviving piece builds no system and runs no Newton.  Nothing in a
+solve is random: its output depends on (A, a) alone.
 
 solve_many and homogeneous_solve_many take many instances of one (m, n) and
 hand the face systems of all of them to the face solver at once, in chunks
@@ -587,21 +589,24 @@ def _solve_stream(instances, cfg: SolverConfig, certs: list | None = None, homs:
     homs = {} if homs is None else homs
 
     def prepared():
+        # a face system is built only for a face with starts, and for the
+        # face {0} of a point solve; every other face has no roots
         for inst, cert in zip(instances, certs if homogeneous else [None] * len(instances)):
             unit = _unit_pair(inst.tensor, inst.a)
-            systems = [face_system(unit, face) for face in faces]
             starts = cert.starts if homogeneous else _leaf_starts(unit, cfg.tol)
-            yield inst, cert, unit, systems, [starts.get(fs.alpha.mask, np.zeros((0, fs.k))) for fs in systems]
+            used = [face for face in faces if face.mask in starts or face.mask == 2**inst.n - 1]
+            systems = [face_system(unit, face) for face in used]
+            yield inst, cert, unit, systems, [starts.get(face.mask, np.zeros((0, 0))) for face in used]
 
     for chunk in _runs(prepared(), lambda item: sum(len(z) for z in item[4]) * item[0].n ** item[0].m, _MANY_CHUNK):
-        outcomes = _solve_faces([fs for item in chunk for fs in item[3]], [z for item in chunk for z in item[4]],
-                                cfg, homogeneous)
+        outcomes = iter(_solve_faces([fs for item in chunk for fs in item[3]], [z for item in chunk for z in item[4]],
+                                     cfg, homogeneous))
         if not homogeneous:
             keys = [inst.tensor.array.tobytes() for inst, *_ in chunk]
             new = {key: inst.tensor for key, (inst, *_) in zip(keys, chunk) if key not in homs}
             homs.update(zip(new, _homogeneous_rays(list(new.values()), cfg)))
-        for j, (inst, cert, unit, _, _) in enumerate(chunk):
-            outs = outcomes[j * len(faces):(j + 1) * len(faces)]
+        for j, (inst, cert, unit, systems, _) in enumerate(chunk):
+            outs = list(itertools.islice(outcomes, len(systems)))
             rays = [d for out in outs for d in out.rays]
             work = {"starts": sum(out.starts for out in outs), "newton_iters": sum(out.newton_iters for out in outs)}
             if homogeneous:
@@ -613,7 +618,7 @@ def _solve_stream(instances, cfg: SolverConfig, certs: list | None = None, homs:
                 meta = _meta(cfg, **work, hom_candidates=len(hom), faces=2**inst.n)
             points = _sorted_points(unit, inst, [x for out in outs for x in out.points], cfg)
             rays = _sorted_rays(rays, cfg.tol)
-            posdim = [face for face, out in zip(faces, outs) if out.posdim]
+            posdim = [fs.alpha for fs, out in zip(systems, outs) if out.posdim]
             yield SolutionSet(points, rays, posdim, _status(points, rays, posdim), meta)
 
 
@@ -648,7 +653,8 @@ def homogeneous_solve(A: Tensor, cfg: SolverConfig) -> SolutionSet:
     no face system is built, no Newton runs, and meta records the pieces
     judged (simplices) and the certified margin.  Otherwise the centroids of
     the pieces it leaves alive are the only Newton starts, each on its own
-    face, a face with no surviving piece runs no Newton, and margin is None.
+    face, a face with no surviving piece builds no system and runs no
+    Newton, and margin is None.
     The result depends on A alone.
 
     The search runs on the Frobenius-normalized tensor: Sol(tA, 0) equals

@@ -152,7 +152,25 @@ def _form_bernstein(arr: np.ndarray, V: np.ndarray) -> np.ndarray:
 def _pairs(k: int) -> np.ndarray:
     """The vertex pairs a < b of a k-vertex simplex in lexicographic order,
     shape (2, k (k - 1) / 2)."""
-    return np.array(list(itertools.combinations(range(k), 2))).T
+    return _read_only(np.array(list(itertools.combinations(range(k), 2))).T)
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_differences(k: int) -> np.ndarray:
+    """The (k, k (k - 1) / 2) matrix E with E[a, p] = 1 and E[b, p] = -1
+    for the p-th pair (a, b) of _pairs(k), and 0 elsewhere: V @ E holds the
+    edge vectors v_a - v_b.  Each entry is one +1 and one -1 term among
+    zeros, so in any summation order it is fl(v_a - v_b), rounded once."""
+    a, b = _pairs(k)
+    E = np.zeros((k, len(a)))
+    E[a, np.arange(len(a))], E[b, np.arange(len(a))] = 1.0, -1.0
+    return _read_only(E)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """arr, made read-only: the cached tables are shared by every call."""
+    arr.flags.writeable = False
+    return arr
 
 
 def _bisect(V: np.ndarray):
@@ -161,7 +179,7 @@ def _bisect(V: np.ndarray):
     whether every midpoint is exact."""
     P, _, k = V.shape
     a, b = _pairs(k)
-    edges = np.abs(V[:, :, a] - V[:, :, b]).max(axis=1)
+    edges = np.abs(V @ _pair_differences(k)).max(axis=1)
     e = edges.argmax(axis=1)
     rows = np.arange(P)
     va, vb = V[rows, :, a[e]], V[rows, :, b[e]]
@@ -180,19 +198,27 @@ def _face_pieces(n: int, least_k: int = 1, apex: bool = False) -> dict:
     """The face simplices with at least least_k free coordinates, by k: each
     a vertex matrix (P, n, k) of unit vectors with its supports (P, n),
     supports ascending as masks; with apex, the 2^n - 1 face simplices
-    (P, n + 1, k) of R^{n+1} that hold the last coordinate and another."""
+    (P, n + 1, k) of R^{n+1} that hold the last coordinate and another.
+
+    The arrays are built once per (n, least_k, apex), on the first call, and
+    are read-only: every call shares them, in a dict of its own."""
+    return dict(_face_piece_table(n, least_k, apex))
+
+
+@functools.lru_cache(maxsize=None)
+def _face_piece_table(n: int, least_k: int, apex: bool) -> tuple:
     # every face but {0}, pinned masks descending: supports 1 .. 2^n - 1 ascending
     pinned = np.array([face.mask for face in enumerate_faces(n)[-2::-1]])
     every_support = (pinned[:, None] >> np.arange(n + apex) & 1) == 0
     sizes = every_support.sum(axis=1)
-    pieces = {}
+    pieces = []
     for k in range(max(least_k, 1 + apex), n + 1 + apex):
         supports = every_support[sizes == k]
         V = np.zeros((len(supports), n + apex, k))
         rows, cols = np.nonzero(supports)
         V[rows, cols, np.tile(np.arange(k), len(supports))] = 1.0
-        pieces[k] = (V, supports)
-    return pieces
+        pieces.append((k, (_read_only(V), _read_only(supports))))
+    return tuple(pieces)
 
 
 def _subdivide(pieces: dict, judge, min_edge: float = 0.0, leaf_edge: float = 0.0):
@@ -200,7 +226,7 @@ def _subdivide(pieces: dict, judge, min_edge: float = 0.0, leaf_edge: float = 0.
     the point faces' starts, the copositivity and monotonicity checks share.
 
     pieces maps k to a stack of k-vertex simplices (P, n, k) and their
-    supports (P, n).  Each round judge(k, V, supp) returns the mask of the
+    supports (P, n), which are read and never written.  Each round judge(k, V, supp) returns the mask of the
     pieces that survive, and the survivors are cut in two at their longest
     edge (_bisect) to make the next round.  A surviving vertex (k = 1)
     piece has no edge to cut: it is kept, uncut and not judged again, among
@@ -248,6 +274,14 @@ def _by_face(Z: np.ndarray, supp: np.ndarray, starts: dict) -> None:
 # R0: the certificate and the point faces' starts
 
 
+@functools.lru_cache(maxsize=None)
+def _rounding(k: int, d: int, n: int) -> tuple[int, float]:
+    """K and gamma_K of _bernstein's rounding bound for k-vertex pieces in
+    R^n and rows of degree d."""
+    K = d * n + int(_multisets(k, d)[2].max())
+    return K, K * 2.0 ** -53 / (1.0 - K * 2.0 ** -53)
+
+
 def _r0_clearance(arr: np.ndarray, top: np.ndarray, V: np.ndarray, supp: np.ndarray) -> np.ndarray:
     """How far the pieces V (P, n, k) with supports supp (P, n) are from
     holding a solution of their support for the order-m array arr, shape
@@ -263,9 +297,8 @@ def _r0_clearance(arr: np.ndarray, top: np.ndarray, V: np.ndarray, supp: np.ndar
     piece's is its best row's, and a positive one excludes it.
     """
     P, n, k = V.shape
-    d, R = arr.ndim - 1, arr.shape[0]
-    K = d * n + int(_multisets(k, d)[2].max())
-    gamma = K * 2.0 ** -53 / (1.0 - K * 2.0 ** -53)
+    R = arr.shape[0]
+    K, gamma = _rounding(k, arr.ndim - 1, n)
     bound = 2.0 * gamma * top + K * 2.0 ** -1072
     coef = _bernstein(arr, V)
     neg = -coef.max(axis=2) - bound
@@ -380,6 +413,15 @@ def _leaf_starts(unit: TcpInstance, tol: float) -> dict[int, np.ndarray]:
 # copositivity and monotonicity
 
 
+@functools.lru_cache(maxsize=None)
+def _form_points(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The weights that take the form's Bernstein coefficients (groups
+    ranked as in _multisets(k, m)) to its value at the centroid, and the
+    column of each vertex's coefficient."""
+    centroid = _multisets(k, m)[2] / k**m
+    return _read_only(centroid), _read_only(np.argmax(_degree_raise(k, m)[1], axis=1))
+
+
 def _copositive_leaves(unit: Tensor) -> tuple[dict, np.ndarray, int]:
     """Branch and bound on the Bernstein coefficients of the form of unit,
     over every face simplex with k >= 2 free coordinates.
@@ -397,9 +439,7 @@ def _copositive_leaves(unit: Tensor) -> tuple[dict, np.ndarray, int]:
 
     def judge(k, V, supp):
         nonlocal best, where
-        # the form at a piece's centroid and at its vertices from its coefficients
-        centroid = _multisets(k, m)[2] / k**m
-        corner = np.argmax(_degree_raise(k, m)[1], axis=1)
+        centroid, corner = _form_points(k, m)
         coef = _form_bernstein(unit.array, V)
         vals = np.concatenate([coef @ centroid, coef[:, corner].ravel()])
         i = int(np.argmin(vals))

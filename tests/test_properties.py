@@ -750,6 +750,25 @@ def test_monotone_search_equals_a_per_pair_loop():
     assert report.effort == {"simplices": 3, "least_vertex_eigenvalue": pytest.approx(-0.001, rel=1e-9)}
 
 
+def test_monotone_fails_near_the_largest_float():
+    # c = 6.000001: the refuting pair sits near (64, 64), where A y^3 in A's
+    # units overflows once max|A| passes about 1e305, and the check used to
+    # come out inconclusive there.  It re-checks on A over a power of two,
+    # so A times 2^s fails with the same pair and the pairing times 2^s
+    A = _quartic_gradient(6.000001)
+    ref = check_monotone(A, np.zeros(2), CFG)
+    _assert_monotone_certificate(A, ref)
+    big = float(np.max(np.abs(A.array)))
+    for top in (1e300, 8.3e305, 1e307, 1.7e308):
+        s = math.floor(math.log2(top / big))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = check_monotone(Tensor(np.ldexp(A.array, s)), np.zeros(2), CFG)
+        assert report.verdict == VERDICT_FAILS, top
+        assert report.certificate == {**ref.certificate, "pairing": math.ldexp(ref.certificate["pairing"], s)}
+        assert report.effort["least_vertex_eigenvalue"] == math.ldexp(ref.effort["least_vertex_eigenvalue"], s)
+
+
 def test_monotone_holds_only_where_copositive():
     # for a monotone F, <F(x) - F(0), x - 0> = A x^m is nonnegative on the
     # orthant, so a tensor that holds must not fail check_copositive

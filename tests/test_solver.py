@@ -771,14 +771,17 @@ def test_face_batches_stay_under_the_budget_and_change_nothing(monkeypatch):
 
 def test_solve_many_solves_each_distinct_tensor_once(monkeypatch):
     # two tensor values, each held by three separate Tensor objects: one
-    # homogeneous solve of 2^2 - 1 faces per value, also when every instance
-    # is a chunk of its own.  Certified tensors make no homogeneous call
+    # homogeneous solve per value, also when every instance is a chunk of
+    # its own.  Certified tensors make no homogeneous call
     rng = np.random.default_rng(6)
     undecided = [inst.tensor.array for inst in _undecided_cases()[1:3]]
     certified = [random_gaussian(3, 2, rng).array for _ in range(2)]
     assert all(_r0_certificate(Tensor(arr), CFG.tol).holds for arr in certified)
     _, hom_systems = _counting_face_solver(monkeypatch)
-    for arrays, want_systems in ((undecided, 2 * 3), (certified, 0)):
+    # the certificates leave pieces on 2 of the 3 faces of each undecided
+    # tensor, and the search builds systems for those faces alone
+    assert [len(_r0_certificate(Tensor(arr), CFG.tol).starts) for arr in undecided] == [2, 2]
+    for arrays, want_systems in ((undecided, 2 + 2), (certified, 0)):
         insts = [TcpInstance(Tensor(arrays[i % 2].copy()), rng.normal(size=2)) for i in range(6)]
         monkeypatch.setattr(solver_mod, "_MANY_CHUNK", 1 << 21)
         want = _json([solve(inst, CFG) for inst in insts])
@@ -812,7 +815,8 @@ def test_each_tensor_is_certified_once_and_a_certified_one_builds_no_face_system
     # tensor's R0 certificate once; the homogeneous search of a certified
     # tensor builds no face system and runs no Newton row, so every face
     # system is a point face's, and every simplex-augmented Newton system
-    # belongs to the undecided tensor
+    # belongs to the undecided tensor.  A face system is built only for a
+    # face with starts, and for the face {0} of each point solve
     from tcplab import stability_inclusion_check
 
     certs, systems, simplex = [], [], []
@@ -841,7 +845,9 @@ def test_each_tensor_is_certified_once_and_a_certified_one_builds_no_face_system
     insts = [TcpInstance(A, a) for A in (gus, W, G, gus, W) for a in ([1.0, -1.0], [-1.0, 0.5])]
     solve_many(insts, CFG)
     assert sorted(certs) == sorted(A.array.tobytes() for A in (gus, W, G))
-    assert len(systems) == 4 * len(insts) + 3 and systems.count(unit_W) == 3
+    # the leaves start 14 of the 3 * 10 point faces that are not {0}, and
+    # the certificate of W leaves pieces on 2 of its 3 homogeneous faces
+    assert len(systems) == 14 + len(insts) + 2 and systems.count(unit_W) == 2
     assert simplex and set(simplex) == {unit_W}
     for A in (gus, G):
         certs.clear(), systems.clear()
@@ -853,7 +859,13 @@ def test_each_tensor_is_certified_once_and_a_certified_one_builds_no_face_system
     report = stability_inclusion_check(gus, [1.0, 1.0], 0.05, 4, CFG)
     # the base solve, and two right-hand sides for each drawn tensor
     assert report.summary["collected"] == 4 and len(certs) == len(set(certs)) == 1 + 4
-    assert len(systems) == 4 * (1 + 2 * 4) and simplex == []
+    # (A, a) near (gus, (1, 1)) solves at the origin alone: the leaves start
+    # no face, and each solve builds the system of its face {0}, which
+    # still returns the origin
+    assert len(systems) == 1 + 2 * 4 and simplex == []
+    systems.clear()
+    sol = solve(TcpInstance(gus, [1.0, 1.0]), CFG)
+    assert len(systems) == 1 and [p.x.tolist() for p in sol.points] == [[0.0, 0.0]]
 
 
 def test_certified_tensors_skip_the_homogeneous_search(monkeypatch):

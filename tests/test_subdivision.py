@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import tcplab.subdivision as subdivision_mod
 from tcplab import SolverConfig, TcpInstance, Tensor, contract, form, random_gaussian, solve
@@ -59,6 +60,64 @@ def test_bisect_reports_an_inexact_midpoint():
     assert not exact and longest.tolist() == [0.9]
     _, _, exact = _bisect(np.eye(3)[None])
     assert exact
+    # dyadic simplices, whose midpoints are exact, alone and stacked with
+    # random ones and with the one above: the edges are the per-pair loop's
+    # bit for bit, each piece is cut at the first of its longest edges, and
+    # one inexact midpoint makes the stack inexact
+    rng = np.random.default_rng(8)
+    for n in (3, 4):
+        dyadic = rng.integers(0, 8, (5, n, n)) / 8.0
+        drawn = rng.uniform(0.0, 1.0, (5, n, n))
+        drawn /= drawn.sum(axis=1, keepdims=True)
+        rounds = np.eye(n)[None].copy()
+        rounds[0, :2, :2] = V[0]
+        pairs = list(itertools.combinations(range(n), 2))
+        for stack, inexact in ((dyadic, False), (np.concatenate([dyadic, drawn, rounds]), True)):
+            halves, longest, exact = _bisect(stack)
+            assert np.array_equal(longest, _longest_edges(stack)) and exact is not inexact
+            for p, Vp in enumerate(stack):
+                a, b = pairs[int(np.argmax([np.abs(Vp[:, a] - Vp[:, b]).max() for a, b in pairs]))]
+                mid = 0.5 * (Vp[:, a] + Vp[:, b])
+                assert np.array_equal(halves[p][:, b], mid) and np.array_equal(halves[len(stack) + p][:, a], mid)
+
+
+def test_bisect_cuts_the_first_of_tied_edges():
+    # on the unit simplex every edge has length 1, and pair (0, 1) is cut
+    for k in (2, 3, 4):
+        V = np.eye(k)[None]
+        halves, longest, exact = _bisect(V)
+        mid = np.where(np.arange(k) < 2, 0.5, 0.0)
+        want = np.concatenate([V, V])
+        want[0, :, 1] = want[1, :, 0] = mid
+        assert exact and longest.tolist() == [1.0] and np.array_equal(halves, want)
+    # edges (0, 2) and (1, 2) tie above (0, 1): (0, 2) is cut
+    V = np.array([[[1.0, 0.75, 0.0], [0.0, 0.25, 0.0], [0.0, 0.0, 1.0]]])
+    halves, longest, exact = _bisect(V)
+    assert exact and longest.tolist() == [1.0]
+    assert halves[0, :, 2].tolist() == halves[1, :, 0].tolist() == [0.5, 0.0, 0.5]
+
+
+def test_face_pieces_are_shared_read_only_tables():
+    # the face simplices are built once per shape: every call hands out the
+    # same arrays, which cannot be written, in a dict of its own, and the
+    # subdivision loop leaves its input pieces as they were
+    for args in ((3,), (3, 2), (3, 3), (2, 1, True)):
+        first, second = _face_pieces(*args), _face_pieces(*args)
+        assert first is not second and first.keys() == second.keys()
+        for k, (V, supp) in first.items():
+            assert V is second[k][0] and supp is second[k][1]
+            with pytest.raises(ValueError):
+                V[0, 0, 0] = 2.0
+            with pytest.raises(ValueError):
+                supp[0, 0] = not supp[0, 0]
+        first.clear()
+        assert _face_pieces(*args).keys() == second.keys()
+    pieces = _face_pieces(3, apex=True)
+    before = {k: (V.copy(), supp.copy()) for k, (V, supp) in pieces.items()}
+    _subdivide(pieces, _keep_all, leaf_edge=LEAF_EDGE)
+    assert pieces.keys() == before.keys()
+    for k, (V, supp) in pieces.items():
+        assert np.array_equal(V, before[k][0]) and np.array_equal(supp, before[k][1])
 
 
 def test_subdivide_stops_when_nothing_survives():
