@@ -226,11 +226,11 @@ def _subdivide(pieces: dict, judge, min_edge: float = 0.0, leaf_edge: float = 0.
     the point faces' starts, the copositivity and monotonicity checks share.
 
     pieces maps k to a stack of k-vertex simplices (P, n, k) and their
-    supports (P, n), which are read and never written.  Each round judge(k, V, supp) returns the mask of the
-    pieces that survive, and the survivors are cut in two at their longest
-    edge (_bisect) to make the next round.  A surviving vertex (k = 1)
-    piece has no edge to cut: it is kept, uncut and not judged again, among
-    the survivors to the end.  The loop ends when no piece is left to
+    supports (P, n), which are read and never written.  Each round
+    judge(k, V, supp) returns the mask of the pieces that survive, and the
+    survivors are cut in two at their longest edge (_bisect) to make the
+    next round.  A surviving vertex (k = 1) piece has no edge to cut: it is
+    kept, uncut and not judged again, among the survivors to the end.  The loop ends when no piece is left to
     judge, or with the survivors of the last round, uncut, on the first of:
     the next round taking the pieces judged past PIECE_BUDGET, a midpoint
     that is not exact, a surviving piece whose longest edge is below
