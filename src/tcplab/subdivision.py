@@ -230,12 +230,12 @@ def _subdivide(pieces: dict, judge, min_edge: float = 0.0, leaf_edge: float = 0.
     judge(k, V, supp) returns the mask of the pieces that survive, and the
     survivors are cut in two at their longest edge (_bisect) to make the
     next round.  A surviving vertex (k = 1) piece has no edge to cut: it is
-    kept, uncut and not judged again, among the survivors to the end.  The loop ends when no piece is left to
-    judge, or with the survivors of the last round, uncut, on the first of:
-    the next round taking the pieces judged past PIECE_BUDGET, a midpoint
-    that is not exact, a surviving piece whose longest edge is below
-    min_edge, or every surviving piece's below leaf_edge.  Returns (the
-    survivors by k, the pieces judged).
+    kept, uncut and not judged again, among the survivors to the end.  The
+    loop ends when no piece is left to judge, or with the survivors of the
+    last round, uncut, on the first of: the next round taking the pieces
+    judged past PIECE_BUDGET, a midpoint that is not exact, a surviving
+    piece whose longest edge is below min_edge, or every surviving piece's
+    below leaf_edge.  Returns (the survivors by k, the pieces judged).
     """
     simplices, kept = 0, {}
     while True:
@@ -274,14 +274,6 @@ def _by_face(Z: np.ndarray, supp: np.ndarray, starts: dict) -> None:
 # R0: the certificate and the point faces' starts
 
 
-@functools.lru_cache(maxsize=None)
-def _rounding(k: int, d: int, n: int) -> tuple[int, float]:
-    """K and gamma_K of _bernstein's rounding bound for k-vertex pieces in
-    R^n and rows of degree d."""
-    K = d * n + int(_multisets(k, d)[2].max())
-    return K, K * 2.0 ** -53 / (1.0 - K * 2.0 ** -53)
-
-
 def _r0_clearance(arr: np.ndarray, top: np.ndarray, V: np.ndarray, supp: np.ndarray) -> np.ndarray:
     """How far the pieces V (P, n, k) with supports supp (P, n) are from
     holding a solution of their support for the order-m array arr, shape
@@ -297,8 +289,9 @@ def _r0_clearance(arr: np.ndarray, top: np.ndarray, V: np.ndarray, supp: np.ndar
     piece's is its best row's, and a positive one excludes it.
     """
     P, n, k = V.shape
-    R = arr.shape[0]
-    K, gamma = _rounding(k, arr.ndim - 1, n)
+    d, R = arr.ndim - 1, arr.shape[0]
+    K = d * n + int(_multisets(k, d)[2].max())
+    gamma = K * 2.0 ** -53 / (1.0 - K * 2.0 ** -53)
     bound = 2.0 * gamma * top + K * 2.0 ** -1072
     coef = _bernstein(arr, V)
     neg = -coef.max(axis=2) - bound
