@@ -30,9 +30,11 @@ what solve or homogeneous_solve gives it alone, and the homogeneous part is
 settled once per distinct tensor.
 
 The brute-force grid oracle at the bottom is a separate check path: it
-never reuses the solver's roots and only polishes its own grid clusters,
-but it runs on the same kernels and Newton engine, and on (A, a) divided by
-its pair norm as solve does.
+never reuses the solver's roots and only polishes its own grid clusters.
+Its scan evaluates F and J from A's monomial coefficients along the grid's
+axes, in chunks of grid rows, without the solver's kernels; its polish
+still runs the solver's Newton engine (_newton).  Like solve, it works on
+(A, a) divided by its pair norm.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from .tensors import (
     contract_rows,
     jacobian_rows,
     pair_norm,
-    slot_sum,
 )
 
 STATUS_EMPTY = "exact-empty"
@@ -760,8 +761,10 @@ class OracleResult:
     meta: dict
 
 
-# grid points per chunk times n^m, the size of the kernels' temporaries
-_ORACLE_CHUNK = 1 << 21
+# grid points per chunk of the oracle's scan, rounded down to whole grid
+# rows (at least one).  On ex1's 501 x 501 grid smaller chunks cut neither
+# the time nor the peak, which the full-grid mask, score and labels then set
+_ORACLE_CHUNK = 1 << 14
 _ORACLE_SEED_CAP = 16
 _ORACLE_SAFETY = 1.5
 
@@ -870,6 +873,95 @@ def _oracle_polish(inst: TcpInstance, seed: np.ndarray, pin_tol: float, tol: flo
     return out
 
 
+def _scan_polynomials(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F(x) = arr x^{m-1} and its Jacobian as polynomials in x: (exps, C).
+
+    Row k of exps holds the exponents of the k-th monomial of degree m - 1 or
+    m - 2, and C[t, k] is its coefficient in output t: outputs 0..n-1 are
+    the rows of F, output n + n i + j is dF_i/dx_j.  The entries of arr whose
+    trailing multi-indices share a monomial add into one coefficient.
+    """
+    n, m = arr.shape[0], arr.ndim
+    trailing = np.indices((n,) * (m - 1)).reshape(m - 1, -1)
+    T = trailing.shape[1]
+    # E[t]: the exponents of the monomial of trailing multi-index t
+    E = np.sum(trailing[:, :, None] == np.arange(n), axis=0)
+    # x_j differentiated out of the monomial of trailing multi-index t
+    t, j = np.nonzero(E)
+    D = E[t] - np.eye(n, dtype=E.dtype)[j]
+    exps, inv = np.unique(np.concatenate([E, D]), axis=0, return_inverse=True)
+    inv = inv.reshape(-1)
+    flat = arr.reshape(n, T)
+    C = np.zeros((n + n * n, len(exps)))
+    i = np.arange(n)[:, None]
+    np.add.at(C, (i, inv[None, :T]), flat)
+    np.add.at(C, (n + n * i + j, inv[None, T:]), flat[:, t] * E[t, j])
+    return exps, C
+
+
+def _row_values(exps: np.ndarray, C: np.ndarray, axis: np.ndarray, lead) -> np.ndarray:
+    """The polynomials (exps, C) of _scan_polynomials on whole grid rows.
+
+    axis holds the grid's g coordinates along each axis, and lead the rows'
+    indices on the n - 1 leading axes, R each.  On a row every output is a
+    polynomial in the last coordinate; its coefficients Q come from the
+    powers of the row's leading coordinates, and Horner's rule evaluates it
+    along the row.  Returns shape (len(C), R, g).
+    """
+    d = int(exps.sum(axis=1).max())  # m - 1
+    pw = np.cumprod(np.vstack([np.ones(axis.size), np.broadcast_to(axis, (d, axis.size))]), axis=0)
+    lv = np.ones((len(exps), lead[0].size))
+    for ax, idx in enumerate(lead):
+        lv *= pw[exps[:, ax, None], idx]
+    # Q[t, p, r]: output t's coefficient of x_last^p on row r
+    Q = np.zeros((len(C), d + 1, lead[0].size))
+    np.add.at(Q, (slice(None), exps[:, -1]), C[:, :, None] * lv)
+    V = np.zeros((len(C), lead[0].size, axis.size))
+    for p in range(d, -1, -1):
+        V *= axis
+        V += Q[:, p, :, None]
+    return V
+
+
+def _scan(inst: TcpInstance, g: int, grid_step: float, tol: float):
+    """Acceptance mask, violation score and the largest theta_F on the grid.
+
+    The grid is {0, .., g - 1}^n times grid_step, scanned in chunks of whole
+    rows along its last axis, with F and J from the monomial coefficients of
+    A (_scan_polynomials, _row_values).  All of it is elementwise numpy, so
+    each point's bits depend neither on the chunk split nor on a BLAS.
+    Returns accept and score of shape (g,)*n.
+    """
+    n = inst.n
+    exps, C = _scan_polynomials(inst.tensor.array)
+    axis = np.arange(g) * grid_step
+    half_diag = 0.5 * grid_step * math.sqrt(n)
+    a = inst.a[:, None, None]
+    n_rows = g ** (n - 1)
+    accept = np.zeros((n_rows, g), dtype=bool)
+    score = np.empty((n_rows, g))
+    theta_F_max = 0.0
+    chunk_rows = max(1, _ORACLE_CHUNK // g)
+    for r0 in range(0, n_rows, chunk_rows):
+        lead = np.unravel_index(np.arange(r0, min(r0 + chunk_rows, n_rows)), (g,) * (n - 1))
+        V = _row_values(exps, C, axis, lead)
+        F, J = V[:n] + a, V[n:].reshape(n, n, *V.shape[1:])
+        X = np.empty(F.shape)
+        for ax, idx in enumerate(lead):
+            X[ax] = axis[idx, None]
+        X[-1] = axis
+        theta_F = _ORACLE_SAFETY * half_diag * np.sqrt(np.sum(J * J, axis=1)) + tol
+        grad_comp = F + np.sum(J * X[:, None], axis=0)
+        theta_comp = _ORACLE_SAFETY * half_diag * np.sqrt(np.sum(grad_comp * grad_comp, axis=0)) + tol
+        comp = np.abs(np.sum(X * F, axis=0))
+        rows = slice(r0, r0 + F.shape[1])
+        accept[rows] = np.all(F + theta_F >= 0.0, axis=0) & (comp <= theta_comp)
+        score[rows] = np.maximum(np.maximum(0.0, -np.min(F, axis=0)), comp)
+        theta_F_max = max(theta_F_max, float(np.max(theta_F)))
+    shape = (g,) * n
+    return accept.reshape(shape), score.reshape(shape), theta_F_max
+
+
 def brute_force_oracle(
     inst: TcpInstance, box_radius: float, grid_step: float, tol: float
 ) -> OracleResult:
@@ -881,16 +973,21 @@ def brute_force_oracle(
     depend on the units of (A, a).
 
     Accepts grid points whose feasibility and complementarity clear local
-    thresholds widened to the grid resolution (the exact batch Jacobian gives
-    each point its own bound, so a true solution within half a cell is never
-    missed and far-field slop does not bloat the capture).  Accepted points
-    are grouped by grid connectivity; every local minimum of the violation
-    score inside a cluster seeds a Newton polish, so one cluster can yield
-    several nearby solutions.  Only polished points re-verified at
-    ORACLE_VERIFY_TOL enter `representatives`; clusters report size and
-    spatial extent so positive-dimensional components are visible as extended
-    clusters.  Valid only inside the box: clusters touching the outer
-    boundary are flagged, the exterior is unobserved.
+    thresholds widened to the grid resolution (the exact Jacobian gives each
+    point its own bound, so a true solution within half a cell is never
+    missed and far-field slop does not bloat the capture).  The scan
+    evaluates F and J from A's monomial coefficients along the grid's axes,
+    in chunks of about _ORACLE_CHUNK points (whole grid rows), with its own
+    elementwise arithmetic and not the solver's kernels, so each point's
+    result does not depend on the chunk split.  Accepted points are grouped
+    by grid connectivity; every local minimum of the violation score inside
+    a cluster seeds a Newton polish, so one cluster can yield several nearby
+    solutions.  Only polished points re-verified at ORACLE_VERIFY_TOL enter
+    `representatives`; the polish still runs the solver's _newton on
+    _face_functions.  Clusters report size and spatial extent so
+    positive-dimensional components are visible as extended clusters.  Valid
+    only inside the box: clusters touching the outer boundary are flagged,
+    the exterior is unobserved.
     """
     # written so that NaN and inf fail it: a NaN tol accepts no grid point
     if not all(0.0 < v < math.inf for v in (box_radius, grid_step, tol)):
@@ -904,44 +1001,27 @@ def brute_force_oracle(
     inst = _unit_pair(inst.tensor, inst.a)
     shape = (g,) * n
     total = g**n
-    half_diag = 0.5 * grid_step * math.sqrt(n)
-
-    accept = np.zeros(total, dtype=bool)
-    score = np.full(total, np.inf)
-    theta_F_max = 0.0
-    W = slot_sum(inst.tensor.array)
-    chunk = max(1, _ORACLE_CHUNK // n**inst.m)
-    for s in range(0, total, chunk):
-        idx = np.arange(s, min(s + chunk, total))
-        Xc = np.stack(np.unravel_index(idx, shape), axis=1) * grid_step
-        FX = contract_rows(inst.tensor.array, Xc) + inst.a
-        J = jacobian_rows(W, Xc)
-        row_norms = np.linalg.norm(J, axis=2)
-        theta_F = _ORACLE_SAFETY * half_diag * row_norms + tol
-        grad_comp = FX + np.einsum("pij,pi->pj", J, Xc)
-        theta_comp = _ORACLE_SAFETY * half_diag * np.linalg.norm(grad_comp, axis=1) + tol
-        feas_F = np.maximum(0.0, -np.min(FX, axis=1))
-        comp = np.abs(np.einsum("pi,pi->p", Xc, FX))
-        accept[idx] = np.all(FX + theta_F >= 0.0, axis=1) & (comp <= theta_comp)
-        score[idx] = np.maximum(feas_F, comp)
-        if idx.size:
-            theta_F_max = max(theta_F_max, float(np.max(theta_F)))
-
-    labels, ncl = _label(accept.reshape(shape))
-    labels = labels.reshape(-1)
+    accept, score, theta_F_max = _scan(inst, g, grid_step, tol)
+    labels, ncl = _label(accept)
 
     # polish seeds: local minima of the violation score within the captured
     # set, taken per face sub-grid.  A solution with zero coordinates is
     # interior to its face, where its basin is a genuine minimum; on the full
     # grid the score valley can drain past it toward a nearby interior basin
     # without ever forming one.
-    is_min = _polish_seeds(np.where(accept, score, np.inf).reshape(shape)).reshape(-1)
+    is_min = _polish_seeds(np.where(accept, score, np.inf)).reshape(-1)
+    labels, score = labels.reshape(-1), score.reshape(-1)
+    # every cluster's members in C order, from one stable sort of the
+    # accepted points by label: cluster c is order[ends[c - 1]:ends[c]]
+    captured = np.flatnonzero(accept)
+    order = captured[np.argsort(labels[captured], kind="stable")]
+    ends = np.cumsum(np.bincount(labels[captured], minlength=ncl + 1))
 
     clusters: list[OracleCluster] = []
     reps: list[tuple[np.ndarray, float]] = []
     pin_tol = grid_step * (1.0 + 1e-9)
     for c in range(1, ncl + 1):
-        idx = np.flatnonzero(labels == c)
+        idx = order[ends[c - 1]:ends[c]]
         members = np.stack(np.unravel_index(idx, shape), axis=1) * grid_step
         best = members[int(np.argmin(score[idx]))]
         extent = float(np.max(np.max(members, axis=0) - np.min(members, axis=0))) if len(idx) > 1 else 0.0

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,7 @@ from tcplab.solver import (
     _newton_steps,
 )
 from tcplab.subdivision import _leaf_starts, _r0_certificate
+from tcplab.tensors import contract_rows, jacobian_rows, slot_sum
 
 from lattice_reference import lattice_certificate, simplex_starts
 
@@ -1190,6 +1192,67 @@ def test_oracle_meta_reports_grid_parameters():
     assert orc.meta["grid_step"] == 0.05
     assert orc.meta["grid_points"] == 61**2
     assert orc.meta["n_clusters"] == len(orc.clusters)
+
+
+def _oracle_bytes(orc):
+    """Every output of an oracle result, floats as their bytes."""
+    clusters = [(c.size, c.raw.tobytes(), None if c.polished is None else c.polished.tobytes(), c.verified,
+                 c.extent, c.extended, c.boundary, c.members.tobytes()) for c in orc.clusters]
+    return clusters, [r.tobytes() for r in orc.representatives], orc.meta
+
+
+def test_oracle_scan_matches_the_solver_kernels():
+    # the scan evaluates F and J from A's monomial coefficients along the
+    # grid's axes, in its own arithmetic; the solver's kernels are the
+    # reference, to a few ulps of the sum of the sizes of A's terms (the
+    # slot sum of |A|, since the entries it adds may cancel)
+    rng = np.random.default_rng(7)
+    eps = np.finfo(float).eps
+    g, step = 9, 0.37
+    for m, n in itertools.product((2, 3, 4), (2, 3)):
+        arr = rng.standard_normal((n,) * m)
+        exps, C = solver_mod._scan_polynomials(arr)
+        lead = np.unravel_index(np.arange(g ** (n - 1)), (g,) * (n - 1))
+        V = solver_mod._row_values(exps, C, np.arange(g) * step, lead)
+        X = np.stack(np.unravel_index(np.arange(g**n), (g,) * n), axis=1) * step
+        F = V[:n].reshape(n, -1).T
+        J = V[n:].reshape(n, n, -1).transpose(2, 0, 1)
+        assert np.all(np.abs(F - contract_rows(arr, X)) <= 4 * eps * contract_rows(np.abs(arr), X)), (m, n)
+        J_scale = jacobian_rows(slot_sum(np.abs(arr)), X)
+        assert np.all(np.abs(J - jacobian_rows(slot_sum(arr), X)) <= 4 * eps * J_scale), (m, n)
+
+
+def test_oracle_does_not_depend_on_the_scan_chunk(monkeypatch):
+    # each grid point's F and J are computed from its own coordinates, so
+    # scanning one grid row at a time or the whole grid at once gives the
+    # same bits everywhere, theta_F_max included
+    rng = np.random.default_rng(8)
+    accepted = 0
+    for m, n in itertools.product((2, 3, 4), (2, 3)):
+        inst = TcpInstance(random_gaussian(m, n, [9, m, n]), rng.standard_normal(n))
+        step = 0.05 if n == 2 else 0.1
+        out = []
+        for chunk in (1, 10**9):  # one grid row, then the whole grid
+            monkeypatch.setattr(solver_mod, "_ORACLE_CHUNK", chunk)
+            out.append(brute_force_oracle(inst, box_radius=2.0, grid_step=step, tol=CFG.tol))
+        assert _oracle_bytes(out[0]) == _oracle_bytes(out[1]), (m, n)
+        accepted += out[0].meta["accepted"]
+    assert accepted > 0
+
+
+def test_oracle_working_set_stays_small():
+    # the scan holds one chunk of grid rows at a time, so ex1's 251,001-point
+    # grid costs the full-grid mask, score and labels; F and J on every
+    # point at once would peak near 43 MiB
+    inst = with_rhs(builtin_example("ex1"), [1.0, 1.0])
+    tracemalloc.start()
+    try:
+        orc = brute_force_oracle(inst, box_radius=5.0, grid_step=0.01, tol=CFG.tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert orc.meta["grid_points"] == 251_001
+    assert peak < 16 * 2**20, peak / 2**20
 
 
 def test_solution_set_json_shape():
