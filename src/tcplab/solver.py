@@ -1000,7 +1000,6 @@ def brute_force_oracle(
         )
     inst = _unit_pair(inst.tensor, inst.a)
     shape = (g,) * n
-    total = g**n
     accept, score, theta_F_max = _scan(inst, g, grid_step, tol)
     labels, ncl = _label(accept)
 
@@ -1031,8 +1030,8 @@ def brute_force_oracle(
         if len(seed_idx) == 0:
             seed_idx = idx[[int(np.argmin(score[idx]))]]
         if len(seed_idx) > _ORACLE_SEED_CAP:
-            order = np.argsort(score[seed_idx], kind="stable")
-            seed_idx = seed_idx[order[:_ORACLE_SEED_CAP]]
+            by_score = np.argsort(score[seed_idx], kind="stable")
+            seed_idx = seed_idx[by_score[:_ORACLE_SEED_CAP]]
         found: list[tuple[np.ndarray, float]] = []
         for fi in seed_idx:
             seed = np.asarray(np.unravel_index(int(fi), shape), dtype=float) * grid_step
@@ -1067,7 +1066,7 @@ def brute_force_oracle(
             "box_radius": box_radius,
             "grid_step": grid_step,
             "tol": tol,
-            "grid_points": int(total),
+            "grid_points": int(g**n),
             "accepted": int(np.count_nonzero(accept)),
             "theta_F_max": theta_F_max,
             "n_clusters": ncl,

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -1238,6 +1239,35 @@ def test_oracle_does_not_depend_on_the_scan_chunk(monkeypatch):
         assert _oracle_bytes(out[0]) == _oracle_bytes(out[1]), (m, n)
         accepted += out[0].meta["accepted"]
     assert accepted > 0
+
+
+def test_oracle_caps_seeds_without_losing_later_clusters(monkeypatch):
+    # with the seed cap at 1, a cluster with two or more polish seeds is cut
+    # down to its best one; every cluster after it must still get its own
+    # members, as found by scanning the labels for that cluster alone
+    monkeypatch.setattr(solver_mod, "_ORACLE_SEED_CAP", 1)
+    rng = np.random.default_rng(8)
+    capped_before_another = 0
+    for m, n in itertools.product((2, 3, 4), (2, 3)):
+        inst = TcpInstance(random_gaussian(m, n, [9, m, n]), rng.standard_normal(n))
+        step = 0.05 if n == 2 else 0.1
+        orc = brute_force_oracle(inst, box_radius=2.0, grid_step=step, tol=CFG.tol)
+        g = int(math.floor(2.0 / step + 0.5)) + 1
+        accept, score, _ = solver_mod._scan(solver_mod._unit_pair(inst.tensor, inst.a), g, step, CFG.tol)
+        labels, ncl = solver_mod._label(accept)
+        is_min = solver_mod._polish_seeds(np.where(accept, score, np.inf)).reshape(-1)
+        labels, score = labels.reshape(-1), score.reshape(-1)
+        assert len(orc.clusters) == ncl, (m, n)
+        for c, cl in enumerate(orc.clusters, start=1):
+            idx = np.flatnonzero(labels == c)
+            members = np.stack(np.unravel_index(idx, (g,) * n), axis=1) * step
+            stride = int(math.ceil(len(idx) / solver_mod.ORACLE_MEMBER_CAP))
+            assert cl.size == len(idx), (m, n, c)
+            assert np.array_equal(cl.members, members[::stride]), (m, n, c)
+            assert np.array_equal(cl.raw, members[int(np.argmin(score[idx]))]), (m, n, c)
+            if c < ncl and np.count_nonzero(is_min[idx]) > 1:
+                capped_before_another += 1
+    assert capped_before_another > 0
 
 
 def test_oracle_working_set_stays_small():
