@@ -32,9 +32,10 @@ settled once per distinct tensor.
 The brute-force grid oracle at the bottom is a separate check path: it
 never reuses the solver's roots and only polishes its own grid clusters.
 Its scan evaluates F and J from A's monomial coefficients along the grid's
-axes, in chunks of grid rows, without the solver's kernels; its polish
-still runs the solver's Newton engine (_newton).  Like solve, it works on
-(A, a) divided by its pair norm.
+axes, in chunks of grid rows, without the solver's kernels, and keeps only
+the accepted points; their clusters and polish seeds come from those points
+alone (_clusters).  Its polish still runs the solver's Newton engine
+(_newton).  Like solve, it works on (A, a) divided by its pair norm.
 """
 
 from __future__ import annotations
@@ -762,63 +763,61 @@ class OracleResult:
 
 
 # grid points per chunk of the oracle's scan, rounded down to whole grid
-# rows (at least one).  On ex1's 501 x 501 grid smaller chunks cut neither
-# the time nor the peak, which the full-grid mask, score and labels then set
+# rows (at least one).  The oracle holds one chunk's F and J plus the
+# accepted points, never an array over the whole grid, so ORACLE_BUDGET
+# bounds its time and not its memory
 _ORACLE_CHUNK = 1 << 14
 _ORACLE_SEED_CAP = 16
 _ORACLE_SAFETY = 1.5
 
 
-def _neighbour_shifts(ndim: int):
-    """The 3^ndim offsets in {-1, 0, 1}^ndim of a grid point's neighbourhood."""
-    return itertools.product((-1, 0, 1), repeat=ndim)
+def _clusters(idx: np.ndarray, score: np.ndarray, shape: tuple) -> tuple[np.ndarray, int, np.ndarray]:
+    """Clusters and polish seeds of the accepted points of a grid.
 
+    idx holds the accepted points' flat indices into a grid of the given
+    shape, ascending, and score their violation scores.  Two accepted points
+    are neighbours under 3^d connectivity; each neighbour pair is found once,
+    from its earlier point, by looking its later point's flat index up in
+    idx.  Returns (labels, count, seeds), one entry of labels and seeds per
+    accepted point:
 
-def _polish_seeds(field: np.ndarray) -> np.ndarray:
-    """Where field is finite and a local minimum on the sub-grid of some face.
+    labels numbers the connected components 0..count-1 in the order of their
+    first point in C order.  Each point starts as its own tree; every round
+    hooks the larger root of each neighbouring pair onto the smaller, then
+    jumps pointers to the roots, so a component's root ends as its first
+    point.
 
-    The sub-grid of a face pins its axes to index 0, and a point lies on the
+    seeds marks the local minima of score on the sub-grid of some face.  The
+    sub-grid of a face pins its axes to index 0, and a point lies on the
     sub-grid of every face whose axes are among its zero-index axes.  The
     fewer axes a face pins the more neighbours the point has there, so it is
     a minimum on some face exactly when it is one on the face pinning all its
-    zero-index axes: when no neighbour reached by moving only along axes
-    where its index is nonzero, the grid's outside counting as +inf, has a
-    smaller value.
+    zero-index axes: when no accepted neighbour reached by moving only along
+    axes where its index is nonzero has a strictly smaller score.
     """
-    padded = np.pad(field, 1, constant_values=np.inf)
-    at_zero = [np.arange(g).reshape((-1,) + (1,) * (field.ndim - 1 - ax)) == 0 for ax, g in enumerate(field.shape)]
-    seeds = np.isfinite(field)
-    for shift in _neighbour_shifts(field.ndim):
-        off_face = np.zeros(field.shape, dtype=bool)
-        for ax in np.flatnonzero(shift):
-            off_face = off_face | at_zero[ax]
-        neighbour = padded[tuple(slice(1 + s, 1 + s + g) for s, g in zip(shift, field.shape))]
-        seeds &= off_face | (field <= neighbour)
-    return seeds
-
-
-def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
-    """Connected components of a boolean grid under 3^d connectivity.
-
-    Returns (labels, count): labels is 0 off the mask and 1..count on it,
-    components numbered in the order of their first point in C order.  Each
-    point starts as its own tree; every round hooks the larger root of each
-    neighbouring pair onto the smaller, then jumps pointers to the roots, so
-    a component's root ends as its first point.
-    """
-    idx = np.flatnonzero(mask)
-    # ids: each point's position in idx, -1 off the mask and on the padding
-    ids = np.full(tuple(g + 2 for g in mask.shape), -1)
-    core = ids[(slice(1, -1),) * mask.ndim]
-    core[mask] = np.arange(idx.size)
+    coords = np.stack(np.unravel_index(idx, shape))
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
+    seeds = np.ones(idx.size, dtype=bool)
     u, v = [], []
-    for shift in _neighbour_shifts(mask.ndim):
-        if shift <= (0,) * mask.ndim:
+    for shift in itertools.product((-1, 0, 1), repeat=len(shape)):
+        if shift <= (0,) * len(shape):
             continue  # each pair once, from its earlier point
-        other = ids[tuple(slice(1 + s, 1 + s + g) for s, g in zip(shift, mask.shape))]
-        both = (core >= 0) & (other >= 0)
-        u.append(core[both])
-        v.append(other[both])
+        moved = np.flatnonzero(shift)
+        at = coords[moved]
+        # the index on each moved axis past which the shift leaves the grid
+        edge = np.where(np.array(shift)[moved] < 0, 0, np.array(shape)[moved] - 1)
+        p = np.flatnonzero(np.all(at != edge[:, None], axis=0))
+        target = idx[p] + int(np.dot(shift, strides))
+        q = np.minimum(np.searchsorted(idx, target), idx.size - 1)
+        hit = idx[q] == target
+        p, q = p[hit], q[hit]
+        u.append(p)
+        v.append(q)
+        # a point at index 0 on an axis the shift moves along does not have
+        # the other point of the pair on its face's sub-grid
+        on_face = np.all(at != 0, axis=0)
+        seeds[p[on_face[p] & (score[q] < score[p])]] = False
+        seeds[q[on_face[q] & (score[p] < score[q])]] = False
     u, v = np.concatenate(u), np.concatenate(v)
     root = np.arange(idx.size)
     while True:
@@ -832,10 +831,8 @@ def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
             if np.array_equal(up, root):
                 break
             root = up
-    firsts, comp = np.unique(root, return_inverse=True)
-    labels = np.zeros(mask.size, dtype=int)
-    labels[idx] = comp + 1
-    return labels.reshape(mask.shape), int(firsts.size)
+    firsts, labels = np.unique(root, return_inverse=True)
+    return labels, int(firsts.size), seeds
 
 
 def _oracle_polish(inst: TcpInstance, seed: np.ndarray, pin_tol: float, tol: float):
@@ -924,13 +921,15 @@ def _row_values(exps: np.ndarray, C: np.ndarray, axis: np.ndarray, lead) -> np.n
 
 
 def _scan(inst: TcpInstance, g: int, grid_step: float, tol: float):
-    """Acceptance mask, violation score and the largest theta_F on the grid.
+    """The accepted points of the grid, their violation scores and the
+    largest theta_F on the grid.
 
     The grid is {0, .., g - 1}^n times grid_step, scanned in chunks of whole
     rows along its last axis, with F and J from the monomial coefficients of
     A (_scan_polynomials, _row_values).  All of it is elementwise numpy, so
     each point's bits depend neither on the chunk split nor on a BLAS.
-    Returns accept and score of shape (g,)*n.
+    Returns (idx, score, theta_F_max): idx holds the accepted points' flat
+    indices into the grid of shape (g,)*n, ascending, and score their scores.
     """
     n = inst.n
     exps, C = _scan_polynomials(inst.tensor.array)
@@ -938,8 +937,7 @@ def _scan(inst: TcpInstance, g: int, grid_step: float, tol: float):
     half_diag = 0.5 * grid_step * math.sqrt(n)
     a = inst.a[:, None, None]
     n_rows = g ** (n - 1)
-    accept = np.zeros((n_rows, g), dtype=bool)
-    score = np.empty((n_rows, g))
+    kept, scores = [], []
     theta_F_max = 0.0
     chunk_rows = max(1, _ORACLE_CHUNK // g)
     for r0 in range(0, n_rows, chunk_rows):
@@ -954,12 +952,11 @@ def _scan(inst: TcpInstance, g: int, grid_step: float, tol: float):
         grad_comp = F + np.sum(J * X[:, None], axis=0)
         theta_comp = _ORACLE_SAFETY * half_diag * np.sqrt(np.sum(grad_comp * grad_comp, axis=0)) + tol
         comp = np.abs(np.sum(X * F, axis=0))
-        rows = slice(r0, r0 + F.shape[1])
-        accept[rows] = np.all(F + theta_F >= 0.0, axis=0) & (comp <= theta_comp)
-        score[rows] = np.maximum(np.maximum(0.0, -np.min(F, axis=0)), comp)
+        accept = np.all(F + theta_F >= 0.0, axis=0) & (comp <= theta_comp)
+        kept.append(r0 * g + np.flatnonzero(accept))
+        scores.append(np.maximum(np.maximum(0.0, -np.min(F[:, accept], axis=0)), comp[accept]))
         theta_F_max = max(theta_F_max, float(np.max(theta_F)))
-    shape = (g,) * n
-    return accept.reshape(shape), score.reshape(shape), theta_F_max
+    return np.concatenate(kept), np.concatenate(scores), theta_F_max
 
 
 def brute_force_oracle(
@@ -979,15 +976,16 @@ def brute_force_oracle(
     evaluates F and J from A's monomial coefficients along the grid's axes,
     in chunks of about _ORACLE_CHUNK points (whole grid rows), with its own
     elementwise arithmetic and not the solver's kernels, so each point's
-    result does not depend on the chunk split.  Accepted points are grouped
-    by grid connectivity; every local minimum of the violation score inside
-    a cluster seeds a Newton polish, so one cluster can yield several nearby
-    solutions.  Only polished points re-verified at ORACLE_VERIFY_TOL enter
-    `representatives`; the polish still runs the solver's _newton on
-    _face_functions.  Clusters report size and spatial extent so
-    positive-dimensional components are visible as extended clusters.  Valid
-    only inside the box: clusters touching the outer boundary are flagged,
-    the exterior is unobserved.
+    result does not depend on the chunk split.  Only the accepted points
+    are kept; they are grouped by grid connectivity, and every local minimum
+    of the violation score inside a cluster seeds a Newton polish, so one
+    cluster can yield several nearby solutions (_clusters finds both from
+    the accepted points alone).  Only polished points re-verified at
+    ORACLE_VERIFY_TOL enter `representatives`; the polish still runs the
+    solver's _newton on _face_functions.  Clusters report size and spatial
+    extent so positive-dimensional components are visible as extended
+    clusters.  Valid only inside the box: clusters touching the outer
+    boundary are flagged, the exterior is unobserved.
     """
     # written so that NaN and inf fail it: a NaN tol accepts no grid point
     if not all(0.0 < v < math.inf for v in (box_radius, grid_step, tol)):
@@ -1000,40 +998,38 @@ def brute_force_oracle(
         )
     inst = _unit_pair(inst.tensor, inst.a)
     shape = (g,) * n
-    accept, score, theta_F_max = _scan(inst, g, grid_step, tol)
-    labels, ncl = _label(accept)
-
+    captured, score, theta_F_max = _scan(inst, g, grid_step, tol)
     # polish seeds: local minima of the violation score within the captured
     # set, taken per face sub-grid.  A solution with zero coordinates is
     # interior to its face, where its basin is a genuine minimum; on the full
     # grid the score valley can drain past it toward a nearby interior basin
     # without ever forming one.
-    is_min = _polish_seeds(np.where(accept, score, np.inf)).reshape(-1)
-    labels, score = labels.reshape(-1), score.reshape(-1)
+    labels, ncl, is_min = _clusters(captured, score, shape)
     # every cluster's members in C order, from one stable sort of the
-    # accepted points by label: cluster c is order[ends[c - 1]:ends[c]]
-    captured = np.flatnonzero(accept)
-    order = captured[np.argsort(labels[captured], kind="stable")]
-    ends = np.cumsum(np.bincount(labels[captured], minlength=ncl + 1))
+    # accepted points by label: cluster c is order[ends[c]:ends[c + 1]],
+    # positions into captured
+    order = np.argsort(labels, kind="stable")
+    ends = np.concatenate([[0], np.cumsum(np.bincount(labels, minlength=ncl))])
 
     clusters: list[OracleCluster] = []
     reps: list[tuple[np.ndarray, float]] = []
     pin_tol = grid_step * (1.0 + 1e-9)
-    for c in range(1, ncl + 1):
-        idx = order[ends[c - 1]:ends[c]]
+    for c in range(ncl):
+        pos = order[ends[c]:ends[c + 1]]
+        idx = captured[pos]
         members = np.stack(np.unravel_index(idx, shape), axis=1) * grid_step
-        best = members[int(np.argmin(score[idx]))]
+        best = members[int(np.argmin(score[pos]))]
         extent = float(np.max(np.max(members, axis=0) - np.min(members, axis=0))) if len(idx) > 1 else 0.0
         boundary = bool(np.any(members >= box_radius - grid_step / 2))
 
-        seed_idx = idx[is_min[idx]]
-        if len(seed_idx) == 0:
-            seed_idx = idx[[int(np.argmin(score[idx]))]]
-        if len(seed_idx) > _ORACLE_SEED_CAP:
-            by_score = np.argsort(score[seed_idx], kind="stable")
-            seed_idx = seed_idx[by_score[:_ORACLE_SEED_CAP]]
+        seed_pos = pos[is_min[pos]]
+        if len(seed_pos) == 0:
+            seed_pos = pos[[int(np.argmin(score[pos]))]]
+        if len(seed_pos) > _ORACLE_SEED_CAP:
+            by_score = np.argsort(score[seed_pos], kind="stable")
+            seed_pos = seed_pos[by_score[:_ORACLE_SEED_CAP]]
         found: list[tuple[np.ndarray, float]] = []
-        for fi in seed_idx:
+        for fi in captured[seed_pos]:
             seed = np.asarray(np.unravel_index(int(fi), shape), dtype=float) * grid_step
             found.extend(_oracle_polish(inst, seed, pin_tol, tol))
         found.sort(key=lambda pr: pr[1])
@@ -1067,7 +1063,7 @@ def brute_force_oracle(
             "grid_step": grid_step,
             "tol": tol,
             "grid_points": int(g**n),
-            "accepted": int(np.count_nonzero(accept)),
+            "accepted": int(captured.size),
             "theta_F_max": theta_F_max,
             "n_clusters": ncl,
         },

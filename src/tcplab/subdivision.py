@@ -155,18 +155,6 @@ def _pairs(k: int) -> np.ndarray:
     return _read_only(np.array(list(itertools.combinations(range(k), 2))).T)
 
 
-@functools.lru_cache(maxsize=None)
-def _pair_differences(k: int) -> np.ndarray:
-    """The (k, k (k - 1) / 2) matrix E with E[a, p] = 1 and E[b, p] = -1
-    for the p-th pair (a, b) of _pairs(k), and 0 elsewhere: V @ E holds the
-    edge vectors v_a - v_b.  Each entry is one +1 and one -1 term among
-    zeros, so in any summation order it is fl(v_a - v_b), rounded once."""
-    a, b = _pairs(k)
-    E = np.zeros((k, len(a)))
-    E[a, np.arange(len(a))], E[b, np.arange(len(a))] = 1.0, -1.0
-    return _read_only(E)
-
-
 def _read_only(arr: np.ndarray) -> np.ndarray:
     """arr, made read-only: the cached tables are shared by every call."""
     arr.flags.writeable = False
@@ -179,7 +167,7 @@ def _bisect(V: np.ndarray):
     whether every midpoint is exact."""
     P, _, k = V.shape
     a, b = _pairs(k)
-    edges = np.abs(V @ _pair_differences(k)).max(axis=1)
+    edges = np.abs(V.take(a, axis=2) - V.take(b, axis=2)).max(axis=1)
     e = edges.argmax(axis=1)
     rows = np.arange(P)
     va, vb = V[rows, :, a[e]], V[rows, :, b[e]]

@@ -1116,8 +1116,8 @@ def test_oracle_budget_guard():
 
 def test_oracle_grid_helpers_match_scipy_ndimage():
     # the oracle's component labels are a numpy rewrite of ndimage.label
-    # (3^n connectivity): labels, their numbering and the count must all be
-    # equal
+    # (3^n connectivity) on the accepted points alone: labels, their
+    # numbering and the count must all be equal
     ndimage = pytest.importorskip("scipy.ndimage")
     rng = np.random.default_rng(5)
     for _ in range(300):
@@ -1125,8 +1125,9 @@ def test_oracle_grid_helpers_match_scipy_ndimage():
         shape = tuple(int(g) for g in rng.integers(1, 12, size=n))
         mask = rng.uniform(size=shape) < rng.uniform(0.1, 0.9)
         want, count = ndimage.label(mask, structure=np.ones((3,) * n, dtype=int))
-        got, got_count = solver_mod._label(mask)
-        assert got_count == count and np.array_equal(got, want), (shape, mask)
+        idx = np.flatnonzero(mask)
+        got, got_count, _ = solver_mod._clusters(idx, np.zeros(idx.size), shape)
+        assert got_count == count and np.array_equal(got + 1, want.reshape(-1)[idx]), (shape, mask)
 
 
 def _min_filter3(field):
@@ -1162,8 +1163,10 @@ def test_oracle_seeds_in_one_pass_match_the_per_face_minima():
         shape = tuple(int(g) for g in rng.integers(1, 9, size=n))
         values = rng.integers(0, int(rng.integers(2, 6)), size=shape).astype(float)
         field = np.where(rng.uniform(size=shape) < rng.uniform(0.1, 0.9), values, np.inf)
-        want = _per_face_seeds(field)
-        assert np.array_equal(solver_mod._polish_seeds(field), want), (shape, field)
+        want = _per_face_seeds(field).reshape(-1)
+        idx = np.flatnonzero(np.isfinite(field))
+        _, _, seeds = solver_mod._clusters(idx, field.reshape(-1)[idx], shape)
+        assert np.array_equal(seeds, want[idx]), (shape, field)
 
 
 def test_oracle_does_not_depend_on_units():
@@ -1253,10 +1256,11 @@ def test_oracle_caps_seeds_without_losing_later_clusters(monkeypatch):
         step = 0.05 if n == 2 else 0.1
         orc = brute_force_oracle(inst, box_radius=2.0, grid_step=step, tol=CFG.tol)
         g = int(math.floor(2.0 / step + 0.5)) + 1
-        accept, score, _ = solver_mod._scan(solver_mod._unit_pair(inst.tensor, inst.a), g, step, CFG.tol)
-        labels, ncl = solver_mod._label(accept)
-        is_min = solver_mod._polish_seeds(np.where(accept, score, np.inf)).reshape(-1)
-        labels, score = labels.reshape(-1), score.reshape(-1)
+        captured, captured_score, _ = solver_mod._scan(solver_mod._unit_pair(inst.tensor, inst.a), g, step, CFG.tol)
+        captured_labels, ncl, captured_min = solver_mod._clusters(captured, captured_score, (g,) * n)
+        # the same labels, scores and seeds spread over the whole grid
+        labels, score, is_min = np.zeros(g**n, dtype=int), np.full(g**n, np.inf), np.zeros(g**n, dtype=bool)
+        labels[captured], score[captured], is_min[captured] = captured_labels + 1, captured_score, captured_min
         assert len(orc.clusters) == ncl, (m, n)
         for c, cl in enumerate(orc.clusters, start=1):
             idx = np.flatnonzero(labels == c)
@@ -1270,10 +1274,22 @@ def test_oracle_caps_seeds_without_losing_later_clusters(monkeypatch):
     assert capped_before_another > 0
 
 
+def test_oracle_with_no_accepted_point_has_no_cluster():
+    # F = a < 0 everywhere: no grid point is accepted, so there is no
+    # neighbour pair, no cluster and no representative
+    inst = TcpInstance(Tensor.zeros(3, 2), np.array([-1.0, -2.0]))
+    orc = brute_force_oracle(inst, box_radius=1.0, grid_step=0.1, tol=CFG.tol)
+    assert orc.clusters == [] and orc.representatives == []
+    assert orc.meta["accepted"] == 0 and orc.meta["n_clusters"] == 0
+    labels, count, seeds = solver_mod._clusters(np.zeros(0, dtype=int), np.zeros(0), (11, 11))
+    assert count == 0 and labels.size == 0 and seeds.size == 0
+
+
 def test_oracle_working_set_stays_small():
-    # the scan holds one chunk of grid rows at a time, so ex1's 251,001-point
-    # grid costs the full-grid mask, score and labels; F and J on every
-    # point at once would peak near 43 MiB
+    # the scan holds one chunk of grid rows at a time and keeps only the
+    # accepted points, which the clusters and seeds then work on, so ex1's
+    # 251,001-point grid costs about 3 MiB; a mask, score and labels over the
+    # whole grid add about 6 MiB, and F and J on every point at once 40 MiB
     inst = with_rhs(builtin_example("ex1"), [1.0, 1.0])
     tracemalloc.start()
     try:
@@ -1282,7 +1298,7 @@ def test_oracle_working_set_stays_small():
     finally:
         tracemalloc.stop()
     assert orc.meta["grid_points"] == 251_001
-    assert peak < 16 * 2**20, peak / 2**20
+    assert peak < 4 * 2**20, peak / 2**20
 
 
 def test_solution_set_json_shape():
