@@ -43,24 +43,6 @@ from .tensors import Tensor, tensor_from_dict
 # 128 + SIGPIPE, the status a shell reports for a writer stopped by a closed pipe
 EXIT_BROKEN_PIPE = 141
 
-COMMANDS = (
-    "solve",
-    "check-r0",
-    "check-copositive",
-    "check-monotone",
-    "probe-gus",
-    "chi",
-    "boundedness",
-    "openness",
-    "genericity",
-    "usc",
-    "hoelder",
-    "stability",
-    "example",
-    "golden",
-)
-
-
 def _num(v: float) -> str:
     return f"{v:.12g}"
 
@@ -83,20 +65,16 @@ def _load_json_file(path: str) -> dict:
 
 
 def _load_instance(args) -> TcpInstance:
-    if getattr(args, "instance", None):
+    if args.instance:
         return TcpInstance.from_json(_load_json_file(args.instance))
-    if getattr(args, "example", None):
-        inst = builtin_example(args.example, getattr(args, "m", None), getattr(args, "n", None))
-        if getattr(args, "a", None):
+    if args.example:
+        inst = builtin_example(args.example, args.m, args.n)
+        if args.a:
             inst = with_rhs(inst, _parse_csv_floats(args.a, "--a"))
         return inst
-    if getattr(args, "tensor", None):
+    if args.tensor:
         tensor = tensor_from_dict(_load_json_file(args.tensor))
-        a = (
-            _parse_csv_floats(args.a, "--a")
-            if getattr(args, "a", None)
-            else np.zeros(tensor.dim)
-        )
+        a = _parse_csv_floats(args.a, "--a") if args.a else np.zeros(tensor.dim)
         return TcpInstance(tensor, a)
     raise ValueError("no input: pass --instance, --tensor or --example")
 
@@ -145,18 +123,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", dest="out", default=None)
         return sp
 
-    def add_inputs(sp, with_a=True):
+    def add_inputs(sp):
         sp.add_argument("--instance", default=None, help="instance JSON file")
         sp.add_argument("--tensor", default=None, help="tensor JSON file")
         sp.add_argument("--example", default=None, choices=EXAMPLE_NAMES)
         sp.add_argument("--m", type=int, default=None)
         sp.add_argument("--n", type=int, default=None)
-        if with_a:
-            sp.add_argument(
-                "--a",
-                default=None,
-                help="comma-separated right-hand side; write --a=-1,0 for negatives",
-            )
+        sp.add_argument("--a", default=None, help="comma-separated right-hand side; write --a=-1,0 for negatives")
 
     sp = add("solve", help="enumerate faces and report the solution set")
     add_inputs(sp)

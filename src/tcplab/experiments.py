@@ -7,6 +7,17 @@ solve_many call, which runs the faces of one size across all samples as one
 Newton batch (the R0 experiments classify theirs in one call of the R0
 checker), and the rows are built in sample order from the results.
 
+Each shared rule has one home:
+
+- _draws keys the streams; stability's rejection sampling keeps its own
+  loop, whose attempt budget is shared across samples;
+- _map_samples builds the rows of every experiment, in sample order;
+- _solved_row writes the row of a solved sample: its point count, largest
+  point norm, status and posdim flags, then the experiment's own flags;
+- _excess measures a perturbed set against the reference, +inf when it is
+  certified unbounded (stability keeps its own rule, see there);
+- _by_radius reduces the samples of each radius, for openness and hoelder.
+
 Row records share one stable column set:
 
     sample_id, pert_norm_tensor, pert_norm_vec, n_points, max_norm, excess, flags
@@ -73,6 +84,12 @@ def _map_samples(fn, ids):
     return [fn(i) for i in ids]
 
 
+def _draws(cfg: SolverConfig, salt: int, count: int, draw) -> list:
+    """draw(s, rng) for each sample s < count, rng its PCG64 stream keyed by
+    (cfg.seed, salt, s)."""
+    return [draw(s, np.random.default_rng([cfg.seed, salt, s])) for s in range(count)]
+
+
 def _json_safe(v):
     if isinstance(v, float) and math.isinf(v):
         return "inf"
@@ -102,20 +119,11 @@ class ExperimentReport:
             fh.write(self.json_bytes())
 
     def write_csv(self, path) -> None:
+        # csv writes None as an empty cell and a float by its repr
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(ROW_COLUMNS)
-            for row in self.rows:
-                out = []
-                for col in ROW_COLUMNS:
-                    v = row.get(col)
-                    if v is None:
-                        out.append("")
-                    elif isinstance(v, float):
-                        out.append(repr(v))
-                    else:
-                        out.append(str(v))
-                writer.writerow(out)
+            writer = csv.DictWriter(fh, ROW_COLUMNS)
+            writer.writeheader()
+            writer.writerows(self.rows)
 
 
 def _row(sample_id, pt=None, pv=None, n_points=None, max_norm=None, excess=None, flags=()):
@@ -172,11 +180,26 @@ def _max_point_norm(sol) -> float | None:
     return float(max(np.linalg.norm(p.x) for p in sol.points))
 
 
-def _sol_flags(sol) -> list[str]:
-    flags = [sol.status]
-    if sol.posdim_suspect:
-        flags.append("posdim")
-    return flags
+def _solved_row(s, sol, pt=None, pv=None, excess=None, flags=()) -> dict:
+    """The row of sample s, whose solution set is sol; its flags are sol's
+    status, posdim when sol is flagged, then flags."""
+    status = [sol.status, "posdim"] if sol.posdim_suspect else [sol.status]
+    return _row(s, pt, pv, len(sol.points), _max_point_norm(sol), excess, status + list(flags))
+
+
+def _excess(sol, reference) -> float:
+    """Excess of sol over the reference points: +inf when sol is certified
+    unbounded, else hausdorff_excess (0.0 for an empty sol)."""
+    if sol.status == STATUS_UNBOUNDED:
+        return math.inf
+    return hausdorff_excess([p.x for p in sol.points], reference)
+
+
+def _by_radius(radii, per_radius: int, values, reduce) -> dict:
+    """reduce of the values of each radius's samples, keyed by the radius to
+    12 digits; sample i * per_radius + j is the j-th at radius i.  _as_count
+    makes per_radius at least 1, so reduce never sees an empty list."""
+    return {f"{r:.12g}": reduce(values[i * per_radius : (i + 1) * per_radius]) for i, r in enumerate(radii)}
 
 
 # ---------------------------------------------------------------------------
@@ -199,22 +222,13 @@ def local_boundedness_probe(
     base_r0 = check_r0(A, cfg)
     vacuous = base_r0.verdict != VERDICT_HOLDS
 
-    perts = []
-    for s in range(samples):
-        rng = np.random.default_rng([cfg.seed, _SALT_BOUNDEDNESS, s])
-        perts.append((tensor_ball(A.order, A.dim, eps, rng), vec_ball(A.dim, delta, rng)))
+    perts = _draws(cfg, _SALT_BOUNDEDNESS, samples,
+                   lambda s, rng: (tensor_ball(A.order, A.dim, eps, rng), vec_ball(A.dim, delta, rng)))
     sols = solve_many([TcpInstance(A + dT, a + db) for dT, db in perts], cfg)
 
     def one(s: int) -> dict:
-        (dT, db), sol = perts[s], sols[s]
-        return _row(
-            s,
-            pt=frobenius(dT),
-            pv=float(np.linalg.norm(db)),
-            n_points=len(sol.points),
-            max_norm=_max_point_norm(sol),
-            flags=_sol_flags(sol),
-        )
+        dT, db = perts[s]
+        return _solved_row(s, sols[s], frobenius(dT), float(np.linalg.norm(db)))
 
     rows = _map_samples(one, range(samples))
     norms = [r["max_norm"] for r in rows if r["max_norm"] is not None]
@@ -251,10 +265,8 @@ def r0_openness_probe(A: Tensor, radii, samples_per_radius: int, cfg: SolverConf
 
     # sample sid = i * samples_per_radius + j is the j-th at radius i
     sample_radii = [r for r in radii for _ in range(samples_per_radius)]
-    tensors = []
-    for sid, r in enumerate(sample_radii):
-        rng = np.random.default_rng([cfg.seed, _SALT_OPENNESS, sid])
-        tensors.append(A + Tensor(r * _tensor_direction(A.order, A.dim, rng).array))
+    tensors = _draws(cfg, _SALT_OPENNESS, len(sample_radii),
+                     lambda sid, rng: A + Tensor(sample_radii[sid] * _tensor_direction(A.order, A.dim, rng).array))
     reports = _r0_reports(tensors, cfg)
 
     def one(sid: int) -> dict:
@@ -262,11 +274,8 @@ def r0_openness_probe(A: Tensor, radii, samples_per_radius: int, cfg: SolverConf
         return _row(sid, pt=r, flags=[f"radius={r:.12g}", reports[sid].verdict])
 
     rows = _map_samples(one, range(len(sample_radii)))
-    fractions = {}
-    for i, r in enumerate(radii):
-        sub = rows[i * samples_per_radius : (i + 1) * samples_per_radius]
-        ok = sum(VERDICT_HOLDS in q["flags"] for q in sub)
-        fractions[f"{r:.12g}"] = ok / len(sub) if sub else None
+    fractions = _by_radius(radii, samples_per_radius, [VERDICT_HOLDS in q["flags"] for q in rows],
+                           lambda ok: sum(ok) / len(ok))
     all_pass = [r for r in radii if fractions[f"{r:.12g}"] == 1.0]
     largest = max(all_pass) if all_pass else None
     summary = {
@@ -287,8 +296,7 @@ def genericity_sample(m: int, n: int, samples: int, cfg: SolverConfig) -> Experi
     """Fraction of Gaussian tensors classified R0, with a Wilson 95% CI."""
     samples = _as_count("samples", samples, zero_ok=True)
 
-    tensors = [Tensor(np.random.default_rng([cfg.seed, _SALT_GENERICITY, s]).standard_normal(size=(n,) * m))
-               for s in range(samples)]
+    tensors = _draws(cfg, _SALT_GENERICITY, samples, lambda s, rng: Tensor(rng.standard_normal(size=(n,) * m)))
     reports = _r0_reports(tensors, cfg)
 
     def one(s: int) -> dict:
@@ -343,33 +351,17 @@ def usc_probe(inst: TcpInstance, radius: float, samples: int, cfg: SolverConfig)
     reference = _reference_points(inst, base, cfg)
     n_shells = 5
 
-    perts = [pair_ball(inst.m, inst.n, radius, np.random.default_rng([cfg.seed, _SALT_USC, s]))
-             for s in range(samples)]
+    perts = _draws(cfg, _SALT_USC, samples, lambda s, rng: pair_ball(inst.m, inst.n, radius, rng))
     sols = solve_many([TcpInstance(inst.tensor + dT, inst.a + db) for dT, db in perts], cfg)
 
     def one(s: int) -> dict:
         (dT, db), sol = perts[s], sols[s]
         rho = pair_norm(dT, db)
-        flags = _sol_flags(sol)
-        shell = min(n_shells, int(math.ceil(rho / (radius / n_shells))))
-        flags.append(f"shell={shell}")
-        if sol.status == STATUS_UNBOUNDED:
-            excess = math.inf
-        elif not sol.points:
-            excess = 0.0
-        else:
-            excess = hausdorff_excess([p.x for p in sol.points], reference)
+        flags = [f"shell={min(n_shells, int(math.ceil(rho / (radius / n_shells))))}"]
+        excess = _excess(sol, reference)
         if excess > max(USC_VIOLATION_FLOOR, USC_VIOLATION_FACTOR * rho):
             flags.append("usc-violation")
-        return _row(
-            s,
-            pt=frobenius(dT),
-            pv=float(np.linalg.norm(db)),
-            n_points=len(sol.points),
-            max_norm=_max_point_norm(sol),
-            excess=excess,
-            flags=flags,
-        )
+        return _solved_row(s, sol, frobenius(dT), float(np.linalg.norm(db)), excess, flags)
 
     rows = _map_samples(one, range(samples))
     shell_max: list[float | None] = []
@@ -424,35 +416,18 @@ def hoelder_fit(A: Tensor, a, radii, samples_per_radius: int, cfg: SolverConfig)
     # sample sid = i * samples_per_radius + j is the j-th at radius i, solved
     # with the base (A, a) as instance 0
     sample_radii = [r for r in radii for _ in range(samples_per_radius)]
-    rhs = [a + vec_sphere(A.dim, r, np.random.default_rng([cfg.seed, _SALT_HOELDER, sid]))
-           for sid, r in enumerate(sample_radii)]
+    rhs = _draws(cfg, _SALT_HOELDER, len(sample_radii), lambda sid, rng: a + vec_sphere(A.dim, sample_radii[sid], rng))
     base, *sols = solve_many([TcpInstance(A, b) for b in [a] + rhs], cfg)
     if not base.points or base.posdim_suspect:
         raise ValueError("hoelder fit needs a nonempty finite base solution set")
     reference = [p.x for p in base.points]
 
     def one(sid: int) -> dict:
-        r, sol = sample_radii[sid], sols[sid]
-        if sol.status == STATUS_UNBOUNDED:
-            excess = math.inf
-        else:
-            excess = hausdorff_excess([p.x for p in sol.points], reference)
-        return _row(
-            sid,
-            pv=r,
-            n_points=len(sol.points),
-            max_norm=_max_point_norm(sol),
-            excess=excess,
-            flags=_sol_flags(sol),
-        )
+        return _solved_row(sid, sols[sid], pv=sample_radii[sid], excess=_excess(sols[sid], reference))
 
     rows = _map_samples(one, range(len(sample_radii)))
-    e_by_radius = {}
-    for i, r in enumerate(radii):
-        sub = rows[i * samples_per_radius : (i + 1) * samples_per_radius]
-        vals = [q["excess"] for q in sub]
-        e_by_radius[f"{r:.12g}"] = max(vals) if vals else None
-    fit = _fit_loglog(radii, [e_by_radius[f"{r:.12g}"] or 0.0 for r in radii])
+    e_by_radius = _by_radius(radii, samples_per_radius, [q["excess"] for q in rows], max)
+    fit = _fit_loglog(radii, [e_by_radius[f"{r:.12g}"] for r in radii])
     span = math.log10(radii[-1] / radii[0]) if len(radii) > 1 else 0.0
     summary = dict(fit)
     summary.update(
@@ -520,47 +495,30 @@ def stability_inclusion_check(
     # Sol(B, a) and Sol(B, b) of every sample in one call
     sols = solve_many([TcpInstance(B, rhs) for B, b, _ in drawn for rhs in (a, b)], cfg)
 
-    rows: list[dict] = []
-    pert_sizes: list[float] = []
-    excesses: list[float] = []
-    violations = 0
-    for s, (B, b, rejected) in enumerate(drawn):
-        sol_a, sol_b = sols[2 * s], sols[2 * s + 1]
+    def one(s: int) -> dict:
+        (B, b, rejected), sol_b = drawn[s], sols[2 * s + 1]
         flags = []
-        bad = False
-        for tag, sol in (("a", sol_a), ("b", sol_b)):
-            nonempty = bool(sol.points or sol.posdim_suspect)
-            if not nonempty:
+        for tag, sol in (("a", sols[2 * s]), ("b", sol_b)):
+            if not (sol.points or sol.posdim_suspect):
                 flags.append(f"empty-{tag}")
-                bad = True
             if sol.status == STATUS_UNBOUNDED:
                 flags.append(f"unbounded-{tag}")
-                bad = True
         if rejected:
             flags.append(f"rejected={rejected}")
-        violations += bad
+        # not _excess: an empty reference gives +inf even for an empty
+        # Sol(B, b), and an unbounded Sol(B, b) is measured by its points
+        # (its unbounded-b flag already counts as a violation)
         excess = hausdorff_excess([p.x for p in sol_b.points], reference) if reference else math.inf
-        size = frobenius(B - A) + float(np.linalg.norm(b - a))
-        pert_sizes.append(size)
-        excesses.append(excess)
-        rows.append(
-            _row(
-                s,
-                pt=frobenius(B - A),
-                pv=float(np.linalg.norm(b - a)),
-                n_points=len(sol_b.points),
-                max_norm=_max_point_norm(sol_b),
-                excess=excess,
-                flags=flags or ["ok"],
-            )
-        )
+        return _row(s, frobenius(B - A), float(np.linalg.norm(b - a)), len(sol_b.points), _max_point_norm(sol_b),
+                    excess, flags or ["ok"])
 
-    fit = _fit_loglog(pert_sizes, excesses)
+    rows = _map_samples(one, range(len(drawn)))
+    fit = _fit_loglog([r["pert_norm_tensor"] + r["pert_norm_vec"] for r in rows], [r["excess"] for r in rows])
     summary = dict(fit)
     summary.update(
         {
             "vacuous": False,
-            "violations": violations,
+            "violations": sum("empty-" in r["flags"] or "unbounded-" in r["flags"] for r in rows),
             "collected": len(rows),
             "attempts": attempts,
             "inconclusive": len(rows) < samples,

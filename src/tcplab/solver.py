@@ -528,19 +528,17 @@ def _certified_ray(inst0: TcpInstance, direction, cfg: SolverConfig) -> tuple[np
     candidates get one more polish to machine accuracy.  Directions that
     still fail are dropped (the posdim flag, not a sloppy ray, reports their
     face).  Returns the ray, or None, and the Newton iterations spent.
+    Candidates are roots with every free coordinate above tol, so r has a
+    free coordinate (its largest is at least 1/sqrt(n)) and all of them are
+    positive.
     """
     r = np.asarray(direction, dtype=float)
     r = r / float(np.linalg.norm(r))
     if _cone_holds(inst0, r, cfg.tol):
         return r, 0
     fs = face_system(inst0, face_of(np.maximum(r, 0.0), cfg.tol))
-    if fs.k == 0:
-        return None, 0
     z0 = r[list(fs.free)]
-    s = float(np.sum(z0))
-    if s <= 0.0:
-        return None, 0
-    Z, _, iters = _newton(*_face_functions([fs], np.zeros(1, int), simplex=True), (z0 / s)[None])
+    Z, _, iters = _newton(*_face_functions([fs], np.zeros(1, int), simplex=True), (z0 / float(np.sum(z0)))[None])
     x = fs.embed(Z[0])
     nrm = float(np.linalg.norm(x))
     if not math.isfinite(nrm) or nrm <= 0.0 or float(np.min(x)) < 0.0:
@@ -609,14 +607,15 @@ def _solve_stream(instances, cfg: SolverConfig, certs: list | None = None, homs:
             homs.update(zip(new, _homogeneous_rays(list(new.values()), cfg)))
         for j, (inst, cert, unit, systems, _) in enumerate(chunk):
             outs = list(itertools.islice(outcomes, len(systems)))
-            rays = [d for out in outs for d in out.rays]
             work = {"starts": sum(out.starts for out in outs), "newton_iters": sum(out.newton_iters for out in outs)}
             if homogeneous:
-                rays = [r for r, _ in (_certified_ray(unit, d, cfg) for d in rays) if r is not None]
+                certified = (_certified_ray(unit, d, cfg) for out in outs for d in out.rays)
+                rays = [r for r, _ in certified if r is not None]
                 meta = _meta(cfg, homogeneous=True, **work, simplices=cert.simplices, margin=None)
             else:
+                # point faces give no rays: those of TCP(A, 0) are the candidates
                 hom = homs[keys[j]]
-                rays = [d for d in hom + rays if ray_active(unit, d, cfg.tol)]
+                rays = [d for d in hom if ray_active(unit, d, cfg.tol)]
                 meta = _meta(cfg, **work, hom_candidates=len(hom), faces=2**inst.n)
             points = _sorted_points(unit, inst, [x for out in outs for x in out.points], cfg)
             rays = _sorted_rays(rays, cfg.tol)
@@ -1022,9 +1021,8 @@ def brute_force_oracle(
         extent = float(np.max(np.max(members, axis=0) - np.min(members, axis=0))) if len(idx) > 1 else 0.0
         boundary = bool(np.any(members >= box_radius - grid_step / 2))
 
+        # never empty: the cluster's least-score point is a seed
         seed_pos = pos[is_min[pos]]
-        if len(seed_pos) == 0:
-            seed_pos = pos[[int(np.argmin(score[pos]))]]
         if len(seed_pos) > _ORACLE_SEED_CAP:
             by_score = np.argsort(score[seed_pos], kind="stable")
             seed_pos = seed_pos[by_score[:_ORACLE_SEED_CAP]]

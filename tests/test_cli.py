@@ -10,7 +10,7 @@ import pytest
 
 import tcplab
 from tcplab import builtin_example, tensor_to_dict
-from tcplab.cli import EXIT_BROKEN_PIPE, _num, build_parser, main
+from tcplab.cli import EXIT_BROKEN_PIPE, _num, main
 
 
 def _main(capsys, *argv):
@@ -271,14 +271,6 @@ def test_example_command_round_trips(tmp_path, capsys):
 def test_numbers_print_with_twelve_significant_digits():
     assert _num(math.pi) == "3.14159265359"
     assert _num(118098.0) == "118098"
-
-
-def test_parser_covers_published_command_list():
-    from tcplab.cli import COMMANDS
-
-    parser = build_parser()
-    sub = next(a for a in parser._actions if hasattr(a, "choices") and a.choices)
-    assert set(COMMANDS) == set(sub.choices)
 
 
 class _ClosedPipe(io.StringIO):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from tcplab import (
+    STATUS_EMPTY,
+    STATUS_UNBOUNDED,
     ExperimentReport,
     ROW_COLUMNS,
     SolverConfig,
@@ -19,6 +21,7 @@ from tcplab import (
     probe_gus,
     r0_openness_probe,
     scale,
+    solve,
     stability_inclusion_check,
     tensor_ball,
     usc_probe,
@@ -106,6 +109,12 @@ def test_boundedness_probe_on_r0_base():
     assert report.summary["empirical_bound"] is not None
     assert 0.5 <= report.summary["empirical_bound"] <= 3.0
     assert all(r["pert_norm_tensor"] <= 0.05 + 1e-12 for r in report.rows)
+    # a sample whose solution set is empty has no largest point norm
+    report = local_boundedness_probe(inst.tensor, [0.01, 1.0], 0.01, 0.1, 8, CFG)
+    empty = report.rows[4]
+    assert (empty["flags"], empty["n_points"], empty["max_norm"]) == ("exact-empty", 0, None)
+    assert report.summary["empty_count"] == 1
+    assert report.summary["empirical_bound"] == max(r["max_norm"] for r in report.rows if r["n_points"])
 
 
 def test_boundedness_probe_vacuous_without_r0():
@@ -265,6 +274,18 @@ def test_stability_check_on_strictly_positive_rhs():
     # the fitted envelope degenerates to gamma = c = 0
     assert report.summary["exact_stability"]
     assert report.summary["gamma"] == 0.0 and report.summary["c"] == 0.0
+    # the zero tensor is copositive only in part of the eps ball: each row
+    # counts the draws its sample rejected, all out of one attempt budget
+    report = stability_inclusion_check(Tensor.zeros(3, 2), [1.0, 1.0], 0.05, 4, CFG)
+    rejected = [int(r["flags"].removeprefix("rejected=")) for r in report.rows]
+    assert len(rejected) == 4 and min(rejected) > 0
+    assert report.summary["attempts"] == 4 + sum(rejected) == 21
+    assert report.summary["violations"] == 0 and not report.summary["inconclusive"]
+    # -gus is copositive nowhere in the ball: the budget of 20 draws per
+    # sample runs out before the first sample is collected
+    report = stability_inclusion_check(scale(-1.0, GUS.tensor), [1.0, 1.0], 0.05, 2, CFG)
+    assert report.rows == [] and report.summary["attempts"] == 40
+    assert report.summary["inconclusive"] and report.summary["collected"] == 0
 
 
 def test_stability_check_runs_no_homogeneous_search_on_certified_tensors(monkeypatch):
@@ -341,3 +362,15 @@ def test_infinity_sentinel_serialization(tmp_path):
     cells = cpath.read_text().strip().splitlines()[1].split(",")
     assert cells[ROW_COLUMNS.index("excess")] == "inf"
     assert cells[ROW_COLUMNS.index("pert_norm_tensor")] == ""
+
+
+def test_excess_of_unbounded_and_empty_sets():
+    # usc and hoelder measure an unbounded set as +inf whatever its points;
+    # an empty set has nothing to measure
+    from tcplab.experiments import _excess
+
+    unbounded = solve(TcpInstance(Tensor.zeros(3, 2), [0.0, 2.0]), CFG)
+    empty = solve(TcpInstance(Tensor.zeros(3, 2), [-1.0, 0.0]), CFG)
+    assert unbounded.status == STATUS_UNBOUNDED and empty.status == STATUS_EMPTY
+    assert _excess(unbounded, [np.zeros(2)]) == math.inf
+    assert _excess(empty, [np.zeros(2)]) == 0.0 and _excess(empty, []) == 0.0

@@ -82,3 +82,32 @@ def test_solver_and_subdivision_draw_nothing_at_random():
                 assert "random" not in (node.module or "") and "default_rng" not in {a.name for a in node.names}, name
             elif isinstance(node, ast.Import):
                 assert not any("random" in alias.name for alias in node.names), name
+
+
+def _module_level_names(tree: ast.Module) -> dict[str, int]:
+    """Names a module's top-level def, class or assignment binds, with their lines."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names.update((n.id, node.lineno) for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def test_every_module_level_name_is_read_or_exported():
+    # a name that no module reads and __init__ does not export is dead code;
+    # the package reaches its modules' names only by name or by import, never
+    # as module attributes.  __version__ is for packaging tools.
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    read = {"__version__"}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = {name: [f"{n} (line {line})" for n, line in sorted(_module_level_names(tree).items()) if n not in read]
+              for name, tree in trees.items()}
+    assert {name: names for name, names in unread.items() if names} == {}

@@ -1165,8 +1165,13 @@ def test_oracle_seeds_in_one_pass_match_the_per_face_minima():
         field = np.where(rng.uniform(size=shape) < rng.uniform(0.1, 0.9), values, np.inf)
         want = _per_face_seeds(field).reshape(-1)
         idx = np.flatnonzero(np.isfinite(field))
-        _, _, seeds = solver_mod._clusters(idx, field.reshape(-1)[idx], shape)
+        score = field.reshape(-1)[idx]
+        labels, count, seeds = solver_mod._clusters(idx, score, shape)
         assert np.array_equal(seeds, want[idx]), (shape, field)
+        # a cluster's least-score point is a seed, so every cluster has one
+        for c in range(count):
+            pos = np.flatnonzero(labels == c)
+            assert seeds[pos[np.argmin(score[pos])]], (shape, field, c)
 
 
 def test_oracle_does_not_depend_on_units():
