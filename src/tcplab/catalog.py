@@ -24,7 +24,10 @@ EXAMPLE_NAMES = ("ex1", "gus", "monotone", "zero")
 
 
 def builtin_example(name: str, m: int | None = None, n: int | None = None) -> TcpInstance:
-    """Catalog instance by name, with its table-leading right-hand side."""
+    """Catalog instance by name, with its table-leading right-hand side; m
+    and n, the zero example's order and dimension, are an error elsewhere."""
+    if name != "zero" and (m is not None or n is not None):
+        raise ValueError(f"m and n apply only to the zero example, not {name!r}")
     if name == "ex1":
         arr = np.zeros((2, 2, 2))
         arr[0, 0, 0] = arr[0, 1, 1] = arr[1, 0, 0] = arr[1, 1, 1] = -1.0

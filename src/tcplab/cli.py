@@ -38,7 +38,7 @@ from .properties import (
     probe_gus,
 )
 from .solver import SolverConfig, chi_bound, solve
-from .tensors import Tensor, tensor_from_dict
+from .tensors import tensor_from_dict
 
 # 128 + SIGPIPE, the status a shell reports for a writer stopped by a closed pipe
 EXIT_BROKEN_PIPE = 141
@@ -65,22 +65,22 @@ def _load_json_file(path: str) -> dict:
 
 
 def _load_instance(args) -> TcpInstance:
+    if args.instance and args.a is not None:
+        raise ValueError("--a is not accepted with --instance: the file holds the right-hand side")
+    if args.example != "zero" and (args.m is not None or args.n is not None):
+        raise ValueError("--m and --n apply only to --example zero")
     if args.instance:
         return TcpInstance.from_json(_load_json_file(args.instance))
     if args.example:
         inst = builtin_example(args.example, args.m, args.n)
-        if args.a:
+        if args.a is not None:
             inst = with_rhs(inst, _parse_csv_floats(args.a, "--a"))
         return inst
     if args.tensor:
         tensor = tensor_from_dict(_load_json_file(args.tensor))
-        a = _parse_csv_floats(args.a, "--a") if args.a else np.zeros(tensor.dim)
+        a = _parse_csv_floats(args.a, "--a") if args.a is not None else np.zeros(tensor.dim)
         return TcpInstance(tensor, a)
     raise ValueError("no input: pass --instance, --tensor or --example")
-
-
-def _load_tensor(args) -> Tensor:
-    return _load_instance(args).tensor
 
 
 def _cfg(args) -> SolverConfig:
@@ -113,76 +113,72 @@ def _verdict_exit(report) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each command takes only the flags it reads."""
     p = argparse.ArgumentParser(prog="tcplab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name: str, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=1e-8)
-        sp.add_argument("--out", dest="out", default=None)
+    def add(name: str, help: str, config: bool = True, out: bool = False):
+        """A command, with the SolverConfig flags if config, --out if out."""
+        sp = sub.add_parser(name, help=help)
+        if config:
+            sp.add_argument("--seed", type=int, default=0)
+            sp.add_argument("--tol", type=float, default=1e-8)
+        if out:
+            sp.add_argument("--out", default=None, help="also write the result here; an experiment adds a CSV of its rows")
         return sp
 
-    def add_inputs(sp):
-        sp.add_argument("--instance", default=None, help="instance JSON file")
-        sp.add_argument("--tensor", default=None, help="tensor JSON file")
-        sp.add_argument("--example", default=None, choices=EXAMPLE_NAMES)
-        sp.add_argument("--m", type=int, default=None)
-        sp.add_argument("--n", type=int, default=None)
-        sp.add_argument("--a", default=None, help="comma-separated right-hand side; write --a=-1,0 for negatives")
+    def add_inputs(sp, with_a: bool = True):
+        source = sp.add_mutually_exclusive_group()
+        source.add_argument("--instance", default=None, help="instance JSON file")
+        source.add_argument("--tensor", default=None, help="tensor JSON file")
+        source.add_argument("--example", default=None, choices=EXAMPLE_NAMES)
+        sp.add_argument("--m", type=int, default=None, help="order of --example zero")
+        sp.add_argument("--n", type=int, default=None, help="dimension of --example zero")
+        sp.set_defaults(a=None)  # without --a for a command that reads the tensor alone
+        if with_a:
+            sp.add_argument("--a", help="comma-separated right-hand side; write --a=-1,0 for negatives")
+        return sp
 
-    sp = add("solve", help="enumerate faces and report the solution set")
-    add_inputs(sp)
-
-    sp = add("check-r0", help="no nonzero homogeneous solution")
-    add_inputs(sp)
-    sp = add("check-copositive", help="form nonnegative on the orthant")
-    add_inputs(sp)
-    sp = add("check-monotone", help="monotone complementarity map")
-    add_inputs(sp)
-    sp = add("probe-gus", help="unique solution for sampled right-hand sides")
-    add_inputs(sp)
+    add_inputs(add("solve", "enumerate faces and report the solution set", out=True))
+    add_inputs(add("check-r0", "no nonzero homogeneous solution"), with_a=False)
+    add_inputs(add("check-copositive", "form nonnegative on the orthant"), with_a=False)
+    add_inputs(add("check-monotone", "monotone complementarity map"), with_a=False)
+    sp = add_inputs(add("probe-gus", "unique solution for sampled right-hand sides"), with_a=False)
     sp.add_argument("--samples", type=int, default=200)
 
-    sp = add("chi", help="component-count bound")
+    sp = add("chi", "component-count bound", config=False)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
 
-    sp = add("boundedness", help="perturbed solution norms inside (eps, delta) balls")
-    add_inputs(sp)
+    sp = add_inputs(add("boundedness", "perturbed solution norms inside (eps, delta) balls", out=True))
     sp.add_argument("--eps", type=float, default=0.1)
     sp.add_argument("--delta", type=float, default=0.5)
     sp.add_argument("--samples", type=int, default=100)
 
-    sp = add("openness", help="fraction of R0 survivors per perturbation radius")
-    add_inputs(sp)
+    sp = add_inputs(add("openness", "fraction of R0 survivors per perturbation radius", out=True), with_a=False)
     sp.add_argument("--radii", default="0.01,0.05,0.1,0.2,0.5")
     sp.add_argument("--samples", type=int, default=50)
 
-    sp = add("genericity", help="R0 fraction over Gaussian tensors")
+    sp = add("genericity", "R0 fraction over Gaussian tensors", out=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--samples", type=int, default=200)
 
-    sp = add("usc", help="excess of perturbed solution sets over the base set")
-    add_inputs(sp)
+    sp = add_inputs(add("usc", "excess of perturbed solution sets over the base set", out=True))
     sp.add_argument("--radius", type=float, default=0.1)
     sp.add_argument("--samples", type=int, default=50)
 
-    sp = add("hoelder", help="log-log fit of excess against radius")
-    add_inputs(sp)
+    sp = add_inputs(add("hoelder", "log-log fit of excess against radius", out=True))
     sp.add_argument("--radii", default="0.2,0.1,0.05,0.02,0.01")
     sp.add_argument("--samples", type=int, default=30)
 
-    sp = add("stability", help="inclusion under copositive tensor drift")
-    add_inputs(sp)
+    sp = add_inputs(add("stability", "inclusion under copositive tensor drift", out=True))
     sp.add_argument("--eps", type=float, default=0.05)
     sp.add_argument("--samples", type=int, default=50)
 
-    sp = add("example", help="write a catalog instance as JSON")
-    add_inputs(sp)
+    add_inputs(add("example", "write a catalog instance as JSON", config=False, out=True))
 
-    add("golden", help="run the closed-form regression table")
+    add("golden", "run the closed-form regression table")
     return p
 
 
@@ -193,7 +189,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "golden":
-        rows, ok = golden_suite(SolverConfig(tol=args.tol, seed=args.seed))
+        rows, ok = golden_suite(_cfg(args))
         for row in rows:
             mark = "PASS" if row["pass"] else "FAIL"
             line = f"{mark} {row['name']}"
@@ -209,16 +205,14 @@ def _dispatch(args) -> int:
         return 2 if report.summary["fraction"] is None else 0
 
     if cmd == "example":
-        inst = _load_instance(args) if (args.instance or args.tensor or args.example) else None
-        if inst is None:
-            raise ValueError("example: pass --example NAME (optionally --m, --n, --a)")
-        _emit(inst.to_json(), args.out)
+        _emit(_load_instance(args).to_json(), args.out)
         return 0
 
+    # every command below reads an instance
     cfg = _cfg(args)
+    inst = _load_instance(args)
 
     if cmd == "solve":
-        inst = _load_instance(args)
         sol = solve(inst, cfg)
         _emit(sol.to_json(), args.out)
         witness = lsc_witness(sol)
@@ -226,17 +220,15 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "check-r0":
-        return _verdict_exit(check_r0(_load_tensor(args), cfg))
+        return _verdict_exit(check_r0(inst.tensor, cfg))
     if cmd == "check-copositive":
-        return _verdict_exit(check_copositive(_load_tensor(args), cfg))
+        return _verdict_exit(check_copositive(inst.tensor, cfg))
     if cmd == "check-monotone":
-        inst = _load_instance(args)
-        return _verdict_exit(check_monotone(inst.tensor, inst.a, cfg))
+        return _verdict_exit(check_monotone(inst.tensor, cfg))
     if cmd == "probe-gus":
-        return _verdict_exit(probe_gus(_load_tensor(args), cfg, samples=args.samples))
+        return _verdict_exit(probe_gus(inst.tensor, cfg, samples=args.samples))
 
     if cmd == "boundedness":
-        inst = _load_instance(args)
         report = local_boundedness_probe(inst.tensor, inst.a, args.eps, args.delta, args.samples, cfg)
         _emit_report(report, args.out)
         if report.summary["vacuous"]:
@@ -244,28 +236,23 @@ def _dispatch(args) -> int:
         return 1 if report.summary["unbounded_flags"] else 0
 
     if cmd == "openness":
-        inst = _load_instance(args)
         report = r0_openness_probe(inst.tensor, _parse_csv_floats(args.radii, "--radii"), args.samples, cfg)
         _emit_report(report, args.out)
         return 2 if report.summary["vacuous"] else 0
 
     if cmd == "usc":
-        inst = _load_instance(args)
         report = usc_probe(inst, args.radius, args.samples, cfg)
         _emit_report(report, args.out)
         return 1 if report.summary["violation_count"] else 0
 
     if cmd == "hoelder":
-        inst = _load_instance(args)
         report = hoelder_fit(inst.tensor, inst.a, _parse_csv_floats(args.radii, "--radii"), args.samples, cfg)
         _emit_report(report, args.out)
-        c = report.summary["c"]
-        gamma = report.summary["gamma"]
-        print(f"gamma={_num(gamma)} c={_num(c)} residual={_num(report.summary['log_residual'])}")
+        fit = report.summary
+        print(f"gamma={_num(fit['gamma'])} c={_num(fit['c'])} residual={_num(fit['log_residual'])}")
         return 0
 
     if cmd == "stability":
-        inst = _load_instance(args)
         report = stability_inclusion_check(inst.tensor, inst.a, args.eps, args.samples, cfg)
         _emit_report(report, args.out)
         if report.summary.get("vacuous") or report.summary.get("inconclusive"):

@@ -79,6 +79,15 @@ def _check_sizes(name: str, values, zero_ok: bool = False) -> None:
             raise ValueError(f"{name} must be finite and {'nonnegative' if zero_ok else 'positive'}, got {v}")
 
 
+def _check_radii(radii) -> list[float]:
+    """radii as floats, passing _check_sizes and distinct in _by_radius's keys."""
+    radii = [float(r) for r in radii]
+    _check_sizes("radii", radii)
+    if len({f"{r:.12g}" for r in radii}) < len(radii):
+        raise ValueError(f"radii must be distinct, got {radii}")
+    return radii
+
+
 def _map_samples(fn, ids):
     """The rows fn(i) of the samples ids, built in order once they are solved."""
     return [fn(i) for i in ids]
@@ -257,8 +266,7 @@ def r0_openness_probe(A: Tensor, radii, samples_per_radius: int, cfg: SolverConf
     yet gus with each entry lowered by 0.25, a Frobenius distance of 0.707,
     fails R0 (random directions rarely meet the non-R0 set).
     """
-    radii = [float(r) for r in radii]
-    _check_sizes("radii", radii)
+    radii = _check_radii(radii)
     samples_per_radius = _as_count("samples", samples_per_radius)
     base_r0 = check_r0(A, cfg)
     vacuous = base_r0.verdict != VERDICT_HOLDS
@@ -348,6 +356,8 @@ def usc_probe(inst: TcpInstance, radius: float, samples: int, cfg: SolverConfig)
     base = solve(inst, cfg)
     if not (base.points or base.rays or base.posdim_suspect):
         raise ValueError("usc probe needs a nonempty base solution set")
+    if base.rays:
+        raise ValueError("usc probe needs a base solution set without rays: its reference set lies in a box")
     reference = _reference_points(inst, base, cfg)
     n_shells = 5
 
@@ -410,8 +420,7 @@ def hoelder_fit(A: Tensor, a, radii, samples_per_radius: int, cfg: SolverConfig)
     spanning under 1.5 decades, or fewer than 4 radii, set low_confidence.
     """
     a = as_vector(a, A.dim)
-    radii = sorted(float(r) for r in radii)
-    _check_sizes("radii", radii)
+    radii = sorted(_check_radii(radii))
     samples_per_radius = _as_count("samples", samples_per_radius)
     # sample sid = i * samples_per_radius + j is the j-th at radius i, solved
     # with the base (A, a) as instance 0

@@ -217,10 +217,10 @@ def check_copositive(A: Tensor, cfg: SolverConfig) -> PropertyReport:
 # monotonicity
 
 
-def check_monotone(A: Tensor, a, cfg: SolverConfig) -> PropertyReport:
+def check_monotone(A: Tensor, cfg: SolverConfig) -> PropertyReport:
     """Monotonicity of F on the orthant: <F(y) - F(x), y - x> >= 0 there.
 
-    a cancels and is accepted to keep the instance signature uniform.  F is
+    The right-hand side cancels from the pairing, so only A is taken.  F is
     monotone there iff J + J^T >= 0 (Facchinei & Pang, Finite-Dimensional
     Variational Inequalities and Complementarity Problems, 2003, 2.3), and
     J is homogeneous, so subdivision._monotone_pieces decides it on the
@@ -235,7 +235,6 @@ def check_monotone(A: Tensor, a, cfg: SolverConfig) -> PropertyReport:
     Otherwise, or when PIECE_BUDGET stops the search, it is inconclusive.
     Eigenvalues and the pairing are in A's units.
     """
-    as_vector(a, A.dim)
     big = float(np.max(np.abs(A.array))) or 1.0
     unit = Tensor(A.array / big)
     alive, simplices, least, corner, witness = _monotone_pieces(unit, cfg.tol)

@@ -203,14 +203,11 @@ def contract(A: Tensor, x) -> np.ndarray:
 
 
 def form(A: Tensor, x) -> float:
-    """The scalar A x^m, summed in one pass (independent of contract)."""
+    """The scalar A x^m, summed in one pass (independent of contract); the
+    26 subscript letters cover every order, which _check_size caps at 23."""
     x = as_vector(x, A.dim)
-    m = A.order
-    if m <= 12:
-        letters = "abcdefghijkl"[:m]
-        operands = [A.array] + [x] * m
-        return float(np.einsum(letters + "," + ",".join(letters), *operands))
-    return float(x @ contract(A, x))
+    letters = "abcdefghijklmnopqrstuvwxyz"[: A.order]
+    return float(np.einsum(letters + "," + ",".join(letters), A.array, *[x] * A.order))
 
 
 def form_gradient(A: Tensor, x) -> np.ndarray:

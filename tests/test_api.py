@@ -1,6 +1,8 @@
 import inspect
 from pathlib import Path
 
+import pytest
+
 import tcplab
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -34,6 +36,14 @@ def test_public_names_and_solver_signatures_are_pinned():
         "homogeneous_solve_many": ["tensors", "cfg"],
         "check_r0": ["A", "cfg"],
     }
+
+
+def test_builtin_example_takes_m_and_n_for_zero_only():
+    assert tcplab.builtin_example("zero", 4, 3).tensor.array.shape == (3, 3, 3, 3)
+    for name in ("ex1", "gus", "monotone"):
+        for m, n in ((3, None), (None, 2), (3, 2)):
+            with pytest.raises(ValueError, match="m and n apply only to the zero example"):
+                tcplab.builtin_example(name, m, n)
 
 
 def test_readme_library_example_prints_its_commented_outputs(capsys):

@@ -1,16 +1,19 @@
+import argparse
 import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tcplab
 from tcplab import builtin_example, tensor_to_dict
-from tcplab.cli import EXIT_BROKEN_PIPE, _num, main
+from tcplab.cli import EXIT_BROKEN_PIPE, _num, build_parser, main
 
 
 def _main(capsys, *argv):
@@ -95,6 +98,87 @@ def test_missing_input_exits_2(capsys):
     code, _, err = _main(capsys, "solve")
     assert code == 2
     assert "no input" in err
+
+
+def test_example_without_input_exits_2(capsys):
+    code, out, err = _main(capsys, "example")
+    assert code == 2 and out == ""
+    assert err == "error: no input: pass --instance, --tensor or --example\n"
+
+
+def _flags(parser):
+    """{command: its option strings but -h/--help} of a subcommand parser."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, sp in sub.choices.items()}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    # --seed and --tol feed SolverConfig, which chi and example never build;
+    # --out goes where a file is written; --a where an instance is solved
+    # or written, never where only its tensor is read
+    config, source = {"--seed", "--tol"}, {"--instance", "--tensor", "--example", "--m", "--n"}
+    tensor_only = config | source
+    solved = config | source | {"--a", "--out"}
+    want = {
+        "solve": solved,
+        "check-r0": tensor_only,
+        "check-copositive": tensor_only,
+        "check-monotone": tensor_only,
+        "probe-gus": tensor_only | {"--samples"},
+        "chi": {"--m", "--n"},
+        "boundedness": solved | {"--eps", "--delta", "--samples"},
+        "openness": tensor_only | {"--out", "--radii", "--samples"},
+        "genericity": config | {"--out", "--m", "--n", "--samples"},
+        "usc": solved | {"--radius", "--samples"},
+        "hoelder": solved | {"--radii", "--samples"},
+        "stability": solved | {"--eps", "--samples"},
+        "example": source | {"--a", "--out"},
+        "golden": config,
+    }
+    flags = _flags(build_parser())
+    assert flags == want
+    assert sum(map(len, flags.values())) == 110
+
+
+def test_ignored_inputs_exit_2_and_write_nothing(tmp_path, monkeypatch, capsys):
+    # each of these used to run and answer another question than the one
+    # asked: the file's right-hand side instead of --a, ex1 instead of an
+    # order-7 tensor, the example instead of the tensor file
+    monkeypatch.chdir(tmp_path)
+    Path("gus.json").write_text(json.dumps(builtin_example("gus").to_json()))
+    Path("t.json").write_text(json.dumps(tensor_to_dict(builtin_example("ex1").tensor, "sparse")))
+    before = sorted(os.listdir(tmp_path))
+    for argv, message in (
+        (("check-r0", "--example", "zero", "--out", "r.json"), "unrecognized arguments: --out"),
+        (("solve", "--instance", "gus.json", "--a", "5,5"), "--a is not accepted with --instance"),
+        (("solve", "--instance", "gus.json", "--a", "5,5", "--out", "s.json"), "--a is not accepted with --instance"),
+        (("solve", "--example", "ex1", "--m", "7"), "--m and --n apply only to --example zero"),
+        (("example", "--tensor", "t.json", "--n", "3", "--out", "e.json"), "--m and --n apply only to --example zero"),
+        (("solve", "--example", "gus", "--tensor", "t.json"), "not allowed with argument"),
+        (("openness", "--example", "ex1", "--a", "1,1"), "unrecognized arguments: --a"),
+        (("chi", "--m", "3", "--n", "2", "--tol", "1e-9"), "unrecognized arguments: --tol"),
+        (("example", "--example", "gus", "--seed", "3"), "unrecognized arguments: --seed"),
+    ):
+        code, out, err = _main(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert message in err, (argv, err)
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_readme_command_block_parses():
+    # every `tcplab ...` line of the README's command block is accepted by
+    # the parser as written, so the docs and the flags cannot drift apart
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("tcplab ")]
+    assert len(lines) >= 14
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
 
 
 def test_unknown_example_rejected_by_parser(capsys):
@@ -191,6 +275,24 @@ def test_non_finite_experiment_sizes_exit_2(capsys):
         code, out, err = _main(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith(f"error: {name} must be finite and "), (argv, err)
+
+
+def test_repeated_radii_exit_2(capsys):
+    for argv in (
+        ("hoelder", "--example", "gus", "--a=-1,-1", "--radii", "0.1,0.1,0.05"),
+        ("openness", "--example", "ex1", "--radii", "0.2,0.1,0.2"),
+    ):
+        code, out, err = _main(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: radii must be distinct"), (argv, err)
+
+
+def test_usc_on_a_base_with_rays_exits_2(capsys):
+    # Sol(0, 0) is the whole orthant: measured against the oracle's grid in
+    # [0, 5]^2 it gave a false violation (exit 1, excess 31.59)
+    code, out, err = _main(capsys, "usc", "--example", "zero", "--a", "0,0", "--radius", "0.05", "--samples", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: usc probe needs a base solution set without rays")
 
 
 def test_boundedness_vacuous_exit_code(capsys):

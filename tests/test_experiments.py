@@ -101,6 +101,30 @@ def test_usc_rejects_empty_base():
         usc_probe(GUS, -0.1, 5, CFG)
 
 
+def test_usc_rejects_a_base_with_rays():
+    # Sol(0, (0, 1)) is the x1 axis; the reference grid holds only its part
+    # in the oracle's box, so a far point of a perturbed set would count as
+    # an excess although the axis holds it
+    base = solve(TcpInstance(Tensor.zeros(3, 2), [0.0, 1.0]), CFG)
+    assert base.rays and base.points
+    with pytest.raises(ValueError, match="without rays"):
+        usc_probe(TcpInstance(Tensor.zeros(3, 2), [0.0, 1.0]), 0.05, 3, CFG)
+
+
+def test_repeated_radii_are_rejected():
+    # _by_radius keeps one group per radius: a repeated radius dropped the
+    # first group's samples from the summary (e_by_radius at 0.1 read
+    # 0.05087, while the first three samples reach 0.05132) and entered the
+    # fit twice
+    with pytest.raises(ValueError, match="radii must be distinct"):
+        hoelder_fit(GUS.tensor, [-1.0, -1.0], [0.1, 0.1, 0.05], 3, CFG)
+    with pytest.raises(ValueError, match="radii must be distinct"):
+        r0_openness_probe(GUS.tensor, [0.3, 0.1, 0.3], 2, CFG)
+    # the radii are filed under 12 significant digits
+    with pytest.raises(ValueError, match="radii must be distinct"):
+        r0_openness_probe(GUS.tensor, [0.1, 0.1 + 1e-14], 2, CFG)
+
+
 def test_boundedness_probe_on_r0_base():
     inst = builtin_example("ex1")
     report = local_boundedness_probe(inst.tensor, inst.a, 0.05, 0.25, 10, CFG)

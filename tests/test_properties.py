@@ -433,12 +433,12 @@ def test_r0_and_monotone_verdicts_ignore_the_units_of_the_tensor():
     arr = np.zeros((2, 2, 2))
     arr[0, 1, 1] = 1.0
     non_monotone = Tensor(arr)
-    ref = check_monotone(non_monotone, np.zeros(2), CFG)
+    ref = check_monotone(non_monotone, CFG)
     for t in (1e-12, 1e-8, 1.0, 1e12, 1e200):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             r0 = check_r0(scale(t, non_r0), CFG)
-            mono = check_monotone(scale(t, non_monotone), np.zeros(2), CFG)
+            mono = check_monotone(scale(t, non_monotone), CFG)
         assert r0.verdict == VERDICT_FAILS, t
         assert np.allclose(r0.certificate["ray"], r, rtol=0, atol=1e-9)
         assert r0.certificate["residual"] <= 1e-6 * t
@@ -451,11 +451,11 @@ def test_r0_and_monotone_verdicts_ignore_the_units_of_the_tensor():
     # pieces and the eigenvalues are the same at every scale up to a largest
     # entry of 1e307, with no overflow, and a fails pair agrees to rounding
     for A in _monotone_cases()[:15] + _monotone_cases()[-2:]:
-        ref = check_monotone(A, np.zeros(A.dim), CFG)
+        ref = check_monotone(A, CFG)
         for t in (1e-12, 1e-8, 1e12, 1e200, 1e307 / (float(np.max(np.abs(A.array))) or 1.0)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                mono = check_monotone(scale(t, A), np.zeros(A.dim), CFG)
+                mono = check_monotone(scale(t, A), CFG)
             assert mono.verdict == ref.verdict and mono.effort["simplices"] == ref.effort["simplices"]
             assert mono.effort["least_vertex_eigenvalue"] == pytest.approx(
                 t * ref.effort["least_vertex_eigenvalue"], rel=1e-12, abs=1e-15 * t
@@ -469,7 +469,7 @@ def test_r0_and_monotone_verdicts_ignore_the_units_of_the_tensor():
                     t * ref.certificate["least_eigenvalue"], rel=1e-12, abs=1e-15 * t
                 )
     assert check_r0(Tensor.zeros(3, 2), CFG).verdict == VERDICT_FAILS
-    assert check_monotone(Tensor.zeros(3, 2), np.zeros(2), CFG).verdict == VERDICT_HOLDS
+    assert check_monotone(Tensor.zeros(3, 2), CFG).verdict == VERDICT_HOLDS
 
 
 def test_copositive_effort_counters_are_pinned():
@@ -639,16 +639,16 @@ def test_monotone_holds_for_decoupled_squares():
     # F = (x1^2, x2^2) has diagonal, nonnegative Jacobian on the orthant:
     # J + J^T is diag(4, 0) and diag(0, 4) at the vertices, and one piece
     # holds both as its Bernstein coefficients
-    report = check_monotone(builtin_example("gus").tensor, [0.0, 0.0], CFG)
+    report = check_monotone(builtin_example("gus").tensor, CFG)
     assert report.holds
     assert report.certificate == {"simplices": 1, "least_eigenvalue": 0.0}
     assert report.effort == {"simplices": 1, "least_vertex_eigenvalue": 0.0}
-    assert check_monotone(Tensor.zeros(3, 2), [5.0, -1.0], CFG).holds
+    assert check_monotone(Tensor.zeros(3, 2), CFG).holds
 
 
 def test_monotone_fails_for_sign_flipped_tensor():
     A = builtin_example("ex1").tensor
-    report = check_monotone(A, [2.0, 1.0], CFG)
+    report = check_monotone(A, CFG)
     _assert_monotone_certificate(A, report)
     x, y = np.array(report.certificate["x"]), np.array(report.certificate["y"])
     ip = float((contract(A, y) - contract(A, x)) @ (y - x))
@@ -662,22 +662,15 @@ def test_monotone_fails_for_coupled_sum_of_squares():
     A = builtin_example("monotone").tensor
     x, y = np.array([2.0, 2.0]), np.array([0.0, 3.0])
     assert float((contract(A, y) - contract(A, x)) @ (y - x)) == pytest.approx(-1.0)
-    report = check_monotone(A, [-4.0, -1.0], CFG)
+    report = check_monotone(A, CFG)
     _assert_monotone_certificate(A, report)
     # J + J^T = [[4, 2], [2, 0]] at the vertex e1, least eigenvalue 2 - sqrt(8)
     assert report.effort == {"simplices": 1, "least_vertex_eigenvalue": pytest.approx(2.0 - math.sqrt(8.0), rel=1e-12)}
 
 
-def test_monotone_ignores_the_rhs():
-    A = builtin_example("gus").tensor
-    r1 = check_monotone(A, [0.0, 0.0], CFG)
-    r2 = check_monotone(A, [7.0, -3.0], CFG)
-    assert r1.verdict == r2.verdict == VERDICT_HOLDS
-
-
 def test_monotone_ignores_the_seed():
     for A in _monotone_cases()[:6]:
-        reports = [check_monotone(A, np.zeros(A.dim), SolverConfig(seed=seed)).to_json() for seed in (0, 5, 2**31 - 1)]
+        reports = [check_monotone(A, SolverConfig(seed=seed)).to_json() for seed in (0, 5, 2**31 - 1)]
         assert reports[1:] == reports[:1] * 2
 
 
@@ -725,7 +718,7 @@ def test_monotone_search_equals_a_per_pair_loop():
     # holds
     refuted = 0
     for i, A in enumerate(_monotone_cases()):
-        report = check_monotone(A, np.zeros(A.dim), CFG)
+        report = check_monotone(A, CFG)
         tol = CFG.tol * float(np.max(np.abs(A.array)))
         for seed, v in zip((0, 5), _monotone_reference(A)):
             if v < -tol:
@@ -738,14 +731,14 @@ def test_monotone_search_equals_a_per_pair_loop():
             assert report.certificate["least_eigenvalue"] >= -tol, i
     assert refuted == 14
     # the singular lines at the end of the cases hold in one piece
-    assert [check_monotone(A, np.zeros(3), CFG).effort["simplices"] for A in _monotone_cases()[-2:]] == [1, 1]
+    assert [check_monotone(A, CFG).effort["simplices"] for A in _monotone_cases()[-2:]] == [1, 1]
     # c = 6.001: the Hessian has the eigenvalue -0.002 t^2 at x = (t, t), but
     # every pair of the sample is at least 0.4 apart, and there the pairing
     # is positive; the check refutes at the vertex (1/2, 1/2) of the second
     # round
     A = _quartic_gradient(6.001)
     assert all(v > 1e-3 for v in _monotone_reference(A))
-    report = check_monotone(A, np.zeros(2), CFG)
+    report = check_monotone(A, CFG)
     _assert_monotone_certificate(A, report)
     assert report.effort == {"simplices": 3, "least_vertex_eigenvalue": pytest.approx(-0.001, rel=1e-9)}
 
@@ -756,14 +749,14 @@ def test_monotone_fails_near_the_largest_float():
     # come out inconclusive there.  It re-checks on A over a power of two,
     # so A times 2^s fails with the same pair and the pairing times 2^s
     A = _quartic_gradient(6.000001)
-    ref = check_monotone(A, np.zeros(2), CFG)
+    ref = check_monotone(A, CFG)
     _assert_monotone_certificate(A, ref)
     big = float(np.max(np.abs(A.array)))
     for top in (1e300, 8.3e305, 1e307, 1.7e308):
         s = math.floor(math.log2(top / big))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            report = check_monotone(Tensor(np.ldexp(A.array, s)), np.zeros(2), CFG)
+            report = check_monotone(Tensor(np.ldexp(A.array, s)), CFG)
         assert report.verdict == VERDICT_FAILS, top
         assert report.certificate == {**ref.certificate, "pairing": math.ldexp(ref.certificate["pairing"], s)}
         assert report.effort["least_vertex_eigenvalue"] == math.ldexp(ref.effort["least_vertex_eigenvalue"], s)
@@ -774,7 +767,7 @@ def test_monotone_holds_only_where_copositive():
     # orthant, so a tensor that holds must not fail check_copositive
     held = 0
     for i, A in enumerate(_monotone_cases()):
-        if check_monotone(A, np.zeros(A.dim), CFG).holds:
+        if check_monotone(A, CFG).holds:
             held += 1
             assert check_copositive(A, CFG).verdict != VERDICT_FAILS, i
     assert held == 13
@@ -785,7 +778,7 @@ def test_monotone_verdicts_at_n_6_take_one_piece():
     # the pair grid would have tested 6^12 / 2 pairs
     rng = np.random.default_rng(3)
     for A, verdict in ((_sum_of_powers(3, 6, rng, 3), VERDICT_HOLDS), (random_gaussian(3, 6, rng), VERDICT_FAILS)):
-        report = check_monotone(A, np.zeros(6), CFG)
+        report = check_monotone(A, CFG)
         assert report.verdict == verdict and report.effort["simplices"] == 1
         if verdict == VERDICT_HOLDS:
             assert report.certificate["simplices"] == 1 and report.certificate["least_eigenvalue"] >= -CFG.tol
@@ -809,7 +802,7 @@ def test_monotone_verdicts_at_m_3_n_2_match_exact_arithmetic():
         for k in range(2):
             M = [[W[i, j, k] + W[i, k, j] + W[j, i, k] + W[j, k, i] for j in range(2)] for i in range(2)]
             psd &= M[0][0] >= 0 and M[1][1] >= 0 and M[0][0] * M[1][1] >= M[0][1] ** 2
-        verdicts.append(check_monotone(A, np.zeros(2), CFG).verdict)
+        verdicts.append(check_monotone(A, CFG).verdict)
         assert verdicts[-1] == (VERDICT_HOLDS if psd else VERDICT_FAILS)
     assert verdicts.count(VERDICT_HOLDS) > 8 and verdicts.count(VERDICT_FAILS) > 8
 

@@ -1279,6 +1279,20 @@ def test_oracle_caps_seeds_without_losing_later_clusters(monkeypatch):
     assert capped_before_another > 0
 
 
+def test_oracle_strides_a_cluster_past_the_member_cap():
+    # F = 0: every point of the 201 x 201 grid is accepted and they form one
+    # cluster, whose members are kept at stride ceil(40,401 / cap) = 5;
+    # every face there has only zero equations, so each seed is its own
+    # candidate
+    orc = brute_force_oracle(TcpInstance(Tensor.zeros(3, 2), [0.0, 0.0]), 2.0, 0.01, 1e-8)
+    assert len(orc.clusters) == 1
+    cl = orc.clusters[0]
+    assert cl.size == 40_401 and cl.verified
+    full = np.stack(np.unravel_index(np.arange(201 * 201), (201, 201)), axis=1) * 0.01
+    assert len(cl.members) == 8_081 <= solver_mod.ORACLE_MEMBER_CAP
+    assert np.array_equal(cl.members, full[::5])
+
+
 def test_oracle_with_no_accepted_point_has_no_cluster():
     # F = a < 0 everywhere: no grid point is accepted, so there is no
     # neighbour pair, no cluster and no representative

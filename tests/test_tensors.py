@@ -21,6 +21,7 @@ from tcplab import (
     tensor_from_dict,
     tensor_to_dict,
 )
+import tcplab.tensors as tensors_mod
 from tcplab.tensors import _check_size, contract_rows, jacobian_rows, slot_sum
 
 
@@ -80,6 +81,20 @@ def test_form_is_inner_product_with_contract():
         f = form(A, x)
         ip = float(np.asarray(x) @ contract(A, x))
         assert abs(f - ip) <= 1e-12 * max(1.0, abs(ip))
+
+
+def test_form_of_high_order_matches_contract(monkeypatch):
+    # form takes one einsum at every order up to the m = 23 that
+    # _check_size allows, so it stays independent of contract there too
+    rng = np.random.default_rng(17)
+    for m in (13, 20):
+        A = random_gaussian(m, 2, rng)
+        x = rng.uniform(0.0, 1.0, size=2)
+        ip = float(x @ contract(A, x))
+        with monkeypatch.context() as mp:
+            mp.setattr(tensors_mod, "contract", None)
+            f = form(A, x)
+        assert f == pytest.approx(ip, rel=1e-12, abs=1e-15 * np.abs(A.array).sum())
 
 
 def test_contract_image_bounded_on_unit_box():
