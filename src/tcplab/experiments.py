@@ -48,7 +48,7 @@ from .solver import (
     solve,
     solve_many,
 )
-from .tensors import Tensor, _as_count, as_vector, frobenius, pair_norm
+from .tensors import Tensor, _as_count, _check_size, as_vector, frobenius, pair_norm
 
 ROW_COLUMNS = ("sample_id", "pert_norm_tensor", "pert_norm_vec", "n_points", "max_norm", "excess", "flags")
 
@@ -301,7 +301,9 @@ def r0_openness_probe(A: Tensor, radii, samples_per_radius: int, cfg: SolverConf
 
 
 def genericity_sample(m: int, n: int, samples: int, cfg: SolverConfig) -> ExperimentReport:
-    """Fraction of Gaussian tensors classified R0, with a Wilson 95% CI."""
+    """Fraction of Gaussian tensors classified R0, with a Wilson 95% CI.
+    (m, n) is checked before any tensor is drawn."""
+    _check_size(m, n)
     samples = _as_count("samples", samples, zero_ok=True)
 
     tensors = _draws(cfg, _SALT_GENERICITY, samples, lambda s, rng: Tensor(rng.standard_normal(size=(n,) * m)))

@@ -519,34 +519,6 @@ def _cone_holds(inst0: TcpInstance, r: np.ndarray, tol: float) -> bool:
     return bool(np.all(max_residual(inst0, np.outer(_CONE_TS, r)) <= tol))
 
 
-def _certified_ray(inst0: TcpInstance, direction, cfg: SolverConfig) -> tuple[np.ndarray | None, int]:
-    """Re-polish a candidate direction until the cone property certifies.
-
-    Every emitted ray promises residual(A, 0, t*r) <= tol along the sampled
-    tail t in _CONE_TS; comp scales like t^m, so a root accepted at tol/10
-    can be too loose at t = 10.  Exact candidates pass immediately; Newton
-    candidates get one more polish to machine accuracy.  Directions that
-    still fail are dropped (the posdim flag, not a sloppy ray, reports their
-    face).  Returns the ray, or None, and the Newton iterations spent.
-    Candidates are roots with every free coordinate above tol, so r has a
-    free coordinate (its largest is at least 1/sqrt(n)) and all of them are
-    positive.
-    """
-    r = np.asarray(direction, dtype=float)
-    r = r / float(np.linalg.norm(r))
-    if _cone_holds(inst0, r, cfg.tol):
-        return r, 0
-    fs = face_system(inst0, face_of(np.maximum(r, 0.0), cfg.tol))
-    z0 = r[list(fs.free)]
-    Z, _, iters = _newton(*_face_functions([fs], np.zeros(1, int), simplex=True), (z0 / float(np.sum(z0)))[None])
-    x = fs.embed(Z[0])
-    nrm = float(np.linalg.norm(x))
-    if not math.isfinite(nrm) or nrm <= 0.0 or float(np.min(x)) < 0.0:
-        return None, int(iters[0])
-    r = x / nrm
-    return (r if _cone_holds(inst0, r, cfg.tol) else None), int(iters[0])
-
-
 def _homogeneous_rays(tensors: list[Tensor], cfg: SolverConfig) -> list[list[np.ndarray]]:
     """The ray directions of homogeneous_solve for each tensor, all of one
     (m, n)."""
@@ -609,8 +581,13 @@ def _solve_stream(instances, cfg: SolverConfig, certs: list | None = None, homs:
             outs = list(itertools.islice(outcomes, len(systems)))
             work = {"starts": sum(out.starts for out in outs), "newton_iters": sum(out.newton_iters for out in outs)}
             if homogeneous:
-                certified = (_certified_ray(unit, d, cfg) for out in outs for d in out.rays)
-                rays = [r for r, _ in certified if r is not None]
+                # a direction is a ray when its tail solves TCP(A, 0); comp
+                # scales like t^m, so a root accepted at tol / 10 can fail at
+                # t = 10 and then only posdim reports its face.  The rays are
+                # the directions scaled to unit length once more, which moves
+                # the last bits of about a third of them
+                units = (d / float(np.linalg.norm(d)) for out in outs for d in out.rays)
+                rays = [r for r in units if _cone_holds(unit, r, cfg.tol)]
                 meta = _meta(cfg, homogeneous=True, **work, simplices=cert.simplices, margin=None)
             else:
                 # point faces give no rays: those of TCP(A, 0) are the candidates
@@ -646,8 +623,12 @@ def homogeneous_solve(A: Tensor, cfg: SolverConfig) -> SolutionSet:
 
     The solution set of the homogeneous problem is a cone, so the search
     adds the normalization sum(x) = 1 to every face system and reports each
-    solution as a unit-Euclidean ray direction.  An empty ray list means the
-    only homogeneous solution the search found is the origin.
+    solution as a unit-Euclidean ray direction.  A root's direction r is
+    kept only when t r solves TCP(A, 0) within tol at every t in _CONE_TS
+    (_cone_holds), and is dropped otherwise, with no second Newton run; a
+    posdim-flagged face whose root fails is reported in posdim_suspect
+    alone.  An empty ray list means the only homogeneous solution the search
+    found is the origin.
 
     The R0 certificate of A (subdivision._r0_certificate) runs first.  When
     it excludes every piece of the simplex faces, Sol(A, 0) = {0} is proved:

@@ -1,10 +1,11 @@
-"""Bernstein subdivision of the simplex faces: the coefficient kernels, the
+"""Bernstein subdivision of the simplex faces: the coefficient kernel, the
 branch and bound loop and the judges that run on it.
 
 On a simplex with vertex matrix V (n, k), x = V lam with lam >= 0 and
 sum(lam) = 1, every row of A x^{m-1}, and the form A x^m, is a form in lam
 whose values on the simplex are convex combinations of its Bernstein
-coefficients (_bernstein, _form_bernstein).  _subdivide starts from the face
+coefficients.  One kernel, _bernstein, gives them all: the form A x^m is its
+one-row case A[None], of order m + 1.  _subdivide starts from the face
 simplices of the orthant (_face_pieces), asks a judge which pieces survive
 and cuts the survivors at their longest edge (_bisect), round after round.
 Four entry points run it, one judge each (Mourrain & Pavone, J. Symbolic
@@ -74,9 +75,12 @@ def _bernstein(arr: np.ndarray, V: np.ndarray) -> np.ndarray:
     entries of arr contracted with V[p] in slots 2..m and symmetrised over
     those slots, one per multiset of d vertex indices; its values on the
     simplex are convex combinations of them.  arr may hold any number R of
-    rows, shape (R,) + (n,) * d.  Returns (P, R, G), the groups ranked as in
-    _multisets(k, d).  More pieces than fit in temporaries of _PIECE_CHUNK
-    entries run in chunks.  Each slot is one matrix product per piece, of
+    rows, shape (R,) + (n,) * d.  The one row A[None] gives the coefficients
+    of the form x -> A x^m, d = m: A contracted with V[p] in every slot,
+    averaged over each multiset; the coefficient of the multiset of m copies
+    of vertex j is the form at that vertex.  Returns (P, R, G), the groups
+    ranked as in _multisets(k, d).  More pieces than fit in temporaries of
+    _PIECE_CHUNK entries run in chunks.  Each slot is one matrix product per piece, of
     the same shapes for every piece and on that piece's data alone, so a
     piece's coefficients are the same bits whatever the other pieces, the
     chunks or the BLAS threads.  One product over all pieces at once would
@@ -106,42 +110,6 @@ def _bernstein(arr: np.ndarray, V: np.ndarray) -> np.ndarray:
     T = np.swapaxes(T.reshape(P, k ** d, arr.shape[0]), 1, 2)
     order, starts, counts = _multisets(k, d)
     return np.add.reduceat(T[:, :, order], starts, axis=2) / counts
-
-
-@functools.lru_cache(maxsize=None)
-def _degree_raise(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each multiset alpha of m indices from {0..k-1} and each j, the
-    group of alpha - e_j among the multisets of m - 1 indices and the weight
-    alpha_j / m (0 where alpha_j = 0), both shape (k, G), groups ranked as in
-    _multisets."""
-    lower = {ms: g for g, ms in enumerate(itertools.combinations_with_replacement(range(k), m - 1))}
-    alphas = list(itertools.combinations_with_replacement(range(k), m))
-    index = np.zeros((k, len(alphas)), dtype=int)
-    weight = np.zeros((k, len(alphas)))
-    for g, alpha in enumerate(alphas):
-        for j in set(alpha):
-            rest = list(alpha)
-            rest.remove(j)
-            index[j, g], weight[j, g] = lower[tuple(rest)], alpha.count(j) / m
-    return index, weight
-
-
-def _form_bernstein(arr: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Bernstein coefficients of the form x -> arr x^m on a stack of simplices.
-
-    On x = V[p] lam the form is sum_j lam_j (V[p]^T c)_j with c the
-    coefficients of arr x^{m-1} (_bernstein), and lam_j times the degree
-    m - 1 basis polynomial of beta is alpha_j / m times the degree m one of
-    alpha = beta + e_j: the coefficient of alpha is
-    sum_j (alpha_j / m) (V[p]^T c)_{j, alpha - e_j}.
-    The coefficient of alpha = m e_j is the form at vertex j, and the form on
-    the simplex lies between the least and the largest coefficient.  Returns
-    (P, G), the groups ranked as in _multisets(k, m).
-    """
-    k = V.shape[2]
-    W = np.matmul(np.swapaxes(V, 1, 2), _bernstein(arr, V))
-    index, weight = _degree_raise(k, arr.ndim)
-    return np.sum(weight * W[:, np.arange(k)[:, None], index], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -398,21 +366,22 @@ def _leaf_starts(unit: TcpInstance, tol: float) -> dict[int, np.ndarray]:
 def _form_points(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The weights that take the form's Bernstein coefficients (groups
     ranked as in _multisets(k, m)) to its value at the centroid, and the
-    column of each vertex's coefficient."""
-    centroid = _multisets(k, m)[2] / k**m
-    return _read_only(centroid), _read_only(np.argmax(_degree_raise(k, m)[1], axis=1))
+    column of each vertex's coefficient: the groups of one multi-index, m
+    copies of one vertex, in vertex order."""
+    counts = _multisets(k, m)[2]
+    return _read_only(counts / k**m), _read_only(np.flatnonzero(counts == 1))
 
 
 def _copositive_leaves(unit: Tensor) -> tuple[dict, np.ndarray, int]:
     """Branch and bound on the Bernstein coefficients of the form of unit,
     over every face simplex with k >= 2 free coordinates.
 
-    The least form value seen so far, over the pieces' vertices (their
-    vertex coefficients, _form_bernstein) and centroids, bounds the minimum
-    from above; a piece whose least coefficient is at least that value holds
-    no lower point and is retired.  The others are bisected (_subdivide)
-    until every survivor's longest edge is below LEAF_EDGE or PIECE_BUDGET
-    stops the search.  Returns the surviving pieces by k, the point of the
+    The form's coefficients are _bernstein's on the one row unit.array[None].
+    The least form value seen so far, over the pieces' vertices (their vertex
+    coefficients) and centroids, bounds the minimum from above; a piece whose
+    least coefficient is at least that value holds no lower point and is
+    retired.  The others are bisected (_subdivide) until every survivor's
+    longest edge is below LEAF_EDGE or PIECE_BUDGET stops the search.  Returns the surviving pieces by k, the point of the
     least value seen and the number of pieces judged.
     """
     n, m = unit.dim, unit.order
@@ -421,7 +390,7 @@ def _copositive_leaves(unit: Tensor) -> tuple[dict, np.ndarray, int]:
     def judge(k, V, supp):
         nonlocal best, where
         centroid, corner = _form_points(k, m)
-        coef = _form_bernstein(unit.array, V)
+        coef = _bernstein(unit.array[None], V)[:, 0]
         vals = np.concatenate([coef @ centroid, coef[:, corner].ravel()])
         i = int(np.argmin(vals))
         if vals[i] < best:

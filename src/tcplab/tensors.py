@@ -31,11 +31,16 @@ def real_array(x) -> np.ndarray:
 
 
 def _check_size(m: int, n: int) -> None:
-    """Raise ValueError when an order-m, dimension-n tensor exceeds MAX_ENTRIES.
+    """Raise ValueError unless m >= 2, n >= 2 and an order-m, dimension-n
+    tensor fits MAX_ENTRIES; the Tensor constructor's messages.
 
     With n >= 2 every m of at least MAX_ENTRIES.bit_length() is over budget,
     so a huge m is refused without computing n**m.
     """
+    if m < 2:
+        raise ValueError(f"tensor order must be >= 2, got {m}")
+    if n < 2:
+        raise ValueError(f"tensor dimension must be >= 2, got {n}")
     if m >= MAX_ENTRIES.bit_length() or n**m > MAX_ENTRIES:
         raise ValueError(f"n**m = {n}**{m} exceeds the desk-scale budget {MAX_ENTRIES}")
 
@@ -68,14 +73,10 @@ class Tensor:
 
     def __post_init__(self):
         arr = real_array(self.array)
-        if arr.ndim < 2:
-            raise ValueError(f"tensor order must be >= 2, got {arr.ndim}")
-        n = arr.shape[0]
-        if n < 2:
-            raise ValueError(f"tensor dimension must be >= 2, got {n}")
+        n = arr.shape[0] if arr.ndim else 0
+        _check_size(arr.ndim, n)
         if any(s != n for s in arr.shape):
             raise ValueError(f"all modes must have equal dimension, got shape {arr.shape}")
-        _check_size(arr.ndim, n)
         if not np.all(np.isfinite(arr)):
             raise ValueError("tensor has non-finite entries")
         arr = arr.copy()
@@ -296,8 +297,6 @@ def tensor_from_dict(d: dict) -> Tensor:
         raw = d["entries"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed tensor object: missing field {exc}") from exc
-    if m < 2 or n < 2:
-        raise ValueError(f"tensor requires m >= 2 and n >= 2, got m={m}, n={n}")
     _check_size(m, n)
     if fmt == "dense":
         flat = np.asarray(raw, dtype=float)

@@ -84,6 +84,21 @@ def test_tensor_over_the_entry_budget_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "budget" in err
 
 
+def test_genericity_of_an_impossible_shape_exits_2(monkeypatch, capsys):
+    # refused before any tensor is drawn, with no samples too
+    import tcplab.experiments as experiments_mod
+
+    def no_draws(*args):
+        raise AssertionError("tensors drawn")
+
+    monkeypatch.setattr(experiments_mod, "_draws", no_draws)
+    for m, n, samples, message in (("1", "2", "0", "order"), ("1", "2", "3", "order"), ("3", "1", "0", "dimension"),
+                                   ("24", "2", "1", "budget")):
+        code, out, err = _main(capsys, "genericity", "--m", m, "--n", n, "--samples", samples)
+        assert code == 2 and out == "", (m, n, samples)
+        assert err.startswith("error:") and message in err, (m, n, samples)
+
+
 def test_tensor_past_the_face_budget_exits_2(tmp_path, capsys):
     # m = 2, n = 30: a small file, but 2^30 faces
     path = tmp_path / "wide.json"

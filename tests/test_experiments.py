@@ -171,6 +171,22 @@ def test_genericity_sample_fraction_and_ci():
     assert empty.summary["fraction"] is None and empty.summary["ci95"] is None
 
 
+def test_genericity_sample_checks_m_and_n_before_drawing(monkeypatch):
+    # an impossible order or dimension is refused even with no samples, and
+    # an order past the entry budget before its first 2^24-entry draw
+    import tcplab.experiments as experiments_mod
+
+    def no_draws(*args):
+        raise AssertionError("tensors drawn")
+
+    monkeypatch.setattr(experiments_mod, "_draws", no_draws)
+    for m, n, samples, message in ((1, 2, 0, "tensor order must be >= 2, got 1"),
+                                   (3, 1, 0, "tensor dimension must be >= 2, got 1"),
+                                   (24, 2, 1, "exceeds the desk-scale budget")):
+        with pytest.raises(ValueError, match=message):
+            genericity_sample(m, n, samples, CFG)
+
+
 def test_hoelder_fit_recovers_a_near_linear_law():
     report = hoelder_fit(GUS.tensor, [-1.0, -1.0], [0.2, 0.1, 0.05, 0.02], 6, CFG)
     assert 0.7 <= report.summary["c"] <= 1.3
@@ -179,6 +195,10 @@ def test_hoelder_fit_recovers_a_near_linear_law():
     wide = hoelder_fit(GUS.tensor, [-1.0, -1.0], [0.5, 0.2, 0.1, 0.05, 0.01], 4, CFG)
     assert not wide.summary["low_confidence"]
     assert set(report.summary["e_by_radius"]) == {"0.2", "0.1", "0.05", "0.02"}
+    # one radius gives one pair: gamma is its excess and c is not fitted
+    one = hoelder_fit(GUS.tensor, [-1.0, -1.0], [0.1], 3, CFG).summary
+    assert one["fit_points"] == 1 and one["degenerate_fit"] and one["c"] == 0.0 and one["low_confidence"]
+    assert one["gamma"] == one["e_by_radius"]["0.1"]
 
 
 def test_hoelder_fit_preconditions():

@@ -111,3 +111,13 @@ def test_every_module_level_name_is_read_or_exported():
     unread = {name: [f"{n} (line {line})" for n, line in sorted(_module_level_names(tree).items()) if n not in read]
               for name, tree in trees.items()}
     assert {name: names for name, names in unread.items() if names} == {}
+
+
+def test_bernstein_is_the_only_coefficient_kernel():
+    # every Bernstein coefficient, the form's too, comes from _bernstein: no
+    # other function of the subdivision multiplies matrices
+    tree = ast.parse((SRC / "subdivision.py").read_text())
+    callers = {func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func) if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "matmul" and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"}
+    assert callers == {"_bernstein"}

@@ -307,6 +307,20 @@ def test_r0_fails_for_zero_tensor_with_validated_ray():
     assert report.certificate["residual"] <= 1e-6
 
 
+def test_r0_on_a_multiplicity_ray_is_never_certified():
+    # A x^5 = (1, 1) (x1 - 2 x2)^5, m = 6: the exact ray (2, 1) / sqrt(5) has
+    # F = 0, a root of multiplicity 5.  The residual of the face's root,
+    # about 6e-14, grows as t^6 along its tail and passes tol at t = 10, so
+    # the flagged full face keeps no ray: R0 is inconclusive, never held
+    v = np.array([1.0, -2.0])
+    A = Tensor(np.einsum("i,j,k,l,p,q->ijklpq", np.ones(2), v, v, v, v, v))
+    assert np.array_equal(contract(A, np.array([2.0, 1.0]) / math.sqrt(5.0)), [0.0, 0.0])
+    report = check_r0(A, CFG)
+    assert report.verdict != VERDICT_HOLDS
+    assert report.verdict == VERDICT_INCONCLUSIVE and report.certificate is None
+    assert report.effort["rays_found"] == 0 and report.effort["posdim_faces"] == [[]]
+
+
 def test_r0_fails_for_constructed_witnesses():
     for alpha in ((), (1,), (2,)):
         W = non_r0_witness(3, 2, alpha, seed=11)

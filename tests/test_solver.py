@@ -938,7 +938,7 @@ def test_faces_past_the_budget_are_refused_before_any_work(monkeypatch):
         raise AssertionError("work started")
 
     for mod, name in ((solver_mod, "_newton"), (solver_mod, "_leaf_starts"), (subdivision_mod, "_r0_clearance"),
-                      (properties_mod, "_newton"), (subdivision_mod, "_form_bernstein")):
+                      (properties_mod, "_newton"), (subdivision_mod, "_bernstein")):
         monkeypatch.setattr(mod, name, no_work)
     A = random_gaussian(2, 30, 0)
     for run in (lambda: solve(TcpInstance(A, np.ones(30)), CFG), lambda: check_r0(A, CFG),

@@ -11,7 +11,7 @@ import pytest
 import tcplab.subdivision as subdivision_mod
 from tcplab import SolverConfig, TcpInstance, Tensor, contract, form, random_gaussian, solve
 from tcplab.catalog import builtin_example
-from tcplab.subdivision import LEAF_EDGE, PIECE_BUDGET, _bernstein, _bisect, _face_pieces, _form_bernstein, _subdivide
+from tcplab.subdivision import LEAF_EDGE, PIECE_BUDGET, _bernstein, _bisect, _face_pieces, _subdivide
 
 
 def _longest_edges(V):
@@ -245,10 +245,11 @@ def test_bernstein_coefficients_match_an_einsum_recheck():
 
 
 def test_form_bernstein_coefficients_match_an_einsum_and_enclose_the_form():
-    # the coefficients of A x^m on random nonnegative vertex sets: one einsum
-    # with V in every slot and an explicit average over the slot
-    # permutations; the vertex coefficients are the form at the vertices,
-    # and the form inside lies between the least and the largest coefficient
+    # the coefficients of A x^m, _bernstein's one-row case A[None], on random
+    # nonnegative vertex sets: one einsum with V in every slot and an
+    # explicit average over the slot permutations; the vertex coefficients
+    # are the form at the vertices, and the form inside lies between the
+    # least and the largest coefficient
     rng = np.random.default_rng(17)
     for m, n in ((2, 3), (3, 2), (3, 3), (4, 3), (3, 4)):
         arr = rng.standard_normal((n,) * m)
@@ -257,7 +258,7 @@ def test_form_bernstein_coefficients_match_an_einsum_and_enclose_the_form():
         for k in range(1, n + 1):
             V = rng.uniform(0.0, 1.0, (3, n, k))
             V /= V.sum(axis=1, keepdims=True)
-            got = _form_bernstein(arr, V)
+            got = _bernstein(arr[None], V)[:, 0]
             groups = list(itertools.combinations_with_replacement(range(k), m))
             assert got.shape == (3, len(groups))
             for p, Vp in enumerate(V):
@@ -277,12 +278,15 @@ def test_bernstein_chunks_change_nothing(monkeypatch):
     rng = np.random.default_rng(8)
     arr = rng.standard_normal((3, 3, 3))
     V = rng.dirichlet(np.ones(3), (50, 3)).transpose(0, 2, 1).copy()
-    whole, form_whole = _bernstein(arr, V), _form_bernstein(arr, V)
-    # three pieces per chunk
+    # the rows of A x^{m-1} and the one row of the form A x^m
+    inputs = (arr, arr[None])
+    wholes = [_bernstein(a, V) for a in inputs]
+    # three pieces per chunk of the rows, one per chunk of the form
     monkeypatch.setattr(subdivision_mod, "_PIECE_CHUNK", 3 * (3**2 * 3 + 3 * 3**2))
-    assert np.array_equal(_bernstein(arr, V), whole) and np.array_equal(_form_bernstein(arr, V), form_whole)
-    for p in range(50):
-        assert np.array_equal(_bernstein(arr, V[p:p + 1]), whole[p:p + 1])
+    for a, whole in zip(inputs, wholes):
+        assert np.array_equal(_bernstein(a, V), whole)
+        for p in range(50):
+            assert np.array_equal(_bernstein(a, V[p:p + 1]), whole[p:p + 1])
 
 
 _BATCH_HASH = """
