@@ -526,8 +526,10 @@ def _homogeneous_rays(tensors: list[Tensor], cfg: SolverConfig) -> list[list[np.
 
 
 # Newton starts per chunk of solve_many or homogeneous_solve_many, and per
-# Newton batch of _solve_faces, times n^m: the size of the stacked kernels'
-# gathers
+# Newton batch of _solve_faces, times n^m: it bounds how many instances'
+# face systems and starts are held at once and the rows of one batch's
+# points, residuals and Jacobians; the kernels' temporaries are bounded by
+# tensors._TEMP_ENTRIES
 _MANY_CHUNK = 1 << 21
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TcpInstance, enumerate_faces
-from .tensors import Tensor, slot_sum
+from .tensors import _TEMP_ENTRIES, Tensor, slot_sum
 
 # every subdivision stops after judging this many sub-simplices
 PIECE_BUDGET = 4096
@@ -43,8 +43,6 @@ R0_MIN_EDGE = 2.0 ** -12
 # the point faces' starts and the copositivity search cut until every
 # surviving piece's longest edge is below LEAF_EDGE
 LEAF_EDGE = 2.0 ** -3
-# entries of the Bernstein kernel's largest temporaries per chunk of pieces
-_PIECE_CHUNK = 1 << 21
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +77,10 @@ def _bernstein(arr: np.ndarray, V: np.ndarray) -> np.ndarray:
     of the form x -> A x^m, d = m: A contracted with V[p] in every slot,
     averaged over each multiset; the coefficient of the multiset of m copies
     of vertex j is the form at that vertex.  Returns (P, R, G), the groups
-    ranked as in _multisets(k, d).  More pieces than fit in temporaries of
-    _PIECE_CHUNK entries run in chunks.  Each slot is one matrix product per piece, of
+    ranked as in _multisets(k, d).  The pieces run in chunks whose
+    temporaries stay within _TEMP_ENTRIES entries (tensors): a piece's largest
+    are its first product, k R n^(d-1) entries, and its gathered and
+    summed coefficients, R k^d.  Each slot is one matrix product per piece, of
     the same shapes for every piece and on that piece's data alone, so a
     piece's coefficients are the same bits whatever the other pieces, the
     chunks or the BLAS threads.  One product over all pieces at once would
@@ -96,7 +96,7 @@ def _bernstein(arr: np.ndarray, V: np.ndarray) -> np.ndarray:
     """
     P, n, k = V.shape
     d = arr.ndim - 1
-    size = max(1, _PIECE_CHUNK // (n ** d * k + n * k ** d))
+    size = max(1, _TEMP_ENTRIES // (arr.shape[0] * (k * n ** (d - 1) + k ** d)))
     if P > size:
         return np.concatenate([_bernstein(arr, V[lo:lo + size]) for lo in range(0, P, size)])
     # slot m: T (P, k, R n^(d-1)), one (k, n) @ (n, R n^(d-1)) product per piece
@@ -109,7 +109,9 @@ def _bernstein(arr: np.ndarray, V: np.ndarray) -> np.ndarray:
         T = np.swapaxes(np.matmul(T, V), 1, 2)
     T = np.swapaxes(T.reshape(P, k ** d, arr.shape[0]), 1, 2)
     order, starts, counts = _multisets(k, d)
-    return np.add.reduceat(T[:, :, order], starts, axis=2) / counts
+    coef = np.add.reduceat(T[:, :, order], starts, axis=2)
+    coef /= counts
+    return coef
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +131,22 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _bisect(V: np.ndarray):
-    """The two halves of each simplex V (P, n, k) cut at the midpoint of its
-    longest edge (the first in pair order on ties), its longest edge, and
-    whether every midpoint is exact."""
-    P, _, k = V.shape
+def _longest_edge(V: np.ndarray):
+    """The longest edge of each simplex V (P, n, k), the first in pair order
+    on ties: its index in _pairs(k), its length (inf-norm), its midpoint
+    (P, n), and whether every midpoint is exact."""
+    P, n, k = V.shape
     a, b = _pairs(k)
-    edges = np.abs(V.take(a, axis=2) - V.take(b, axis=2)).max(axis=1)
+    # a running maximum over groups of coordinate rows, each group's
+    # (P, rows, pairs) differences within _TEMP_ENTRIES entries; maxima are
+    # exact, so the groups move no bit.  Most calls cut a few pieces, where
+    # a group per row would cost about 8 us a row
+    step = max(1, _TEMP_ENTRIES // (P * len(a)))
+    edges = None
+    for lo in range(0, n, step):
+        W = V[:, lo:lo + step]
+        part = np.abs(W.take(a, axis=2) - W.take(b, axis=2)).max(axis=1)
+        edges = part if edges is None else np.maximum(edges, part, out=edges)
     e = edges.argmax(axis=1)
     rows = np.arange(P)
     va, vb = V[rows, :, a[e]], V[rows, :, b[e]]
@@ -144,10 +155,20 @@ def _bisect(V: np.ndarray):
     bv = s - va
     mid = 0.5 * s
     exact = bool(((va - (s - bv)) + (vb - bv) == 0.0).all() and (2.0 * mid == s).all())
+    return e, edges[rows, e], mid, exact
+
+
+def _bisect(V: np.ndarray, e: np.ndarray, mid: np.ndarray) -> np.ndarray:
+    """The two halves of each simplex V (P, n, k) cut at the midpoint mid of
+    its edge e (_longest_edge): the first P replace the edge's second
+    vertex, the last P its first."""
+    P, _, k = V.shape
+    a, b = _pairs(k)
+    rows = np.arange(P)
     halves = np.concatenate([V, V])
     halves[rows, :, b[e]] = mid
     halves[P + rows, :, a[e]] = mid
-    return halves, edges[rows, e], exact
+    return halves
 
 
 def _face_pieces(n: int, least_k: int = 1, apex: bool = False) -> dict:
@@ -184,14 +205,15 @@ def _subdivide(pieces: dict, judge, min_edge: float = 0.0, leaf_edge: float = 0.
     pieces maps k to a stack of k-vertex simplices (P, n, k) and their
     supports (P, n), which are read and never written.  Each round
     judge(k, V, supp) returns the mask of the pieces that survive, and the
-    survivors are cut in two at their longest edge (_bisect) to make the
-    next round.  A surviving vertex (k = 1) piece has no edge to cut: it is
-    kept, uncut and not judged again, among the survivors to the end.  The
-    loop ends when no piece is left to judge, or with the survivors of the
-    last round, uncut, on the first of: the next round taking the pieces
-    judged past PIECE_BUDGET, a midpoint that is not exact, a surviving
-    piece whose longest edge is below min_edge, or every surviving piece's
-    below leaf_edge.  Returns (the survivors by k, the pieces judged).
+    survivors are cut in two at their longest edge (_longest_edge, _bisect)
+    to make the next round.  A surviving vertex (k = 1) piece has no edge to
+    cut: it is kept, uncut and not judged again, among the survivors to the
+    end.  The loop ends when no piece is left to judge, or with the
+    survivors of the last round, uncut, on the first of: the next round
+    taking the pieces judged past PIECE_BUDGET, a midpoint that is not
+    exact, a surviving piece whose longest edge is below min_edge, or every
+    surviving piece's below leaf_edge.  Returns (the survivors by k, the
+    pieces judged).
     """
     simplices, kept = 0, {}
     while True:
@@ -205,17 +227,18 @@ def _subdivide(pieces: dict, judge, min_edge: float = 0.0, leaf_edge: float = 0.
             kept[1] = alive.pop(1)
         if not alive:
             return kept, simplices
-        stop = simplices + 2 * sum(len(V) for V, _ in alive.values()) > PIECE_BUDGET
-        cut, edges = {}, []
-        for k, (V, supp) in alive.items():
-            halves, longest, exact = _bisect(V)
-            stop |= not exact
-            edges.append(longest)
-            cut[k] = (halves, np.concatenate([supp, supp]))
-        edges = np.concatenate(edges)
-        if stop or edges.min() < min_edge or edges.max() < leaf_edge:
+        if simplices + 2 * sum(len(V) for V, _ in alive.values()) > PIECE_BUDGET:
             return kept | alive, simplices
-        pieces = cut
+        # the stop rule reads the edges alone: the halves are made only for
+        # a round that follows
+        cuts = {k: _longest_edge(V) for k, (V, _) in alive.items()}
+        edges = np.concatenate([longest for _, longest, _, _ in cuts.values()])
+        if not all(exact for *_, exact in cuts.values()) or edges.min() < min_edge or edges.max() < leaf_edge:
+            return kept | alive, simplices
+        pieces = {}
+        for k, (V, supp) in alive.items():
+            e, _, mid, _ = cuts[k]
+            pieces[k] = (_bisect(V, e, mid), np.concatenate([supp, supp]))
 
 
 def _by_face(Z: np.ndarray, supp: np.ndarray, starts: dict) -> None:
@@ -257,15 +280,17 @@ def _r0_clearance(arr: np.ndarray, top: np.ndarray, V: np.ndarray, supp: np.ndar
 
 def _r0_judge(arr: np.ndarray, threshold: float):
     """The R0 rule as a _subdivide judge: a piece is excluded when its
-    clearance (_r0_clearance) is above threshold.  Returns the judge and the
-    list of the clearances it has computed, one array per call."""
-    judged, top = [], np.max(np.abs(arr).reshape(len(arr), -1), axis=1)
+    clearance (_r0_clearance) is above threshold.  Returns the judge and a
+    one-entry list, the least clearance of a piece it has excluded (inf
+    before the first)."""
+    least, top = [math.inf], np.max(np.abs(arr).reshape(len(arr), -1), axis=1)
 
     def judge(k, V, supp):
-        judged.append(_r0_clearance(arr, top, V, supp))
-        return judged[-1] <= threshold
+        clear = _r0_clearance(arr, top, V, supp)
+        least[0] = min(least[0], float(clear[clear > threshold].min(initial=math.inf)))
+        return clear <= threshold
 
-    return judge, judged
+    return judge, least
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,11 +346,10 @@ def _r0_certificate(A: Tensor, tol: float) -> _R0Certificate:
     n = A.dim
     arr = np.ldexp(A.array, -math.frexp(float(np.max(np.abs(A.array))))[1])
     top = float(np.max(np.abs(arr)))
-    judge, judged = _r0_judge(arr, tol * top)
+    judge, least = _r0_judge(arr, tol * top)
     alive, simplices = _subdivide(_face_pieces(n), judge, min_edge=R0_MIN_EDGE)
     if not alive:
-        clear = np.concatenate(judged)
-        return _R0Certificate(True, simplices, float(np.min(clear[clear > tol * top])) / top, {})
+        return _R0Certificate(True, simplices, least[0] / top, {})
     starts = {}
     for k, (V, supp) in alive.items():
         _by_face(V.mean(axis=2)[supp].reshape(len(V), k), supp, starts)

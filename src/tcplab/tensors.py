@@ -19,6 +19,10 @@ import numpy as np
 
 # desk-scale guard: refuse tensors with more than this many entries
 MAX_ENTRIES = 10_000_000
+# entries of the largest temporary of a batched kernel: contract_rows and
+# jacobian_rows run their rows, subdivision._bernstein its pieces, in runs
+# whose temporaries stay within it
+_TEMP_ENTRIES = 1 << 16
 
 
 def real_array(x) -> np.ndarray:
@@ -144,15 +148,26 @@ def _powers(X: np.ndarray, d: int) -> np.ndarray:
     return P
 
 
-def _row_sums(arr: np.ndarray, R: int, P: np.ndarray, block) -> np.ndarray:
-    """Row s of P (S, L) times the (R, L) matrix of arr, summed along L.
+def _row_sums(arr: np.ndarray, R: int, X: np.ndarray, d: int, block) -> np.ndarray:
+    """Row s of the d-fold outer powers of X (S, k), L = k**d entries each
+    (_powers), times the (R, L) matrix of arr, summed along L; shape (S, R).
 
     arr holds R * L entries, or a stack of G such arrays when block gives the
-    index of row s's array; shape (S, R).
+    index of row s's array.  The rows run in runs of at most
+    _TEMP_ENTRIES // (R L) of them, so that the powers, the gathered arrays
+    and their products stay within _TEMP_ENTRIES entries; rows do not
+    interact, so each row's sums are the same bits in any run.
     """
+    S, k = X.shape
+    L = k**d
+    run = max(1, _TEMP_ENTRIES // max(1, R * L))
+    if S > run:
+        return np.concatenate([_row_sums(arr, R, X[lo:lo + run], d, None if block is None else block[lo:lo + run])
+                               for lo in range(0, S, run)])
+    P = _powers(X, d)
     if block is None:
-        return np.sum(P[:, None, :] * arr.reshape(R, P.shape[1]), axis=2)
-    prod = arr.reshape(arr.shape[0], R, P.shape[1])[block]
+        return np.sum(P[:, None, :] * arr.reshape(R, L), axis=2)
+    prod = arr.reshape(arr.shape[0], R, L)[block]
     prod *= P[:, None, :]
     return np.sum(prod, axis=2)
 
@@ -163,12 +178,13 @@ def contract_rows(arr: np.ndarray, X, block=None) -> np.ndarray:
     arr is any order-m array of shape (k,)*m or, with block, a stack of G of
     them, shape (G,) + (k,)*m, and row s of X is contracted with
     arr[block[s]].  The work is elementwise products and a sum along one
-    axis, so each row's result does not depend on how many rows share the
-    call or on the other arrays of the stack.
+    axis, in runs of rows whose temporaries stay within _TEMP_ENTRIES
+    entries (_row_sums), so each row's result does not depend on how many
+    rows share the call or on the other arrays of the stack.
     """
     X = np.asarray(X, dtype=float)
     k, m = arr.shape[-1], arr.ndim - (block is not None)
-    out = _row_sums(arr, k, _powers(np.atleast_2d(X), m - 1), block)
+    out = _row_sums(arr, k, np.atleast_2d(X), m - 1, block)
     return out.reshape(X.shape)
 
 
@@ -190,11 +206,11 @@ def jacobian_rows(W: np.ndarray, X, block=None) -> np.ndarray:
     Differentiating the monomial in slot p leaves arr with slot p moved next
     to the row index; the slot sum is contracted with x^{m-2}.  As in
     contract_rows, W may be a stack of G slot sums with block giving each
-    row's.
+    row's, and the rows run in runs within _TEMP_ENTRIES entries.
     """
     X = np.asarray(X, dtype=float)
     k, m = W.shape[-1], W.ndim - (block is not None)
-    J = _row_sums(W, k * k, _powers(np.atleast_2d(X), m - 2), block)
+    J = _row_sums(W, k * k, np.atleast_2d(X), m - 2, block)
     return J.reshape(X.shape + (k,))
 
 

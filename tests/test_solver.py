@@ -1320,6 +1320,20 @@ def test_oracle_working_set_stays_small():
     assert peak < 4 * 2**20, peak / 2**20
 
 
+def test_a_five_by_five_solve_keeps_its_temporaries_small():
+    # the batched kernels run their rows and pieces in runs within
+    # tensors._TEMP_ENTRIES entries, so one (5, 5) solve peaks near 4 MiB;
+    # one gather of every row's face block per kernel call took it to 29.8 MiB
+    inst = TcpInstance(random_gaussian(5, 5, [7, 0]), np.random.default_rng([8, 0]).standard_normal(5))
+    tracemalloc.start()
+    try:
+        solve(inst, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak / 2**20
+
+
 def test_solution_set_json_shape():
     sol = solve(builtin_example("ex1"), CFG)
     d = sol.to_json()

@@ -11,13 +11,20 @@ import pytest
 import tcplab.subdivision as subdivision_mod
 from tcplab import SolverConfig, TcpInstance, Tensor, contract, form, random_gaussian, solve
 from tcplab.catalog import builtin_example
-from tcplab.subdivision import LEAF_EDGE, PIECE_BUDGET, _bernstein, _bisect, _face_pieces, _subdivide
+from tcplab.subdivision import LEAF_EDGE, PIECE_BUDGET, _bernstein, _bisect, _face_pieces, _longest_edge, _subdivide
 
 
 def _longest_edges(V):
     """The longest edge (inf-norm) of each simplex V (P, n, k), pair by pair."""
     return np.array([max(np.abs(Vp[:, a] - Vp[:, b]).max() for a, b in itertools.combinations(range(Vp.shape[1]), 2))
                      for Vp in V])
+
+
+def _cut(V):
+    """The halves of each simplex V, its longest edge and whether every
+    midpoint is exact, as one round of _subdivide cuts them."""
+    e, longest, mid, exact = _longest_edge(V)
+    return _bisect(V, e, mid), longest, exact
 
 
 def _keep_all(k, V, supp):
@@ -33,7 +40,7 @@ def test_bisect_halves_tile_the_parent_at_its_longest_edge():
     for n in (2, 3, 4):
         V = rng.uniform(0.0, 1.0, (6, n, n))
         V /= V.sum(axis=1, keepdims=True)
-        halves, longest, _ = _bisect(V)
+        halves, longest, _ = _cut(V)
         assert halves.shape == (12, n, n)
         assert np.array_equal(longest, _longest_edges(V))
         vol = np.abs(np.linalg.det(V))
@@ -53,18 +60,19 @@ def test_bisect_halves_tile_the_parent_at_its_longest_edge():
             assert np.allclose(lo.sum(axis=0), 1.0) and np.allclose(hi.sum(axis=0), 1.0)
 
 
-def test_bisect_reports_an_inexact_midpoint():
+def test_bisect_reports_an_inexact_midpoint(monkeypatch):
     # 1 + 0.1 rounds, so the halves would not tile the parent exactly
     V = np.array([[[1.0, 0.1], [0.0, 0.9]]])
-    halves, longest, exact = _bisect(V)
+    halves, longest, exact = _cut(V)
     assert not exact and longest.tolist() == [0.9]
-    _, _, exact = _bisect(np.eye(3)[None])
+    _, _, exact = _cut(np.eye(3)[None])
     assert exact
     # dyadic simplices, whose midpoints are exact, alone and stacked with
     # random ones and with the one above: the edges are the per-pair loop's
-    # bit for bit, each piece is cut at the first of its longest edges, and
-    # one inexact midpoint makes the stack inexact
-    rng = np.random.default_rng(8)
+    # bit for bit, with the coordinate rows in one group, one per group and
+    # two per group, each piece is cut at the first of its longest edges,
+    # and one inexact midpoint makes the stack inexact
+    rng, default = np.random.default_rng(8), subdivision_mod._TEMP_ENTRIES
     for n in (3, 4):
         dyadic = rng.integers(0, 8, (5, n, n)) / 8.0
         drawn = rng.uniform(0.0, 1.0, (5, n, n))
@@ -73,26 +81,28 @@ def test_bisect_reports_an_inexact_midpoint():
         rounds[0, :2, :2] = V[0]
         pairs = list(itertools.combinations(range(n), 2))
         for stack, inexact in ((dyadic, False), (np.concatenate([dyadic, drawn, rounds]), True)):
-            halves, longest, exact = _bisect(stack)
-            assert np.array_equal(longest, _longest_edges(stack)) and exact is not inexact
-            for p, Vp in enumerate(stack):
-                a, b = pairs[int(np.argmax([np.abs(Vp[:, a] - Vp[:, b]).max() for a, b in pairs]))]
-                mid = 0.5 * (Vp[:, a] + Vp[:, b])
-                assert np.array_equal(halves[p][:, b], mid) and np.array_equal(halves[len(stack) + p][:, a], mid)
+            for budget in (default, 1, 2 * len(stack) * len(pairs)):
+                monkeypatch.setattr(subdivision_mod, "_TEMP_ENTRIES", budget)
+                halves, longest, exact = _cut(stack)
+                assert np.array_equal(longest, _longest_edges(stack)) and exact is not inexact
+                for p, Vp in enumerate(stack):
+                    a, b = pairs[int(np.argmax([np.abs(Vp[:, a] - Vp[:, b]).max() for a, b in pairs]))]
+                    mid = 0.5 * (Vp[:, a] + Vp[:, b])
+                    assert np.array_equal(halves[p][:, b], mid) and np.array_equal(halves[len(stack) + p][:, a], mid)
 
 
 def test_bisect_cuts_the_first_of_tied_edges():
     # on the unit simplex every edge has length 1, and pair (0, 1) is cut
     for k in (2, 3, 4):
         V = np.eye(k)[None]
-        halves, longest, exact = _bisect(V)
+        halves, longest, exact = _cut(V)
         mid = np.where(np.arange(k) < 2, 0.5, 0.0)
         want = np.concatenate([V, V])
         want[0, :, 1] = want[1, :, 0] = mid
         assert exact and longest.tolist() == [1.0] and np.array_equal(halves, want)
     # edges (0, 2) and (1, 2) tie above (0, 1): (0, 2) is cut
     V = np.array([[[1.0, 0.75, 0.0], [0.0, 0.25, 0.0], [0.0, 0.0, 1.0]]])
-    halves, longest, exact = _bisect(V)
+    halves, longest, exact = _cut(V)
     assert exact and longest.tolist() == [1.0]
     assert halves[0, :, 2].tolist() == halves[1, :, 0].tolist() == [0.5, 0.0, 0.5]
 
@@ -185,6 +195,22 @@ def test_subdivide_stops_on_min_edge_and_on_leaf_edge():
     assert simplices < PIECE_BUDGET
 
 
+def test_subdivide_cuts_nothing_in_its_last_round(monkeypatch):
+    # the stop rules read the longest edges and the piece count alone, so
+    # the round that ends the loop makes no halves.  One segment halves its
+    # edge each round: with leaf_edge 1/4, rounds of 1, 2, 4 and 8 pieces
+    # are judged and the first three cut; on the budget, every round but
+    # the last 2^11 survivors
+    cut, bisect = [], subdivision_mod._bisect
+    monkeypatch.setattr(subdivision_mod, "_bisect", lambda V, e, mid: cut.append(len(V)) or bisect(V, e, mid))
+    pieces = _face_pieces(2, 2)
+    alive, simplices = _subdivide(pieces, _keep_all, leaf_edge=0.25)
+    assert (simplices, len(alive[2][0]), cut) == (15, 8, [1, 2, 4])
+    cut.clear()
+    alive, simplices = _subdivide(pieces, _keep_all)
+    assert cut == [2**r for r in range(11)] and simplices - sum(cut) == len(alive[2][0]) == 2**11
+
+
 def test_subdivide_stops_on_an_inexact_midpoint():
     V = np.array([[[1.0, 0.1], [0.0, 0.9]]])
     supp = np.ones((1, 2), dtype=bool)
@@ -237,7 +263,7 @@ def test_bernstein_coefficients_match_an_einsum_recheck():
                     got = _bernstein(arr, V)
                     assert got.shape == (len(V), len(arr), math.comb(k + m - 2, m - 1))
                     assert np.allclose(got, _bernstein_by_einsum(arr, V), rtol=0, atol=1e-14), (m, n, k)
-                V = _bisect(V)[0]
+                V = _cut(V)[0]
     # on a face simplex the coefficients of a vertex are the tensor's entries
     arr = tensors[3]
     coef = _bernstein(arr, np.eye(3)[None, :, [0, 2]])
@@ -281,12 +307,14 @@ def test_bernstein_chunks_change_nothing(monkeypatch):
     # the rows of A x^{m-1} and the one row of the form A x^m
     inputs = (arr, arr[None])
     wholes = [_bernstein(a, V) for a in inputs]
-    # three pieces per chunk of the rows, one per chunk of the form
-    monkeypatch.setattr(subdivision_mod, "_PIECE_CHUNK", 3 * (3**2 * 3 + 3 * 3**2))
-    for a, whole in zip(inputs, wholes):
-        assert np.array_equal(_bernstein(a, V), whole)
-        for p in range(50):
-            assert np.array_equal(_bernstein(a, V[p:p + 1]), whole[p:p + 1])
+    # a piece of either takes R (k n^(d-1) + k^d) = 54 entries: one, then
+    # three pieces per chunk
+    for per_chunk in (1, 3):
+        monkeypatch.setattr(subdivision_mod, "_TEMP_ENTRIES", per_chunk * 54)
+        for a, whole in zip(inputs, wholes):
+            assert np.array_equal(_bernstein(a, V), whole)
+            for p in range(50):
+                assert np.array_equal(_bernstein(a, V[p:p + 1]), whole[p:p + 1])
 
 
 _BATCH_HASH = """
@@ -318,7 +346,7 @@ def test_bernstein_bits_do_not_depend_on_the_batch(tmp_path):
     rng = np.random.default_rng(21)
     arr, V = _augmented_batch(rng, 3, 4, 20_000)
     n, k = V.shape[1:]
-    assert len(V) > subdivision_mod._PIECE_CHUNK // (n ** 2 * k + n * k ** 2)
+    assert len(V) > subdivision_mod._TEMP_ENTRIES // (len(arr) * (k * n + k ** 2))
     whole = _bernstein(arr, V)
     perm = rng.permutation(len(V))
     assert np.array_equal(_bernstein(arr, V[perm]), whole[perm])

@@ -142,6 +142,31 @@ def test_stacked_kernels_equal_one_array_calls():
             assert np.array_equal(J[s], jacobian_rows(slot_sum(arrs[block[s]]), X[s]))
 
 
+def test_row_runs_change_no_bits(monkeypatch):
+    # rows past the temporary budget run in runs of _TEMP_ENTRIES // (R L)
+    # rows, at least one; R L is k^m for both kernels, and 0 for k = 0
+    # rows.  Every row gets the bits of the one-run call, with and without a
+    # stack, for orders 2 to 4
+    rng = np.random.default_rng(29)
+    powers, runs = tensors_mod._powers, []
+    monkeypatch.setattr(tensors_mod, "_powers", lambda X, d: runs.append(len(X)) or powers(X, d))
+    for m, k in ((2, 3), (3, 3), (4, 3), (2, 0), (3, 0)):
+        arrs = rng.standard_normal(size=(4,) + (k,) * m)
+        W = np.stack([slot_sum(a) for a in arrs])
+        block = rng.integers(0, 4, size=37)
+        X = rng.uniform(-2.0, 2.0, size=(37, k))
+        calls = (lambda: contract_rows(arrs[0], X), lambda: jacobian_rows(W[0], X),
+                 lambda: contract_rows(arrs, X, block), lambda: jacobian_rows(W, X, block))
+        wholes = [call() for call in calls]
+        for budget in (1, 20, 100):
+            monkeypatch.setattr(tensors_mod, "_TEMP_ENTRIES", budget)
+            run = max(1, budget // max(1, k**m))
+            for call, whole in zip(calls, wholes):
+                runs.clear()
+                assert np.array_equal(call(), whole), (m, k, budget)
+                assert runs == [run] * (37 // run) + [37 % run] * (37 % run > 0), (m, k, budget)
+
+
 def test_form_gradient_matches_finite_differences():
     rng = np.random.default_rng(19)
     A = random_gaussian(3, 3, rng)
