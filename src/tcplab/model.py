@@ -109,11 +109,7 @@ def face_of(x, tol: float) -> FaceMask:
     x = as_vector(x)
     if np.min(x) < -tol:
         raise ValueError(f"point is not nonnegative within tol: min entry {np.min(x)}")
-    mask = 0
-    for i, xi in enumerate(x):
-        if xi <= tol:
-            mask |= 1 << i
-    return FaceMask(x.shape[0], mask)
+    return FaceMask(x.shape[0], sum(1 << i for i in np.flatnonzero(x <= tol).tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,54 +221,89 @@ def kkt_residual(inst: TcpInstance, point: KktPoint) -> float:
     return max(stat, comp, neg_x, neg_lam)
 
 
-class FaceSystem:
-    """Reduced square system of one face: F_i(x) = 0 for free i, x pinned on alpha.
+def face_blocks(arr: np.ndarray, free: np.ndarray, which=None) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks arr[f, .., f] of F faces with k free coordinates each, free
+    (F, k), and their slot sums, both (F,) + (k,)*m, from one fancy-index
+    gather; with which, arr is a stack of arrays and face f's block comes
+    from arr[which[f]].  A monomial with a pinned index vanishes on a face,
+    so the face's reduced system is the contraction of its block."""
+    F, k = free.shape
+    m = arr.ndim - (which is not None)
+    idx = tuple(free.reshape((F,) + (1,) * p + (k,) + (1,) * (m - 1 - p)) for p in range(m))
+    blocks = arr[idx if which is None else (np.reshape(which, (F,) + (1,) * m),) + idx]
+    # the F k rows of the stack are rows of one order-m array
+    return blocks, slot_sum(blocks.reshape((F * k,) + (k,) * (m - 1))).reshape(blocks.shape)
 
-    Rows are indexed by the free coordinates.  A row whose reduced polynomial
-    has every coefficient below ZERO_ROW_TOL is identically zero (the face is
-    underdetermined); a row that is identically a nonzero constant can never
-    vanish, so the face is empty.
-    """
+
+class FaceStore:
+    """The reduced square systems F_i(x) = 0, i free, of F faces with k free
+    coordinates each: face f is masks[f] of instances[which[f]], all of one
+    (m, n).  blocks and slots, (F,) + (k,)*m, and a_free (F, k), gathered at
+    once (face_blocks), are what the row kernels evaluate; row r of a face
+    is its r-th free coordinate's.  A row whose coefficients are all below
+    ZERO_ROW_TOL is identically zero (zero_rows, the face is
+    underdetermined) when a_i is too, and otherwise a nonzero constant
+    (infeasible_rows, the face is empty)."""
+
+    def __init__(self, instances: list[TcpInstance], which, masks: list[FaceMask]):
+        self.instances, self.which, self.masks = instances, np.asarray(which, dtype=int), masks
+        self.free = np.array([mask.free_indices for mask in masks], dtype=int)
+        self.k = self.free.shape[1]
+        used, at = np.unique(self.which, return_inverse=True)
+        self.blocks, self.slots = face_blocks(np.stack([instances[j].tensor.array for j in used]), self.free, at)
+        self.a_free = np.stack([instances[j].a for j in used])[at[:, None], self.free]
+        coeffs = np.abs(self.blocks).max(axis=tuple(range(2, self.blocks.ndim)), initial=0.0)
+        vanishing, a_zero = coeffs < ZERO_ROW_TOL, np.abs(self.a_free) < ZERO_ROW_TOL
+        self.zero_rows, self.infeasible_rows = vanishing & a_zero, vanishing & ~a_zero
+        # a zero row evaluates as exactly zero (slot sum row r sums block row
+        # r alone), so Newton stops at its starts when every row vanishes
+        self.blocks[vanishing], self.slots[vanishing], self.a_free[self.zero_rows] = 0.0, 0.0, 0.0
+
+    def instance(self, f: int) -> TcpInstance:
+        return self.instances[self.which[f]]
+
+    def embed(self, f: int, z) -> np.ndarray:
+        """Lift free coordinates z (k,) or rows of z (S, k) of face f to the
+        full space, zeros on its pinned coordinates."""
+        z = real_array(z)
+        x = np.zeros(z.shape[:-1] + (self.masks[f].n,))
+        x[..., self.free[f]] = z
+        return x
+
+    def pinned_slack(self, f: int, x, Fx=None):
+        """min F_i(x) over the pinned rows of face f (+inf when it pins none),
+        a float for one x (n,), an array for rows of x (S, n).  Fx is F(x)
+        when the caller already has it."""
+        inst = self.instance(f)
+        x = _as_points(x, inst.n)
+        pinned = list(self.masks[f].zero_indices)
+        if not pinned:
+            slack = np.full(x.shape[:-1], np.inf)
+        else:
+            F = inst.F(x) if Fx is None else np.asarray(Fx)
+            slack = np.min(F[..., pinned], axis=-1)
+        return float(slack) if slack.ndim == 0 else slack
+
+
+class FaceSystem:
+    """Reduced square system of one face, alpha of inst: the one-face view of
+    a FaceStore, with its arrays block, slots and a_free, its flagged rows
+    as tuples, and its embed and pinned_slack.  The solver and the
+    copositivity search gather their faces a size at a time and never
+    build this view."""
 
     def __init__(self, inst: TcpInstance, alpha: FaceMask):
         if alpha.n != inst.n:
             raise ValueError(f"face over n = {alpha.n} does not match instance n = {inst.n}")
-        self.instance = inst
-        self.alpha = alpha
-        self.free = alpha.free_indices
-        self.k = len(self.free)
-
-        # every monomial with a pinned index vanishes on the face, so the
-        # reduced system is exactly the contraction of the free sub-block;
-        # block, its slot sum and a_free are what the row kernels evaluate
-        free = list(self.free)
-        arr = inst.tensor.array
-        if self.k > 0:
-            self.block = arr[np.ix_(*([free] * inst.m))]
-            self.a_free = inst.a[free]
-        else:
-            self.block = np.zeros((0,) * inst.m)
-            self.a_free = np.zeros(0)
-
-        # block[r] holds the coefficients of row r
-        coeffs = np.abs(self.block.reshape(self.k, self.k ** (inst.m - 1)))
-        vanishing = np.max(coeffs, axis=1, initial=0.0) < ZERO_ROW_TOL
-        a_zero = np.abs(self.a_free) < ZERO_ROW_TOL
-        self.zero_rows = tuple(np.flatnonzero(vanishing & a_zero).tolist())
-        self.infeasible_rows = tuple(np.flatnonzero(vanishing & ~a_zero).tolist())
-        # a row counted as zero is evaluated as exactly zero, so Newton stops
-        # at its starts on a face whose equations all vanish
-        self.block[vanishing] = 0.0
-        self.a_free[vanishing & a_zero] = 0.0
-        self.slots = slot_sum(self.block)
+        self._store = store = FaceStore([inst], [0], [alpha])
+        self.instance, self.alpha, self.free, self.k = inst, alpha, alpha.free_indices, store.k
+        self.block, self.slots, self.a_free = store.blocks[0], store.slots[0], store.a_free[0]
+        self.zero_rows = tuple(np.flatnonzero(store.zero_rows[0]).tolist())
+        self.infeasible_rows = tuple(np.flatnonzero(store.infeasible_rows[0]).tolist())
 
     def embed(self, z) -> np.ndarray:
-        """Lift free coordinates z (k,) or rows of z (S, k) to the full space,
-        zeros on alpha."""
-        z = np.asarray(z, dtype=float)
-        x = np.zeros(z.shape[:-1] + (self.instance.n,))
-        x[..., list(self.free)] = z
-        return x
+        """Lift z (k,) or rows of z (S, k) to the full space, zeros on alpha."""
+        return self._store.embed(0, z)
 
     def residual_vec(self, z) -> np.ndarray:
         """F restricted to the free rows, at z of shape (k,) or at every row
@@ -284,17 +315,8 @@ class FaceSystem:
         return jacobian_rows(self.slots, z)
 
     def pinned_slack(self, x, Fx=None):
-        """min F_i(x) over pinned rows (+inf when alpha is empty), a float for
-        one x (n,), an array for rows of x (S, n).  Fx is F(x) when the
-        caller already has it."""
-        x = _as_points(x, self.instance.n)
-        pinned = list(self.alpha.zero_indices)
-        if not pinned:
-            slack = np.full(x.shape[:-1], np.inf)
-        else:
-            F = self.instance.F(x) if Fx is None else np.asarray(Fx)
-            slack = np.min(F[..., pinned], axis=-1)
-        return float(slack) if slack.ndim == 0 else slack
+        """FaceStore.pinned_slack of this face."""
+        return self._store.pinned_slack(0, x, Fx)
 
 
 def face_system(inst: TcpInstance, alpha: FaceMask) -> FaceSystem:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FaceMask, TcpInstance, max_residual
+from .model import FaceMask, TcpInstance, face_blocks, max_residual
 from .solver import (
     DEDUP_RADIUS,
     SolverConfig,
@@ -46,7 +46,6 @@ from .tensors import (
     form,
     gradient_sum,
     jacobian_rows,
-    slot_sum,
 )
 
 VERDICT_HOLDS = "holds-numerically"
@@ -181,9 +180,9 @@ def check_copositive(A: Tensor, cfg: SolverConfig) -> PropertyReport:
         X0 = V.mean(axis=2)
         masks, owner = np.unique(supp @ (1 << np.arange(n)), return_inverse=True)
         free = np.nonzero(masks[:, None] >> np.arange(n) & 1)[1].reshape(len(masks), k)
-        blocks = np.stack([G[np.ix_(*([f] * m))] for f in free])
+        blocks, slots = face_blocks(G, free)
         Z0 = X0[supp].reshape(len(X0), k)
-        fun, jac = _kkt_functions(blocks, np.stack([slot_sum(b) for b in blocks]), owner)
+        fun, jac = _kkt_functions(blocks, slots, owner)
         Y0 = np.column_stack([Z0, np.sum(Z0 * contract_rows(blocks, Z0, owner), axis=1)])
         Y, resids, its = _newton(fun, jac, Y0)
         iters += int(its.sum())

@@ -1,30 +1,30 @@
 """Pseudo-face enumeration solver for complementarity instances.
 
 Every face of the nonnegative orthant contributes a square polynomial
-system (model.FaceSystem); the solver runs a damped Newton on each from the
-starts that a Bernstein subdivision of the augmented tensor leaves on it
+system; the solver runs a damped Newton on each from the starts that a
+Bernstein subdivision of the augmented tensor leaves on it
 (subdivision._leaf_starts), filters roots by the face sign conditions, and
-merges the survivors.  A face without starts has no roots and builds no
-system; the face {0}, which holds the origin when a >= 0, is always built.
-A face whose equations all vanish identically takes the same path: Newton
-stops at its starts, every feasible start is a root, and the face is
-flagged as a continuum unless its section is one point (a homogeneous
-k = 1 face).  The starts of all faces with the same number k of
-free coordinates run as one Newton batch: each row is evaluated on its own
-face's block, so a face gets the roots it gets when solved alone.
-Unboundedness is probed through the homogeneous problem TCP(A, 0): its
+merges the survivors.  The faces with the same number k of free
+coordinates run in Newton batches, and each batch's faces are gathered
+into one model.FaceStore, dropped with the batch: each row is evaluated on
+its own face's block, so a face gets the roots it gets when solved alone.
+A face without starts has no roots and is not gathered; the face {0},
+which holds the origin when a >= 0, always is.  A face whose equations all
+vanish identically takes the same path: Newton stops at its starts, every
+feasible start is a root, and the face is flagged as a continuum unless its
+section is one point (a homogeneous k = 1 face).  Unboundedness is probed through the homogeneous problem TCP(A, 0): its
 nonzero solutions on the probability simplex are the candidate recession
 directions, and a direction is kept for a concrete right-hand side only when
 the far tail of its ray actually solves the instance.  One Bernstein
 subdivision of the simplex faces settles it (subdivision._r0_certificate):
 when it excludes every piece, with rounding-safe sign tests, Sol(A, 0) = {0}
-is proved and no face system is built; otherwise the centroids of the
-pieces it leaves alive are the only Newton starts of the search, and a face
-with no surviving piece builds no system and runs no Newton.  Nothing in a
+is proved and no face is gathered; otherwise the centroids of the pieces
+it leaves alive are the only Newton starts of the search, and a face with
+no surviving piece is not gathered and runs no Newton.  Nothing in a
 solve is random: its output depends on (A, a) alone.
 
 solve_many and homogeneous_solve_many take many instances of one (m, n) and
-hand the face systems of all of them to the face solver at once, in chunks
+hand the faces of all of them to the face solver at once, in chunks
 under a budget of Newton starts; each instance still gets, bit for bit,
 what solve or homogeneous_solve gives it alone, and the homogeneous part is
 settled once per distinct tensor.
@@ -35,7 +35,7 @@ Its scan evaluates F and J from A's monomial coefficients along the grid's
 axes, in chunks of grid rows, without the solver's kernels, and keeps only
 the accepted points; their clusters and polish seeds come from those points
 alone (_clusters).  Its polish still runs the solver's Newton engine
-(_newton).  Like solve, it works on (A, a) divided by its pair norm.
+(_newton) on a one-face FaceStore.  Like solve, it works on (A, a) divided by its pair norm.
 """
 
 from __future__ import annotations
@@ -49,11 +49,10 @@ import numpy as np
 from .model import (
     BudgetError,
     FaceMask,
-    FaceSystem,
+    FaceStore,
     TcpInstance,
     enumerate_faces,
     face_of,
-    face_system,
     max_residual,
 )
 from .subdivision import LEAF_EDGE, _leaf_starts, _r0_certificate
@@ -258,16 +257,13 @@ def _newton(fun, jac, Z0):
     return Z, np.max(np.abs(F), axis=1), iters
 
 
-def _face_functions(systems: list[FaceSystem], owner: np.ndarray, simplex: bool):
-    """fun and jac for _newton over face systems of one size k.
+def _face_functions(store: FaceStore, owner: np.ndarray, simplex: bool):
+    """fun and jac for _newton over the faces of a store.
 
-    Row r of the batch solves systems[owner[r]].  The simplex systems
-    append sum(z) = 1, the normalization of the homogeneous search.
+    Row r of the batch solves face owner[r] of the store.  The simplex
+    systems append sum(z) = 1, the normalization of the homogeneous search.
     """
-    blocks = np.stack([fs.block for fs in systems])
-    slots = np.stack([fs.slots for fs in systems])
-    a_free = np.stack([fs.a_free for fs in systems])
-    k = systems[0].k
+    blocks, slots, a_free, k = store.blocks, store.slots, store.a_free, store.k
 
     def fun(rows, Z):
         b = owner[rows]
@@ -322,17 +318,9 @@ def ray_active(inst: TcpInstance, direction, tol: float) -> bool:
     contract(A, r) is either strictly positive or backed by a nonnegative a.
     """
     r = as_vector(direction, inst.n)
-    Fr = contract(inst.tensor, r)
-    for i in range(inst.n):
-        if r[i] > tol:
-            if abs(inst.a[i]) > tol or abs(Fr[i]) > tol:
-                return False
-        else:
-            if Fr[i] < -tol:
-                return False
-            if Fr[i] <= tol and inst.a[i] < -tol:
-                return False
-    return True
+    Fr, a = contract(inst.tensor, r), inst.a
+    bad = np.where(r > tol, (np.abs(a) > tol) | (np.abs(Fr) > tol), (Fr < -tol) | ((Fr <= tol) & (a < -tol)))
+    return not bad.any()
 
 
 # ---------------------------------------------------------------------------
@@ -348,16 +336,16 @@ class _FaceOutcome:
     newton_iters: int = 0
 
 
-def _filter_roots(fs: FaceSystem, Z: np.ndarray, resids: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    """Indices of the Newton end points Z (S, k) that are roots on this face.
+def _filter_roots(store: FaceStore, f: int, Z: np.ndarray, resids: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+    """Indices of the Newton end points Z (S, k) that are roots on face f.
 
     A row is kept when its residual is below tol/10, it lies strictly inside
     the face, it does not snap onto a smaller face, the pinned rows of F are
     nonnegative and the KKT residual is within tol.  Homogeneous faces come
-    from homogeneous_solve, whose instance has a = 0, so fs.instance is the
-    instance to check on every face.
+    from homogeneous_solve, whose instance has a = 0, so the face's instance
+    is the instance to check on every face.
     """
-    inst, tol = fs.instance, cfg.tol
+    inst, tol = store.instance(f), cfg.tol
     # boundary roots belong to a larger face and are found there
     keep = (resids <= tol / 10) & (np.min(Z, axis=1) > tol)
     # degenerate components (multiplicity q) stall Newton near
@@ -368,28 +356,29 @@ def _filter_roots(fs: FaceSystem, Z: np.ndarray, resids: np.ndarray, cfg: Solver
     snapped = np.flatnonzero(small.any(axis=1))
     if snapped.size:
         ZS = np.where(small[snapped], 0.0, Z[snapped])
-        keep[snapped] = max_residual(inst, fs.embed(ZS)) > tol
+        keep[snapped] = max_residual(inst, store.embed(f, ZS)) > tol
     idx = np.flatnonzero(keep)
-    X = fs.embed(Z[idx])
+    X = store.embed(f, Z[idx])
     FX = inst.F(X)
-    return idx[(fs.pinned_slack(X, FX) >= -tol) & (max_residual(inst, X, FX) <= tol)]
+    return idx[(store.pinned_slack(f, X, FX) >= -tol) & (max_residual(inst, X, FX) <= tol)]
 
 
-def _degenerate_face(fs: FaceSystem, cfg: SolverConfig) -> _FaceOutcome | None:
-    """The outcome of a face that needs no Newton run, or None for any other
+def _degenerate_face(store: FaceStore, f: int, cfg: SolverConfig) -> _FaceOutcome | None:
+    """The outcome of face f if it needs no Newton run, or None for any other
     face: an equation that is identically a nonzero constant never vanishes,
     and the face {0} holds the origin when a >= 0 (the homogeneous search
     leaves that face out).  A face whose equations all vanish identically
     runs Newton like any other: every feasible start is a root there."""
-    if fs.k == 0 and float(np.min(fs.instance.a)) >= -cfg.tol:
-        return _FaceOutcome(points=[np.zeros(fs.instance.n)])
-    return _FaceOutcome() if fs.k == 0 or fs.infeasible_rows else None
+    a = store.instance(f).a
+    if store.k == 0 and float(np.min(a)) >= -cfg.tol:
+        return _FaceOutcome(points=[np.zeros(a.size)])
+    return _FaceOutcome() if store.k == 0 or store.infeasible_rows[f].any() else None
 
 
 def _face_outcome(
-    fs: FaceSystem, Z, resids, iters, jac, row: int, cfg: SolverConfig, homogeneous: bool
+    store: FaceStore, f: int, Z, resids, iters, jac, row: int, cfg: SolverConfig, homogeneous: bool
 ) -> _FaceOutcome:
-    """Roots of a face from its Newton end points Z, with sign filtering and
+    """Roots of face f from its Newton end points Z, with sign filtering and
     posdim detection.  jac is the batch's Jacobian function and
     row one of the face's rows in the batch.  Past POSDIM_ROOT_LIMIT roots
     the face is a continuum whatever their number, so deduplication stops at
@@ -398,7 +387,7 @@ def _face_outcome(
     away from the smaller faces beside it; on a face whose equations all
     vanish that root is the centroid start."""
     out = _FaceOutcome(starts=Z.shape[0], newton_iters=int(iters.sum()))
-    accepted = _filter_roots(fs, Z, resids, cfg)
+    accepted = _filter_roots(store, f, Z, resids, cfg)
     roots = _dedup([(Z[i], resids[i]) for i in accepted], DEDUP_RADIUS, POSDIM_ROOT_LIMIT + 1)
     if not roots:
         return out
@@ -412,11 +401,11 @@ def _face_outcome(
     if homogeneous:
         if posdim:
             Za = Z[accepted]
-            roots = [Za[int(np.argmin(np.linalg.norm(Za - 1.0 / fs.k, axis=1)))]]
-        xs = [fs.embed(z) for z in roots]
+            roots = [Za[int(np.argmin(np.linalg.norm(Za - 1.0 / store.k, axis=1)))]]
+        xs = [store.embed(f, z) for z in roots]
         out.rays.extend(x / float(np.linalg.norm(x)) for x in xs)
     elif not posdim:
-        out.points.extend(fs.embed(z) for z in roots)
+        out.points.extend(store.embed(f, z) for z in roots)
     return out
 
 
@@ -434,48 +423,43 @@ def _runs(items, size, budget: int):
         yield run
 
 
-def _solve_faces(systems: list[FaceSystem], starts: list, cfg: SolverConfig, homogeneous: bool) -> list[_FaceOutcome]:
-    """Roots of each face system from its starts, with sign filtering and
-    posdim detection, one outcome per system.  The faces of one size k, of
-    whichever instances, run in Newton batches of whole faces under
-    _MANY_CHUNK starts times n^m; rows do not interact, so every face gets
-    the roots it gets when solved alone."""
-    # a face without starts has no roots
-    outcomes = [_degenerate_face(fs, cfg) if len(z) or not fs.k else _FaceOutcome() for fs, z in zip(systems, starts)]
+def _solve_faces(units: list[TcpInstance], faces: list, starts: list, cfg: SolverConfig,
+                 homogeneous: bool) -> list[_FaceOutcome]:
+    """Roots of each face (j, alpha) of units[j] from its starts, with sign
+    filtering and posdim detection, one outcome per face.  The faces of one
+    size k, of whichever instances, run in Newton batches of whole faces
+    under _MANY_CHUNK starts times n^m, each gathered into one FaceStore
+    that is dropped once its outcomes are made; rows do not interact, so
+    every face gets the roots it gets when solved alone.  A face without
+    starts has no roots and is not gathered, unless it is the face {0}."""
+    outcomes = [_FaceOutcome() for _ in faces]
     by_size: dict[int, list[int]] = {}
-    for i, out in enumerate(outcomes):
-        if out is None:
-            by_size.setdefault(systems[i].k, []).append(i)
+    for i, ((_, alpha), z) in enumerate(zip(faces, starts)):
+        if len(z) or len(alpha) == alpha.n:
+            by_size.setdefault(alpha.n - len(alpha), []).append(i)
     for members in by_size.values():
-        inst = systems[members[0]].instance
-        for batch in _runs(members, lambda i: len(starts[i]), _MANY_CHUNK // inst.n**inst.m):
-            group, counts = [systems[i] for i in batch], [len(starts[i]) for i in batch]
-            fun, jac = _face_functions(group, np.repeat(np.arange(len(group)), counts), homogeneous)
-            Z, resids, iters = _newton(fun, jac, np.vstack([starts[i] for i in batch]))
-            for i, fs, lo, hi in zip(batch, group, np.cumsum([0] + counts), np.cumsum(counts)):
-                outcomes[i] = _face_outcome(fs, Z[lo:hi], resids[lo:hi], iters[lo:hi], jac, lo, cfg, homogeneous)
+        for batch in _runs(members, lambda i: len(starts[i]), _MANY_CHUNK // units[0].n ** units[0].m):
+            store = FaceStore(units, [faces[i][0] for i in batch], [faces[i][1] for i in batch])
+            for f, i in enumerate(batch):
+                outcomes[i] = _degenerate_face(store, f, cfg)
+            live = [f for f, i in enumerate(batch) if outcomes[i] is None]
+            if live:
+                counts = [len(starts[batch[f]]) for f in live]
+                fun, jac = _face_functions(store, np.repeat(live, counts), homogeneous)
+                Z, resids, iters = _newton(fun, jac, np.vstack([starts[batch[f]] for f in live]))
+                for f, lo, hi in zip(live, np.cumsum([0] + counts), np.cumsum(counts)):
+                    outcomes[batch[f]] = _face_outcome(store, f, Z[lo:hi], resids[lo:hi], iters[lo:hi], jac, lo,
+                                                       cfg, homogeneous)
     return outcomes
 
 
 def _status(points, rays, posdim) -> str:
-    if rays:
-        return STATUS_UNBOUNDED
-    if posdim:
-        return STATUS_NON_ISOLATED
-    if points:
-        return STATUS_FINITE
-    return STATUS_EMPTY
+    return STATUS_UNBOUNDED if rays else STATUS_NON_ISOLATED if posdim else STATUS_FINITE if points else STATUS_EMPTY
 
 
 def _meta(cfg: SolverConfig, **extra) -> dict:
-    d = {
-        "tol": cfg.tol,
-        "dedup_radius": DEDUP_RADIUS,
-        "newton_max_iter": NEWTON_MAX_ITER,
-        "leaf_edge": LEAF_EDGE,
-    }
-    d.update(extra)
-    return d
+    return {"tol": cfg.tol, "dedup_radius": DEDUP_RADIUS, "newton_max_iter": NEWTON_MAX_ITER, "leaf_edge": LEAF_EDGE,
+            **extra}
 
 
 def _unit_pair(A: Tensor, a: np.ndarray) -> TcpInstance:
@@ -527,9 +511,9 @@ def _homogeneous_rays(tensors: list[Tensor], cfg: SolverConfig) -> list[list[np.
 
 # Newton starts per chunk of solve_many or homogeneous_solve_many, and per
 # Newton batch of _solve_faces, times n^m: it bounds how many instances'
-# face systems and starts are held at once and the rows of one batch's
-# points, residuals and Jacobians; the kernels' temporaries are bounded by
-# tensors._TEMP_ENTRIES
+# starts are held at once, and the faces of one batch's FaceStore (the only
+# face blocks held) and the rows of its points, residuals and Jacobians;
+# the kernels' temporaries are bounded by tensors._TEMP_ENTRIES
 _MANY_CHUNK = 1 << 21
 
 
@@ -563,24 +547,24 @@ def _solve_stream(instances, cfg: SolverConfig, certs: list | None = None, homs:
     homs = {} if homs is None else homs
 
     def prepared():
-        # a face system is built only for a face with starts, and for the
-        # face {0} of a point solve; every other face has no roots
+        # only a face with starts, and the face {0} of a point solve, goes to
+        # the face solver; every other face has no roots
         for inst, cert in zip(instances, certs if homogeneous else [None] * len(instances)):
             unit = _unit_pair(inst.tensor, inst.a)
             starts = cert.starts if homogeneous else _leaf_starts(unit, cfg.tol)
             used = [face for face in faces if face.mask in starts or face.mask == 2**inst.n - 1]
-            systems = [face_system(unit, face) for face in used]
-            yield inst, cert, unit, systems, [starts.get(face.mask, np.zeros((0, 0))) for face in used]
+            yield inst, cert, unit, used, [starts.get(face.mask, np.zeros((0, 0))) for face in used]
 
     for chunk in _runs(prepared(), lambda item: sum(len(z) for z in item[4]) * item[0].n ** item[0].m, _MANY_CHUNK):
-        outcomes = iter(_solve_faces([fs for item in chunk for fs in item[3]], [z for item in chunk for z in item[4]],
-                                     cfg, homogeneous))
+        outcomes = iter(_solve_faces([item[2] for item in chunk], [(j, face) for j, item in enumerate(chunk)
+                                                                   for face in item[3]],
+                                     [z for item in chunk for z in item[4]], cfg, homogeneous))
         if not homogeneous:
             keys = [inst.tensor.array.tobytes() for inst, *_ in chunk]
             new = {key: inst.tensor for key, (inst, *_) in zip(keys, chunk) if key not in homs}
             homs.update(zip(new, _homogeneous_rays(list(new.values()), cfg)))
-        for j, (inst, cert, unit, systems, _) in enumerate(chunk):
-            outs = list(itertools.islice(outcomes, len(systems)))
+        for j, (inst, cert, unit, used, _) in enumerate(chunk):
+            outs = list(itertools.islice(outcomes, len(used)))
             work = {"starts": sum(out.starts for out in outs), "newton_iters": sum(out.newton_iters for out in outs)}
             if homogeneous:
                 # a direction is a ray when its tail solves TCP(A, 0); comp
@@ -598,7 +582,7 @@ def _solve_stream(instances, cfg: SolverConfig, certs: list | None = None, homs:
                 meta = _meta(cfg, **work, hom_candidates=len(hom), faces=2**inst.n)
             points = _sorted_points(unit, inst, [x for out in outs for x in out.points], cfg)
             rays = _sorted_rays(rays, cfg.tol)
-            posdim = [fs.alpha for fs, out in zip(systems, outs) if out.posdim]
+            posdim = [face for face, out in zip(used, outs) if out.posdim]
             yield SolutionSet(points, rays, posdim, _status(points, rays, posdim), meta)
 
 
@@ -634,12 +618,11 @@ def homogeneous_solve(A: Tensor, cfg: SolverConfig) -> SolutionSet:
 
     The R0 certificate of A (subdivision._r0_certificate) runs first.  When
     it excludes every piece of the simplex faces, Sol(A, 0) = {0} is proved:
-    no face system is built, no Newton runs, and meta records the pieces
-    judged (simplices) and the certified margin.  Otherwise the centroids of
-    the pieces it leaves alive are the only Newton starts, each on its own
-    face, a face with no surviving piece builds no system and runs no
-    Newton, and margin is None.
-    The result depends on A alone.
+    no face is gathered, no Newton runs, and meta records the pieces judged
+    (simplices) and the certified margin.  Otherwise the centroids of the
+    pieces it leaves alive are the only Newton starts, each on its own face,
+    a face with no surviving piece is not gathered and runs no Newton, and
+    margin is None.  The result depends on A alone.
 
     The search runs on the Frobenius-normalized tensor: Sol(tA, 0) equals
     Sol(A, 0) for every t > 0, and normalizing makes the computation, and in
@@ -714,11 +697,7 @@ def hausdorff_excess(S1, S2) -> float:
     if not P2:
         return math.inf
     B = np.stack(P2)
-    worst = 0.0
-    for p in P1:
-        d = float(np.min(np.linalg.norm(B - p, axis=1)))
-        worst = max(worst, d)
-    return worst
+    return max(float(np.min(np.linalg.norm(B - p, axis=1))) for p in P1)
 
 
 # ---------------------------------------------------------------------------
@@ -832,17 +811,17 @@ def _oracle_polish(inst: TcpInstance, seed: np.ndarray, pin_tol: float, tol: flo
         faces.append(FaceMask(inst.n, 0))
     out = []
     for face in faces:
-        fs = face_system(inst, face)
-        if fs.k == 0:
+        store = FaceStore([inst], [0], [face])
+        if store.k == 0:
             cand = np.zeros(inst.n)
-        elif len(fs.zero_rows) == fs.k:
+        elif store.zero_rows.all():
             continue
         else:
-            Z, _, _ = _newton(*_face_functions([fs], np.zeros(1, int), simplex=False), seed[list(fs.free)][None])
+            Z, _, _ = _newton(*_face_functions(store, np.zeros(1, int), simplex=False), seed[store.free[0]][None])
             z = Z[0]
             if float(np.min(z)) < -1e-12:
                 continue
-            cand = fs.embed(np.maximum(z, 0.0))
+            cand = store.embed(0, np.maximum(z, 0.0))
         r = max_residual(inst, cand)
         if r <= vtol:
             out.append((cand, r))
@@ -964,7 +943,7 @@ def brute_force_oracle(
     cluster can yield several nearby solutions (_clusters finds both from
     the accepted points alone).  Only polished points re-verified at
     ORACLE_VERIFY_TOL enter `representatives`; the polish still runs the
-    solver's _newton on _face_functions.  Clusters report size and spatial
+    solver's _newton on the _face_functions of a one-face FaceStore.  Clusters report size and spatial
     extent so positive-dimensional components are visible as extended
     clusters.  Valid only inside the box: clusters touching the outer
     boundary are flagged, the exterior is unobserved.

@@ -182,7 +182,7 @@ def contract_rows(arr: np.ndarray, X, block=None) -> np.ndarray:
     entries (_row_sums), so each row's result does not depend on how many
     rows share the call or on the other arrays of the stack.
     """
-    X = np.asarray(X, dtype=float)
+    X = real_array(X)
     k, m = arr.shape[-1], arr.ndim - (block is not None)
     out = _row_sums(arr, k, np.atleast_2d(X), m - 1, block)
     return out.reshape(X.shape)
@@ -208,7 +208,7 @@ def jacobian_rows(W: np.ndarray, X, block=None) -> np.ndarray:
     contract_rows, W may be a stack of G slot sums with block giving each
     row's, and the rows run in runs within _TEMP_ENTRIES entries.
     """
-    X = np.asarray(X, dtype=float)
+    X = real_array(X)
     k, m = W.shape[-1], W.ndim - (block is not None)
     J = _row_sums(W, k * k, np.atleast_2d(X), m - 2, block)
     return J.reshape(X.shape + (k,))

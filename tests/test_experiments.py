@@ -340,9 +340,9 @@ def test_stability_check_runs_no_homogeneous_search_on_certified_tensors(monkeyp
     real = solver_mod._solve_faces
     calls = []
 
-    def counted(systems, starts, cfg, homogeneous):
+    def counted(units, faces, starts, cfg, homogeneous):
         calls.append(homogeneous)
-        return real(systems, starts, cfg, homogeneous)
+        return real(units, faces, starts, cfg, homogeneous)
 
     monkeypatch.setattr(solver_mod, "_solve_faces", counted)
     rep = stability_inclusion_check(GUS.tensor, [1.0, 1.0], 0.05, 4, CFG)

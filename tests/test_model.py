@@ -17,6 +17,8 @@ from tcplab import (
     residual,
     with_rhs,
 )
+from tcplab.model import ZERO_ROW_TOL, FaceStore
+from tcplab.tensors import contract_rows, jacobian_rows, slot_sum
 
 
 def _random_instance(rng, m=None, n=None):
@@ -169,6 +171,75 @@ def test_face_system_flags_zero_and_infeasible_rows():
     assert full.pinned_slack(np.zeros(2)) == pytest.approx(0.0)
     with pytest.raises(ValueError):
         face_system(TcpInstance(zero, [0.0, 0.0]), FaceMask.from_indices(3, [1]))
+
+
+def _same_bits(u, v) -> bool:
+    u, v = np.asarray(u), np.asarray(v)
+    return u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+
+
+def _tiny_row_tensor():
+    # F_2 = 1e-15 * x2^2 is a row below ZERO_ROW_TOL on every face that frees x2
+    arr = np.zeros((2, 2, 2))
+    arr[0, 0, 0] = 1.0
+    arr[1, 1, 1] = 1e-15
+    return Tensor(arr)
+
+
+def _store_cases():
+    rng = np.random.default_rng(31)
+    cases = [(f"gaussian ({m},{n})", [TcpInstance(random_gaussian(m, n, rng), rng.normal(size=n)) for _ in range(2)])
+             for m, n in ((2, 4), (3, 4), (4, 3), (5, 3))]
+    # a = 0 makes the tiny row a zero row, a_2 = 1 an infeasible one
+    cases.append(("tiny row", [TcpInstance(_tiny_row_tensor(), a) for a in ([0.0, 0.0], [0.0, 1.0])]))
+    return cases
+
+
+@pytest.mark.parametrize("name, insts", _store_cases(), ids=[name for name, _ in _store_cases()])
+def test_face_store_equals_a_per_face_reference_gather(name, insts):
+    # every face of both instances, one store per face size with the faces
+    # of the two instances interleaved: each face's block, slot sum, a_free
+    # and row flags equal, bit for bit, the reference gather of that face
+    # alone, with the rows below ZERO_ROW_TOL set to zero; the one-face view
+    # face_system(inst, face) holds the same arrays and flags
+    n, m = insts[0].n, insts[0].m
+    flags = 0
+    for k in range(n + 1):
+        faces = [face for face in enumerate_faces(n) for _ in insts if n - len(face) == k]
+        which = [j for face in enumerate_faces(n) for j in range(len(insts)) if n - len(face) == k]
+        store = FaceStore(insts, which, faces)
+        assert store.k == k and store.blocks.shape == (len(faces),) + (k,) * m
+        for f, (j, face) in enumerate(zip(which, faces)):
+            inst, free = insts[j], list(face.free_indices)
+            block = inst.tensor.array[np.ix_(*[free] * m)] if k else np.zeros((0,) * m)
+            a_free = inst.a[free]
+            vanishing = np.max(np.abs(block.reshape(k, k ** (m - 1))), axis=1, initial=0.0) < ZERO_ROW_TOL
+            a_zero = np.abs(a_free) < ZERO_ROW_TOL
+            block[vanishing] = 0.0
+            a_free[vanishing & a_zero] = 0.0
+            want = (block, slot_sum(block), a_free, vanishing & a_zero, vanishing & ~a_zero)
+            got = (store.blocks[f], store.slots[f], store.a_free[f], store.zero_rows[f], store.infeasible_rows[f])
+            assert all(_same_bits(u, v) for u, v in zip(got, want)), (face, j)
+            fs = face_system(inst, face)
+            assert all(_same_bits(u, v) for u, v in zip((fs.block, fs.slots, fs.a_free), want)), (face, j)
+            assert fs.zero_rows == tuple(np.flatnonzero(want[3])) and fs.k == k
+            assert fs.infeasible_rows == tuple(np.flatnonzero(want[4]))
+            flags += int(vanishing.any())
+    assert (flags > 0) == (name == "tiny row")
+
+
+@pytest.mark.filterwarnings("error")
+def test_complex_points_raise_instead_of_losing_their_imaginary_part():
+    # with every warning an error, a ComplexWarning from a float cast would
+    # fail this test: the kernels must refuse complex points themselves
+    inst = TcpInstance(Tensor(np.ones((2, 2, 2))), [1, 1])
+    fs = face_system(inst, FaceMask(2, 0))
+    store = FaceStore([inst], [0], [FaceMask(2, 0)])
+    z = np.array([1j, 1.0])
+    for call in (fs.residual_vec, fs.jacobian, fs.embed, lambda z: store.embed(0, z),
+                 lambda z: contract_rows(inst.tensor.array, z), lambda z: jacobian_rows(fs.slots, z[None])):
+        with pytest.raises(ValueError, match="complex"):
+            call(z)
 
 
 def test_kkt_point_validation():

@@ -21,6 +21,7 @@ from tcplab import (
     check_copositive,
     check_r0,
     chi_bound,
+    contract,
     enumerate_faces,
     hausdorff_excess,
     homogeneous_solve,
@@ -38,7 +39,7 @@ from tcplab import (
 import tcplab.properties as properties_mod
 import tcplab.solver as solver_mod
 import tcplab.subdivision as subdivision_mod
-from tcplab.model import face_system
+from tcplab.model import FaceStore, face_system
 from tcplab.solver import (
     _ARMIJO_STEPS,
     DEDUP_RADIUS,
@@ -170,14 +171,13 @@ def test_zero_tensor_solution_structure():
 
 
 def _starts_of(inst, homogeneous=False):
-    """The Newton starts of every face of inst, as solve hands them on: the
-    leaves of the augmented subdivision, or with homogeneous the surviving
-    pieces of the R0 certificate."""
+    """The faces of inst and the Newton starts of each, as solve hands them
+    on: the leaves of the augmented subdivision, or with homogeneous the
+    surviving pieces of the R0 certificate."""
     unit = solver_mod._unit_pair(inst.tensor, inst.a)
     faces = enumerate_faces(inst.n)[:-1] if homogeneous else enumerate_faces(inst.n)
-    systems = [face_system(unit, face) for face in faces]
     starts = _r0_certificate(inst.tensor, CFG.tol).starts if homogeneous else _leaf_starts(unit, CFG.tol)
-    return systems, [starts.get(fs.alpha.mask, np.zeros((0, fs.k))) for fs in systems]
+    return faces, [starts.get(face.mask, np.zeros((0, face.n - len(face)))) for face in faces]
 
 
 def test_all_zero_faces_take_the_newton_path():
@@ -193,14 +193,14 @@ def test_all_zero_faces_take_the_newton_path():
     sol = solve(inst, CFG)
     assert [f.to_json() for f in sol.posdim_suspect] == [[2]]
     assert [r.direction.tolist() for r in sol.rays] == [[1.0, 0.0]]
-    systems, starts = _starts_of(inst)
+    _, starts = _starts_of(inst)
     assert sol.meta["starts"] == len(starts[2]) == 2**9
     # with a = 0 no piece is excluded: every face but {0} runs Newton from
     # all 2^9 of its leaves and holds a continuum
     inst = TcpInstance(zero, [0.0, 0.0])
     sol = solve(inst, CFG)
     assert [f.to_json() for f in sol.posdim_suspect] == [[], [1], [2]]
-    systems, starts = _starts_of(inst)
+    _, starts = _starts_of(inst)
     assert [len(z) for z in starts] == [2**9, 2**9, 2**9, 0] and sol.meta["starts"] == 3 * 2**9
     # every homogeneous face runs Newton too; a k = 1 face meets the simplex
     # in one point, a plain ray, while the open face is flagged.  The R0
@@ -240,6 +240,42 @@ def test_ray_active_tail_conditions():
     arr[2, 0, 0] = 1.0
     assert ray_active(TcpInstance(Tensor(arr), [0.0, 0.0, -1.0]), [1.0, 0.0, 0.0], 1e-8)
     assert not ray_active(TcpInstance(Tensor(arr), [0.0, -1.0, 0.0]), [1.0, 0.0, 0.0], 1e-8)
+
+
+def _ray_active_loop(inst, r, tol):
+    """ray_active one coordinate at a time: the reference for its array form."""
+    Fr = contract(inst.tensor, r)
+    for i in range(inst.n):
+        if r[i] > tol:
+            if abs(inst.a[i]) > tol or abs(Fr[i]) > tol:
+                return False
+        elif Fr[i] < -tol or (Fr[i] <= tol and inst.a[i] < -tol):
+            return False
+    return True
+
+
+def test_ray_active_matches_the_per_coordinate_test():
+    # directions with coordinates at 0, at tol and above it, against a and
+    # F(r) drawn from {-1, -tol, 0, tol, 1}: every branch of the per-coordinate
+    # test, both verdicts, and the ties at tol
+    rng = np.random.default_rng(17)
+    tol, values = 1e-8, np.array([-1.0, -1e-8, 0.0, 1e-8, 1.0])
+    verdicts = []
+    for _ in range(400):
+        n = int(rng.integers(2, 4))
+        r = rng.choice([0.0, tol, 0.5, 1.0], size=n)
+        # A[i, j, j] = target_i / r_j^2, j the largest coordinate, makes
+        # F(r) = target up to rounding (F(r) = 0 when r = 0)
+        arr = np.zeros((n, n, n))
+        target = rng.choice(values, size=n)
+        j = int(np.argmax(r))
+        for i in range(n):
+            arr[i, j, j] = target[i] / r[j] ** 2 if r[j] > 0.0 else 0.0
+        inst = TcpInstance(Tensor(arr), rng.choice(values, size=n))
+        want = _ray_active_loop(inst, r, tol)
+        assert ray_active(inst, r, tol) is want, (r, inst.a, target)
+        verdicts.append(want)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_homogeneous_solve_finds_witness_ray():
@@ -376,16 +412,16 @@ def test_batched_newton_rows_match_one_row_batches():
     # rest converge after different numbers of iterations.  The
     # simplex-augmented system runs the rectangular steps on the same starts.
     rng = np.random.default_rng(8)
-    fs = face_system(TcpInstance(random_gaussian(3, 3, rng), rng.normal(size=3)), FaceMask(3, 0))
+    store = FaceStore([TcpInstance(random_gaussian(3, 3, rng), rng.normal(size=3))], [0], [FaceMask(3, 0)])
     g = np.linspace(0.0, 3.0, 4)
     starts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
     for simplex in (False, True):
-        fun, jac = _face_functions([fs], np.zeros(len(starts), int), simplex)
+        fun, jac = _face_functions(store, np.zeros(len(starts), int), simplex)
         Z, res, its = _newton(fun, jac, starts)
         for z0, z, r, it in zip(starts, Z, res, its):
             z1, r1, it1 = _newton(fun, jac, z0[None])
             assert np.array_equal(z1[0], z) and r1[0] == r and it1[0] == it
-    Z, res, its = _newton(*_face_functions([fs], np.zeros(len(starts), int), False), starts)
+    Z, res, its = _newton(*_face_functions(store, np.zeros(len(starts), int), False), starts)
     assert its[0] == 0 and np.array_equal(Z[0], starts[0])
     assert np.any((res > 1e-3) & (its > 0) & (its < NEWTON_MAX_ITER))
     assert len(set(its[res <= NEWTON_ATOL].tolist())) > 1
@@ -410,13 +446,13 @@ def test_newton_never_steps_a_row_with_a_non_finite_start():
     # come back with their start, a non-finite residual and 0 iterations,
     # and every other row as it comes back from the batch without them
     rng = np.random.default_rng(8)
-    fs = face_system(TcpInstance(random_gaussian(3, 3, rng), rng.normal(size=3)), FaceMask(3, 0))
+    store = FaceStore([TcpInstance(random_gaussian(3, 3, rng), rng.normal(size=3))], [0], [FaceMask(3, 0)])
     g = np.linspace(0.0, 3.0, 4)
     starts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
     bad = {3: np.inf, 10: np.nan}
     good = np.setdiff1d(np.arange(len(starts)), list(bad))
     for simplex in (False, True):
-        fun, jac = _face_functions([fs], np.zeros(len(starts), int), simplex)
+        fun, jac = _face_functions(store, np.zeros(len(starts), int), simplex)
 
         def bad_fun(rows, Z):
             F = fun(rows, Z)
@@ -501,12 +537,12 @@ def test_blocked_armijo_matches_sequential_search(monkeypatch, block_rows):
     # iteration's Jacobian call).
     monkeypatch.setattr(solver_mod, "_ARMIJO_BLOCK_ROWS", block_rows)
     rng = np.random.default_rng(8)
-    fs = face_system(TcpInstance(random_gaussian(3, 3, rng), rng.normal(size=3)), FaceMask(3, 0))
+    store = FaceStore([TcpInstance(random_gaussian(3, 3, rng), rng.normal(size=3))], [0], [FaceMask(3, 0)])
     g = np.linspace(0.0, 3.0, 6)
     starts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
     exhausted = 0
     for system, simplex in (("square", False), ("simplex", True)):
-        fun, jac = _face_functions([fs], np.zeros(len(starts), int), simplex)
+        fun, jac = _face_functions(store, np.zeros(len(starts), int), simplex)
         accepted_at: list[int] = []
         ref_calls: list[tuple[str, int]] = []
         want = _sequential_newton(*_counted(fun, jac, ref_calls), starts, NEWTON_MAX_ITER, accepted_at)
@@ -549,25 +585,33 @@ def _box_grid_leaf_starts(unit, tol):
             for face in enumerate_faces(unit.n)}
 
 
-def _per_start_filter(fs, Z, resids, cfg):
-    """The root filter run one start at a time: the reference for
-    _filter_roots.  Returns the reason each start is rejected, or "kept"."""
-    inst = fs.instance
+def _per_start_filter(store, f, Z, resids, cfg):
+    """The root filter run one start at a time on face f of the store: the
+    reference for _filter_roots, with its own embedding and pinned slack.
+    Returns the reason each start is rejected, or "kept"."""
+    inst, face = store.instance(f), store.masks[f]
+    free, pinned = list(face.free_indices), list(face.zero_indices)
+
+    def embed(z):
+        x = np.zeros(inst.n)
+        x[free] = z
+        return x
+
     # the homogeneous faces are checked against a = 0
     check_inst = TcpInstance(inst.tensor, np.zeros(inst.n)) if not inst.a.any() else inst
     tol = cfg.tol
     snap = max(DEDUP_RADIUS, 10.0 * NEWTON_ATOL ** (1.0 / max(2, inst.m - 1)))
     reasons = []
     for z, resid in zip(Z, resids):
-        x = fs.embed(z)
+        x = embed(z)
         small = z <= snap
         if resid > tol / 10:
             reasons.append("residual")
         elif float(np.min(z)) <= tol:
             reasons.append("boundary")
-        elif small.any() and max_residual(check_inst, fs.embed(np.where(small, 0.0, z))) <= tol:
+        elif small.any() and max_residual(check_inst, embed(np.where(small, 0.0, z))) <= tol:
             reasons.append("snapped")
-        elif not fs.pinned_slack(x) >= -tol:
+        elif pinned and not float(np.min(inst.F(x)[pinned])) >= -tol:
             reasons.append("pinned")
         elif max_residual(check_inst, x) > tol:
             reasons.append("kkt")
@@ -587,9 +631,9 @@ def test_array_root_filter_matches_per_start_filter(monkeypatch):
     real = solver_mod._filter_roots
     seen = {}
 
-    def checked(fs, Z, resids, cfg):
-        got = real(fs, Z, resids, cfg)
-        reasons = _per_start_filter(fs, Z, resids, cfg)
+    def checked(store, f, Z, resids, cfg):
+        got = real(store, f, Z, resids, cfg)
+        reasons = _per_start_filter(store, f, Z, resids, cfg)
         assert got.tolist() == [i for i, r in enumerate(reasons) if r == "kept"]
         for r in reasons:
             seen[r] = seen.get(r, 0) + 1
@@ -619,9 +663,9 @@ def test_face_size_batches_match_one_face_runs(monkeypatch):
     real = solver_mod._face_outcome
     ends = {}
 
-    def recording(fs, Z, resids, iters, *rest):
-        ends[fs.alpha.mask] = (Z.copy(), resids.copy(), iters.copy())
-        return real(fs, Z, resids, iters, *rest)
+    def recording(store, f, Z, resids, iters, *rest):
+        ends[store.masks[f].mask] = (Z.copy(), resids.copy(), iters.copy())
+        return real(store, f, Z, resids, iters, *rest)
 
     monkeypatch.setattr(solver_mod, "_face_outcome", recording)
     rng = np.random.default_rng(2)
@@ -630,21 +674,21 @@ def test_face_size_batches_match_one_face_runs(monkeypatch):
     for homogeneous, make_starts in ((False, _leaf_starts), (False, _box_grid_leaf_starts),
                                      (True, lambda unit, tol: lattice_certificate(unit.tensor, tol).starts)):
         unit = solver_mod._unit_pair(A, np.zeros(4) if homogeneous else a)
-        systems = [face_system(unit, face) for face in enumerate_faces(4)[:-1]]
+        faces = enumerate_faces(4)[:-1]
         found_starts = make_starts(unit, CFG.tol)
-        starts = [found_starts.get(fs.alpha.mask, np.zeros((0, fs.k))) for fs in systems]
+        starts = [found_starts.get(face.mask, np.zeros((0, 4 - len(face)))) for face in faces]
         ends.clear()
-        grouped = solver_mod._solve_faces(systems, starts, CFG, homogeneous)
+        grouped = solver_mod._solve_faces([unit], [(0, face) for face in faces], starts, CFG, homogeneous)
         batch = dict(ends)
-        assert sorted(batch) == [fs.alpha.mask for fs, z in zip(systems, starts) if len(z)]
+        assert sorted(batch) == [face.mask for face, z in zip(faces, starts) if len(z)]
         if make_starts is not _leaf_starts:
             assert sorted(batch) == list(range(15))
-        for fs, z, out in zip(systems, starts, grouped):
+        for face, z, out in zip(faces, starts, grouped):
             ends.clear()
-            (alone,) = solver_mod._solve_faces([fs], [z], CFG, homogeneous)
+            (alone,) = solver_mod._solve_faces([unit], [(0, face)], [z], CFG, homogeneous)
             if len(z):
-                for u, v in zip(batch[fs.alpha.mask], ends[fs.alpha.mask]):
-                    assert u.dtype == v.dtype and np.array_equal(u, v), fs.alpha
+                for u, v in zip(batch[face.mask], ends[face.mask]):
+                    assert u.dtype == v.dtype and np.array_equal(u, v), face
             assert (out.starts, out.newton_iters, out.posdim) == (alone.starts, alone.newton_iters, alone.posdim)
             for got, want in ((out.points, alone.points), (out.rays, alone.rays)):
                 assert len(got) == len(want) and all(np.array_equal(u, v) for u, v in zip(got, want))
@@ -704,15 +748,15 @@ def _undecided_cases():
 
 def _counting_face_solver(monkeypatch):
     """Record the homogeneous flag of every face-solver call, and the number
-    of systems of each homogeneous one."""
+    of faces of each homogeneous one."""
     real = solver_mod._solve_faces
     calls, hom_systems = [], []
 
-    def counted(systems, starts, cfg, homogeneous):
+    def counted(units, faces, starts, cfg, homogeneous):
         calls.append(homogeneous)
         if homogeneous:
-            hom_systems.append(len(systems))
-        return real(systems, starts, cfg, homogeneous)
+            hom_systems.append(len(faces))
+        return real(units, faces, starts, cfg, homogeneous)
 
     monkeypatch.setattr(solver_mod, "_solve_faces", counted)
     return calls, hom_systems
@@ -782,7 +826,7 @@ def test_solve_many_solves_each_distinct_tensor_once(monkeypatch):
     assert all(_r0_certificate(Tensor(arr), CFG.tol).holds for arr in certified)
     _, hom_systems = _counting_face_solver(monkeypatch)
     # the certificates leave pieces on 2 of the 3 faces of each undecided
-    # tensor, and the search builds systems for those faces alone
+    # tensor, and the search gathers those faces alone
     assert [len(_r0_certificate(Tensor(arr), CFG.tol).starts) for arr in undecided] == [2, 2]
     for arrays, want_systems in ((undecided, 2 + 2), (certified, 0)):
         insts = [TcpInstance(Tensor(arrays[i % 2].copy()), rng.normal(size=2)) for i in range(6)]
@@ -816,30 +860,31 @@ def test_a_solve_ignores_the_seed():
 def test_each_tensor_is_certified_once_and_a_certified_one_builds_no_face_system(monkeypatch):
     # solve_many, check_r0 and stability_inclusion_check run each distinct
     # tensor's R0 certificate once; the homogeneous search of a certified
-    # tensor builds no face system and runs no Newton row, so every face
-    # system is a point face's, and every simplex-augmented Newton system
-    # belongs to the undecided tensor.  A face system is built only for a
-    # face with starts, and for the face {0} of each point solve
+    # tensor gathers no face and runs no Newton row, so every face gathered
+    # is a point face, and every simplex-augmented Newton system belongs to
+    # the undecided tensor.  A face is gathered (systems records each
+    # gathered face's tensor) only when it has starts, and the face {0} of
+    # each point solve
     from tcplab import stability_inclusion_check
 
     certs, systems, simplex = [], [], []
-    real_cert, real_system, real_functions = solver_mod._r0_certificate, solver_mod.face_system, solver_mod._face_functions
+    real_cert, real_store, real_functions = solver_mod._r0_certificate, solver_mod.FaceStore, solver_mod._face_functions
 
     def counted_cert(A, tol):
         certs.append(A.array.tobytes())
         return real_cert(A, tol)
 
-    def counted_system(inst, face):
-        systems.append(inst.tensor.array.tobytes())
-        return real_system(inst, face)
+    def counted_store(instances, which, masks):
+        systems.extend(instances[j].tensor.array.tobytes() for j in which)
+        return real_store(instances, which, masks)
 
-    def counted_functions(group, owner, is_simplex):
+    def counted_functions(store, owner, is_simplex):
         if is_simplex:
-            simplex.extend(fs.instance.tensor.array.tobytes() for fs in group)
-        return real_functions(group, owner, is_simplex)
+            simplex.extend(store.instance(f).tensor.array.tobytes() for f in range(len(store.masks)))
+        return real_functions(store, owner, is_simplex)
 
     monkeypatch.setattr(solver_mod, "_r0_certificate", counted_cert)
-    monkeypatch.setattr(solver_mod, "face_system", counted_system)
+    monkeypatch.setattr(solver_mod, "FaceStore", counted_store)
     monkeypatch.setattr(solver_mod, "_face_functions", counted_functions)
     gus, W = builtin_example("gus").tensor, non_r0_witness(3, 2, (1,), seed=9)
     G = random_gaussian(3, 2, 7)
@@ -863,8 +908,8 @@ def test_each_tensor_is_certified_once_and_a_certified_one_builds_no_face_system
     # the base solve, and two right-hand sides for each drawn tensor
     assert report.summary["collected"] == 4 and len(certs) == len(set(certs)) == 1 + 4
     # (A, a) near (gus, (1, 1)) solves at the origin alone: the leaves start
-    # no face, and each solve builds the system of its face {0}, which
-    # still returns the origin
+    # no face, and each solve gathers its face {0}, which still returns the
+    # origin
     assert len(systems) == 1 + 2 * 4 and simplex == []
     systems.clear()
     sol = solve(TcpInstance(gus, [1.0, 1.0]), CFG)
