@@ -329,20 +329,19 @@ def genericity_sample(m: int, n: int, samples: int, cfg: SolverConfig) -> Experi
     )
 
 
-def _reference_points(inst: TcpInstance, sol, cfg: SolverConfig) -> list[np.ndarray]:
-    """Comparison set for excess computations against a solved base.
+def _reference_points(inst: TcpInstance, sol, cfg: SolverConfig) -> np.ndarray:
+    """Comparison set for excess computations against a solved base, one
+    point per row (N, n).
 
     Isolated points suffice for a finite base; a posdim-flagged base is
     densified with verified grid-oracle cluster members so the excess is not
     measured against an arbitrary sample of a continuum.
     """
-    pts = [p.x for p in sol.points]
+    pts = [np.reshape([p.x for p in sol.points], (-1, inst.n))]
     if sol.posdim_suspect:
         oracle = brute_force_oracle(inst, ORACLE_BOX_RADIUS, 0.01, cfg.tol)
-        for cluster in oracle.clusters:
-            if cluster.verified:
-                pts.extend(cluster.members)
-    return pts
+        pts.extend(cluster.members for cluster in oracle.clusters if cluster.verified)
+    return np.concatenate(pts)
 
 
 def usc_probe(inst: TcpInstance, radius: float, samples: int, cfg: SolverConfig) -> ExperimentReport:

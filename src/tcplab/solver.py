@@ -8,14 +8,16 @@ merges the survivors.  The faces with the same number k of free
 coordinates run in Newton batches, and each batch's faces are gathered
 into one model.FaceStore, dropped with the batch: each row is evaluated on
 its own face's block, so a face gets the roots it gets when solved alone.
-A face without starts has no roots and is not gathered; the face {0},
-which holds the origin when a >= 0, always is.  A face whose equations all
-vanish identically takes the same path: Newton stops at its starts, every
-feasible start is a root, and the face is flagged as a continuum unless its
-section is one point (a homogeneous k = 1 face).  Unboundedness is probed through the homogeneous problem TCP(A, 0): its
-nonzero solutions on the probability simplex are the candidate recession
-directions, and a direction is kept for a concrete right-hand side only when
-the far tail of its ray actually solves the instance.  One Bernstein
+A face without starts has no roots and is not gathered, and the face {0}
+has no starts: the origin solves TCP(A, a) exactly when a >= 0, which is
+read off a.  A face whose equations all vanish identically takes the same
+path: Newton stops at its starts, every feasible start is a root, and the
+face is flagged as a continuum unless its section is one point (a
+homogeneous k = 1 face).  Unboundedness is probed through the homogeneous
+problem TCP(A, 0): its nonzero solutions on the probability simplex are the
+candidate recession directions, and a direction is kept for a concrete
+right-hand side only when the far tail of its ray actually solves the
+instance.  One Bernstein
 subdivision of the simplex faces settles it (subdivision._r0_certificate):
 when it excludes every piece, with rounding-safe sign tests, Sol(A, 0) = {0}
 is proved and no face is gathered; otherwise the centroids of the pieces
@@ -64,6 +66,7 @@ from .tensors import (
     contract_rows,
     jacobian_rows,
     pair_norm,
+    real_array,
 )
 
 STATUS_EMPTY = "exact-empty"
@@ -363,18 +366,6 @@ def _filter_roots(store: FaceStore, f: int, Z: np.ndarray, resids: np.ndarray, c
     return idx[(store.pinned_slack(f, X, FX) >= -tol) & (max_residual(inst, X, FX) <= tol)]
 
 
-def _degenerate_face(store: FaceStore, f: int, cfg: SolverConfig) -> _FaceOutcome | None:
-    """The outcome of face f if it needs no Newton run, or None for any other
-    face: an equation that is identically a nonzero constant never vanishes,
-    and the face {0} holds the origin when a >= 0 (the homogeneous search
-    leaves that face out).  A face whose equations all vanish identically
-    runs Newton like any other: every feasible start is a root there."""
-    a = store.instance(f).a
-    if store.k == 0 and float(np.min(a)) >= -cfg.tol:
-        return _FaceOutcome(points=[np.zeros(a.size)])
-    return _FaceOutcome() if store.k == 0 or store.infeasible_rows[f].any() else None
-
-
 def _face_outcome(
     store: FaceStore, f: int, Z, resids, iters, jac, row: int, cfg: SolverConfig, homogeneous: bool
 ) -> _FaceOutcome:
@@ -431,18 +422,17 @@ def _solve_faces(units: list[TcpInstance], faces: list, starts: list, cfg: Solve
     under _MANY_CHUNK starts times n^m, each gathered into one FaceStore
     that is dropped once its outcomes are made; rows do not interact, so
     every face gets the roots it gets when solved alone.  A face without
-    starts has no roots and is not gathered, unless it is the face {0}."""
+    starts is not gathered, and one with an infeasible row (an equation
+    that is a nonzero constant) runs no Newton: neither has roots."""
     outcomes = [_FaceOutcome() for _ in faces]
     by_size: dict[int, list[int]] = {}
     for i, ((_, alpha), z) in enumerate(zip(faces, starts)):
-        if len(z) or len(alpha) == alpha.n:
+        if len(z):
             by_size.setdefault(alpha.n - len(alpha), []).append(i)
     for members in by_size.values():
         for batch in _runs(members, lambda i: len(starts[i]), _MANY_CHUNK // units[0].n ** units[0].m):
             store = FaceStore(units, [faces[i][0] for i in batch], [faces[i][1] for i in batch])
-            for f, i in enumerate(batch):
-                outcomes[i] = _degenerate_face(store, f, cfg)
-            live = [f for f, i in enumerate(batch) if outcomes[i] is None]
+            live = [f for f in range(len(batch)) if not store.infeasible_rows[f].any()]
             if live:
                 counts = [len(starts[batch[f]]) for f in live]
                 fun, jac = _face_functions(store, np.repeat(live, counts), homogeneous)
@@ -532,28 +522,28 @@ def _solve_stream(instances, cfg: SolverConfig, certs: list | None = None, homs:
     the certificate's surviving pieces on it; otherwise from the leaves of
     the augmented subdivision (_leaf_starts).  A chunk takes consecutive
     instances while their starts times n^m stay within _MANY_CHUNK, and at
-    least one, and hands all their faces to one _solve_faces call when its
-    first result is asked for.  The rays of TCP(A, 0) are found once per
-    distinct tensor by _homogeneous_rays, after the point faces of the chunk
-    where it first appears, and kept in homs by the tensor's bytes; a caller
-    may pass homs with rays it already has.
+    least one, and hands all their faces with starts to one _solve_faces
+    call when its first result is asked for.  The face {0} has no starts: a
+    point solve adds the origin when min(a) >= -tol on the normalized pair,
+    and a homogeneous one leaves it out.  The rays of TCP(A, 0) are found
+    once per distinct tensor by _homogeneous_rays, after the point faces of
+    the chunk where it first appears, and kept in homs by the tensor's
+    bytes; a caller may pass homs with rays it already has.
     """
     instances = list(instances)
     _check_one_shape([inst.tensor for inst in instances])
     homogeneous = certs is not None
-    faces = enumerate_faces(instances[0].n) if instances else []
-    if homogeneous:
-        faces = faces[:-1]  # the face {0}, the last one, holds only the trivial solution
+    faces = enumerate_faces(instances[0].n)[:-1] if instances else []  # all but the face {0}
     homs = {} if homs is None else homs
 
     def prepared():
-        # only a face with starts, and the face {0} of a point solve, goes to
-        # the face solver; every other face has no roots
+        # only a face with starts goes to the face solver; every other face
+        # has no roots
         for inst, cert in zip(instances, certs if homogeneous else [None] * len(instances)):
             unit = _unit_pair(inst.tensor, inst.a)
             starts = cert.starts if homogeneous else _leaf_starts(unit, cfg.tol)
-            used = [face for face in faces if face.mask in starts or face.mask == 2**inst.n - 1]
-            yield inst, cert, unit, used, [starts.get(face.mask, np.zeros((0, 0))) for face in used]
+            used = [face for face in faces if face.mask in starts]
+            yield inst, cert, unit, used, [starts[face.mask] for face in used]
 
     for chunk in _runs(prepared(), lambda item: sum(len(z) for z in item[4]) * item[0].n ** item[0].m, _MANY_CHUNK):
         outcomes = iter(_solve_faces([item[2] for item in chunk], [(j, face) for j, item in enumerate(chunk)
@@ -580,7 +570,10 @@ def _solve_stream(instances, cfg: SolverConfig, certs: list | None = None, homs:
                 hom = homs[keys[j]]
                 rays = [d for d in hom if ray_active(unit, d, cfg.tol)]
                 meta = _meta(cfg, **work, hom_candidates=len(hom), faces=2**inst.n)
-            points = _sorted_points(unit, inst, [x for out in outs for x in out.points], cfg)
+            xs = [x for out in outs for x in out.points]
+            if not homogeneous and float(np.min(unit.a)) >= -cfg.tol:
+                xs.append(np.zeros(inst.n))
+            points = _sorted_points(unit, inst, xs, cfg)
             rays = _sorted_rays(rays, cfg.tol)
             posdim = [face for face, out in zip(used, outs) if out.posdim]
             yield SolutionSet(points, rays, posdim, _status(points, rays, posdim), meta)
@@ -687,17 +680,18 @@ def chi_bound(m: int, n: int) -> int:
 def hausdorff_excess(S1, S2) -> float:
     """sup over S1 of the Euclidean distance to S2; one-sided.
 
-    Empty S1 gives 0 (vacuous sup); empty S2 with nonempty S1 gives the
-    +inf sentinel.
+    S1 and S2 are lists of points or (N, n) arrays of them.  Empty S1 gives
+    0 (vacuous sup); empty S2 with nonempty S1 gives the +inf sentinel.
     """
-    P1 = [as_vector(p) for p in S1]
-    P2 = [as_vector(p) for p in S2]
-    if not P1:
+    P1, P2 = real_array(S1), real_array(S2)
+    for P in (P1, P2):
+        if P.size and (P.ndim != 2 or not np.all(np.isfinite(P))):
+            raise ValueError(f"expected finite points of one length, as rows of shape (N, n), got shape {P.shape}")
+    if not P1.size:
         return 0.0
-    if not P2:
+    if not P2.size:
         return math.inf
-    B = np.stack(P2)
-    return max(float(np.min(np.linalg.norm(B - p, axis=1))) for p in P1)
+    return max(float(np.min(np.linalg.norm(P2 - p, axis=1))) for p in P1)
 
 
 # ---------------------------------------------------------------------------
@@ -811,12 +805,12 @@ def _oracle_polish(inst: TcpInstance, seed: np.ndarray, pin_tol: float, tol: flo
         faces.append(FaceMask(inst.n, 0))
     out = []
     for face in faces:
-        store = FaceStore([inst], [0], [face])
-        if store.k == 0:
+        if len(face) == inst.n:
             cand = np.zeros(inst.n)
-        elif store.zero_rows.all():
-            continue
         else:
+            store = FaceStore([inst], [0], [face])
+            if store.zero_rows.all():
+                continue
             Z, _, _ = _newton(*_face_functions(store, np.zeros(1, int), simplex=False), seed[store.free[0]][None])
             z = Z[0]
             if float(np.min(z)) < -1e-12:

@@ -6,10 +6,10 @@ sum(lam) = 1, every row of A x^{m-1}, and the form A x^m, is a form in lam
 whose values on the simplex are convex combinations of its Bernstein
 coefficients.  One kernel, _bernstein, gives them all: the form A x^m is its
 one-row case A[None], of order m + 1.  _subdivide starts from the face
-simplices of the orthant (_face_pieces), asks a judge which pieces survive
-and cuts the survivors at their longest edge (_bisect), round after round.
-Four entry points run it, one judge each (Mourrain & Pavone, J. Symbolic
-Comput. 44, 2009; Bundfuss & Duer, Linear Algebra Appl. 428, 2008):
+simplices of the orthant (_face_piece_table), asks a judge which pieces
+survive and cuts the survivors at their longest edge (_bisect), round after
+round.  Four entry points run it, one judge each (Mourrain & Pavone, J.
+Symbolic Comput. 44, 2009; Bundfuss & Duer, Linear Algebra Appl. 428, 2008):
 
 - _r0_certificate proves Sol(A, 0) = {0} when every piece is excluded by the
   R0 rule (_r0_judge), with rounding-safe sign tests, and otherwise hands
@@ -171,19 +171,16 @@ def _bisect(V: np.ndarray, e: np.ndarray, mid: np.ndarray) -> np.ndarray:
     return halves
 
 
-def _face_pieces(n: int, least_k: int = 1, apex: bool = False) -> dict:
-    """The face simplices with at least least_k free coordinates, by k: each
-    a vertex matrix (P, n, k) of unit vectors with its supports (P, n),
-    supports ascending as masks; with apex, the 2^n - 1 face simplices
-    (P, n + 1, k) of R^{n+1} that hold the last coordinate and another.
-
-    The arrays are built once per (n, least_k, apex), on the first call, and
-    are read-only: every call shares them, in a dict of its own."""
-    return dict(_face_piece_table(n, least_k, apex))
-
-
 @functools.lru_cache(maxsize=None)
 def _face_piece_table(n: int, least_k: int, apex: bool) -> tuple:
+    """The face simplices with at least least_k free coordinates, as (k,
+    (V, supports)) pairs by k: each V a vertex matrix (P, n, k) of unit
+    vectors with its supports (P, n), supports ascending as masks; with
+    apex, the 2^n - 1 face simplices (P, n + 1, k) of R^{n+1} that hold the
+    last coordinate and another.
+
+    The arrays are built once per (n, least_k, apex), on the first call, and
+    are read-only: every call shares them."""
     # every face but {0}, pinned masks descending: supports 1 .. 2^n - 1 ascending
     pinned = np.array([face.mask for face in enumerate_faces(n)[-2::-1]])
     every_support = (pinned[:, None] >> np.arange(n + apex) & 1) == 0
@@ -198,12 +195,13 @@ def _face_piece_table(n: int, least_k: int, apex: bool) -> tuple:
     return tuple(pieces)
 
 
-def _subdivide(pieces: dict, judge, min_edge: float = 0.0, leaf_edge: float = 0.0):
+def _subdivide(pieces, judge, min_edge: float = 0.0, leaf_edge: float = 0.0):
     """The branch and bound over face simplices that the R0 certificate,
     the point faces' starts, the copositivity and monotonicity checks share.
 
     pieces maps k to a stack of k-vertex simplices (P, n, k) and their
-    supports (P, n), which are read and never written.  Each round
+    supports (P, n), as a dict or as (k, (V, supports)) pairs
+    (_face_piece_table); they are read and never written.  Each round
     judge(k, V, supp) returns the mask of the pieces that survive, and the
     survivors are cut in two at their longest edge (_longest_edge, _bisect)
     to make the next round.  A surviving vertex (k = 1) piece has no edge to
@@ -215,7 +213,7 @@ def _subdivide(pieces: dict, judge, min_edge: float = 0.0, leaf_edge: float = 0.
     surviving piece's below leaf_edge.  Returns (the survivors by k, the
     pieces judged).
     """
-    simplices, kept = 0, {}
+    simplices, kept, pieces = 0, {}, dict(pieces)
     while True:
         alive = {}
         for k, (V, supp) in pieces.items():
@@ -347,7 +345,7 @@ def _r0_certificate(A: Tensor, tol: float) -> _R0Certificate:
     arr = np.ldexp(A.array, -math.frexp(float(np.max(np.abs(A.array))))[1])
     top = float(np.max(np.abs(arr)))
     judge, least = _r0_judge(arr, tol * top)
-    alive, simplices = _subdivide(_face_pieces(n), judge, min_edge=R0_MIN_EDGE)
+    alive, simplices = _subdivide(_face_piece_table(n, 1, False), judge, min_edge=R0_MIN_EDGE)
     if not alive:
         return _R0Certificate(True, simplices, least[0] / top, {})
     starts = {}
@@ -374,7 +372,7 @@ def _leaf_starts(unit: TcpInstance, tol: float) -> dict[int, np.ndarray]:
     aug = np.pad(unit.tensor.array, [(0, 0)] + [(0, 1)] * (m - 1))
     aug[(slice(n),) + (n,) * (m - 1)] = unit.a
     judge, _ = _r0_judge(aug, 2.0 * tol)
-    leaves, _ = _subdivide(_face_pieces(n, apex=True), judge, leaf_edge=LEAF_EDGE)
+    leaves, _ = _subdivide(_face_piece_table(n, 1, True), judge, leaf_edge=LEAF_EDGE)
     starts = {}
     for k, (V, supp) in leaves.items():
         C = V.mean(axis=2)
@@ -422,7 +420,7 @@ def _copositive_leaves(unit: Tensor) -> tuple[dict, np.ndarray, int]:
             best, where = float(vals[i]), X[i]
         return np.min(coef, axis=1) < best
 
-    leaves, simplices = _subdivide(_face_pieces(n, 2), judge, leaf_edge=LEAF_EDGE)
+    leaves, simplices = _subdivide(_face_piece_table(n, 2, False), judge, leaf_edge=LEAF_EDGE)
     return leaves, where, simplices
 
 
@@ -472,5 +470,5 @@ def _monotone_pieces(unit: Tensor, tol: float):
         least[0] = min(least[0], float(bound[~keep].min(initial=math.inf)))
         return keep
 
-    alive, simplices = _subdivide(_face_pieces(n, n), judge)
+    alive, simplices = _subdivide(_face_piece_table(n, n, False), judge)
     return alive, simplices, least[0], corner[0], witness[0]

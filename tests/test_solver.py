@@ -863,11 +863,12 @@ def test_each_tensor_is_certified_once_and_a_certified_one_builds_no_face_system
     # tensor gathers no face and runs no Newton row, so every face gathered
     # is a point face, and every simplex-augmented Newton system belongs to
     # the undecided tensor.  A face is gathered (systems records each
-    # gathered face's tensor) only when it has starts, and the face {0} of
-    # each point solve
+    # gathered face's tensor) only when it has starts, so the face {0},
+    # settled from a, never is: no store with k = 0 is built (empty records
+    # any), by the solves or by the oracle's polish
     from tcplab import stability_inclusion_check
 
-    certs, systems, simplex = [], [], []
+    certs, systems, simplex, empty = [], [], [], []
     real_cert, real_store, real_functions = solver_mod._r0_certificate, solver_mod.FaceStore, solver_mod._face_functions
 
     def counted_cert(A, tol):
@@ -876,6 +877,7 @@ def test_each_tensor_is_certified_once_and_a_certified_one_builds_no_face_system
 
     def counted_store(instances, which, masks):
         systems.extend(instances[j].tensor.array.tobytes() for j in which)
+        empty.extend(mask for mask in masks if len(mask) == mask.n)
         return real_store(instances, which, masks)
 
     def counted_functions(store, owner, is_simplex):
@@ -895,7 +897,7 @@ def test_each_tensor_is_certified_once_and_a_certified_one_builds_no_face_system
     assert sorted(certs) == sorted(A.array.tobytes() for A in (gus, W, G))
     # the leaves start 14 of the 3 * 10 point faces that are not {0}, and
     # the certificate of W leaves pieces on 2 of its 3 homogeneous faces
-    assert len(systems) == 14 + len(insts) + 2 and systems.count(unit_W) == 2
+    assert len(systems) == 14 + 2 and systems.count(unit_W) == 2
     assert simplex and set(simplex) == {unit_W}
     for A in (gus, G):
         certs.clear(), systems.clear()
@@ -908,12 +910,31 @@ def test_each_tensor_is_certified_once_and_a_certified_one_builds_no_face_system
     # the base solve, and two right-hand sides for each drawn tensor
     assert report.summary["collected"] == 4 and len(certs) == len(set(certs)) == 1 + 4
     # (A, a) near (gus, (1, 1)) solves at the origin alone: the leaves start
-    # no face, and each solve gathers its face {0}, which still returns the
-    # origin
-    assert len(systems) == 1 + 2 * 4 and simplex == []
-    systems.clear()
+    # no face, so no solve gathers one, and a >= 0 still gives the origin
+    assert systems == [] and simplex == []
     sol = solve(TcpInstance(gus, [1.0, 1.0]), CFG)
-    assert len(systems) == 1 and [p.x.tolist() for p in sol.points] == [[0.0, 0.0]]
+    assert systems == [] and [p.x.tolist() for p in sol.points] == [[0.0, 0.0]]
+    # the oracle's grid seed at the origin takes the origin as its candidate
+    # without a store; its fully free polish gathers the open orthant
+    monkeypatch.setattr(solver_mod, "_face_functions", real_functions)
+    oracle = brute_force_oracle(TcpInstance(gus, [1.0, 1.0]), 1.0, 0.05, CFG.tol)
+    assert [x.tolist() for x in oracle.representatives] == [[0.0, 0.0]] and systems
+    assert empty == []
+
+
+def test_the_origin_is_a_point_exactly_when_a_clears_minus_tol():
+    # the face {0} is decided from a on the normalized pair: with gus and
+    # a = (-delta, 1), the origin is a point when delta puts min(unit.a) at
+    # -tol / 2 and not at -2 tol; the root x1 = sqrt(delta) of the face
+    # {2} is a point at both
+    gus = builtin_example("gus").tensor
+    for at in (-0.5, -2.0):
+        inst = TcpInstance(gus, [at * CFG.tol * math.sqrt(3.0), 1.0])
+        assert float(np.min(solver_mod._unit_pair(gus, inst.a).a)) == pytest.approx(at * CFG.tol, rel=1e-9)
+        xs = [p.x.tolist() for p in solve(inst, CFG).points]
+        assert ([0.0, 0.0] in xs) == (at == -0.5), (at, xs)
+        assert len(xs) == 1 + (at == -0.5) and xs[-1][1] == 0.0
+        assert xs[-1][0] == pytest.approx(math.sqrt(-at * CFG.tol * math.sqrt(3.0)), rel=1e-6)
 
 
 def test_certified_tensors_skip_the_homogeneous_search(monkeypatch):
@@ -1123,6 +1144,25 @@ def test_hausdorff_excess_reference_cases():
     b = [(0.0, 0.0)]
     assert hausdorff_excess(b, a) == 0.0
     assert hausdorff_excess(a, b) == pytest.approx(3.0)
+
+
+def test_hausdorff_excess_takes_a_list_of_rows_or_the_stacked_array():
+    # each set is validated as one array: a list of points, of tuples or
+    # the stacked (N, n) array give the same bits, an empty (0, n) array is
+    # empty, and anything but finite rows of one length raises
+    rng = np.random.default_rng(5)
+    for n1, n2 in ((1, 1), (3, 40), (40, 3)):
+        S, R = rng.normal(size=(n1, 3)), rng.normal(size=(n2, 3)) * 1e3
+        want = hausdorff_excess(list(S), list(R))
+        for P, Q in ((S, R), ([tuple(p) for p in S], R), (list(S), R), (S, list(R))):
+            got = hausdorff_excess(P, Q)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert hausdorff_excess(np.zeros((0, 3)), R) == 0.0 and hausdorff_excess(S, np.zeros((0, 3))) == math.inf
+    for bad in ([1.0, 2.0], [[0.0, 1.0], [np.nan, 0.0]], np.zeros((2, 2, 2)), [[0.0, 1.0], [0.0]]):
+        with pytest.raises(ValueError):
+            hausdorff_excess(bad, R[:, :2])
+        with pytest.raises(ValueError):
+            hausdorff_excess(S[:, :2], bad)
 
 
 def test_oracle_agrees_on_unique_solution_instance():

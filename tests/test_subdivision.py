@@ -11,7 +11,8 @@ import pytest
 import tcplab.subdivision as subdivision_mod
 from tcplab import SolverConfig, TcpInstance, Tensor, contract, form, random_gaussian, solve
 from tcplab.catalog import builtin_example
-from tcplab.subdivision import LEAF_EDGE, PIECE_BUDGET, _bernstein, _bisect, _face_pieces, _longest_edge, _subdivide
+from tcplab.subdivision import (LEAF_EDGE, PIECE_BUDGET, _bernstein, _bisect, _face_piece_table, _longest_edge,
+                               _subdivide)
 
 
 def _longest_edges(V):
@@ -107,31 +108,37 @@ def test_bisect_cuts_the_first_of_tied_edges():
     assert halves[0, :, 2].tolist() == halves[1, :, 0].tolist() == [0.5, 0.0, 0.5]
 
 
+def _pieces(n, least_k=1, apex=False):
+    """The face simplices of _face_piece_table, by k."""
+    return dict(_face_piece_table(n, least_k, apex))
+
+
 def test_face_pieces_are_shared_read_only_tables():
     # the face simplices are built once per shape: every call hands out the
-    # same arrays, which cannot be written, in a dict of its own, and the
-    # subdivision loop leaves its input pieces as they were
-    for args in ((3,), (3, 2), (3, 3), (2, 1, True)):
-        first, second = _face_pieces(*args), _face_pieces(*args)
-        assert first is not second and first.keys() == second.keys()
-        for k, (V, supp) in first.items():
-            assert V is second[k][0] and supp is second[k][1]
+    # same table of the same arrays, which cannot be written, and the
+    # subdivision loop leaves its input pieces as they were, whether it gets
+    # the table or a dict of it
+    for args in ((3, 1, False), (3, 2, False), (3, 3, False), (2, 1, True)):
+        first, second = _face_piece_table(*args), _face_piece_table(*args)
+        assert first is second and isinstance(first, tuple)
+        for k, (V, supp) in first:
             with pytest.raises(ValueError):
                 V[0, 0, 0] = 2.0
             with pytest.raises(ValueError):
                 supp[0, 0] = not supp[0, 0]
-        first.clear()
-        assert _face_pieces(*args).keys() == second.keys()
-    pieces = _face_pieces(3, apex=True)
-    before = {k: (V.copy(), supp.copy()) for k, (V, supp) in pieces.items()}
-    _subdivide(pieces, _keep_all, leaf_edge=LEAF_EDGE)
-    assert pieces.keys() == before.keys()
-    for k, (V, supp) in pieces.items():
-        assert np.array_equal(V, before[k][0]) and np.array_equal(supp, before[k][1])
+    table = _face_piece_table(3, 1, True)
+    before = [(k, V.copy(), supp.copy()) for k, (V, supp) in table]
+    pieces = dict(table)
+    for given in (table, pieces):
+        _subdivide(given, _keep_all, leaf_edge=LEAF_EDGE)
+    assert _face_piece_table(3, 1, True) is table and list(pieces) == [k for k, _, _ in before]
+    for (k, (V, supp)), (want_k, want_V, want_supp) in zip(table, before):
+        assert k == want_k and pieces[k][0] is V and pieces[k][1] is supp
+        assert np.array_equal(V, want_V) and np.array_equal(supp, want_supp)
 
 
 def test_subdivide_stops_when_nothing_survives():
-    pieces = _face_pieces(3)
+    pieces = _pieces(3)
     alive, simplices = _subdivide(pieces, lambda k, V, supp: np.zeros(len(V), dtype=bool))
     assert alive == {} and simplices == 2**3 - 1
 
@@ -139,7 +146,7 @@ def test_subdivide_stops_when_nothing_survives():
 def test_subdivide_keeps_surviving_vertex_pieces_uncut():
     # a surviving vertex piece cannot be cut: it is judged once and comes
     # back as it was, and the loop goes on cutting the other survivors
-    pieces = _face_pieces(3)
+    pieces = _pieces(3)
     judged = []
 
     def keep_all(k, V, supp):
@@ -166,7 +173,7 @@ def test_subdivide_keeps_surviving_vertex_pieces_uncut():
 def test_subdivide_stops_before_the_piece_budget():
     # one segment, every piece kept: round r judges 2^r pieces, and the loop
     # stops when the next round would take the count past PIECE_BUDGET
-    pieces = _face_pieces(2, 2)
+    pieces = _pieces(2, 2)
     alive, simplices = _subdivide(pieces, _keep_all)
     (V, _), = alive.values()
     assert simplices <= PIECE_BUDGET < simplices + 2 * len(V)
@@ -181,7 +188,7 @@ def test_subdivide_stops_on_min_edge_and_on_leaf_edge():
     # segments halve their edge every round, triangles every other round or
     # so: min_edge stops at the first piece below it, leaf_edge only once
     # every piece is below it
-    pieces = _face_pieces(3, 2)
+    pieces = _pieces(3, 2)
     alive, simplices = _subdivide(pieces, _keep_all, min_edge=0.25)
     edges = np.concatenate([_longest_edges(V) for V, _ in alive.values()])
     assert edges.min() < 0.25 <= edges.max()
@@ -203,7 +210,7 @@ def test_subdivide_cuts_nothing_in_its_last_round(monkeypatch):
     # the last 2^11 survivors
     cut, bisect = [], subdivision_mod._bisect
     monkeypatch.setattr(subdivision_mod, "_bisect", lambda V, e, mid: cut.append(len(V)) or bisect(V, e, mid))
-    pieces = _face_pieces(2, 2)
+    pieces = _pieces(2, 2)
     alive, simplices = _subdivide(pieces, _keep_all, leaf_edge=0.25)
     assert (simplices, len(alive[2][0]), cut) == (15, 8, [1, 2, 4])
     cut.clear()
@@ -257,7 +264,7 @@ def test_bernstein_coefficients_match_an_einsum_recheck():
     # two rounds of cuts, and a single row
     for m, n in ((2, 3), (3, 3), (3, 4), (4, 3), (5, 2), (5, 3)):
         aug = rng.standard_normal((n,) + (n + 1,) * (m - 1))
-        for k, (V, _) in _face_pieces(n, apex=True).items():
+        for k, (V, _) in _pieces(n, apex=True).items():
             for _ in range(3):
                 for arr in (aug, aug[:1]):
                     got = _bernstein(arr, V)
