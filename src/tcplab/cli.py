@@ -95,10 +95,10 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 
 def _emit_report(report: ExperimentReport, out_path: str | None) -> None:
-    print(json.dumps(report.summary, sort_keys=True, default=str))
     if out_path:
         report.write_json(out_path)
         report.write_csv(str(Path(out_path).with_suffix(".csv")))
+    print(json.dumps(report.summary, sort_keys=True, default=str))
 
 
 def _verdict_exit(report) -> int:
@@ -117,13 +117,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="tcplab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help: str, config: bool = True, out: bool = False):
-        """A command, with the SolverConfig flags if config, --out if out."""
+    def add(name: str, help: str, config: bool = True, out: bool = False, rows: bool = False):
+        """A command, with the SolverConfig flags if config, --out if out or rows (an experiment's)."""
         sp = sub.add_parser(name, help=help)
+        sp.set_defaults(rows=rows)
         if config:
             sp.add_argument("--seed", type=int, default=0)
             sp.add_argument("--tol", type=float, default=1e-8)
-        if out:
+        if out or rows:
             sp.add_argument("--out", default=None, help="also write the result here; an experiment adds a CSV of its rows")
         return sp
 
@@ -150,29 +151,29 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
 
-    sp = add_inputs(add("boundedness", "perturbed solution norms inside (eps, delta) balls", out=True))
+    sp = add_inputs(add("boundedness", "perturbed solution norms inside (eps, delta) balls", rows=True))
     sp.add_argument("--eps", type=float, default=0.1)
     sp.add_argument("--delta", type=float, default=0.5)
     sp.add_argument("--samples", type=int, default=100)
 
-    sp = add_inputs(add("openness", "fraction of R0 survivors per perturbation radius", out=True), with_a=False)
+    sp = add_inputs(add("openness", "fraction of R0 survivors per perturbation radius", rows=True), with_a=False)
     sp.add_argument("--radii", default="0.01,0.05,0.1,0.2,0.5")
     sp.add_argument("--samples", type=int, default=50)
 
-    sp = add("genericity", "R0 fraction over Gaussian tensors", out=True)
+    sp = add("genericity", "R0 fraction over Gaussian tensors", rows=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--samples", type=int, default=200)
 
-    sp = add_inputs(add("usc", "excess of perturbed solution sets over the base set", out=True))
+    sp = add_inputs(add("usc", "excess of perturbed solution sets over the base set", rows=True))
     sp.add_argument("--radius", type=float, default=0.1)
     sp.add_argument("--samples", type=int, default=50)
 
-    sp = add_inputs(add("hoelder", "log-log fit of excess against radius", out=True))
+    sp = add_inputs(add("hoelder", "log-log fit of excess against radius", rows=True))
     sp.add_argument("--radii", default="0.2,0.1,0.05,0.02,0.01")
     sp.add_argument("--samples", type=int, default=30)
 
-    sp = add_inputs(add("stability", "inclusion under copositive tensor drift", out=True))
+    sp = add_inputs(add("stability", "inclusion under copositive tensor drift", rows=True))
     sp.add_argument("--eps", type=float, default=0.05)
     sp.add_argument("--samples", type=int, default=50)
 
@@ -184,6 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args) -> int:
     cmd = args.command
+    if args.rows and args.out and Path(args.out).with_suffix(".csv") == Path(args.out):
+        raise ValueError(f"--out {args.out}: the CSV of its rows would overwrite it; give the report another suffix")
     if cmd == "chi":
         print(chi_bound(args.m, args.n))
         return 0
@@ -273,6 +276,12 @@ def _main(argv) -> int:
         return _dispatch(args)
     except (ValueError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        raise  # main stops quietly
+    except OSError as exc:
+        # an --out write: a directory, a missing parent, no permission
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -41,10 +41,10 @@ from .properties import VERDICT_HOLDS, _r0_reports, check_copositive, check_r0, 
 from .solver import (
     STATUS_UNBOUNDED,
     SolverConfig,
-    _homogeneous_rays,
     _solve_stream,
     brute_force_oracle,
     hausdorff_excess,
+    homogeneous_solve,
     solve,
     solve_many,
 )
@@ -471,8 +471,8 @@ def stability_inclusion_check(
     a = as_vector(a, A.dim)
     _check_sizes("eps", [eps])
     samples = _as_count("samples", samples)
-    rays = _homogeneous_rays([A], cfg)[0]
-    member = int_dual_cone_member(rays, a, cfg.tol)
+    rays = homogeneous_solve(A, cfg).rays
+    member = int_dual_cone_member([r.direction for r in rays], a, cfg.tol)
     params = {"eps": eps, "samples": samples, "seed": cfg.seed, "a": a.tolist()}
     if not member:
         return ExperimentReport(
@@ -481,6 +481,7 @@ def stability_inclusion_check(
             [],
             {"vacuous": True, "reason": "a is not interior to the dual of the solution cone"},
         )
+    # the base solve reuses the cone's rays, so A's homogeneous part is settled once
     base = next(_solve_stream([TcpInstance(A, a)], cfg, homs={A.array.tobytes(): rays}))
     reference = [p.x for p in base.points]
 

@@ -243,7 +243,8 @@ class FaceStore:
     is its r-th free coordinate's.  A row whose coefficients are all below
     ZERO_ROW_TOL is identically zero (zero_rows, the face is
     underdetermined) when a_i is too, and otherwise a nonzero constant
-    (infeasible_rows, the face is empty)."""
+    (infeasible_rows, the face is empty).  It holds the free rows alone:
+    the pinned rows' signs are read off F at the embedded point (embed)."""
 
     def __init__(self, instances: list[TcpInstance], which, masks: list[FaceMask]):
         self.instances, self.which, self.masks = instances, np.asarray(which, dtype=int), masks
@@ -270,27 +271,13 @@ class FaceStore:
         x[..., self.free[f]] = z
         return x
 
-    def pinned_slack(self, f: int, x, Fx=None):
-        """min F_i(x) over the pinned rows of face f (+inf when it pins none),
-        a float for one x (n,), an array for rows of x (S, n).  Fx is F(x)
-        when the caller already has it."""
-        inst = self.instance(f)
-        x = _as_points(x, inst.n)
-        pinned = list(self.masks[f].zero_indices)
-        if not pinned:
-            slack = np.full(x.shape[:-1], np.inf)
-        else:
-            F = inst.F(x) if Fx is None else np.asarray(Fx)
-            slack = np.min(F[..., pinned], axis=-1)
-        return float(slack) if slack.ndim == 0 else slack
-
 
 class FaceSystem:
     """Reduced square system of one face, alpha of inst: the one-face view of
     a FaceStore, with its arrays block, slots and a_free, its flagged rows
-    as tuples, and its embed and pinned_slack.  The solver and the
-    copositivity search gather their faces a size at a time and never
-    build this view."""
+    as tuples, its embed, and the slack of its pinned rows, which no store
+    keeps.  The solver and the copositivity search gather their faces a size
+    at a time and never build this view."""
 
     def __init__(self, inst: TcpInstance, alpha: FaceMask):
         if alpha.n != inst.n:
@@ -315,8 +302,13 @@ class FaceSystem:
         return jacobian_rows(self.slots, z)
 
     def pinned_slack(self, x, Fx=None):
-        """FaceStore.pinned_slack of this face."""
-        return self._store.pinned_slack(0, x, Fx)
+        """min F_i(x) over the pinned rows (+inf when alpha is empty), a
+        float for one x (n,), an array for rows of x (S, n).  Fx is F(x)
+        when the caller already has it."""
+        x = _as_points(x, self.instance.n)
+        F = self.instance.F(x) if Fx is None else np.asarray(Fx)
+        slack = np.min(F[..., list(self.alpha.zero_indices)], axis=-1, initial=np.inf)
+        return float(slack) if slack.ndim == 0 else slack
 
 
 def face_system(inst: TcpInstance, alpha: FaceMask) -> FaceSystem:

@@ -59,6 +59,7 @@ from .model import (
 )
 from .subdivision import LEAF_EDGE, _leaf_starts, _r0_certificate
 from .tensors import (
+    _TEMP_ENTRIES,
     Tensor,
     _as_count,
     as_vector,
@@ -342,11 +343,13 @@ class _FaceOutcome:
 def _filter_roots(store: FaceStore, f: int, Z: np.ndarray, resids: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     """Indices of the Newton end points Z (S, k) that are roots on face f.
 
-    A row is kept when its residual is below tol/10, it lies strictly inside
-    the face, it does not snap onto a smaller face, the pinned rows of F are
-    nonnegative and the KKT residual is within tol.  Homogeneous faces come
-    from homogeneous_solve, whose instance has a = 0, so the face's instance
-    is the instance to check on every face.
+    A row is kept when its Newton residual is at most tol/10, every free
+    coordinate exceeds tol, it does not snap onto a smaller face, and its
+    embedding x has max_residual(inst, x) <= tol.  That last test holds the
+    pinned rows' sign condition too: its feas_F part is -min F(x), so it
+    bounds every row of F from below by -tol, and a NaN row makes it +inf.
+    Homogeneous faces come from homogeneous_solve, whose instance has a = 0,
+    so the face's instance is the instance to check on every face.
     """
     inst, tol = store.instance(f), cfg.tol
     # boundary roots belong to a larger face and are found there
@@ -361,9 +364,7 @@ def _filter_roots(store: FaceStore, f: int, Z: np.ndarray, resids: np.ndarray, c
         ZS = np.where(small[snapped], 0.0, Z[snapped])
         keep[snapped] = max_residual(inst, store.embed(f, ZS)) > tol
     idx = np.flatnonzero(keep)
-    X = store.embed(f, Z[idx])
-    FX = inst.F(X)
-    return idx[(store.pinned_slack(f, X, FX) >= -tol) & (max_residual(inst, X, FX) <= tol)]
+    return idx[max_residual(inst, store.embed(f, Z[idx])) <= tol]
 
 
 def _face_outcome(
@@ -479,24 +480,12 @@ def _sorted_points(
     return [SolutionPoint(x=x, face=face_of(x, cfg.tol), kkt_res=r) for x, r in zip(ranked, kkt)]
 
 
-def _sorted_rays(directions: list[np.ndarray], tol: float) -> list[Ray]:
-    kept = _dedup([(d, 0.0) for d in directions], DEDUP_RADIUS)
-    kept.sort(key=lambda d: tuple(d))
-    return [Ray(direction=d, face=face_of(d, tol)) for d in kept]
-
-
 _CONE_TS = np.array([0.5, 1.0, 2.0, 10.0])
 
 
 def _cone_holds(inst0: TcpInstance, r: np.ndarray, tol: float) -> bool:
     """Whether t * r solves TCP(A, 0) within tol at every t in _CONE_TS."""
     return bool(np.all(max_residual(inst0, np.outer(_CONE_TS, r)) <= tol))
-
-
-def _homogeneous_rays(tensors: list[Tensor], cfg: SolverConfig) -> list[list[np.ndarray]]:
-    """The ray directions of homogeneous_solve for each tensor, all of one
-    (m, n)."""
-    return [[r.direction for r in hom.rays] for hom in homogeneous_solve_many(tensors, cfg)]
 
 
 # Newton starts per chunk of solve_many or homogeneous_solve_many, and per
@@ -526,9 +515,11 @@ def _solve_stream(instances, cfg: SolverConfig, certs: list | None = None, homs:
     call when its first result is asked for.  The face {0} has no starts: a
     point solve adds the origin when min(a) >= -tol on the normalized pair,
     and a homogeneous one leaves it out.  The rays of TCP(A, 0) are found
-    once per distinct tensor by _homogeneous_rays, after the point faces of
-    the chunk where it first appears, and kept in homs by the tensor's
-    bytes; a caller may pass homs with rays it already has.
+    once per distinct tensor by one homogeneous_solve_many call per chunk,
+    after the chunk's point faces, for the tensors not yet in homs, which
+    maps a tensor's bytes to the Rays of its homogeneous_solve; a caller
+    that already ran that search may pass them in homs.  A point solve
+    keeps, in their order, the Rays of its tensor that ray_active accepts.
     """
     instances = list(instances)
     _check_one_shape([inst.tensor for inst in instances])
@@ -552,7 +543,7 @@ def _solve_stream(instances, cfg: SolverConfig, certs: list | None = None, homs:
         if not homogeneous:
             keys = [inst.tensor.array.tobytes() for inst, *_ in chunk]
             new = {key: inst.tensor for key, (inst, *_) in zip(keys, chunk) if key not in homs}
-            homs.update(zip(new, _homogeneous_rays(list(new.values()), cfg)))
+            homs.update(zip(new, (hom.rays for hom in homogeneous_solve_many(new.values(), cfg))))
         for j, (inst, cert, unit, used, _) in enumerate(chunk):
             outs = list(itertools.islice(outcomes, len(used)))
             work = {"starts": sum(out.starts for out in outs), "newton_iters": sum(out.newton_iters for out in outs)}
@@ -563,18 +554,18 @@ def _solve_stream(instances, cfg: SolverConfig, certs: list | None = None, homs:
                 # the directions scaled to unit length once more, which moves
                 # the last bits of about a third of them
                 units = (d / float(np.linalg.norm(d)) for out in outs for d in out.rays)
-                rays = [r for r in units if _cone_holds(unit, r, cfg.tol)]
+                kept = _dedup([(r, 0.0) for r in units if _cone_holds(unit, r, cfg.tol)], DEDUP_RADIUS)
+                rays = [Ray(direction=d, face=face_of(d, cfg.tol)) for d in sorted(kept, key=tuple)]
                 meta = _meta(cfg, homogeneous=True, **work, simplices=cert.simplices, margin=None)
             else:
                 # point faces give no rays: those of TCP(A, 0) are the candidates
                 hom = homs[keys[j]]
-                rays = [d for d in hom if ray_active(unit, d, cfg.tol)]
+                rays = [r for r in hom if ray_active(unit, r.direction, cfg.tol)]
                 meta = _meta(cfg, **work, hom_candidates=len(hom), faces=2**inst.n)
             xs = [x for out in outs for x in out.points]
             if not homogeneous and float(np.min(unit.a)) >= -cfg.tol:
                 xs.append(np.zeros(inst.n))
             points = _sorted_points(unit, inst, xs, cfg)
-            rays = _sorted_rays(rays, cfg.tol)
             posdim = [face for face, out in zip(used, outs) if out.posdim]
             yield SolutionSet(points, rays, posdim, _status(points, rays, posdim), meta)
 
@@ -630,9 +621,10 @@ def solve_many(instances, cfg: SolverConfig) -> list[SolutionSet]:
 
     The faces of one size across a chunk of instances run as one Newton
     batch, and the homogeneous part TCP(A, 0) is settled once for each
-    distinct tensor, so a sweep of right-hand sides against one tensor pays
-    for it once, and only for the R0 certificate when that proves
-    Sol(A, 0) = {0}.  Each result is, bit for bit, the one solve gives
+    distinct tensor by homogeneous_solve_many, whose rays each instance
+    filters with ray_active, so a sweep of right-hand sides against one
+    tensor pays for it once, and only for the R0 certificate when that
+    proves Sol(A, 0) = {0}.  Each result is, bit for bit, the one solve gives
     alone.  Instances of different (m, n) raise ValueError.
     """
     return list(_solve_stream(instances, cfg))
@@ -717,11 +709,6 @@ class OracleResult:
     meta: dict
 
 
-# grid points per chunk of the oracle's scan, rounded down to whole grid
-# rows (at least one).  The oracle holds one chunk's F and J plus the
-# accepted points, never an array over the whole grid, so ORACLE_BUDGET
-# bounds its time and not its memory
-_ORACLE_CHUNK = 1 << 14
 _ORACLE_SEED_CAP = 16
 _ORACLE_SAFETY = 1.5
 
@@ -881,8 +868,11 @@ def _scan(inst: TcpInstance, g: int, grid_step: float, tol: float):
 
     The grid is {0, .., g - 1}^n times grid_step, scanned in chunks of whole
     rows along its last axis, with F and J from the monomial coefficients of
-    A (_scan_polynomials, _row_values).  All of it is elementwise numpy, so
-    each point's bits depend neither on the chunk split nor on a BLAS.
+    A (_scan_polynomials, _row_values).  A chunk takes as many rows, and at
+    least one, as keep its largest temporary, V with n + n^2 outputs a
+    point, within _TEMP_ENTRIES entries: ORACLE_BUDGET bounds the scan's
+    time, not its memory.  All of it is elementwise numpy, so each point's
+    bits depend neither on the chunk split nor on a BLAS.
     Returns (idx, score, theta_F_max): idx holds the accepted points' flat
     indices into the grid of shape (g,)*n, ascending, and score their scores.
     """
@@ -894,7 +884,7 @@ def _scan(inst: TcpInstance, g: int, grid_step: float, tol: float):
     n_rows = g ** (n - 1)
     kept, scores = [], []
     theta_F_max = 0.0
-    chunk_rows = max(1, _ORACLE_CHUNK // g)
+    chunk_rows = max(1, _TEMP_ENTRIES // ((n + n * n) * g))
     for r0 in range(0, n_rows, chunk_rows):
         lead = np.unravel_index(np.arange(r0, min(r0 + chunk_rows, n_rows)), (g,) * (n - 1))
         V = _row_values(exps, C, axis, lead)
@@ -929,17 +919,18 @@ def brute_force_oracle(
     point its own bound, so a true solution within half a cell is never
     missed and far-field slop does not bloat the capture).  The scan
     evaluates F and J from A's monomial coefficients along the grid's axes,
-    in chunks of about _ORACLE_CHUNK points (whole grid rows), with its own
-    elementwise arithmetic and not the solver's kernels, so each point's
-    result does not depend on the chunk split.  Only the accepted points
-    are kept; they are grouped by grid connectivity, and every local minimum
-    of the violation score inside a cluster seeds a Newton polish, so one
-    cluster can yield several nearby solutions (_clusters finds both from
-    the accepted points alone).  Only polished points re-verified at
-    ORACLE_VERIFY_TOL enter `representatives`; the polish still runs the
-    solver's _newton on the _face_functions of a one-face FaceStore.  Clusters report size and spatial
-    extent so positive-dimensional components are visible as extended
-    clusters.  Valid only inside the box: clusters touching the outer
+    in chunks of whole grid rows within tensors._TEMP_ENTRIES (_scan), with
+    its own elementwise arithmetic and not the solver's kernels, so each
+    point's result does not depend on the chunk split.  Only the accepted points are kept; they
+    are grouped by grid connectivity, and every local minimum of the
+    violation score inside a cluster seeds a Newton polish, so one cluster
+    can yield several nearby solutions (_clusters finds both from the
+    accepted points alone).  Only polished points re-verified at
+    ORACLE_VERIFY_TOL enter `representatives`, deduplicated at
+    DEDUP_RADIUS; the polish still runs the solver's _newton on the
+    _face_functions of a one-face FaceStore.  Clusters report size and
+    spatial extent so positive-dimensional components are visible as
+    extended clusters.  Valid only inside the box: clusters touching the outer
     boundary are flagged, the exterior is unobserved.
     """
     # written so that NaN and inf fail it: a NaN tol accepts no grid point
@@ -1007,7 +998,7 @@ def brute_force_oracle(
         )
         reps.extend(found)
 
-    representatives = _dedup(reps, radius=1e-5)
+    representatives = _dedup(reps, DEDUP_RADIUS)
     representatives.sort(key=lambda x: tuple(x))
     return OracleResult(
         representatives=representatives,

@@ -109,6 +109,49 @@ def test_tensor_past_the_face_budget_exits_2(tmp_path, capsys):
         assert err.startswith("error:") and "budget" in err, cmd
 
 
+def test_an_out_path_that_cannot_be_written_exits_2(tmp_path, capsys):
+    # a directory, a file in a missing directory, or a report whose CSV
+    # sibling is a directory: an error naming the path and exit 2, not a
+    # traceback and the 1 that a failing property exits with
+    (tmp_path / "rows.csv").mkdir()
+    cases = [
+        (("solve", "--example", "gus", "--out", str(tmp_path)), tmp_path),
+        (("genericity", "--m", "3", "--n", "2", "--samples", "3", "--out", str(tmp_path / "no" / "r.json")),
+         tmp_path / "no" / "r.json"),
+        (("genericity", "--m", "3", "--n", "2", "--samples", "3", "--out", str(tmp_path / "rows.json")),
+         tmp_path / "rows.csv"),
+    ]
+    for argv, named in cases:
+        code, out, err = _main(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith(f"error: {named}: ") and err.count("\n") == 1, (argv, err)
+
+
+def test_an_experiment_out_path_that_is_its_own_csv_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    # an experiment writes its report to --out and the CSV of its rows to
+    # the .csv beside it; with --out r.csv the rows would overwrite the report
+    import tcplab.cli as cli_mod
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    experiments = {"boundedness": "local_boundedness_probe", "openness": "r0_openness_probe",
+                   "genericity": "genericity_sample", "usc": "usc_probe", "hoelder": "hoelder_fit",
+                   "stability": "stability_inclusion_check"}
+    for name in list(experiments.values()) + ["_load_instance"]:
+        monkeypatch.setattr(cli_mod, name, no_work)
+    path = tmp_path / "r.csv"
+    for cmd in experiments:
+        inputs = ("--m", "3", "--n", "2") if cmd == "genericity" else ("--example", "gus")
+        code, out, err = _main(capsys, cmd, *inputs, "--out", str(path))
+        assert code == 2 and out == "" and not path.exists(), cmd
+        assert err.startswith(f"error: --out {path}: "), (cmd, err)
+    monkeypatch.undo()
+    # solve writes no CSV: its --out may end in .csv
+    code, out, _ = _main(capsys, "solve", "--example", "gus", "--out", str(path))
+    assert code == 0 and json.loads(path.read_text()) == json.loads(out)
+
+
 def test_missing_input_exits_2(capsys):
     code, _, err = _main(capsys, "solve")
     assert code == 2

@@ -255,7 +255,7 @@ def test_experiment_sizes_must_be_finite(bad, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
-    for name in ("check_r0", "solve", "solve_many", "_r0_reports", "_homogeneous_rays"):
+    for name in ("check_r0", "solve", "solve_many", "_r0_reports", "homogeneous_solve"):
         monkeypatch.setattr(experiments_mod, name, no_work)
     ex1 = builtin_example("ex1")
     calls = {
@@ -282,7 +282,7 @@ def test_sample_counts_must_be_integers(bad, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
-    for name in ("check_r0", "solve", "solve_many", "_r0_reports", "_homogeneous_rays"):
+    for name in ("check_r0", "solve", "solve_many", "_r0_reports", "homogeneous_solve"):
         monkeypatch.setattr(experiments_mod, name, no_work)
     monkeypatch.setattr(properties_mod, "_solve_stream", no_work)
     ex1 = builtin_example("ex1")

@@ -345,6 +345,58 @@ def test_homogeneous_rays_certify_along_the_tail():
             assert max_residual(zero_inst, t * r.direction) <= CFG.tol
 
 
+def test_a_point_solve_keeps_the_homogeneous_rays_that_ray_active_accepts():
+    # solve takes its rays from homogeneous_solve(A): exactly those whose
+    # tail ray_active accepts on the normalized pair, with the same bits,
+    # face and order
+    n2 = [(0, 0), (1, 1), (0, 2), (2, 0), (-1, 0), (1, 2)]
+    cases = [(builtin_example(name).tensor, n2) for name in ("ex1", "gus", "monotone", "zero")]
+    cases += [(non_r0_witness(3, 3, (1,), s), [a + (0,) for a in n2]) for s in range(6)]
+    kept = dropped = 0
+    for A, rhs in cases:
+        hom = homogeneous_solve(A, CFG).rays
+        for a in rhs:
+            unit = solver_mod._unit_pair(A, np.asarray(a, dtype=float))
+            want = [r for r in hom if ray_active(unit, r.direction, CFG.tol)]
+            got = solve(TcpInstance(A, a), CFG).rays
+            assert [(r.direction.tobytes(), r.face) for r in got] == [(r.direction.tobytes(), r.face) for r in want]
+            kept, dropped = kept + len(want), dropped + len(hom) - len(want)
+    assert kept > 0 and dropped > 0
+
+
+def test_the_residual_bound_holds_the_pinned_rows_sign():
+    # the root filter keeps an end point x of a face when
+    # max_residual(inst, x) <= tol; that alone bounds each pinned row of F(x)
+    # below by -tol, also when a row overflows to +-inf or is NaN
+    rng = np.random.default_rng(34)
+    tol = CFG.tol
+    kept = refused = 0
+    for m, n in ((3, 3), (4, 3)):
+        for s in range(4):
+            A = random_gaussian(m, n, [34, m, n, s])
+            for face in enumerate_faces(n):
+                pinned, free = list(face.zero_indices), list(face.free_indices)
+                x = np.zeros(n)
+                x[free] = rng.uniform(0.1, 2.0, len(free))
+                # a makes x a root of the free rows and puts each pinned row's
+                # value on one side or the other of -tol
+                a = -contract(A, x)
+                a[pinned] += rng.choice([-2 * tol, -1.001 * tol, -0.999 * tol, 0.0, 0.5], len(pinned))
+                inst = TcpInstance(A, a)
+                FX = np.tile(inst.F(x), (1 + 3 * n, 1))
+                for i in range(n):
+                    FX[1 + 3 * i:4 + 3 * i, i] = [np.inf, -np.inf, np.nan]
+                X = np.tile(x, (len(FX), 1))
+                with np.errstate(invalid="ignore"):  # 0 * inf in x . F(x)
+                    accepted = max_residual(inst, X, FX) <= tol
+                for ok, F in zip(accepted, FX):
+                    holds = bool(np.all(F[pinned] >= -tol))
+                    assert holds or not ok, (m, n, face, F)
+                    kept += bool(ok)
+                    refused += not holds
+    assert kept > 0 and refused > 0
+
+
 def test_homogeneous_scaling_invariance():
     from tcplab import non_r0_witness
 
@@ -1326,8 +1378,8 @@ def test_oracle_does_not_depend_on_the_scan_chunk(monkeypatch):
         inst = TcpInstance(random_gaussian(m, n, [9, m, n]), rng.standard_normal(n))
         step = 0.05 if n == 2 else 0.1
         out = []
-        for chunk in (1, 10**9):  # one grid row, then the whole grid
-            monkeypatch.setattr(solver_mod, "_ORACLE_CHUNK", chunk)
+        for budget in (1, 10**9):  # one grid row, then the whole grid
+            monkeypatch.setattr(solver_mod, "_TEMP_ENTRIES", budget)
             out.append(brute_force_oracle(inst, box_radius=2.0, grid_step=step, tol=CFG.tol))
         assert _oracle_bytes(out[0]) == _oracle_bytes(out[1]), (m, n)
         accepted += out[0].meta["accepted"]
@@ -1392,7 +1444,7 @@ def test_oracle_with_no_accepted_point_has_no_cluster():
 def test_oracle_working_set_stays_small():
     # the scan holds one chunk of grid rows at a time and keeps only the
     # accepted points, which the clusters and seeds then work on, so ex1's
-    # 251,001-point grid costs about 3 MiB; a mask, score and labels over the
+    # 251,001-point grid costs about 2 MiB; a mask, score and labels over the
     # whole grid add about 6 MiB, and F and J on every point at once 40 MiB
     inst = with_rhs(builtin_example("ex1"), [1.0, 1.0])
     tracemalloc.start()
