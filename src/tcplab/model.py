@@ -12,7 +12,6 @@ together with the sign conditions x_i > 0 (i in beta) and F_i(x) >= 0
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -77,15 +76,8 @@ class FaceMask:
         """Free coordinates, 0-based."""
         return tuple(i for i in range(self.n) if not self.mask >> i & 1)
 
-    def __iter__(self) -> Iterator[int]:
-        # iterate 1-based members, so a FaceMask can be passed as an index set
-        return (i + 1 for i in self.zero_indices)
-
     def __len__(self) -> int:
         return bin(self.mask).count("1")
-
-    def __contains__(self, i: int) -> bool:
-        return 1 <= i <= self.n and bool(self.mask >> (i - 1) & 1)
 
     def to_json(self) -> list[int]:
         return [i + 1 for i in self.zero_indices]
@@ -244,7 +236,9 @@ class FaceStore:
     ZERO_ROW_TOL is identically zero (zero_rows, the face is
     underdetermined) when a_i is too, and otherwise a nonzero constant
     (infeasible_rows, the face is empty).  It holds the free rows alone:
-    the pinned rows' signs are read off F at the embedded point (embed)."""
+    the pinned rows' signs are read off F at the embedded point (embed).
+    It is the package's one face view: the solver, the oracle and the
+    copositivity search gather their faces here, one size at a time."""
 
     def __init__(self, instances: list[TcpInstance], which, masks: list[FaceMask]):
         self.instances, self.which, self.masks = instances, np.asarray(which, dtype=int), masks
@@ -273,24 +267,17 @@ class FaceStore:
 
 
 class FaceSystem:
-    """Reduced square system of one face, alpha of inst: the one-face view of
-    a FaceStore, with its arrays block, slots and a_free, its flagged rows
-    as tuples, its embed, and the slack of its pinned rows, which no store
-    keeps.  The solver and the copositivity search gather their faces a size
-    at a time and never build this view."""
+    """Reduced square system of one face, alpha of inst: the arrays block,
+    slots and a_free of a one-face FaceStore, and the row kernels on them.
+    FaceStore is the face view the package gathers; this one is built by
+    face_system alone, and the benchmark tracer (bench/spans.py) times its
+    residual_vec and jacobian."""
 
     def __init__(self, inst: TcpInstance, alpha: FaceMask):
         if alpha.n != inst.n:
             raise ValueError(f"face over n = {alpha.n} does not match instance n = {inst.n}")
-        self._store = store = FaceStore([inst], [0], [alpha])
-        self.instance, self.alpha, self.free, self.k = inst, alpha, alpha.free_indices, store.k
+        store = FaceStore([inst], [0], [alpha])
         self.block, self.slots, self.a_free = store.blocks[0], store.slots[0], store.a_free[0]
-        self.zero_rows = tuple(np.flatnonzero(store.zero_rows[0]).tolist())
-        self.infeasible_rows = tuple(np.flatnonzero(store.infeasible_rows[0]).tolist())
-
-    def embed(self, z) -> np.ndarray:
-        """Lift z (k,) or rows of z (S, k) to the full space, zeros on alpha."""
-        return self._store.embed(0, z)
 
     def residual_vec(self, z) -> np.ndarray:
         """F restricted to the free rows, at z of shape (k,) or at every row
@@ -300,15 +287,6 @@ class FaceSystem:
     def jacobian(self, z) -> np.ndarray:
         """Jacobian of residual_vec, shape (k, k) or (S, k, k)."""
         return jacobian_rows(self.slots, z)
-
-    def pinned_slack(self, x, Fx=None):
-        """min F_i(x) over the pinned rows (+inf when alpha is empty), a
-        float for one x (n,), an array for rows of x (S, n).  Fx is F(x)
-        when the caller already has it."""
-        x = _as_points(x, self.instance.n)
-        F = self.instance.F(x) if Fx is None else np.asarray(Fx)
-        slack = np.min(F[..., list(self.alpha.zero_indices)], axis=-1, initial=np.inf)
-        return float(slack) if slack.ndim == 0 else slack
 
 
 def face_system(inst: TcpInstance, alpha: FaceMask) -> FaceSystem:

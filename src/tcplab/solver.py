@@ -480,12 +480,14 @@ def _sorted_points(
     return [SolutionPoint(x=x, face=face_of(x, cfg.tol), kkt_res=r) for x, r in zip(ranked, kkt)]
 
 
-_CONE_TS = np.array([0.5, 1.0, 2.0, 10.0])
+_CONE_T = 10.0
 
 
 def _cone_holds(inst0: TcpInstance, r: np.ndarray, tol: float) -> bool:
-    """Whether t * r solves TCP(A, 0) within tol at every t in _CONE_TS."""
-    return bool(np.all(max_residual(inst0, np.outer(_CONE_TS, r)) <= tol))
+    """Whether t * r solves TCP(A, 0) within tol at t = _CONE_T, and so on
+    the segment up to it: with a = 0, feas_x, feas_F and comp of t r are t,
+    t^(m - 1) and t^m times those of r, none falls as t grows."""
+    return max_residual(inst0, _CONE_T * r) <= tol
 
 
 # Newton starts per chunk of solve_many or homogeneous_solve_many, and per
@@ -554,9 +556,10 @@ def _solve_stream(instances, cfg: SolverConfig, certs: list | None = None, homs:
                 # the directions scaled to unit length once more, which moves
                 # the last bits of about a third of them
                 units = (d / float(np.linalg.norm(d)) for out in outs for d in out.rays)
+                # with every residual 0.0, _dedup keeps them in tuple order
                 kept = _dedup([(r, 0.0) for r in units if _cone_holds(unit, r, cfg.tol)], DEDUP_RADIUS)
-                rays = [Ray(direction=d, face=face_of(d, cfg.tol)) for d in sorted(kept, key=tuple)]
-                meta = _meta(cfg, homogeneous=True, **work, simplices=cert.simplices, margin=None)
+                rays = [Ray(direction=d, face=face_of(d, cfg.tol)) for d in kept]
+                meta = _meta(cfg, homogeneous=True, **work, simplices=cert.simplices, margin=cert.margin)
             else:
                 # point faces give no rays: those of TCP(A, 0) are the candidates
                 hom = homs[keys[j]]
@@ -594,11 +597,11 @@ def homogeneous_solve(A: Tensor, cfg: SolverConfig) -> SolutionSet:
     The solution set of the homogeneous problem is a cone, so the search
     adds the normalization sum(x) = 1 to every face system and reports each
     solution as a unit-Euclidean ray direction.  A root's direction r is
-    kept only when t r solves TCP(A, 0) within tol at every t in _CONE_TS
-    (_cone_holds), and is dropped otherwise, with no second Newton run; a
-    posdim-flagged face whose root fails is reported in posdim_suspect
-    alone.  An empty ray list means the only homogeneous solution the search
-    found is the origin.
+    kept only when t r solves TCP(A, 0) within tol at t = _CONE_T, and so
+    at every smaller t > 0 (_cone_holds), and is dropped otherwise, with no
+    second Newton run; a posdim-flagged face whose root fails is reported
+    in posdim_suspect alone.  An empty ray list means the only homogeneous
+    solution the search found is the origin.
 
     The R0 certificate of A (subdivision._r0_certificate) runs first.  When
     it excludes every piece of the simplex faces, Sol(A, 0) = {0} is proved:

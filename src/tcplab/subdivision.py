@@ -293,13 +293,15 @@ def _r0_judge(arr: np.ndarray, threshold: float):
 
 @dataclass(frozen=True, eq=False)
 class _R0Certificate:
+    """What _r0_certificate decided after judging simplices pieces.  When it
+    holds, every tensor within margin * max|A| of A, entry by entry, is R0
+    and starts is empty.  Undecided, margin is None, as homogeneous_solve's
+    meta reports it, and starts holds the centroids of the surviving pieces,
+    on the simplex, by the pinned mask of their face."""
+
     holds: bool
     simplices: int
-    # holds: every tensor within margin * max|A| of A, entry by entry, is R0;
-    # undecided: NaN
-    margin: float
-    # undecided: the centroids of the surviving pieces, on the simplex, by
-    # the pinned mask of their face; holds: empty
+    margin: float | None
     starts: dict
 
 
@@ -351,7 +353,7 @@ def _r0_certificate(A: Tensor, tol: float) -> _R0Certificate:
     starts = {}
     for k, (V, supp) in alive.items():
         _by_face(V.mean(axis=2)[supp].reshape(len(V), k), supp, starts)
-    return _R0Certificate(False, simplices, math.nan, starts)
+    return _R0Certificate(False, simplices, None, starts)
 
 
 def _leaf_starts(unit: TcpInstance, tol: float) -> dict[int, np.ndarray]:

@@ -4,7 +4,6 @@ subdivision chose their starts, kept as the reference the tests compare the
 subdivision's starts against."""
 
 import itertools
-import math
 
 import numpy as np
 
@@ -34,4 +33,4 @@ def lattice_certificate(A, tol: float) -> _R0Certificate:
         rng = np.random.default_rng([0, face.mask, 1])
         starts[face.mask] = np.vstack([simplex_starts(k), np.full((1, k), 1.0 / k),
                                        rng.dirichlet(np.ones(k), RANDOM_STARTS)])
-    return _R0Certificate(False, 0, math.nan, starts)
+    return _R0Certificate(False, 0, None, starts)

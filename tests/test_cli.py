@@ -75,6 +75,27 @@ def test_malformed_json_reports_location_and_exits_2(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+_SPARSE = {"m": 3, "n": 2, "format": "sparse"}
+
+
+@pytest.mark.parametrize("argv, instance, message", [
+    (["--example", "gus", "--a", "1,x"], None, "error: could not parse --a '1,x': "),
+    (["--instance", "{tmp}/no/such.json"], None, "error: {tmp}/no/such.json: [Errno 2] "),
+    (["--instance", "{tmp}/inst.json"], {"tensor": {**_SPARSE, "entries": [{"index": [1, 1], "value": 1.0}]},
+                                         "a": [1, 1]}, "error: sparse entry 0: index length 2 != m = 3\n"),
+    (["--instance", "{tmp}/inst.json"], {"tensor": {**_SPARSE, "entries": [{"index": [1, 1, 1]}]}, "a": [1, 1]},
+     "error: malformed sparse entry at position 0: 'value'\n"),
+    (["--instance", "{tmp}/inst.json"], {"tensor": {**_SPARSE, "entries": []}, "a": [[1, 1]]},
+     "error: expected a 1-d vector, got shape (1, 2)\n"),
+], ids=["unparsable a", "missing file", "short sparse index", "sparse entry without value", "2-d a"])
+def test_edge_inputs_exit_2_with_their_message(tmp_path, capsys, argv, instance, message):
+    if instance is not None:
+        (tmp_path / "inst.json").write_text(json.dumps(instance))
+    code, out, err = _main(capsys, "solve", *(arg.format(tmp=tmp_path) for arg in argv))
+    assert code == 2 and out == ""
+    assert err.startswith(message.format(tmp=tmp_path)), err
+
+
 def test_tensor_over_the_entry_budget_exits_2(tmp_path, capsys):
     # a sparse file names m and n; m = 40, n = 2 would be an 8 TiB array
     path = tmp_path / "huge.json"

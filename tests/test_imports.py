@@ -1,10 +1,13 @@
 import ast
+import importlib
 import sys
 from pathlib import Path
 
 import tcplab
+import tcplab.model
 
 SRC = Path(tcplab.__file__).parent
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -121,3 +124,18 @@ def test_bernstein_is_the_only_coefficient_kernel():
                for node in ast.walk(func) if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                and node.func.attr == "matmul" and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"}
     assert callers == {"_bernstein"}
+
+
+def test_every_name_the_bench_tracer_wraps_exists():
+    # bench/spans.py wraps package names it looks up by string; its lists
+    # are read from its source, not run, so a renamed or deleted name shows
+    # here and not only in a traced benchmark pass
+    lists = {target.id: ast.literal_eval(node.value) for node in ast.parse(SPANS.read_text()).body
+             if isinstance(node, ast.Assign) for target in node.targets
+             if isinstance(target, ast.Name) and target.id in {"BOUNDARIES", "METHODS"}}
+    assert lists["BOUNDARIES"] and lists["METHODS"]
+    missing = [f"{home}.{attr}" for _, home, attr in lists["BOUNDARIES"]
+               if not hasattr(importlib.import_module(home), attr)]
+    missing += [f"FaceSystem.{attr}" for _, attr in lists["METHODS"] if attr not in vars(tcplab.model.FaceSystem)]
+    assert missing == []
+    assert callable(importlib.import_module("tcplab.experiments")._map_samples)

@@ -345,6 +345,37 @@ def test_homogeneous_rays_certify_along_the_tail():
             assert max_residual(zero_inst, t * r.direction) <= CFG.tol
 
 
+def test_cone_holds_at_the_tail_point_decides_as_the_four_point_rule():
+    # with a = 0 no part of the residual of t r falls as t grows, so t = 10
+    # alone decides what t in {0.5, 1, 2, 10} decided: on true rays, among
+    # them the homogeneous search's and the m = 6 ray of multiplicity 5, and
+    # on nonnegative directions moved off them by 1e-9 to 1e-3
+    def four_points(inst0, r, tol):
+        return bool(np.all(max_residual(inst0, np.outer([0.5, 1.0, 2.0, 10.0], r)) <= tol))
+
+    planted = np.zeros((3, 3, 3))
+    planted[0, 0, 0], planted[0, 1, 1], planted[2, 2, 2] = 1.0, -1.0, 1.0  # rays x1 = x2, x3 = 0
+    v = np.array([1.0, -2.0])
+    cases = [(Tensor.zeros(3, 2), [1.0, 0.0]), (Tensor.zeros(4, 3), [1.0, 1.0, 1.0]),
+             (non_r0_witness(3, 3, (1,), seed=2), [0.0, 1.0, 2.0]), (non_r0_witness(4, 3, (1, 2), seed=3), [0, 0, 1]),
+             (Tensor(planted), [1.0, 1.0, 0.0]),
+             (Tensor(np.einsum("i,j,k,l,p,q->ijklpq", np.ones(2), v, v, v, v, v)), [2.0, 1.0])]
+    cases += [(A, r.direction) for A in (non_r0_witness(3, 3, (2,), seed=5), Tensor(planted))
+              for r in homogeneous_solve(A, CFG).rays]
+    rng = np.random.default_rng(43)
+    decided = []
+    for A, r in cases:
+        unit = solver_mod._unit_pair(A, np.zeros(A.dim))
+        r = np.asarray(r, dtype=float) / np.linalg.norm(r)
+        dirs = [r] + [np.abs(r + eps * rng.standard_normal(A.dim)) for eps in 10.0 ** np.arange(-9, -2)
+                      for _ in range(3)]
+        for d in dirs:
+            d = d / np.linalg.norm(d)
+            decided.append(solver_mod._cone_holds(unit, d, CFG.tol))
+            assert decided[-1] == four_points(unit, d, CFG.tol), (A.array.shape, d)
+    assert True in decided and False in decided
+
+
 def test_a_point_solve_keeps_the_homogeneous_rays_that_ray_active_accepts():
     # solve takes its rays from homogeneous_solve(A): exactly those whose
     # tail ray_active accepts on the normalized pair, with the same bits,
